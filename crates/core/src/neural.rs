@@ -105,13 +105,6 @@ impl NeuralClassifier {
                 needed: 10,
             });
         }
-        if config.hidden_candidates.is_empty() {
-            return Err(MithraError::InvalidConfig {
-                parameter: "hidden_candidates",
-                constraint: "at least one hidden width",
-            });
-        }
-
         let inputs: Vec<Vec<f32>> = examples.iter().map(|e| e.input.clone()).collect();
         let input_norm = Normalizer::fit(&inputs, 0.0, 1.0);
 
@@ -153,41 +146,8 @@ impl NeuralClassifier {
             &val_set
         });
 
-        // Every hidden-width candidate trains from its own seeded RNG on
-        // the same (shared, read-only) pair sets, so candidates are
-        // independent and can run concurrently. Selection stays a
-        // sequential fold in candidate order below.
-        let candidates: Vec<Result<(usize, f64, Mlp)>> =
-            par_map_indexed(config.hidden_candidates.len(), threads, |i| {
-                let hidden = config.hidden_candidates[i];
-                let topology = Topology::new(&[input_dim, hidden, 2])?;
-                let mlp = Trainer::new(topology)
-                    .epochs(config.epochs)
-                    .learning_rate(0.5)
-                    .batch_size(32)
-                    .output_activation(Activation::Sigmoid)
-                    .seed(config.seed ^ hidden as u64)
-                    .train(&train_pairs)?;
-                let accuracy = classification_accuracy(&mlp, &val_pairs);
-                Ok((hidden, accuracy, mlp))
-            });
-        let mut best: Option<(usize, f64, Mlp)> = None;
-        for candidate in candidates {
-            let (hidden, accuracy, mlp) = candidate?;
-            let better = match &best {
-                None => true,
-                Some((best_hidden, best_acc, _)) => {
-                    accuracy > best_acc + config.accuracy_tolerance
-                        || (accuracy >= best_acc - config.accuracy_tolerance
-                            && hidden < *best_hidden
-                            && accuracy >= *best_acc)
-                }
-            };
-            if better {
-                best = Some((hidden, accuracy, mlp));
-            }
-        }
-        let (_, validation_accuracy, mlp) = best.expect("at least one candidate trained");
+        let (validation_accuracy, mlp) =
+            sweep_hidden_widths(input_dim, 2, &train_pairs, &val_pairs, config, threads)?;
         Ok(Self {
             mlp,
             input_norm,
@@ -324,13 +284,6 @@ impl KaryNeuralClassifier {
                 constraint: "every class label below `classes`",
             });
         }
-        if config.hidden_candidates.is_empty() {
-            return Err(MithraError::InvalidConfig {
-                parameter: "hidden_candidates",
-                constraint: "at least one hidden width",
-            });
-        }
-
         let inputs: Vec<Vec<f32>> = examples.iter().map(|e| e.input.clone()).collect();
         let input_norm = Normalizer::fit(&inputs, 0.0, 1.0);
 
@@ -387,37 +340,14 @@ impl KaryNeuralClassifier {
             &val_idx
         });
 
-        let candidates: Vec<Result<(usize, f64, Mlp)>> =
-            par_map_indexed(config.hidden_candidates.len(), threads, |i| {
-                let hidden = config.hidden_candidates[i];
-                let topology = Topology::new(&[input_dim, hidden, classes])?;
-                let mlp = Trainer::new(topology)
-                    .epochs(config.epochs)
-                    .learning_rate(0.5)
-                    .batch_size(32)
-                    .output_activation(Activation::Sigmoid)
-                    .seed(config.seed ^ hidden as u64)
-                    .train(&train_pairs)?;
-                let accuracy = kary_accuracy(&mlp, &val_pairs);
-                Ok((hidden, accuracy, mlp))
-            });
-        let mut best: Option<(usize, f64, Mlp)> = None;
-        for candidate in candidates {
-            let (hidden, accuracy, mlp) = candidate?;
-            let better = match &best {
-                None => true,
-                Some((best_hidden, best_acc, _)) => {
-                    accuracy > best_acc + config.accuracy_tolerance
-                        || (accuracy >= best_acc - config.accuracy_tolerance
-                            && hidden < *best_hidden
-                            && accuracy >= *best_acc)
-                }
-            };
-            if better {
-                best = Some((hidden, accuracy, mlp));
-            }
-        }
-        let (_, validation_accuracy, mlp) = best.expect("at least one candidate trained");
+        let (validation_accuracy, mlp) = sweep_hidden_widths(
+            input_dim,
+            classes,
+            &train_pairs,
+            &val_pairs,
+            config,
+            threads,
+        )?;
         Ok(Self {
             mlp,
             input_norm,
@@ -461,7 +391,75 @@ impl KaryNeuralClassifier {
     }
 }
 
-fn kary_accuracy(mlp: &Mlp, pairs: &[(Vec<f32>, Vec<f32>)]) -> f64 {
+/// Trains one `[input_dim, hidden, outputs]` sigmoid-output network per
+/// hidden-width candidate and keeps the one with the highest held-out
+/// accuracy, preferring fewer neurons within
+/// `config.accuracy_tolerance` (paper §IV-B). Returns the winner's
+/// accuracy and network.
+///
+/// Every candidate trains from its own seeded RNG on the same read-only
+/// pair sets, so candidates run concurrently on up to `threads` workers.
+/// They are submitted widest first, because the widest network trains
+/// longest and would otherwise start last; selection is a sequential
+/// fold in candidate order, so the winner is bit-identical at any
+/// thread count.
+fn sweep_hidden_widths(
+    input_dim: usize,
+    outputs: usize,
+    train_pairs: &[(Vec<f32>, Vec<f32>)],
+    val_pairs: &[(Vec<f32>, Vec<f32>)],
+    config: &NeuralTrainConfig,
+    threads: Option<usize>,
+) -> Result<(f64, Mlp)> {
+    let widths = &config.hidden_candidates;
+    if widths.is_empty() {
+        return Err(MithraError::InvalidConfig {
+            parameter: "hidden_candidates",
+            constraint: "at least one hidden width",
+        });
+    }
+    let mut submission: Vec<usize> = (0..widths.len()).collect();
+    submission.sort_by_key(|&c| std::cmp::Reverse(widths[c]));
+    let trained = par_map_indexed(submission.len(), threads, |k| {
+        let hidden = widths[submission[k]];
+        let mlp = Trainer::new(Topology::new(&[input_dim, hidden, outputs])?)
+            .epochs(config.epochs)
+            .learning_rate(0.5)
+            .batch_size(32)
+            .output_activation(Activation::Sigmoid)
+            .seed(config.seed ^ hidden as u64)
+            .train(train_pairs)?;
+        Ok((argmax_accuracy(&mlp, val_pairs), mlp))
+    });
+    let mut candidates: Vec<Option<Result<(f64, Mlp)>>> = (0..widths.len()).map(|_| None).collect();
+    for (&c, result) in submission.iter().zip(trained) {
+        candidates[c] = Some(result);
+    }
+
+    let mut best: Option<(usize, f64, Mlp)> = None;
+    for (&hidden, candidate) in widths.iter().zip(candidates) {
+        let (accuracy, mlp) = candidate.expect("every candidate was submitted")?;
+        let better = match &best {
+            None => true,
+            Some((best_hidden, best_acc, _)) => {
+                accuracy > best_acc + config.accuracy_tolerance
+                    || (accuracy >= best_acc - config.accuracy_tolerance
+                        && hidden < *best_hidden
+                        && accuracy >= *best_acc)
+            }
+        };
+        if better {
+            best = Some((hidden, accuracy, mlp));
+        }
+    }
+    let (_, accuracy, mlp) = best.expect("at least one candidate trained");
+    Ok((accuracy, mlp))
+}
+
+/// Share of `pairs` whose largest network output (ties toward the lowest
+/// index) lands on the target's hot class. With two outputs this is the
+/// binary rule: reject exactly when `out[1] > out[0]`.
+fn argmax_accuracy(mlp: &Mlp, pairs: &[(Vec<f32>, Vec<f32>)]) -> f64 {
     if pairs.is_empty() {
         return 0.0;
     }
@@ -480,21 +478,6 @@ fn kary_accuracy(mlp: &Mlp, pairs: &[(Vec<f32>, Vec<f32>)]) -> f64 {
         .filter(|(x, target)| {
             let out = mlp.forward_into(x, &mut scratch).expect("widths match");
             argmax(out) == argmax(target)
-        })
-        .count();
-    correct as f64 / pairs.len() as f64
-}
-
-fn classification_accuracy(mlp: &Mlp, pairs: &[(Vec<f32>, Vec<f32>)]) -> f64 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let mut scratch = ForwardScratch::new();
-    let correct = pairs
-        .iter()
-        .filter(|(x, target)| {
-            let out = mlp.forward_into(x, &mut scratch).expect("widths match");
-            (out[1] > out[0]) == (target[1] > target[0])
         })
         .count();
     correct as f64 / pairs.len() as f64
@@ -613,6 +596,66 @@ mod tests {
         let a = NeuralClassifier::train(2, &ex, &quick_config()).unwrap();
         let b = NeuralClassifier::train(2, &ex, &quick_config()).unwrap();
         assert_eq!(a.mlp.to_parameters(), b.mlp.to_parameters());
+    }
+
+    #[test]
+    fn sweep_folds_in_candidate_order_despite_widest_first_submission() {
+        // A short run leaves every width at a different held-out
+        // accuracy; widths listed out of order so widest-first
+        // submission permutes them, and a tolerance wide enough that the
+        // fold order decides the winner.
+        let ex: Vec<TrainingExample> = (0..400)
+            .map(|i| {
+                let (x, y) = ((i % 20) as f32 / 19.0, (i / 20) as f32 / 19.0);
+                TrainingExample {
+                    input: vec![x, y],
+                    reject: x + 0.3 * y > 0.8,
+                }
+            })
+            .collect();
+        let cfg = NeuralTrainConfig {
+            hidden_candidates: vec![4, 16, 2, 8],
+            epochs: 10,
+            accuracy_tolerance: 0.05,
+            ..NeuralTrainConfig::default()
+        };
+        // Reference: every width trained alone, then the paper's rule
+        // folded by hand over the widths in a given order.
+        let singles: Vec<(usize, NeuralClassifier)> = cfg
+            .hidden_candidates
+            .iter()
+            .map(|&hidden| {
+                let one = NeuralTrainConfig {
+                    hidden_candidates: vec![hidden],
+                    ..cfg.clone()
+                };
+                (hidden, NeuralClassifier::train(2, &ex, &one).unwrap())
+            })
+            .collect();
+        let fold = |order: &[usize]| {
+            let mut best: Option<&(usize, NeuralClassifier)> = None;
+            for &k in order {
+                let (hidden, c) = &singles[k];
+                let acc = c.validation_accuracy();
+                let better = best.is_none_or(|(best_hidden, b)| {
+                    let best_acc = b.validation_accuracy();
+                    acc > best_acc + cfg.accuracy_tolerance
+                        || (acc >= best_acc - cfg.accuracy_tolerance
+                            && hidden < best_hidden
+                            && acc >= best_acc)
+                });
+                if better {
+                    best = Some(&singles[k]);
+                }
+            }
+            best.unwrap().1.mlp.to_parameters()
+        };
+        let want = fold(&[0, 1, 2, 3]);
+        assert_ne!(want, fold(&[1, 3, 0, 2]), "fold order must matter here");
+        for threads in [Some(1), Some(3)] {
+            let got = NeuralClassifier::train_with_threads(2, &ex, &cfg, threads).unwrap();
+            assert_eq!(got.mlp.to_parameters(), want);
+        }
     }
 
     /// Three bands on one axis: class 0 below 0.33, class 1 below 0.66,

@@ -10,6 +10,8 @@
 //! over the returned vector in index order.
 
 use crate::profile::default_threads;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Minimum accelerator invocations a worker thread must amortize before
 /// forking is worth its setup cost. Below this, thread spawn + cache
@@ -43,6 +45,13 @@ pub fn work_bounded_threads(requested: Option<usize>, total_work: usize) -> usiz
 /// count is always clamped to `count`. With one worker the items run on
 /// the calling thread in index order, exactly like a `for` loop — so a
 /// `--threads 1` run is the sequential baseline by construction.
+///
+/// Workers claim indices one at a time from a shared counter, so a few
+/// expensive items never queue behind each other on one thread while
+/// another sits idle; callers that know their costs submit the dearest
+/// first. Each result lands in its own index's slot, so the returned
+/// order does not depend on which worker ran what. A panicking item
+/// panics the caller once every worker has stopped.
 pub fn par_map_indexed<R, F>(count: usize, threads: Option<usize>, f: F) -> Vec<R>
 where
     R: Send,
@@ -55,28 +64,44 @@ where
     if threads <= 1 {
         return (0..count).map(f).collect();
     }
+    let next = AtomicUsize::new(0);
+    let claimed: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The counter only hands out indices; results
+                        // reach the caller through `join`, which
+                        // synchronizes, so no ordering is needed here.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            return done;
+                        }
+                        done.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    });
     let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    let chunk = count.div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        for (t, slice) in slots.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (off, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some(f(t * chunk + off));
-                }
-            });
-        }
-    })
-    .expect("parallel workers do not panic");
+    for (i, result) in claimed.into_iter().flatten() {
+        slots[i] = Some(result);
+    }
     slots
         .into_iter()
-        .map(|s| s.expect("every index maps to exactly one chunk slot"))
+        .map(|s| s.expect("every index is claimed exactly once"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn results_arrive_in_index_order() {
@@ -110,6 +135,63 @@ mod tests {
         for threads in [None, Some(2), Some(3), Some(7), Some(64)] {
             let par = fold(par_map_indexed(257, threads, item));
             assert_eq!(seq.to_bits(), par.to_bits(), "threads {threads:?}");
+        }
+    }
+
+    #[test]
+    fn skewed_costs_still_return_in_index_order() {
+        // Item 0 is the dearest, as in the neural sweep's widest-first
+        // submission: it cannot finish until every other item has, so
+        // it completes last. That only terminates if idle workers keep
+        // claiming the remaining items while item 0 runs.
+        for threads in [2, 3, 8] {
+            let finished = AtomicUsize::new(0);
+            let out = par_map_indexed(12, Some(threads), |i| {
+                if i == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while finished.load(Ordering::SeqCst) < 11 {
+                        assert!(Instant::now() < deadline, "items 1..12 never ran");
+                        std::thread::yield_now();
+                    }
+                } else {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                }
+                i * 3
+            });
+            assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn every_index_is_claimed_exactly_once() {
+        for threads in 1..=8 {
+            let calls: Vec<AtomicUsize> = (0..37).map(|_| AtomicUsize::new(0)).collect();
+            let out = par_map_indexed(calls.len(), Some(threads), |i| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+                i
+            });
+            assert_eq!(out, (0..calls.len()).collect::<Vec<_>>());
+            for (i, c) in calls.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        for threads in [Some(1), Some(4)] {
+            let caught = std::panic::catch_unwind(|| {
+                par_map_indexed(16, threads, |i| {
+                    assert_ne!(i, 7, "item 7 fails");
+                    i
+                })
+            });
+            let payload = caught.expect_err("the item's panic reaches the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(message.contains("item 7 fails"), "{message}");
         }
     }
 

@@ -5,9 +5,11 @@
 //! bit-reproducible ([`crate::mlp::Mlp::run_into`], the trainer's
 //! `sgd_step`). That path is the default: all committed results and
 //! byte-identity pins are produced by it. This module adds an opt-in
-//! **SIMD** backend that relaxes the accumulation order to a
-//! lane-per-sample tile layout so the compiler can keep eight samples in
-//! flight per vector instruction.
+//! **SIMD** backend that keeps eight samples in flight per vector
+//! instruction in a lane-per-sample tile layout and relaxes the
+//! arithmetic: fused multiply-adds, a polynomial sigmoid and per-lane
+//! gradient sums. (The scalar trainer tiles samples the same way but
+//! keeps the reference arithmetic.)
 //!
 //! # Tile layout
 //!

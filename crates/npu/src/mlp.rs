@@ -97,9 +97,7 @@ impl Layer {
 /// seen the widest layer, so prefer [`ForwardScratch::for_topology`],
 /// which presizes every buffer so no allocation happens after
 /// construction (pinned by `tests/alloc_free.rs`). Keep one scratch per
-/// thread and reuse it. After a forward pass the scratch retains every
-/// layer's activations (slot 0 is a copy of the input), which is
-/// exactly the trace backpropagation consumes.
+/// thread and reuse it.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
     /// `activations[0]` is the input copy; `activations[l + 1]` is the
@@ -120,12 +118,6 @@ impl ForwardScratch {
         Self {
             activations: shape.iter().map(|&w| Vec::with_capacity(w)).collect(),
         }
-    }
-
-    /// The activations at network level `l` after a forward pass
-    /// (0 = the input copy, layer count = the output).
-    pub(crate) fn activation(&self, l: usize) -> &[f32] {
-        &self.activations[l]
     }
 }
 
@@ -310,8 +302,7 @@ impl Mlp {
     /// Runs one forward pass through caller-owned scratch buffers — the
     /// hot-path entry point, performing no allocation once the scratch has
     /// warmed up. Returns the output activations borrowed from the
-    /// scratch; intermediate activations stay readable there afterwards
-    /// (the trainer's backward pass reads them as its trace).
+    /// scratch.
     ///
     /// The per-neuron arithmetic is identical to [`run_into`] — same
     /// dot-product order — so the two entry points are bit-equal.
@@ -629,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_matches_run_and_keeps_trace() {
+    fn forward_into_matches_run_and_reuses_scratch() {
         let mlp = xor_network();
         let mut scratch = ForwardScratch::new();
         let out = mlp
@@ -637,9 +628,6 @@ mod tests {
             .unwrap()
             .to_vec();
         assert_eq!(out, mlp.run(&[1.0, 0.0]).unwrap());
-        // The scratch retains the full trace: input + hidden + output.
-        assert_eq!(scratch.activation(0), &[1.0, 0.0]);
-        assert_eq!(scratch.activation(2).len(), 1);
         // Reuse across inputs must not leak previous activations.
         let again = mlp
             .forward_into(&[0.0, 0.0], &mut scratch)

@@ -8,7 +8,7 @@
 //! NPU compiler applies so sigmoid layers see well-scaled values.
 
 use crate::kernel::{self, KernelBackend, LANES};
-use crate::mlp::{Activation, ForwardScratch, Mlp};
+use crate::mlp::{Activation, Layer, Mlp};
 use crate::topology::Topology;
 use crate::{NpuError, Result};
 use rand::rngs::StdRng;
@@ -119,10 +119,10 @@ impl Normalizer {
     }
 }
 
-/// Preallocated training buffers: forward activations, per-layer error
-/// terms, gradient accumulators, the transposed weight copies the
-/// backward pass streams, and — for the SIMD backend — the
-/// lane-per-sample tile mirrors of all of the above.
+/// Preallocated training buffers: lane-per-sample activation and
+/// error-term tiles, gradient accumulators, the transposed weight copies
+/// the backward pass streams, the sample-major staging copy the scalar
+/// gradient fold reads, and the SIMD backend's lane-resolved gradients.
 ///
 /// [`Trainer::train`] creates one per call via
 /// [`TrainScratch::for_topology`] and reuses it across every example,
@@ -132,9 +132,6 @@ impl Normalizer {
 /// [`Trainer::train_with_scratch`].
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
-    fwd: ForwardScratch,
-    /// `delta[l]` holds layer `l`'s error terms during backpropagation.
-    delta: Vec<Vec<f32>>,
     w_grad: Vec<Vec<f32>>,
     b_grad: Vec<Vec<f32>>,
     /// Transposed (input-major) weight copies:
@@ -144,12 +141,16 @@ pub struct TrainScratch {
     /// across rows. Layer 0 never propagates further; its slot stays
     /// empty.
     wt: Vec<Vec<f32>>,
-    /// SIMD tile state, [`LANES`] samples wide: `act8[lvl]` are the
-    /// activation tiles per network level, `delta8[l]` the error-term
-    /// tiles, and `w_grad8`/`b_grad8` lane-resolved gradient
-    /// accumulators reduced in ascending-lane order at each batch end.
+    /// Tile state, [`LANES`] samples wide: `act8[lvl]` are the
+    /// activation tiles per network level and `delta8[l]` the error-term
+    /// tiles of layer `l`.
     act8: Vec<Vec<f32>>,
     delta8: Vec<Vec<f32>>,
+    /// Scalar backend: one activation tile copied sample-major
+    /// (`stage[lane * width + i]`), sized for the widest layer input.
+    stage: Vec<f32>,
+    /// SIMD backend: lane-resolved gradient accumulators, reduced in
+    /// ascending-lane order at each batch end.
     w_grad8: Vec<Vec<f32>>,
     b_grad8: Vec<Vec<f32>>,
 }
@@ -167,11 +168,6 @@ impl TrainScratch {
         let layer = |l: usize| (shape[l], shape[l + 1]);
         let per_layer = 0..shape.len() - 1;
         Self {
-            fwd: ForwardScratch::for_topology(topology),
-            delta: per_layer
-                .clone()
-                .map(|l| Vec::with_capacity(layer(l).1))
-                .collect(),
             w_grad: per_layer
                 .clone()
                 .map(|l| vec![0.0; layer(l).0 * layer(l).1])
@@ -192,6 +188,7 @@ impl TrainScratch {
                 .clone()
                 .map(|l| vec![0.0; layer(l).1 * LANES])
                 .collect(),
+            stage: vec![0.0; Self::stage_len(shape)],
             w_grad8: per_layer
                 .clone()
                 .map(|l| vec![0.0; layer(l).0 * layer(l).1 * LANES])
@@ -200,16 +197,22 @@ impl TrainScratch {
         }
     }
 
-    /// Rebuilds the scratch if it was not sized for `topology`.
+    /// Length of the staging copy: one tile of the widest layer input.
+    fn stage_len(shape: &[usize]) -> usize {
+        shape[..shape.len() - 1].iter().max().copied().unwrap_or(0) * LANES
+    }
+
+    /// Rebuilds the scratch if it was not sized for `topology`. The
+    /// activation tiles spell out the whole shape, so matching them plus
+    /// the staging copy means every buffer fits.
     fn ensure(&mut self, topology: &Topology) {
         let shape = topology.layers();
-        let fits = self.w_grad.len() == shape.len() - 1
-            && self
-                .w_grad
-                .iter()
-                .enumerate()
-                .all(|(l, g)| g.len() == shape[l] * shape[l + 1])
-            && self.act8.len() == shape.len();
+        let fits = self
+            .act8
+            .iter()
+            .map(Vec::len)
+            .eq(shape.iter().map(|&w| w * LANES))
+            && self.stage.len() == Self::stage_len(shape);
         if !fits {
             *self = Self::for_topology(topology);
         }
@@ -313,8 +316,9 @@ impl Trainer {
 
     /// Selects the arithmetic backend for the inner SGD loops. The
     /// default [`KernelBackend::Scalar`] is the bit-reproducible
-    /// reference; [`KernelBackend::Simd`] runs the lane-per-sample tile
-    /// kernels (see [`crate::kernel`]) — deterministic for a fixed seed
+    /// reference; [`KernelBackend::Simd`] runs fused multiply-add tile
+    /// kernels with a polynomial sigmoid (see [`crate::kernel`]) and
+    /// reduces gradients per lane — deterministic for a fixed seed
     /// and identical across machines, but not bit-equal to the
     /// reference. RNG consumption (initialization, shuffles) is
     /// identical on both backends.
@@ -433,14 +437,19 @@ impl Trainer {
         .expect("constructed lengths match the topology")
     }
 
-    /// One minibatch step; returns the batch's summed squared error.
+    /// One minibatch step on the scalar reference backend; returns the
+    /// batch's summed squared error.
     ///
-    /// All buffers come from `scratch` and the backward pass reads the
-    /// transposed weight copies, but every floating-point accumulation
-    /// happens in the same order as the textbook row-major formulation —
-    /// per element, contributions still arrive in ascending neuron order —
-    /// so training stays byte-deterministic across the layout change
-    /// (pinned by `tests/kernel_parity.rs`).
+    /// Samples run [`LANES`] at a time through lane-per-sample tiles, so
+    /// the forward pass and the delta backpropagation vectorize across
+    /// samples. Each lane still performs its own sample's exact
+    /// operation sequence — bias, then a separate `*` and `+` per input
+    /// in ascending order, no fused multiply-add — and the activation
+    /// runs only on live lanes. Gradients are folded from a sample-major
+    /// copy of each tile, one sample after another, so every gradient
+    /// element receives its contributions in batch order. The result is
+    /// bit-identical to a per-sample textbook loop (pinned by
+    /// `tests/kernel_parity.rs`).
     fn sgd_step(
         &self,
         mlp: &mut Mlp,
@@ -459,81 +468,50 @@ impl Trainer {
         }
         let mut sse = 0.0f64;
 
-        for &idx in batch {
-            let (x, target) = &samples[idx];
-            mlp.forward_into(x, &mut scratch.fwd)
-                .expect("samples validated against the topology");
+        for group in batch.chunks(LANES) {
+            let lanes = group.len();
+            load_input_tile(samples, group, self.topology.inputs(), &mut scratch.act8[0]);
+            for (l, layer) in mlp.layers().iter().enumerate() {
+                let (prev, next) = scratch.act8.split_at_mut(l + 1);
+                layer_forward_tile_exact(layer, lanes, &prev[l], &mut next[0]);
+            }
 
-            // Output delta: dE/dz for MSE loss.
+            // Output deltas in sample order, so the f64 error sum folds
+            // exactly as a per-sample loop would.
             let out_activation = mlp.layers()[n_layers - 1].activation;
-            let output = scratch.fwd.activation(n_layers);
-            let out_delta = &mut scratch.delta[n_layers - 1];
-            out_delta.clear();
-            for (&o, &t) in output.iter().zip(target) {
-                let err = o - t;
-                sse += f64::from(err) * f64::from(err);
-                out_delta.push(err * out_activation.derivative_from_output(o));
+            let out_tile = &scratch.act8[n_layers];
+            let out_delta = &mut scratch.delta8[n_layers - 1];
+            out_delta.fill(0.0);
+            for (lane, &idx) in group.iter().enumerate() {
+                for (n, &t) in samples[idx].1.iter().enumerate() {
+                    let o = out_tile[n * LANES + lane];
+                    let err = o - t;
+                    sse += f64::from(err) * f64::from(err);
+                    out_delta[n * LANES + lane] = err * out_activation.derivative_from_output(o);
+                }
             }
 
             for l in (0..n_layers).rev() {
-                let input = scratch.fwd.activation(l);
-                let fan_in = mlp.layers()[l].fan_in;
-                {
-                    let delta = &scratch.delta[l];
-                    let w_grad = &mut scratch.w_grad[l];
-                    let b_grad = &mut scratch.b_grad[l];
-                    for (n, &d) in delta.iter().enumerate() {
-                        b_grad[n] += d;
-                        // Row-sliced accumulation: each gradient element
-                        // receives exactly one `+= d * xi` per example in
-                        // the same order as the indexed loop it replaced.
-                        let row = &mut w_grad[n * fan_in..(n + 1) * fan_in];
-                        for (g, &xi) in row.iter_mut().zip(input) {
-                            *g += d * xi;
-                        }
-                    }
-                }
+                let layer = &mlp.layers()[l];
+                stage_sample_major(&scratch.act8[l], layer.fan_in, lanes, &mut scratch.stage);
+                grad_fold_exact(
+                    &scratch.delta8[l],
+                    layer.fan_in,
+                    lanes,
+                    &scratch.stage,
+                    &mut scratch.w_grad[l],
+                    &mut scratch.b_grad[l],
+                );
                 if l > 0 {
-                    let fan_out = mlp.layers()[l].biases.len();
-                    let prev_activation = mlp.layers()[l - 1].activation;
-                    let wt = &scratch.wt[l];
-                    let (lower, upper) = scratch.delta.split_at_mut(l);
-                    let delta = &upper[0];
-                    let prev_delta = &mut lower[l - 1];
-                    prev_delta.clear();
-                    // Four lower-layer neurons share one pass over the
-                    // deltas. Each accumulator chain keeps its exact
-                    // ascending-n operation order, so — as in the forward
-                    // pass — the interleave changes only instruction-level
-                    // parallelism, never results.
-                    let mut columns = wt.chunks_exact(4 * fan_out);
-                    let mut i = 0;
-                    for quad in columns.by_ref() {
-                        let (c0, rest) = quad.split_at(fan_out);
-                        let (c1, rest) = rest.split_at(fan_out);
-                        let (c2, c3) = rest.split_at(fan_out);
-                        let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                        for ((((&d, &w0), &w1), &w2), &w3) in
-                            delta.iter().zip(c0).zip(c1).zip(c2).zip(c3)
-                        {
-                            a0 += d * w0;
-                            a1 += d * w1;
-                            a2 += d * w2;
-                            a3 += d * w3;
-                        }
-                        for (acc, &act) in [a0, a1, a2, a3].iter().zip(&input[i..i + 4]) {
-                            prev_delta.push(acc * prev_activation.derivative_from_output(act));
-                        }
-                        i += 4;
-                    }
-                    for (column, &act) in columns.remainder().chunks_exact(fan_out).zip(&input[i..])
-                    {
-                        let mut acc = 0.0f32;
-                        for (&d, &w) in delta.iter().zip(column) {
-                            acc += d * w;
-                        }
-                        prev_delta.push(acc * prev_activation.derivative_from_output(act));
-                    }
+                    let (lower, upper) = scratch.delta8.split_at_mut(l);
+                    backprop_delta_tile_exact(
+                        &scratch.wt[l],
+                        layer.biases.len(),
+                        &upper[0],
+                        &scratch.act8[l],
+                        mlp.layers()[l - 1].activation,
+                        &mut lower[l - 1],
+                    );
                 }
             }
         }
@@ -563,7 +541,6 @@ impl Trainer {
         scratch: &mut TrainScratch,
     ) -> f64 {
         let n_layers = mlp.layers().len();
-        let in_dim = self.topology.inputs();
         let out_dim = self.topology.outputs();
         for g in scratch.w_grad8.iter_mut() {
             g.fill(0.0);
@@ -575,17 +552,7 @@ impl Trainer {
 
         for group in batch.chunks(LANES) {
             let lanes = group.len();
-            let input_tile = &mut scratch.act8[0];
-            for i in 0..in_dim {
-                let tile = &mut input_tile[i * LANES..(i + 1) * LANES];
-                for (l, t) in tile.iter_mut().enumerate() {
-                    *t = if l < lanes {
-                        samples[group[l]].0[i]
-                    } else {
-                        0.0
-                    };
-                }
-            }
+            load_input_tile(samples, group, self.topology.inputs(), &mut scratch.act8[0]);
             for (l, layer) in mlp.layers().iter().enumerate() {
                 let (prev, next) = scratch.act8.split_at_mut(l + 1);
                 kernel::layer_forward_tile(
@@ -702,6 +669,117 @@ impl Trainer {
                 let v = &mut b_vel[l][n];
                 *v = self.momentum * *v - scale * scratch.b_grad[l][n];
                 layer.biases[n] += *v;
+            }
+        }
+    }
+}
+
+/// Packs the inputs of one sample group into a tile
+/// (`tile[i * LANES + lane]`), zero-padding the lanes past the group.
+fn load_input_tile(
+    samples: &[(Vec<f32>, Vec<f32>)],
+    group: &[usize],
+    in_dim: usize,
+    tile: &mut [f32],
+) {
+    for (i, column) in tile.chunks_exact_mut(LANES).take(in_dim).enumerate() {
+        for (lane, t) in column.iter_mut().enumerate() {
+            *t = group.get(lane).map_or(0.0, |&idx| samples[idx].0[i]);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Scalar-exact tile kernels. Every lane performs one sample's reference
+// operation sequence with plain `*` and `+` (Rust never contracts them
+// into a fused multiply-add), so vectorizing across lanes changes no bit.
+// ---------------------------------------------------------------------------
+
+/// Forward-evaluates `layer` on a tile:
+/// `out[n * LANES + lane] = act(b[n] + w[n][0] * x[0] + w[n][1] * x[1] + …)`,
+/// accumulated left to right. The activation (libm `exp` for sigmoid)
+/// runs on the first `lanes` lanes only; padding lanes keep their
+/// finite pre-activations, which nothing reads.
+fn layer_forward_tile_exact(layer: &Layer, lanes: usize, input: &[f32], out: &mut [f32]) {
+    for ((row, &b), out_tile) in layer
+        .weights
+        .chunks_exact(layer.fan_in)
+        .zip(&layer.biases)
+        .zip(out.chunks_exact_mut(LANES))
+    {
+        let mut acc = [b; LANES];
+        for (&w, x) in row.iter().zip(input.chunks_exact(LANES)) {
+            for lane in 0..LANES {
+                acc[lane] += w * x[lane];
+            }
+        }
+        for (o, &a) in out_tile.iter_mut().zip(&acc).take(lanes) {
+            *o = layer.activation.apply(a);
+        }
+        out_tile[lanes..].copy_from_slice(&acc[lanes..]);
+    }
+}
+
+/// Propagates error terms one layer down on a tile:
+/// `prev_delta[i * LANES + lane] = (0 + d[0] * wt[i][0] + d[1] * wt[i][1] + …)
+/// * act'(prev_act[i * LANES + lane])`, accumulated in ascending upper-neuron
+/// order through the transposed weight mirror `wt`.
+fn backprop_delta_tile_exact(
+    wt: &[f32],
+    fan_out: usize,
+    delta: &[f32],
+    prev_act: &[f32],
+    prev_activation: Activation,
+    prev_delta: &mut [f32],
+) {
+    for ((column, act), out_tile) in wt
+        .chunks_exact(fan_out)
+        .zip(prev_act.chunks_exact(LANES))
+        .zip(prev_delta.chunks_exact_mut(LANES))
+    {
+        let mut acc = [0.0f32; LANES];
+        for (&w, d) in column.iter().zip(delta.chunks_exact(LANES)) {
+            for lane in 0..LANES {
+                acc[lane] += d[lane] * w;
+            }
+        }
+        for lane in 0..LANES {
+            out_tile[lane] = acc[lane] * prev_activation.derivative_from_output(act[lane]);
+        }
+    }
+}
+
+/// Copies the first `lanes` lanes of a `width`-feature tile into
+/// sample-major order: `stage[lane * width + i] = tile[i * LANES + lane]`.
+fn stage_sample_major(tile: &[f32], width: usize, lanes: usize, stage: &mut [f32]) {
+    for (lane, row) in stage.chunks_exact_mut(width).take(lanes).enumerate() {
+        for (s, column) in row.iter_mut().zip(tile.chunks_exact(LANES)) {
+            *s = column[lane];
+        }
+    }
+}
+
+/// Folds one tile's gradient contributions into the batch gradients,
+/// sample after sample: `b_grad[n] += d` and `w_grad[n][i] += d * x[i]`
+/// for each live lane in ascending order, reading the layer input from
+/// its sample-major staging copy.
+fn grad_fold_exact(
+    delta: &[f32],
+    fan_in: usize,
+    lanes: usize,
+    stage: &[f32],
+    w_grad: &mut [f32],
+    b_grad: &mut [f32],
+) {
+    for ((d, g_row), b) in delta
+        .chunks_exact(LANES)
+        .zip(w_grad.chunks_exact_mut(fan_in))
+        .zip(b_grad.iter_mut())
+    {
+        for (&dl, x) in d.iter().zip(stage.chunks_exact(fan_in)).take(lanes) {
+            *b += dl;
+            for (g, &xi) in g_row.iter_mut().zip(x) {
+                *g += dl * xi;
             }
         }
     }

@@ -157,3 +157,45 @@ fn training_allocations_are_epoch_independent() {
         );
     }
 }
+
+/// The scalar tile step at the neural classifier's batch size allocates
+/// nothing once [`TrainScratch::for_topology`] has sized every buffer,
+/// the sample-major staging copy included. Zero, one and six epochs cost
+/// exactly the same set-up allocations (network, velocities, shuffle
+/// order), and a presized scratch is not rebuilt, so it allocates less
+/// than an empty one that `train_with_scratch` must size first.
+#[test]
+fn scalar_tile_step_is_allocation_free_after_presizing() {
+    let topology = Topology::new(&[18, 32, 2]).unwrap();
+    let mut rng = StdRng::seed_from_u64(11);
+    // Three full batches of 32 and a final batch of four live lanes.
+    let samples: Vec<(Vec<f32>, Vec<f32>)> = (0..100)
+        .map(|_| {
+            (
+                (0..18).map(|_| rng.gen_range(0.0f32..1.0)).collect(),
+                vec![1.0, 0.0],
+            )
+        })
+        .collect();
+    let count_for = |epochs: usize, mut scratch: TrainScratch| {
+        allocs_during(|| {
+            Trainer::new(topology.clone())
+                .epochs(epochs)
+                .learning_rate(0.5)
+                .batch_size(32)
+                .output_activation(Activation::Sigmoid)
+                .kernel(KernelBackend::Scalar)
+                .train_with_scratch(&samples, &mut scratch)
+                .unwrap()
+        })
+        .0
+    };
+    let presized = |epochs: usize| count_for(epochs, TrainScratch::for_topology(&topology));
+    let setup = presized(0);
+    assert_eq!(presized(1), setup, "one epoch of tile steps allocated");
+    assert_eq!(presized(6), setup, "six epochs of tile steps allocated");
+    assert!(
+        count_for(1, TrainScratch::new()) > setup,
+        "an empty scratch must be sized on first use"
+    );
+}

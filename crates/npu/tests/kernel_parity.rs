@@ -1,12 +1,15 @@
 //! Bit-exactness of the optimized training kernels.
 //!
-//! The trainer's hot loops use preallocated scratch buffers, transposed
-//! weight mirrors for the backward pass, and 4-wide interleaved
-//! accumulator chains. None of that may change a single bit of the
-//! result: this suite retains the textbook row-major formulation as a
-//! naive reference — allocating forward trace, strided backward pass,
-//! no interleaving — and asserts `Trainer::train` matches it exactly
-//! across random topologies, seeds, batch sizes and training sets.
+//! The trainer's scalar step runs each minibatch in lane-per-sample
+//! tiles of `LANES` samples, with preallocated scratch buffers and
+//! transposed weight mirrors for the backward pass; the forward pass uses
+//! 4-wide interleaved accumulator chains. None of that may change a
+//! single bit of the result: this suite retains the textbook row-major
+//! formulation as a naive reference — one sample at a time, allocating
+//! forward trace, strided backward pass, no interleaving — and asserts
+//! `Trainer::train` matches it exactly across random topologies, seeds,
+//! batch sizes (partial tiles and several tiles per batch) and training
+//! sets, plus a pinned case at the neural classifier's settings.
 //!
 //! Every accumulator chain in the optimized kernels performs the same
 //! floating-point operations in the same order as the reference; only
@@ -167,6 +170,71 @@ fn topologies() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..=7, 2..=4)
 }
 
+/// Training topologies: 2–4 layers up to 40 neurons wide, so layers sit
+/// below, at and well past one tile of `LANES`.
+fn training_topologies() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(1usize..=40, 2..=4)
+}
+
+/// Random normalized inputs and unit-interval targets for `topology`.
+fn random_pairs(topology: &Topology, n: usize, seed: u64) -> Vec<(Vec<f32>, Vec<f32>)> {
+    let mut data_rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
+    (0..n)
+        .map(|_| {
+            (
+                (0..topology.inputs())
+                    .map(|_| data_rng.gen_range(-1.0f32..1.0))
+                    .collect(),
+                (0..topology.outputs())
+                    .map(|_| data_rng.gen_range(0.0f32..1.0))
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+/// Bit-for-bit equality of two parameter vectors. A run that diverges
+/// ends in NaNs on both sides; any NaN matches any NaN, because which
+/// operand's payload a NaN sum carries is not part of the contract.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// A network's flattened `(weights, biases)`.
+type Params = (Vec<f32>, Vec<f32>);
+
+/// Trains with `Trainer` and with the naive reference on the same
+/// settings and returns both parameter sets.
+#[allow(clippy::too_many_arguments)]
+fn trainer_and_reference(
+    topology: &Topology,
+    samples: &[(Vec<f32>, Vec<f32>)],
+    epochs: usize,
+    lr: f32,
+    momentum: f32,
+    batch_size: usize,
+    seed: u64,
+    out_act: Activation,
+) -> (Params, Params) {
+    let got = Trainer::new(topology.clone())
+        .epochs(epochs)
+        .learning_rate(lr)
+        .momentum(momentum)
+        .batch_size(batch_size)
+        .seed(seed)
+        .output_activation(out_act)
+        .train(samples)
+        .unwrap()
+        .to_parameters();
+    let want = naive_train(
+        topology, samples, epochs, lr, momentum, batch_size, seed, out_act,
+    );
+    (got, want)
+}
+
 fn training_sets(
     inputs: usize,
     outputs: usize,
@@ -207,15 +275,18 @@ proptest! {
         }
     }
 
-    /// `Trainer::train` (scratch buffers, transposed backward mirrors,
-    /// interleaved chains) produces bit-identical parameters to the
-    /// retained textbook implementation.
+    /// `Trainer::train` (sample tiles, scratch buffers, transposed
+    /// backward mirrors) produces bit-identical parameters to the
+    /// retained textbook implementation. Batches of 1..=40 cover lone
+    /// samples, partial tiles and several tiles per batch, and training
+    /// sets of up to 100 samples leave a short final batch.
     #[test]
     fn training_matches_naive_reference(
-        shape in topologies(),
+        shape in training_topologies(),
         seed in any::<u64>(),
-        batch_size in 1usize..=8,
-        epochs in 1usize..=5,
+        batch_size in 1usize..=40,
+        n in 1usize..=100,
+        epochs in 1usize..=3,
         lr in 0.05f32..0.5,
         with_momentum in any::<bool>(),
         sigmoid_out in any::<bool>(),
@@ -223,33 +294,12 @@ proptest! {
         let topology = Topology::new(&shape).unwrap();
         let momentum = if with_momentum { 0.9f32 } else { 0.0 };
         let out_act = if sigmoid_out { Activation::Sigmoid } else { Activation::Linear };
-        let mut data_rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
-        let n = 3 + (seed % 21) as usize;
-        let samples: Vec<(Vec<f32>, Vec<f32>)> = (0..n)
-            .map(|_| {
-                (
-                    (0..topology.inputs()).map(|_| data_rng.gen_range(-1.0f32..1.0)).collect(),
-                    (0..topology.outputs()).map(|_| data_rng.gen_range(0.0f32..1.0)).collect(),
-                )
-            })
-            .collect();
-
-        let mlp = Trainer::new(topology.clone())
-            .epochs(epochs)
-            .learning_rate(lr)
-            .momentum(momentum)
-            .batch_size(batch_size)
-            .seed(seed)
-            .output_activation(out_act)
-            .train(&samples)
-            .unwrap();
-        let (got_w, got_b) = mlp.to_parameters();
-
-        let (want_w, want_b) = naive_train(
+        let samples = random_pairs(&topology, n, seed);
+        let ((got_w, got_b), (want_w, want_b)) = trainer_and_reference(
             &topology, &samples, epochs, lr, momentum, batch_size, seed, out_act,
         );
-        prop_assert_eq!(got_w, want_w);
-        prop_assert_eq!(got_b, want_b);
+        prop_assert!(same_bits(&got_w, &want_w), "weights differ (shape {:?})", shape);
+        prop_assert!(same_bits(&got_b, &want_b), "biases differ (shape {:?})", shape);
     }
 
     /// Random inputs through a *trained* network: the parity holds for
@@ -273,6 +323,39 @@ proptest! {
             prop_assert_eq!(&got, want.last().unwrap());
         }
     }
+}
+
+/// The neural classifier's production settings — the widest sweep
+/// candidate `[18, 32, 2]` (jmeint's inputs), batch 32, learning rate 0.5,
+/// momentum 0.9, sigmoid output, one-hot targets — match the naive
+/// reference bit for bit. 100 samples make three full batches of four
+/// tiles and a final batch of four live lanes.
+#[test]
+fn training_matches_naive_reference_at_production_settings() {
+    let topology = Topology::new(&[18, 32, 2]).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x4E45_5552);
+    let samples: Vec<(Vec<f32>, Vec<f32>)> = (0..100)
+        .map(|_| {
+            let input: Vec<f32> = (0..18).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+            let target = if rng.gen_bool(0.2) {
+                vec![0.0, 1.0]
+            } else {
+                vec![1.0, 0.0]
+            };
+            (input, target)
+        })
+        .collect();
+    let (got, want) = trainer_and_reference(
+        &topology,
+        &samples,
+        4,
+        0.5,
+        0.9,
+        32,
+        0x4E45_5552 ^ 32,
+        Activation::Sigmoid,
+    );
+    assert!(same_bits(&got.0, &want.0) && same_bits(&got.1, &want.1));
 }
 
 // ---------------------------------------------------------------------
