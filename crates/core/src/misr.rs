@@ -239,8 +239,9 @@ impl QuantizedGrid {
 
     /// Hashes every row under one configuration, reusing a single
     /// register across rows. Bit-identical to calling [`Misr::hash`] per
-    /// row.
-    pub fn hash_all(&self, config: MisrConfig, width: u32) -> Vec<usize> {
+    /// row; indices are stored as `u32` because a register is at most 24
+    /// bits wide, which halves the rows a training set keeps.
+    pub fn hash_all(&self, config: MisrConfig, width: u32) -> Vec<u32> {
         let mut misr = Misr::new(config, width);
         let mut out = Vec::with_capacity(self.rows());
         for row in self.data.chunks_exact(self.dims.max(1)) {
@@ -248,7 +249,7 @@ impl QuantizedGrid {
             for &e in row {
                 misr.shift_in(e);
             }
-            out.push(misr.index());
+            out.push(misr.index() as u32);
         }
         out
     }
@@ -485,12 +486,19 @@ mod tests {
             .collect();
         let grid = QuantizedGrid::from_inputs(&q, inputs.iter().map(Vec::as_slice));
         assert_eq!(grid.rows(), 40);
-        for cfg in MisrConfig::pool() {
-            let batch = grid.hash_all(cfg, 12);
-            for (i, input) in inputs.iter().enumerate() {
-                let expected = Misr::hash(cfg, 12, &q.quantize(input));
-                assert_eq!(batch[i], expected, "cfg {cfg:?} row {i}");
-                assert_eq!(grid.row(i), q.quantize(input).as_slice());
+        // 12 bits is the paper's table; 24 is the widest register, whose
+        // indices must survive the `u32` rows intact.
+        for width in [12, 24] {
+            for cfg in MisrConfig::pool() {
+                let batch = grid.hash_all(cfg, width);
+                for (i, input) in inputs.iter().enumerate() {
+                    let expected = Misr::hash(cfg, width, &q.quantize(input));
+                    assert_eq!(
+                        batch[i] as usize, expected,
+                        "cfg {cfg:?} width {width} row {i}"
+                    );
+                    assert_eq!(grid.row(i), q.quantize(input).as_slice());
+                }
             }
         }
     }

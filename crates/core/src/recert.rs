@@ -47,7 +47,7 @@
 use crate::function::AcceleratedFunction;
 use crate::pipeline::quantizer_from_profiles;
 use crate::profile::DatasetProfile;
-use crate::route::{ApproximatorPool, RouteClassifier};
+use crate::route::{ApproximatorPool, PoolSpec, RouteClassifier, RouterKind, RouterTrainer};
 use crate::table::{TableClassifier, TableDesign};
 use crate::threshold::{QualitySpec, RoutedThresholdOutcome};
 use crate::training::generate_training_data;
@@ -561,7 +561,9 @@ impl RecertEngine {
 /// ([`ThresholdOptimizer::optimize_routed_deployed`]) against a
 /// window-relaxed success rate (the strictest rate a window of this size
 /// can certify — all datasets passing) and a margin-tightened quality
-/// target, then retrains the K-ary cascade at the winning threshold.
+/// target, then retrains the K-ary cascade at the winning threshold. One
+/// [`RouterTrainer`] (an unmargined table cascade) is prepared for the
+/// window and relabeled at every probe and for the final retrain.
 ///
 /// The returned pair is a *candidate*: like the binary engine's frozen
 /// pair it must still earn its live certificate from the sequential test
@@ -601,24 +603,22 @@ pub fn select_routed_candidate(
     )?;
     let optimizer =
         crate::threshold::ThresholdOptimizer::new(window_spec).with_threads(config.threads);
-    let outcome = optimizer.optimize_routed_deployed(pool, member_window, |threshold| {
-        RouteClassifier::train(
-            member_window,
-            threshold,
-            &config.table_design,
-            config.train_samples,
-            config.seed,
-            config.threads,
-        )
-    })?;
-    let router = RouteClassifier::train(
+    let router_spec = PoolSpec {
+        topologies: pool.topologies().to_vec(),
+        router: RouterKind::TableCascade,
+        margins: Vec::new(),
+    };
+    let trainer = RouterTrainer::new(
+        &router_spec,
         member_window,
-        outcome.threshold,
         &config.table_design,
         config.train_samples,
         config.seed,
         config.threads,
     )?;
+    let outcome = optimizer
+        .optimize_routed_deployed(pool, member_window, |threshold| trainer.train(threshold))?;
+    let router = trainer.train(outcome.threshold)?;
     Ok((outcome, router))
 }
 

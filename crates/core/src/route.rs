@@ -24,9 +24,9 @@ use crate::function::{AcceleratedFunction, NpuTrainConfig};
 use crate::parallel::par_map_indexed;
 use crate::pipeline::quantizer_from_profiles;
 use crate::profile::DatasetProfile;
-use crate::table::{TableClassifier, TableDesign};
+use crate::table::{PreparedTableSet, TableClassifier, TableDesign};
 use crate::threshold::RoutedThresholdOutcome;
-use crate::training::generate_training_data;
+use crate::training::sample_invocations;
 use crate::{MithraError, Result};
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, DatasetScale, OutputBuffer};
@@ -582,20 +582,9 @@ pub fn generate_route_training_data(
     max_samples: usize,
     seed: u64,
 ) -> Vec<crate::neural::KaryExample> {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
     let base = &member_profiles[0];
-    let mut indices: Vec<(usize, usize)> = base
-        .iter()
-        .enumerate()
-        .flat_map(|(d, p)| (0..p.invocation_count()).map(move |i| (d, i)))
-        .collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    indices.shuffle(&mut rng);
-    indices.truncate(max_samples);
-
     let k = member_profiles.len();
-    indices
+    sample_invocations(base, max_samples, seed)
         .into_iter()
         .map(|(d, i)| {
             let members: Vec<&DatasetProfile> = member_profiles.iter().map(|m| &m[d]).collect();
@@ -654,43 +643,15 @@ impl Deserialize for RouteClassifier {
 }
 
 impl RouteClassifier {
-    /// Trains one stage per pool member on that member's profiled errors
-    /// against the shared routed threshold. Stage `m` trains with seed
-    /// `seed ^ m` and the quantizer fitted to member `m`'s profiles, so
-    /// stage 0 of a pool-of-one router is bit-identical to the binary
-    /// pipeline's table classifier.
-    ///
-    /// # Errors
-    ///
-    /// Propagates table-training failures.
-    pub fn train(
-        member_profiles: &[Vec<DatasetProfile>],
-        threshold: f32,
-        design: &TableDesign,
-        max_samples: usize,
-        seed: u64,
-        threads: Option<usize>,
-    ) -> Result<Self> {
-        let mut stages = Vec::with_capacity(member_profiles.len());
-        for (m, profiles) in member_profiles.iter().enumerate() {
-            let examples =
-                generate_training_data(profiles, threshold, max_samples, seed ^ m as u64);
-            let quantizer = quantizer_from_profiles(profiles);
-            stages.push(TableClassifier::train_with_threads(
-                *design, quantizer, &examples, threads,
-            )?);
-        }
-        Ok(Self {
-            stages,
-            neural: None,
-        })
-    }
-
-    /// Trains the router a [`PoolSpec`] asks for. A table cascade labels
-    /// stage `m` at `threshold * spec.margin_for(m)`; with no margins set
-    /// this is [`RouteClassifier::train`] bit for bit (a 1.0 margin
-    /// multiplies to the identical `f32`). The K-ary neural kind trains
-    /// one K+1-class network on margined-oracle route labels instead.
+    /// Trains the router a [`PoolSpec`] asks for at `threshold`:
+    /// [`RouterTrainer::new`], then [`RouterTrainer::train`]. A table
+    /// cascade trains one stage per pool member, labeled against that
+    /// member's profiled errors at `threshold * spec.margin_for(m)`; stage
+    /// `m` trains with seed `seed ^ m` and the quantizer fitted to member
+    /// `m`'s profiles, so stage 0 of a pool-of-one router is bit-identical
+    /// to the binary pipeline's table classifier. The K-ary neural kind
+    /// trains one K+1-class network on margined-oracle route labels
+    /// instead.
     ///
     /// # Errors
     ///
@@ -704,49 +665,8 @@ impl RouteClassifier {
         seed: u64,
         threads: Option<usize>,
     ) -> Result<Self> {
-        match &spec.router {
-            RouterKind::TableCascade => {
-                let mut stages = Vec::with_capacity(member_profiles.len());
-                for (m, profiles) in member_profiles.iter().enumerate() {
-                    let stage_threshold = threshold * spec.margin_for(m) as f32;
-                    let examples = generate_training_data(
-                        profiles,
-                        stage_threshold,
-                        max_samples,
-                        seed ^ m as u64,
-                    );
-                    let quantizer = quantizer_from_profiles(profiles);
-                    stages.push(TableClassifier::train_with_threads(
-                        *design, quantizer, &examples, threads,
-                    )?);
-                }
-                Ok(Self {
-                    stages,
-                    neural: None,
-                })
-            }
-            RouterKind::KaryNeural(config) => {
-                let examples = generate_route_training_data(
-                    member_profiles,
-                    threshold,
-                    spec,
-                    max_samples,
-                    seed,
-                );
-                let input_dim = member_profiles[0][0].dataset().input_dim();
-                let neural = crate::neural::KaryNeuralClassifier::train_with_threads(
-                    input_dim,
-                    &examples,
-                    member_profiles.len() + 1,
-                    config,
-                    threads,
-                )?;
-                Ok(Self {
-                    stages: Vec::new(),
-                    neural: Some(neural),
-                })
-            }
-        }
+        RouterTrainer::new(spec, member_profiles, design, max_samples, seed, threads)?
+            .train(threshold)
     }
 
     /// Rebuilds a router from trained stages (the artifact-cache load
@@ -841,6 +761,133 @@ impl RouteClassifier {
     /// one-time table decompression at program load.
     pub fn max_overhead(&self) -> ClassifierOverhead {
         self.overhead_for(RouteChoice::Precise)
+    }
+}
+
+/// A router trainer prepared once for a fixed pool, profile table and
+/// training configuration, then trained at any number of thresholds — the
+/// deployed routed certifier retrains the router at every bisection probe.
+///
+/// For a table cascade, everything but the labels is threshold-invariant
+/// and is built once per stage: the shuffled, truncated `(dataset,
+/// invocation)` sample (the one
+/// [`crate::training::generate_training_data`] labels), the quantizer
+/// fitted to the member's profiles, and the sample's inputs quantized
+/// and MISR-hashed at every candidate table granularity.
+/// [`train`](Self::train) then only labels the sample and runs the table
+/// candidate grid, and is bit-identical to a cold
+/// [`RouteClassifier::train_for_spec`] at the same threshold. The K-ary
+/// neural kind keeps its arguments and trains from scratch each time.
+#[derive(Debug)]
+pub struct RouterTrainer<'a> {
+    spec: &'a PoolSpec,
+    member_profiles: &'a [Vec<DatasetProfile>],
+    max_samples: usize,
+    seed: u64,
+    threads: Option<usize>,
+    /// One prepared stage per member for a table cascade; empty for the
+    /// neural kind.
+    stages: Vec<CascadeStage>,
+}
+
+/// One table-cascade stage's threshold-invariant training state.
+#[derive(Debug)]
+struct CascadeStage {
+    /// The `(dataset, invocation)` pairs the stage trains on, in sample
+    /// order.
+    sample: Vec<(usize, usize)>,
+    tables: PreparedTableSet,
+}
+
+impl<'a> RouterTrainer<'a> {
+    /// Prepares the router `spec` asks for over `member_profiles`
+    /// (`member_profiles[m][d]` is member `m`'s profile of dataset `d`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates table-preparation failures (a bad geometry or an empty
+    /// sample).
+    pub fn new(
+        spec: &'a PoolSpec,
+        member_profiles: &'a [Vec<DatasetProfile>],
+        design: &TableDesign,
+        max_samples: usize,
+        seed: u64,
+        threads: Option<usize>,
+    ) -> Result<Self> {
+        let stages = match spec.router {
+            RouterKind::TableCascade => member_profiles
+                .iter()
+                .enumerate()
+                .map(|(m, profiles)| {
+                    let sample = sample_invocations(profiles, max_samples, seed ^ m as u64);
+                    let inputs: Vec<&[f32]> = sample
+                        .iter()
+                        .map(|&(d, i)| profiles[d].dataset().input(i))
+                        .collect();
+                    let quantizer = quantizer_from_profiles(profiles);
+                    let tables = PreparedTableSet::new(*design, quantizer, &inputs, threads)?;
+                    Ok(CascadeStage { sample, tables })
+                })
+                .collect::<Result<Vec<_>>>()?,
+            RouterKind::KaryNeural(_) => Vec::new(),
+        };
+        Ok(Self {
+            spec,
+            member_profiles,
+            max_samples,
+            seed,
+            threads,
+            stages,
+        })
+    }
+
+    /// Trains the router at `threshold`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates neural-training failures.
+    pub fn train(&self, threshold: f32) -> Result<RouteClassifier> {
+        if let RouterKind::KaryNeural(config) = &self.spec.router {
+            let examples = generate_route_training_data(
+                self.member_profiles,
+                threshold,
+                self.spec,
+                self.max_samples,
+                self.seed,
+            );
+            let input_dim = self.member_profiles[0][0].dataset().input_dim();
+            let neural = crate::neural::KaryNeuralClassifier::train_with_threads(
+                input_dim,
+                &examples,
+                self.member_profiles.len() + 1,
+                config,
+                self.threads,
+            )?;
+            return Ok(RouteClassifier {
+                stages: Vec::new(),
+                neural: Some(neural),
+            });
+        }
+        let stages = self
+            .stages
+            .iter()
+            .zip(self.member_profiles)
+            .enumerate()
+            .map(|(m, (stage, profiles))| {
+                let stage_threshold = threshold * self.spec.margin_for(m) as f32;
+                let rejects: Vec<bool> = stage
+                    .sample
+                    .iter()
+                    .map(|&(d, i)| profiles[d].max_error(i) > stage_threshold)
+                    .collect();
+                stage.tables.train(&rejects, self.threads)
+            })
+            .collect();
+        Ok(RouteClassifier {
+            stages,
+            neural: None,
+        })
     }
 }
 
@@ -977,6 +1024,40 @@ mod tests {
             .is_default_routing());
         // All-1.0 margins normalize away: still the default design point.
         assert!(spec.with_margins(vec![1.0, 1.0, 1.0]).is_default_routing());
+    }
+
+    #[test]
+    fn trainer_keeps_only_the_sample() {
+        // The trainer lives for a whole bisection, so a stage must hold
+        // its sample, not the shuffled index space it was cut from.
+        let bench: Arc<dyn Benchmark> = mithra_axbench::suite::by_name("sobel").unwrap().into();
+        let config = crate::pipeline::CompileConfig::smoke();
+        let compiled = crate::pipeline::compile(Arc::clone(&bench), &config).unwrap();
+        let member_profiles = vec![compiled.profiles];
+        let population: usize = member_profiles[0]
+            .iter()
+            .map(DatasetProfile::invocation_count)
+            .sum();
+        let max_samples = 100;
+        assert!(population > 10 * max_samples);
+        let spec = PoolSpec::single(bench.npu_topology());
+        let trainer = RouterTrainer::new(
+            &spec,
+            &member_profiles,
+            &config.table_design,
+            max_samples,
+            7,
+            Some(1),
+        )
+        .unwrap();
+        let sample = &trainer.stages[0].sample;
+        assert_eq!(sample.len(), max_samples);
+        assert!(
+            sample.capacity() <= max_samples,
+            "capacity {}",
+            sample.capacity()
+        );
+        assert_eq!(trainer.stages[0].tables.rows(), max_samples);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::function::AcceleratedFunction;
 use crate::neural::NeuralClassifier;
 use crate::pipeline::{quantizer_from_profiles, CompileConfig, Compiled};
 use crate::profile::{collect_profiles_parallel, DatasetProfile};
-use crate::route::{ApproximatorPool, PoolSpec, RouteClassifier, RoutedCompiled};
+use crate::route::{ApproximatorPool, PoolSpec, RouteClassifier, RoutedCompiled, RouterTrainer};
 use crate::table::TableClassifier;
 use crate::threshold::{RoutedThresholdOutcome, ThresholdOptimizer, ThresholdOutcome};
 use crate::training::{generate_training_data, TrainingExample};
@@ -819,7 +819,9 @@ impl CompileSession<PooledProfiles> {
     /// trains the table cascade at the candidate threshold and certifies
     /// the cascade's own routing decisions, because per-stage
     /// false-accepts compound across a cascade and an oracle-only
-    /// certificate would not survive deployment.
+    /// certificate would not survive deployment. The router trainer is
+    /// prepared once, before the bisection, so a probe only relabels the
+    /// sample and runs the table candidate grid.
     ///
     /// [`certify`]: CompileSession::certify
     ///
@@ -843,19 +845,17 @@ impl CompileSession<PooledProfiles> {
                     let threshold = if self.state.pool.len() <= 1 {
                         optimizer.optimize_routed(&self.state.pool, &self.state.member_profiles)?
                     } else {
-                        let config = &self.config;
-                        let spec = &self.state.spec;
                         let profiles = &self.state.member_profiles;
+                        let trainer = RouterTrainer::new(
+                            &self.state.spec,
+                            profiles,
+                            &self.config.table_design,
+                            self.config.classifier_train_samples,
+                            self.config.seed_base ^ 0x7261_696E,
+                            self.config.threads,
+                        )?;
                         optimizer.optimize_routed_deployed(&self.state.pool, profiles, |t| {
-                            RouteClassifier::train_for_spec(
-                                spec,
-                                profiles,
-                                t,
-                                &config.table_design,
-                                config.classifier_train_samples,
-                                config.seed_base ^ 0x7261_696E,
-                                config.threads,
-                            )
+                            trainer.train(t)
                         })?
                     };
                     self.store_cached(Stage::RoutedCertification, key, &threshold);

@@ -187,7 +187,8 @@ impl TableClassifier {
 
     /// [`TableClassifier::train`] with the `(levels, vote)` candidate grid
     /// scored across up to `threads` workers (`None`/`Some(0)` = available
-    /// parallelism).
+    /// parallelism): the inputs are prepared once (quantized and hashed at
+    /// every candidate granularity), then the labels train the grid.
     ///
     /// Every candidate is built from pre-computed hashes shared read-only
     /// across workers, and the winner is selected by folding scores in the
@@ -203,98 +204,9 @@ impl TableClassifier {
         examples: &[TrainingExample],
         threads: Option<usize>,
     ) -> Result<Self> {
-        const CANDIDATE_LEVELS: [u16; 5] = [2, 4, 8, 16, 32];
-        const CANDIDATE_VOTES: [f64; 3] = [0.0, 0.15, 0.35];
-        if examples.len() < 8 {
-            // Too little data to hold anything out; train directly.
-            return Self::train_with_policy(design, quantizer, 0.0, examples);
-        }
-        design.validate()?;
-        let holdout = examples.len() / 4;
-        let fit_len = examples.len() - holdout;
-        let (_, eval) = examples.split_at(fit_len);
-
-        // Quality is a constraint, not a linear tradeoff: a candidate is
-        // feasible when its held-out false-negative rate stays within a
-        // small fraction of the reject rate (missed rejects directly
-        // breach the certified threshold). Among feasible candidates the
-        // cheapest false-positive rate wins; if none is feasible the
-        // design degrades conservatively — fewest missed rejects first —
-        // which is exactly the paper's jmeint behaviour ("it
-        // conservatively falls back to the original precise code").
-        let eval_rejects = eval.iter().filter(|e| e.reject).count();
+        let inputs: Vec<&[f32]> = examples.iter().map(|e| &e.input[..]).collect();
         let rejects: Vec<bool> = examples.iter().map(|e| e.reject).collect();
-
-        let width = design.index_width();
-        let pool = MisrConfig::pool();
-
-        // Hashes depend only on the granularity, never on the vote
-        // threshold, so one quantizer, one quantized grid and one set of
-        // 16 pool-configuration hash rows serve every vote candidate at
-        // that granularity — and the final full-set retrain. The grid
-        // covers the *full* example set; candidates train on the fit
-        // prefix and score on the eval suffix of the same rows.
-        let grids: Vec<(InputQuantizer, Vec<Vec<usize>>)> =
-            par_map_indexed(CANDIDATE_LEVELS.len(), threads, |li| {
-                let q = quantizer.clone().with_levels(CANDIDATE_LEVELS[li]);
-                let grid = QuantizedGrid::from_inputs(&q, examples.iter().map(|e| &e.input[..]));
-                let hashes = pool.iter().map(|&cfg| grid.hash_all(cfg, width)).collect();
-                (q, hashes)
-            });
-
-        // Score every candidate once, each on its own worker; the scored
-        // vector keeps levels-major candidate order regardless of which
-        // worker finished first.
-        let scored: Vec<(usize, usize, u16, f64)> = par_map_indexed(
-            CANDIDATE_LEVELS.len() * CANDIDATE_VOTES.len(),
-            threads,
-            |k| {
-                let (li, vi) = (k / CANDIDATE_VOTES.len(), k % CANDIDATE_VOTES.len());
-                let vote = CANDIDATE_VOTES[vi];
-                let hashes = &grids[li].1;
-                let ensemble = Ensemble::build(design, vote, &rejects[..fit_len], hashes);
-                let (mut fp, mut fn_) = (0usize, 0usize);
-                for (j, ex) in eval.iter().enumerate() {
-                    let rejected = ensemble.rejects_row(hashes, fit_len + j);
-                    match (rejected, ex.reject) {
-                        (true, false) => fp += 1,
-                        (false, true) => fn_ += 1,
-                        _ => {}
-                    }
-                }
-                (fn_, fp, CANDIDATE_LEVELS[li], vote)
-            },
-        );
-        // Tiered selection: prefer candidates whose missed-reject rate
-        // stays within an increasingly lax fraction of the reject
-        // population; within a tier, fewest false positives wins. If no
-        // tier admits anyone, degrade to fewest misses — the design then
-        // "conservatively falls back to the original precise code".
-        let pick = |cap: f64| -> Option<(u16, f64)> {
-            scored
-                .iter()
-                .filter(|(fn_, _, _, _)| {
-                    (*fn_ as f64) <= (eval_rejects as f64 * cap).max(eval.len() as f64 * 0.02)
-                })
-                .min_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)))
-                .map(|&(_, _, l, v)| (l, v))
-        };
-        let (levels, vote) = pick(0.25).or_else(|| pick(0.5)).unwrap_or_else(|| {
-            let &(_, _, l, v) = scored
-                .iter()
-                .min_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
-                .expect("the candidate grid is non-empty");
-            (l, v)
-        });
-        // Retrain the winning policy on the full example set, reusing the
-        // winner's cached quantizer and full-set hash rows.
-        let li = CANDIDATE_LEVELS
-            .iter()
-            .position(|&l| l == levels)
-            .expect("the winner came from the candidate grid");
-        let (winner_quantizer, hashes) = &grids[li];
-        let ensemble = Ensemble::build(design, vote, &rejects, hashes);
-        Ok(ensemble.into_classifier(design, winner_quantizer.clone(), vote, &pool))
+        Ok(PreparedTableSet::new(design, quantizer, &inputs, threads)?.train(&rejects, threads))
     }
 
     /// Trains the ensemble with the paper's conservative rule at a fixed
@@ -353,15 +265,14 @@ impl TableClassifier {
             });
         }
 
-        let width = design.index_width();
-        // Quantize every example once, then batch-hash the grid under
-        // every pool configuration.
-        let pool = MisrConfig::pool();
-        let grid = QuantizedGrid::from_inputs(&quantizer, examples.iter().map(|e| &e.input[..]));
-        let hashes: Vec<Vec<usize>> = pool.iter().map(|&cfg| grid.hash_all(cfg, width)).collect();
+        let hashes = pool_hash_rows(
+            &quantizer,
+            examples.iter().map(|e| &e.input[..]),
+            design.index_width(),
+        );
         let rejects: Vec<bool> = examples.iter().map(|e| e.reject).collect();
         let ensemble = Ensemble::build(design, vote_threshold, &rejects, &hashes);
-        Ok(ensemble.into_classifier(design, quantizer, vote_threshold, &pool))
+        Ok(ensemble.into_classifier(design, quantizer, vote_threshold))
     }
 
     /// The geometry of this classifier.
@@ -436,6 +347,192 @@ impl TableClassifier {
     }
 }
 
+/// Candidate quantizer granularities of the compile-time search.
+const CANDIDATE_LEVELS: [u16; 5] = [2, 4, 8, 16, 32];
+/// Candidate bucket-vote thresholds of the compile-time search.
+const CANDIDATE_VOTES: [f64; 3] = [0.0, 0.15, 0.35];
+/// Below this many examples nothing is held out: the ensemble trains
+/// directly at the caller's quantizer with the conservative rule.
+const MIN_HOLDOUT_ROWS: usize = 8;
+
+/// Quantizes `inputs` once and hashes the grid under every pool
+/// configuration: `rows[c][i]` is example `i`'s index under pool entry
+/// `c`.
+fn pool_hash_rows<'a>(
+    quantizer: &InputQuantizer,
+    inputs: impl IntoIterator<Item = &'a [f32]>,
+    width: u32,
+) -> Vec<Vec<u32>> {
+    let grid = QuantizedGrid::from_inputs(quantizer, inputs);
+    MisrConfig::pool()
+        .iter()
+        .map(|&cfg| grid.hash_all(cfg, width))
+        .collect()
+}
+
+/// The label-independent half of [`TableClassifier::train_with_threads`]:
+/// one input set quantized at every candidate granularity and hashed
+/// under all 16 pool configurations.
+///
+/// Hashes depend only on the inputs and the granularity — never on the
+/// labels or the vote threshold — so a caller that relabels the same
+/// inputs many times (the deployed routed certifier retrains at every
+/// bisection probe) prepares once and calls [`PreparedTableSet::train`]
+/// per labeling. Each call is bit-identical to a cold
+/// `train_with_threads` on the same inputs and labels.
+#[derive(Debug, Clone)]
+pub(crate) struct PreparedTableSet {
+    design: TableDesign,
+    /// Per candidate granularity, in `CANDIDATE_LEVELS` order: its
+    /// quantizer and the full-set pool hash rows. A set below
+    /// `MIN_HOLDOUT_ROWS` keeps one entry, at the caller's quantizer.
+    grids: Vec<(InputQuantizer, Vec<Vec<u32>>)>,
+    rows: usize,
+}
+
+impl PreparedTableSet {
+    /// Quantizes and hashes `inputs` for every candidate granularity, the
+    /// granularities spread across up to `threads` workers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MithraError::InvalidConfig`] for a bad geometry and
+    /// [`MithraError::InsufficientData`] if no inputs are given.
+    pub(crate) fn new(
+        design: TableDesign,
+        quantizer: InputQuantizer,
+        inputs: &[&[f32]],
+        threads: Option<usize>,
+    ) -> Result<Self> {
+        design.validate()?;
+        if inputs.is_empty() {
+            return Err(MithraError::InsufficientData {
+                stage: "table classifier training",
+                available: 0,
+                needed: 1,
+            });
+        }
+        let width = design.index_width();
+        let grids = if inputs.len() < MIN_HOLDOUT_ROWS {
+            let hashes = pool_hash_rows(&quantizer, inputs.iter().copied(), width);
+            vec![(quantizer, hashes)]
+        } else {
+            par_map_indexed(CANDIDATE_LEVELS.len(), threads, |li| {
+                let q = quantizer.clone().with_levels(CANDIDATE_LEVELS[li]);
+                let hashes = pool_hash_rows(&q, inputs.iter().copied(), width);
+                (q, hashes)
+            })
+        };
+        Ok(Self {
+            design,
+            grids,
+            rows: inputs.len(),
+        })
+    }
+
+    /// Number of prepared inputs — the length `train` expects.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Trains the classifier for one labeling of the prepared inputs
+    /// (`rejects[i]` labels input `i`), scoring the `(levels, vote)` grid
+    /// across up to `threads` workers.
+    ///
+    /// The compiler holds out the last 25% of the rows, trains an
+    /// ensemble at each candidate on the rest, keeps the candidate with
+    /// the fewest held-out false decisions (missed rejects first), and
+    /// retrains it on every row. Fewer than 8 rows train directly with
+    /// the conservative rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rejects` does not label exactly [`rows`](Self::rows)
+    /// inputs.
+    pub(crate) fn train(&self, rejects: &[bool], threads: Option<usize>) -> TableClassifier {
+        assert_eq!(rejects.len(), self.rows, "one label per prepared input");
+        let design = self.design;
+        if self.rows < MIN_HOLDOUT_ROWS {
+            // Too little data to hold anything out; train directly.
+            let (quantizer, hashes) = &self.grids[0];
+            return Ensemble::build(design, 0.0, rejects, hashes).into_classifier(
+                design,
+                quantizer.clone(),
+                0.0,
+            );
+        }
+        let fit_len = self.rows - self.rows / 4;
+        let eval = &rejects[fit_len..];
+
+        // Quality is a constraint, not a linear tradeoff: a candidate is
+        // feasible when its held-out false-negative rate stays within a
+        // small fraction of the reject rate (missed rejects directly
+        // breach the certified threshold). Among feasible candidates the
+        // cheapest false-positive rate wins; if none is feasible the
+        // design degrades conservatively — fewest missed rejects first —
+        // which is exactly the paper's jmeint behaviour ("it
+        // conservatively falls back to the original precise code").
+        let eval_rejects = eval.iter().filter(|&&r| r).count();
+
+        // Score every candidate once, each on its own worker; the scored
+        // vector keeps levels-major candidate order regardless of which
+        // worker finished first. Candidates train on the fit prefix and
+        // score on the eval suffix of the same full-set hash rows.
+        let scored: Vec<(usize, usize, u16, f64)> = par_map_indexed(
+            CANDIDATE_LEVELS.len() * CANDIDATE_VOTES.len(),
+            threads,
+            |k| {
+                let (li, vi) = (k / CANDIDATE_VOTES.len(), k % CANDIDATE_VOTES.len());
+                let vote = CANDIDATE_VOTES[vi];
+                let hashes = &self.grids[li].1;
+                let ensemble = Ensemble::build(design, vote, &rejects[..fit_len], hashes);
+                let (mut fp, mut fn_) = (0usize, 0usize);
+                for (j, &reject) in eval.iter().enumerate() {
+                    match (ensemble.rejects_row(hashes, fit_len + j), reject) {
+                        (true, false) => fp += 1,
+                        (false, true) => fn_ += 1,
+                        _ => {}
+                    }
+                }
+                (fn_, fp, CANDIDATE_LEVELS[li], vote)
+            },
+        );
+        // Tiered selection: prefer candidates whose missed-reject rate
+        // stays within an increasingly lax fraction of the reject
+        // population; within a tier, fewest false positives wins. If no
+        // tier admits anyone, degrade to fewest misses — the design then
+        // "conservatively falls back to the original precise code".
+        let pick = |cap: f64| -> Option<(u16, f64)> {
+            scored
+                .iter()
+                .filter(|(fn_, _, _, _)| {
+                    (*fn_ as f64) <= (eval_rejects as f64 * cap).max(eval.len() as f64 * 0.02)
+                })
+                .min_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)))
+                .map(|&(_, _, l, v)| (l, v))
+        };
+        let (levels, vote) = pick(0.25).or_else(|| pick(0.5)).unwrap_or_else(|| {
+            let &(_, _, l, v) = scored
+                .iter()
+                .min_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
+                .expect("the candidate grid is non-empty");
+            (l, v)
+        });
+        // Retrain the winning policy on every row, reusing the winner's
+        // quantizer and full-set hash rows.
+        let li = CANDIDATE_LEVELS
+            .iter()
+            .position(|&l| l == levels)
+            .expect("the winner came from the candidate grid");
+        let (winner_quantizer, hashes) = &self.grids[li];
+        Ensemble::build(design, vote, rejects, hashes).into_classifier(
+            design,
+            winner_quantizer.clone(),
+            vote,
+        )
+    }
+}
+
 /// One greedy ensemble build — the chosen pool indices (in table order)
 /// and their trained tables, before binding to a quantizer. Built purely
 /// from pre-computed hash rows so candidate sweeps never re-quantize or
@@ -457,60 +554,10 @@ impl Ensemble {
         design: TableDesign,
         vote_threshold: f64,
         rejects: &[bool],
-        hashes: &[Vec<usize>],
+        hashes: &[Vec<u32>],
     ) -> Self {
-        let n = rejects.len();
-        // Build each pool configuration's trained table once: a bucket's
-        // bit is set when its reject share passes the vote threshold
-        // (threshold 0 = the paper's "any reject" rule).
-        let candidate_tables: Vec<BitTable> = hashes
-            .iter()
-            .map(|per_cfg| {
-                let mut reject_counts = vec![0u32; design.entries_per_table];
-                let mut totals = vec![0u32; design.entries_per_table];
-                for (i, &h) in per_cfg[..n].iter().enumerate() {
-                    totals[h] += 1;
-                    if rejects[i] {
-                        reject_counts[h] += 1;
-                    }
-                }
-                let mut t = BitTable::new(design.entries_per_table);
-                for (idx, (&r, &tot)) in reject_counts.iter().zip(&totals).enumerate() {
-                    if r > 0 && f64::from(r) >= vote_threshold * f64::from(tot) {
-                        t.set(idx);
-                    }
-                }
-                t
-            })
-            .collect();
-
-        // Greedy selection: minimize ensemble false decisions.
-        let mut chosen: Vec<usize> = Vec::with_capacity(design.tables);
-        let mut ensemble_says_reject = vec![false; n];
-        for _slot in 0..design.tables {
-            let mut best: Option<(usize, usize)> = None; // (cfg index, false count)
-            for (c, per_cfg) in hashes.iter().enumerate() {
-                if chosen.contains(&c) {
-                    continue;
-                }
-                let mut false_decisions = 0usize;
-                for (i, &r) in rejects.iter().enumerate() {
-                    let reject = ensemble_says_reject[i] || candidate_tables[c].get(per_cfg[i]);
-                    if reject != r {
-                        false_decisions += 1;
-                    }
-                }
-                if best.is_none_or(|(_, f)| false_decisions < f) {
-                    best = Some((c, false_decisions));
-                }
-            }
-            let (c, _) = best.expect("pool is larger than any valid design");
-            for (i, r) in ensemble_says_reject.iter_mut().enumerate() {
-                *r = *r || candidate_tables[c].get(hashes[c][i]);
-            }
-            chosen.push(c);
-        }
-
+        let candidate_tables = trained_tables(design, vote_threshold, rejects, hashes);
+        let chosen = select_greedy(design.tables, rejects, hashes, &candidate_tables);
         let tables = chosen
             .iter()
             .map(|&c| candidate_tables[c].clone())
@@ -521,11 +568,11 @@ impl Ensemble {
     /// Whether the ensemble rejects hash row `i` — the OR of the chosen
     /// tables' bits, identical to [`TableClassifier::decide`] on the input
     /// that produced the row.
-    fn rejects_row(&self, hashes: &[Vec<usize>], i: usize) -> bool {
+    fn rejects_row(&self, hashes: &[Vec<u32>], i: usize) -> bool {
         self.chosen
             .iter()
             .zip(&self.tables)
-            .any(|(&c, t)| t.get(hashes[c][i]))
+            .any(|(&c, t)| t.get(hashes[c][i] as usize))
     }
 
     fn into_classifier(
@@ -533,8 +580,8 @@ impl Ensemble {
         design: TableDesign,
         quantizer: InputQuantizer,
         vote_threshold: f64,
-        pool: &[MisrConfig; 16],
     ) -> TableClassifier {
+        let pool = MisrConfig::pool();
         TableClassifier {
             design,
             configs: self.chosen.iter().map(|&c| pool[c]).collect(),
@@ -544,6 +591,97 @@ impl Ensemble {
             scratch: Vec::new(),
         }
     }
+}
+
+/// Each pool configuration's trained table over the `rejects` rows: a
+/// bucket's bit is set when its reject share passes the vote threshold
+/// (threshold 0 = the paper's "any reject" rule).
+fn trained_tables(
+    design: TableDesign,
+    vote_threshold: f64,
+    rejects: &[bool],
+    hashes: &[Vec<u32>],
+) -> Vec<BitTable> {
+    hashes
+        .iter()
+        .map(|per_cfg| {
+            let mut reject_counts = vec![0u32; design.entries_per_table];
+            let mut totals = vec![0u32; design.entries_per_table];
+            for (&h, &reject) in per_cfg.iter().zip(rejects) {
+                totals[h as usize] += 1;
+                if reject {
+                    reject_counts[h as usize] += 1;
+                }
+            }
+            let mut t = BitTable::new(design.entries_per_table);
+            for (idx, (&r, &tot)) in reject_counts.iter().zip(&totals).enumerate() {
+                if r > 0 && f64::from(r) >= vote_threshold * f64::from(tot) {
+                    t.set(idx);
+                }
+            }
+            t
+        })
+        .collect()
+}
+
+/// The compiler's greedy configuration assignment: `slots` times, take the
+/// unused pool configuration whose table, ORed into the ensemble so far,
+/// gives the fewest false decisions on the `rejects` rows (ties go to the
+/// lower index).
+///
+/// Rows are packed 64 to a `u64` once — `truth` from the labels, `hit[c]`
+/// from configuration `c`'s trained table — so a candidate's false
+/// decisions are `popcount((ensemble | hit[c]) ^ truth)` summed over
+/// words. Bits past the last row stay zero in every bitset, so the count
+/// is exactly the per-row count.
+fn select_greedy(
+    slots: usize,
+    rejects: &[bool],
+    hashes: &[Vec<u32>],
+    candidate_tables: &[BitTable],
+) -> Vec<usize> {
+    let n = rejects.len();
+    let truth = pack_rows(n, |i| rejects[i]);
+    let hits: Vec<Vec<u64>> = candidate_tables
+        .iter()
+        .zip(hashes)
+        .map(|(table, per_cfg)| pack_rows(n, |i| table.get(per_cfg[i] as usize)))
+        .collect();
+    let mut ensemble = vec![0u64; truth.len()];
+    let mut chosen: Vec<usize> = Vec::with_capacity(slots);
+    for _slot in 0..slots {
+        let mut best: Option<(usize, u32)> = None; // (cfg index, false count)
+        for (c, hit) in hits.iter().enumerate() {
+            if chosen.contains(&c) {
+                continue;
+            }
+            let false_decisions: u32 = ensemble
+                .iter()
+                .zip(hit)
+                .zip(&truth)
+                .map(|((&e, &h), &t)| ((e | h) ^ t).count_ones())
+                .sum();
+            if best.is_none_or(|(_, f)| false_decisions < f) {
+                best = Some((c, false_decisions));
+            }
+        }
+        let (c, _) = best.expect("pool is larger than any valid design");
+        for (e, &h) in ensemble.iter_mut().zip(&hits[c]) {
+            *e |= h;
+        }
+        chosen.push(c);
+    }
+    chosen
+}
+
+/// Packs `bit(i)` for rows `0..n` into little-endian `u64` words; the
+/// bits past row `n - 1` in the last word are zero.
+fn pack_rows(n: usize, bit: impl Fn(usize) -> bool) -> Vec<u64> {
+    let mut words = vec![0u64; n.div_ceil(64)];
+    for i in (0..n).filter(|&i| bit(i)) {
+        words[i / 64] |= 1 << (i % 64);
+    }
+    words
 }
 
 impl FaultSite for TableClassifier {
@@ -798,6 +936,88 @@ mod tests {
         // The trained reject now hashes elsewhere; with a sparse table the
         // aliased bucket is almost surely clear.
         assert_eq!(c.decide(&[0.9]), Decision::Approximate);
+    }
+
+    /// The row-by-row greedy selection the packed `select_greedy`
+    /// replaced, kept as its reference.
+    fn select_greedy_naive(
+        slots: usize,
+        rejects: &[bool],
+        hashes: &[Vec<u32>],
+        candidate_tables: &[BitTable],
+    ) -> Vec<usize> {
+        let mut chosen: Vec<usize> = Vec::with_capacity(slots);
+        let mut ensemble_says_reject = vec![false; rejects.len()];
+        for _slot in 0..slots {
+            let mut best: Option<(usize, usize)> = None;
+            for (c, per_cfg) in hashes.iter().enumerate() {
+                if chosen.contains(&c) {
+                    continue;
+                }
+                let mut false_decisions = 0usize;
+                for (i, &r) in rejects.iter().enumerate() {
+                    let reject =
+                        ensemble_says_reject[i] || candidate_tables[c].get(per_cfg[i] as usize);
+                    if reject != r {
+                        false_decisions += 1;
+                    }
+                }
+                if best.is_none_or(|(_, f)| false_decisions < f) {
+                    best = Some((c, false_decisions));
+                }
+            }
+            let (c, _) = best.unwrap();
+            for (i, r) in ensemble_says_reject.iter_mut().enumerate() {
+                *r = *r || candidate_tables[c].get(hashes[c][i] as usize);
+            }
+            chosen.push(c);
+        }
+        chosen
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn packed_greedy_matches_row_by_row_reference(
+            seed in proptest::prelude::any::<u64>(),
+            rows in 1usize..300,
+            extra in 0usize..70,
+            tables in 1usize..=16,
+            width in 8u32..=10,
+            reject_pct in 0u32..=100,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let design = TableDesign { tables, entries_per_table: 1 << width };
+            // Rows past the labeled prefix stand for the held-out suffix,
+            // which the selection must never read.
+            let hashes: Vec<Vec<u32>> = (0..16)
+                .map(|_| (0..rows + extra).map(|_| rng.gen_range(0..1u32 << width)).collect())
+                .collect();
+            let rejects: Vec<bool> = (0..rows).map(|_| rng.gen_range(0..100) < reject_pct).collect();
+            for vote in [0.0, 0.15, 0.35, rng.gen_range(0.0..=1.0)] {
+                let candidates = trained_tables(design, vote, &rejects, &hashes);
+                let packed = select_greedy(tables, &rejects, &hashes, &candidates);
+                let reference = select_greedy_naive(tables, &rejects, &hashes, &candidates);
+                proptest::prop_assert_eq!(
+                    &packed,
+                    &reference,
+                    "rows {} vote {}",
+                    rows,
+                    vote
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_rows_leave_the_tail_clear() {
+        for n in [1, 63, 64, 65, 130] {
+            let words = pack_rows(n, |_| true);
+            assert_eq!(words.len(), n.div_ceil(64));
+            let ones: u32 = words.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(ones as usize, n);
+        }
+        assert!(pack_rows(0, |_| true).is_empty());
     }
 
     #[test]

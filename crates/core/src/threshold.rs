@@ -403,6 +403,13 @@ impl ThresholdOptimizer {
     /// certifies the router's own routing decisions
     /// ([`certify_routed_deployed`](Self::certify_routed_deployed)).
     ///
+    /// `train_router` runs once per probe (threshold 0, the largest
+    /// observed error, then each midpoint), so it dominates the search.
+    /// Callers pass a [`RouterTrainer`](crate::route::RouterTrainer)
+    /// prepared once for these profiles — `|t| trainer.train(t)` — which
+    /// keeps the sample, quantizers and table hash rows across probes and
+    /// per probe only relabels the sample and trains the table grid.
+    ///
     /// Unlike the oracle probe, the deployed probe is not monotone in the
     /// threshold — each candidate retrains the cascade — so, like the
     /// paper's delta-stepping, the bisection converges to *a* boundary of

@@ -34,17 +34,7 @@ pub fn generate_training_data(
     max_samples: usize,
     seed: u64,
 ) -> Vec<TrainingExample> {
-    // Index space: (dataset, invocation).
-    let mut indices: Vec<(usize, usize)> = profiles
-        .iter()
-        .enumerate()
-        .flat_map(|(d, p)| (0..p.invocation_count()).map(move |i| (d, i)))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    indices.shuffle(&mut rng);
-    indices.truncate(max_samples);
-
-    indices
+    sample_invocations(profiles, max_samples, seed)
         .into_iter()
         .map(|(d, i)| {
             let p = &profiles[d];
@@ -54,6 +44,27 @@ pub fn generate_training_data(
             }
         })
         .collect()
+}
+
+/// The `(dataset, invocation)` pairs [`generate_training_data`] labels:
+/// the full index space shuffled from `seed` and cut to `max_samples`.
+/// The returned vector holds only the sample, not the index space it was
+/// cut from.
+pub(crate) fn sample_invocations(
+    profiles: &[DatasetProfile],
+    max_samples: usize,
+    seed: u64,
+) -> Vec<(usize, usize)> {
+    let mut indices: Vec<(usize, usize)> = profiles
+        .iter()
+        .enumerate()
+        .flat_map(|(d, p)| (0..p.invocation_count()).map(move |i| (d, i)))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    indices.shuffle(&mut rng);
+    indices.truncate(max_samples);
+    indices.shrink_to_fit();
+    indices
 }
 
 /// Splits examples into train/validation partitions (deterministic).

@@ -15,7 +15,9 @@ use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::suite;
 use mithra_core::neural::NeuralClassifier;
 use mithra_core::pipeline::{compile, compile_routed, quantizer_from_profiles, CompileConfig};
-use mithra_core::route::{generate_route_training_data, PoolSpec, RouteClassifier, RouterKind};
+use mithra_core::route::{
+    generate_route_training_data, PoolSpec, RouteClassifier, RouterKind, RouterTrainer,
+};
 use mithra_core::table::TableClassifier;
 use mithra_core::threshold::ThresholdOptimizer;
 use std::sync::Arc;
@@ -159,19 +161,22 @@ fn routed_artifacts_are_bit_identical_across_thread_counts() {
 
         // The deployed routed optimizer itself — the certification a
         // multi-member compile runs — re-run over the baseline's member
-        // profiles at this thread count.
+        // profiles at this thread count, with one prepared trainer
+        // relabeled at every probe.
         let config = CompileConfig::smoke();
+        let trainer = RouterTrainer::new(
+            &spec,
+            &baseline.member_profiles,
+            &config.table_design,
+            config.classifier_train_samples,
+            config.seed_base ^ 0x7261_696E,
+            threads,
+        )
+        .unwrap();
         let outcome = ThresholdOptimizer::new(config.spec)
             .with_threads(threads)
             .optimize_routed_deployed(&baseline.pool, &baseline.member_profiles, |t| {
-                mithra_core::route::RouteClassifier::train(
-                    &baseline.member_profiles,
-                    t,
-                    &config.table_design,
-                    config.classifier_train_samples,
-                    config.seed_base ^ 0x7261_696E,
-                    threads,
-                )
+                trainer.train(t)
             })
             .unwrap();
         assert_eq!(
