@@ -33,6 +33,7 @@ use mithra_npu::mlp::Mlp;
 use mithra_npu::train::Normalizer;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bumped whenever a cached artifact's schema or semantics change, so
@@ -175,19 +176,31 @@ impl ArtifactCache {
     /// to recomputation on the next run rather than failing the compile.
     /// Returns whether the artifact landed on disk.
     pub fn store<T: serde::Serialize>(&self, stage: &str, fingerprint: u64, value: &T) -> bool {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return false;
-        }
-        let target = self.path(stage, fingerprint);
-        let tmp = target.with_extension("json.tmp");
         let Ok(bytes) = serde_json::to_vec(value) else {
             return false;
         };
-        if std::fs::write(&tmp, bytes).is_err() {
+        self.publish(&self.path(stage, fingerprint), &bytes)
+    }
+
+    /// Writes `bytes` to `target` through a temp file of this writer's
+    /// own, then renames it into place: readers only ever see whole
+    /// files, and concurrent writers of one artifact never share a temp
+    /// file (the last rename wins). A failed write leaves no temp file.
+    fn publish(&self, target: &Path, bytes: &[u8]) -> bool {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        if std::fs::create_dir_all(&self.dir).is_err() {
             return false;
         }
-        // Atomic publish: readers only ever see whole files.
-        std::fs::rename(&tmp, &target).is_ok()
+        let mut tmp = target.as_os_str().to_owned();
+        let n = WRITES.fetch_add(1, Ordering::Relaxed);
+        tmp.push(format!(".{}-{n}.tmp", std::process::id()));
+        let tmp = PathBuf::from(tmp);
+        let published =
+            std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, target).is_ok();
+        if !published {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        published
     }
 
     /// The benchmark-scoped cache directory.
@@ -215,15 +228,10 @@ impl ArtifactCache {
         fingerprint: u64,
         profiles: &[DatasetProfile],
     ) -> bool {
-        if std::fs::create_dir_all(&self.dir).is_err() {
-            return false;
-        }
-        let target = self.bin_path(stage, fingerprint);
-        let tmp = target.with_extension("bin.tmp");
-        if std::fs::write(&tmp, encode_profiles(profiles)).is_err() {
-            return false;
-        }
-        std::fs::rename(&tmp, &target).is_ok()
+        self.publish(
+            &self.bin_path(stage, fingerprint),
+            &encode_profiles(profiles),
+        )
     }
 }
 
@@ -455,6 +463,45 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 3]).unwrap();
         assert_eq!(cache.load_profiles("profiling", 4), None);
+        let _ = std::fs::remove_dir_all(&config.dir);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_artifact_all_publish() {
+        let (config, cache) = tmp_cache("concurrent");
+        // Large enough that one write is many syscalls, so writers
+        // sharing a temp file would interleave.
+        let values: Vec<Vec<f64>> = (0..6).map(|t| vec![t as f64; 20_000]).collect();
+        let profiles: Vec<Vec<DatasetProfile>> =
+            (0..6).map(|t| vec![tiny_profile(t); 500]).collect();
+        let start = std::sync::Barrier::new(values.len());
+        std::thread::scope(|scope| {
+            for t in 0..values.len() {
+                let (cache, value, profiles, start) = (&cache, &values[t], &profiles[t], &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..10 {
+                        assert!(cache.store("npu", 3, value));
+                        assert!(cache.store_profiles("profiling", 3, profiles));
+                    }
+                });
+            }
+        });
+        let loaded = cache.load::<Vec<f64>>("npu", 3).expect("a whole artifact");
+        assert!(values.contains(&loaded));
+        let loaded = cache
+            .load_profiles("profiling", 3)
+            .expect("a whole artifact");
+        assert!(profiles.contains(&loaded));
+        let leftovers: Vec<_> = std::fs::read_dir(cache.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
         let _ = std::fs::remove_dir_all(&config.dir);
     }
 

@@ -431,6 +431,7 @@ impl PreparedTableSet {
     }
 
     /// Number of prepared inputs — the length `train` expects.
+    #[cfg(test)]
     pub(crate) fn rows(&self) -> usize {
         self.rows
     }

@@ -249,8 +249,8 @@ impl QualityWatchdog {
     /// A fresh watchdog with this one's tuning but none of its evidence:
     /// still in [`GuardState::Monitoring`] with empty windows and counters.
     /// This is how a sharded serving worker derives its own guard from an
-    /// endpoint's calibrated prototype — [`calibrate`] runs once per
-    /// endpoint, then every worker forks the prototype, so each shard
+    /// endpoint's calibrated prototype — calibration runs once per
+    /// compiled artifact, then every worker forks the prototype, so each shard
     /// guards its own traffic without sharing mutable state (a `clone`
     /// would smuggle one shard's evidence into another's test).
     pub fn fork(&self) -> Self {
@@ -458,10 +458,13 @@ impl QualityWatchdog {
 /// Calibrates a watchdog limit from the *clean* certified behaviour: runs
 /// the classifier over the given profiles, measures the violation rate of
 /// admitted invocations at the certified `threshold`, and sets the limit
-/// a guardband above it — three times the clean rate or the clean rate
-/// plus three points, whichever is larger, floored at 2%. Clean runs then
-/// sit far below the limit (the no-false-alarm property), while the fault
-/// modes this crate models push the rate past it quickly.
+/// a guardband above it (see [`limit_config`]). Clean runs then sit far
+/// below the limit (the no-false-alarm property), while the fault modes
+/// this crate models push the rate past it quickly.
+///
+/// This is [`calibration_counts`] over every profile fed into
+/// [`limit_config`]; callers that split the profiles across threads sum
+/// the counts instead and get the same configuration.
 ///
 /// # Errors
 ///
@@ -473,6 +476,21 @@ pub fn calibrate(
     threshold: f32,
     confidence: Confidence,
 ) -> Result<WatchdogConfig> {
+    let (admitted, violations) = calibration_counts(classifier, profiles, threshold);
+    Ok(limit_config(admitted, violations, confidence))
+}
+
+/// The counting pass of [`calibrate`]: `(admitted, violations)` — how
+/// many invocations of `profiles` the classifier sends to the
+/// accelerator, and how many of those exceed `threshold`. Counts over
+/// disjoint slices of a profile list add up to the counts over the whole
+/// list for any classifier whose decisions do not depend on call history
+/// (the table classifier's do not).
+pub fn calibration_counts(
+    classifier: &mut dyn Classifier,
+    profiles: &[DatasetProfile],
+    threshold: f32,
+) -> (u64, u64) {
     let mut admitted = 0u64;
     let mut violations = 0u64;
     for profile in profiles {
@@ -485,17 +503,24 @@ pub fn calibrate(
             }
         }
     }
+    (admitted, violations)
+}
+
+/// The limit rule of [`calibrate`]: three times the clean violation rate
+/// or the clean rate plus three points, whichever is larger, floored at
+/// 2% and capped at 1. No admitted invocations counts as a clean rate of 0.
+pub fn limit_config(admitted: u64, violations: u64, confidence: Confidence) -> WatchdogConfig {
     let clean_rate = if admitted == 0 {
         0.0
     } else {
         violations as f64 / admitted as f64
     };
     let limit = (clean_rate * 3.0).max(clean_rate + 0.03).max(0.02);
-    Ok(WatchdogConfig {
+    WatchdogConfig {
         max_violation_rate: limit.min(1.0),
         confidence,
         ..WatchdogConfig::default()
-    })
+    }
 }
 
 #[cfg(test)]
@@ -731,5 +756,89 @@ mod tests {
         let cfg = calibrate(&mut oracle, &[], 0.1, Confidence::new(0.95).unwrap()).unwrap();
         assert!(cfg.max_violation_rate >= 0.02);
         assert!(cfg.max_violation_rate <= 1.0);
+    }
+
+    /// A history-free classifier: admits an input whose first coordinate
+    /// is below 0.6.
+    #[derive(Debug)]
+    struct Cutoff;
+
+    impl Classifier for Cutoff {
+        fn name(&self) -> &'static str {
+            "cutoff"
+        }
+
+        fn classify(&mut self, _index: usize, input: &[f32]) -> Decision {
+            Decision::from_reject(input[0] >= 0.6)
+        }
+
+        fn overhead(&self) -> crate::classifier::ClassifierOverhead {
+            crate::classifier::ClassifierOverhead::default()
+        }
+    }
+
+    /// A profile of up to 40 one-dimensional invocations with inputs and
+    /// errors uniform in [0, 1) and [0, 0.2).
+    fn random_profile(rng: &mut impl rand::Rng, seed: u64) -> DatasetProfile {
+        use mithra_axbench::dataset::{Dataset, OutputBuffer};
+        let n = rng.gen_range(0..40);
+        let inputs: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let errors: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..0.2)).collect();
+        DatasetProfile::from_parts(
+            Dataset::from_flat(seed, 1, inputs),
+            OutputBuffer::from_flat(1, vec![0.0; n]),
+            OutputBuffer::from_flat(1, vec![0.0; n]),
+            errors,
+            vec![0.0; n],
+        )
+    }
+
+    #[test]
+    fn calibration_counts_add_up_over_any_partition() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let confidence = Confidence::new(0.95).unwrap();
+        let mut violating_cases = 0;
+        for case in 0..60 {
+            let len: usize = rng.gen_range(0..12);
+            let profiles: Vec<DatasetProfile> = (0..len as u64)
+                .map(|seed| random_profile(&mut rng, seed))
+                .collect();
+            let whole = calibration_counts(&mut Cutoff, &profiles, 0.1);
+            violating_cases += usize::from(whole.1 > 0);
+
+            // Deal the profiles into a random number of parts in random
+            // order, then sum the per-part counts.
+            let k = rng.gen_range(1..=len.max(1));
+            let mut parts: Vec<Vec<DatasetProfile>> = vec![Vec::new(); k];
+            for p in &profiles {
+                parts[rng.gen_range(0..k)].push(p.clone());
+            }
+            let summed = parts.iter().fold((0, 0), |(a, v), part| {
+                let (pa, pv) = calibration_counts(&mut Cutoff, part, 0.1);
+                (a + pa, v + pv)
+            });
+            assert_eq!(summed, whole, "case {case}: {k} parts of {len}");
+
+            let config = calibrate(&mut Cutoff, &profiles, 0.1, confidence).unwrap();
+            assert_eq!(config, limit_config(whole.0, whole.1, confidence));
+        }
+        assert!(violating_cases > 30, "the cases must exercise violations");
+    }
+
+    #[test]
+    fn limit_rule_follows_the_clean_rate() {
+        let confidence = Confidence::new(0.95).unwrap();
+        let rate = |admitted, violations| {
+            limit_config(admitted, violations, confidence).max_violation_rate
+        };
+        assert_eq!(
+            rate(0, 0),
+            0.03,
+            "nothing admitted: clean rate 0 plus 3 points"
+        );
+        assert_eq!(rate(100, 1), 0.01 + 0.03);
+        assert_eq!(rate(100, 20), 0.2 * 3.0);
+        assert_eq!(rate(10, 10), 1.0, "capped at 1");
     }
 }

@@ -17,11 +17,10 @@ use mithra_core::pipeline::Compiled;
 use mithra_core::profile::{DatasetProfile, Route};
 use mithra_core::route::{oracle_route, RouteChoice, RoutedCompiled};
 use mithra_core::table::TableClassifier;
-use mithra_core::watchdog::{self, QualityWatchdog, WatchdogConfig};
+use mithra_core::watchdog::{QualityWatchdog, WatchdogConfig};
 use mithra_core::MithraError;
 use mithra_sim::fault::FifoEvent;
 use mithra_sim::system::{InvocationModel, RoutedInvocationModel, RunResult, SimOptions};
-use mithra_stats::clopper_pearson::Confidence;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -199,13 +198,14 @@ impl RoutedEndpointState {
 }
 
 impl EndpointState {
-    /// Lowers a spec: precomputes the invocation model and ground truth,
-    /// encodes the config image, and calibrates the watchdog prototype
-    /// once (workers fork it instead of re-running calibration).
+    /// Lowers a spec: precomputes the invocation model and ground truth
+    /// and encodes the config image. `watchdog` is the endpoint's
+    /// calibrated guard tuning (`None` when unguarded); workers fork the
+    /// prototype built from it instead of re-running calibration.
     pub fn build(
         spec: EndpointSpec,
         options: &SimOptions,
-        watchdog_enabled: bool,
+        watchdog: Option<WatchdogConfig>,
     ) -> Result<Self, ServeError> {
         let EndpointSpec {
             name,
@@ -221,20 +221,7 @@ impl EndpointState {
             .chain(biases.iter())
             .map(|w| w.to_bits())
             .collect();
-        let watchdog_proto = if watchdog_enabled {
-            let confidence = Confidence::new(0.95).expect("0.95 is a valid confidence");
-            let mut calibration_cls = compiled.table.clone();
-            let config = watchdog::calibrate(
-                &mut calibration_cls,
-                &compiled.profiles,
-                model.threshold(),
-                confidence,
-            )
-            .map_err(ServeError::Core)?;
-            Some(QualityWatchdog::new(config))
-        } else {
-            None
-        };
+        let watchdog_proto = watchdog.map(QualityWatchdog::new);
         let n = profile.invocation_count();
         let routed = routed
             .map(|r| RoutedEndpointState::build(r, n, options))

@@ -28,12 +28,15 @@ use crate::metrics::{
 use crate::queue::{BoundedQueue, PushError};
 use mithra_core::classifier::{Classifier, Decision};
 use mithra_core::function::InvokeScratch;
-use mithra_core::profile::default_threads;
+use mithra_core::parallel::par_map_indexed;
+use mithra_core::pipeline::Compiled;
+use mithra_core::profile::{default_threads, DatasetProfile};
 use mithra_core::route::{RouteChoice, RouteClassifier};
 use mithra_core::table::TableClassifier;
-use mithra_core::watchdog::{GuardState, QualityWatchdog, WatchdogConfig};
+use mithra_core::watchdog::{self, GuardState, QualityWatchdog, WatchdogConfig};
 use mithra_npu::fifo::QueueInterface;
 use mithra_sim::system::{RunResult, SimOptions};
+use mithra_stats::clopper_pearson::Confidence;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -175,6 +178,59 @@ fn fold_watchdog(dog: &QualityWatchdog, counters: &Mutex<EndpointCounters>) {
     );
 }
 
+/// Confidence of the guarded endpoints' sequential watchdog tests.
+const WATCHDOG_CONFIDENCE: f64 = 0.95;
+
+/// Each spec's watchdog tuning, calibrated once per distinct compiled
+/// artifact (`Arc` identity) rather than once per endpoint.
+///
+/// The counting pass fans out over every `(artifact, profile)` pair on
+/// `threads` workers, each item on its own clone of the artifact's table,
+/// so one expensive artifact no longer runs on a single core. The table
+/// classifier's decisions do not depend on call history and the per-item
+/// counts are integers, so summing them per artifact gives exactly the
+/// counts — and the configuration — of a sequential
+/// [`watchdog::calibrate`] over the artifact's profiles.
+fn calibrate_watchdogs(specs: &[EndpointSpec], threads: usize) -> Vec<WatchdogConfig> {
+    let mut artifacts: Vec<&Arc<Compiled>> = Vec::new();
+    let artifact_of: Vec<usize> = specs
+        .iter()
+        .map(|spec| {
+            let known = artifacts
+                .iter()
+                .position(|a| Arc::ptr_eq(a, &spec.compiled));
+            known.unwrap_or_else(|| {
+                artifacts.push(&spec.compiled);
+                artifacts.len() - 1
+            })
+        })
+        .collect();
+    let items: Vec<(usize, &DatasetProfile)> = artifacts
+        .iter()
+        .enumerate()
+        .flat_map(|(a, compiled)| compiled.profiles.iter().map(move |p| (a, p)))
+        .collect();
+    let counts = par_map_indexed(items.len(), Some(threads), |k| {
+        let (a, profile) = items[k];
+        let compiled = artifacts[a];
+        watchdog::calibration_counts(
+            &mut compiled.table.clone(),
+            std::slice::from_ref(profile),
+            compiled.threshold.threshold,
+        )
+    });
+    let mut totals = vec![(0u64, 0u64); artifacts.len()];
+    for (&(a, _), (admitted, violations)) in items.iter().zip(counts) {
+        totals[a].0 += admitted;
+        totals[a].1 += violations;
+    }
+    let confidence = Confidence::new(WATCHDOG_CONFIDENCE).expect("0.95 is a valid confidence");
+    artifact_of
+        .iter()
+        .map(|&a| watchdog::limit_config(totals[a].0, totals[a].1, confidence))
+        .collect()
+}
+
 /// The batched, sharded serving engine over a set of endpoints.
 pub struct ServeEngine {
     shared: Arc<Shared>,
@@ -203,8 +259,8 @@ impl ServeEngine {
     /// classifier state, which would make decisions depend on request
     /// interleaving) or when `watchdog_period > 0` alongside a routed
     /// endpoint (binary admission cannot attribute to routes);
-    /// [`ServeError::Core`] when watchdog calibration fails or a routed
-    /// attachment's member profiles mismatch the served dataset.
+    /// [`ServeError::Core`] when a routed attachment's member profiles
+    /// mismatch the served dataset.
     pub fn start(specs: Vec<EndpointSpec>, config: &ServeConfig) -> Result<Self, ServeError> {
         if config.options.online_update_period != 0 {
             return Err(ServeError::UnsupportedOptions(
@@ -223,9 +279,23 @@ impl ServeEngine {
                  routed mixture's accounting",
             ));
         }
+        let worker_count = if config.workers == 0 {
+            default_threads()
+        } else {
+            config.workers
+        };
+        let watchdogs = if config.watchdog_period > 0 {
+            calibrate_watchdogs(&specs, worker_count)
+                .into_iter()
+                .map(Some)
+                .collect()
+        } else {
+            vec![None; specs.len()]
+        };
         let endpoints = specs
             .into_iter()
-            .map(|spec| EndpointState::build(spec, &config.options, config.watchdog_period > 0))
+            .zip(watchdogs)
+            .map(|(spec, watchdog)| EndpointState::build(spec, &config.options, watchdog))
             .collect::<Result<Vec<_>, _>>()?;
         let shared = Arc::new(Shared {
             endpoints,
@@ -233,11 +303,6 @@ impl ServeEngine {
             batch: config.batch.max(1),
             watchdog_period: config.watchdog_period,
         });
-        let worker_count = if config.workers == 0 {
-            default_threads()
-        } else {
-            config.workers
-        };
         let workers = (0..worker_count)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -850,5 +915,80 @@ mod tests {
         assert_eq!(cfg.workers, 0, "0 = available parallelism");
         assert!(cfg.batch >= 1);
         assert_eq!(cfg.watchdog_period, 0, "watchdog off by default");
+    }
+
+    fn smoke_compiled(name: &str) -> Arc<Compiled> {
+        let bench = mithra_axbench::suite::by_name(name).unwrap().into();
+        Arc::new(
+            mithra_core::pipeline::compile(bench, &mithra_core::pipeline::CompileConfig::smoke())
+                .unwrap(),
+        )
+    }
+
+    fn sequential_calibration(compiled: &Compiled, profiles: &[DatasetProfile]) -> WatchdogConfig {
+        let confidence = Confidence::new(WATCHDOG_CONFIDENCE).unwrap();
+        watchdog::calibrate(
+            &mut compiled.table.clone(),
+            profiles,
+            compiled.threshold.threshold,
+            confidence,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn guarded_bring_up_matches_sequential_calibration() {
+        let shared = smoke_compiled("inversek2j");
+        let distinct = smoke_compiled("blackscholes");
+        // Same accelerator and table, but no compile profiles: nothing is
+        // admitted during calibration.
+        let empty =
+            Arc::new(shared.with_operating_point(shared.threshold.threshold, shared.table.clone()));
+        assert!(empty.profiles.is_empty());
+        let artifacts = [&shared, &distinct, &shared, &empty];
+
+        // The pin below must notice counts that are dropped or counted
+        // twice: with one profile skipped or repeated, sequential
+        // calibration itself lands elsewhere.
+        let expected: Vec<WatchdogConfig> = artifacts
+            .iter()
+            .map(|c| sequential_calibration(c, &c.profiles))
+            .collect();
+        for (compiled, want) in [(&shared, &expected[0]), (&distinct, &expected[1])] {
+            let profiles = &compiled.profiles;
+            assert_ne!(&sequential_calibration(compiled, &profiles[1..]), want);
+            let mut doubled = profiles.clone();
+            doubled.push(profiles[0].clone());
+            assert_ne!(&sequential_calibration(compiled, &doubled), want);
+        }
+
+        for workers in [1, 2, 4] {
+            let specs = artifacts
+                .iter()
+                .enumerate()
+                .map(|(i, compiled)| EndpointSpec {
+                    name: format!("endpoint-{i}"),
+                    compiled: Arc::clone(compiled),
+                    profile: shared.profiles[0].clone(),
+                    routed: None,
+                })
+                .collect();
+            let config = ServeConfig {
+                workers,
+                watchdog_period: 16,
+                ..ServeConfig::default()
+            };
+            let engine = ServeEngine::start(specs, &config).unwrap();
+            for (i, want) in expected.iter().enumerate() {
+                let op = engine.shared.endpoints[i].operating_point();
+                let got = op
+                    .watchdog_proto
+                    .as_ref()
+                    .expect("guarded endpoint")
+                    .config();
+                assert_eq!(got, want, "endpoint {i} at {workers} workers");
+            }
+            engine.join().unwrap();
+        }
     }
 }
