@@ -14,6 +14,7 @@
 use crate::classifier::{Classifier, Decision};
 use crate::function::{AcceleratedFunction, InvokeScratch};
 use crate::Result;
+use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, OutputBuffer};
 
 /// Invocations per accelerator batch inside [`DatasetProfile::collect`].
@@ -212,34 +213,17 @@ impl DatasetProfile {
         })
     }
 
-    /// Replays the dataset with an arbitrary per-invocation policy.
+    /// Replays the dataset with an arbitrary per-invocation policy,
+    /// consulted once per invocation in index order.
     pub fn replay_with(
         &self,
         function: &AcceleratedFunction,
         mut policy: impl FnMut(usize, &[f32]) -> Decision,
     ) -> ReplayOutcome {
-        let bench = function.benchmark();
-        let n = self.invocation_count();
-        let mut mixed = OutputBuffer::with_capacity(bench.output_dim(), n);
-        let mut invoked = 0usize;
-        for (i, input) in self.dataset.iter().enumerate() {
-            match policy(i, input) {
-                Decision::Approximate => {
-                    invoked += 1;
-                    mixed.push(self.approx.get(i));
-                }
-                Decision::Precise => mixed.push(self.precise.get(i)),
-            }
-        }
-        let final_mixed = bench.run_application(&self.dataset, &mixed);
-        let quality_loss = bench
-            .quality_metric()
-            .quality_loss(&self.final_precise, &final_mixed);
-        ReplayOutcome {
-            quality_loss,
-            invoked,
-            total: n,
-        }
+        replay_mixture(function.benchmark().as_ref(), &[self], |i| {
+            (policy(i, self.dataset.input(i)) == Decision::Approximate).then_some((0, i))
+        })
+        .expect("a profile's own outputs always score")
     }
 
     /// Replays the dataset with a per-invocation [`Route`], scoring final
@@ -267,30 +251,12 @@ impl DatasetProfile {
                 needed: n,
             });
         }
-        let bench = function.benchmark();
-        let mut mixed = OutputBuffer::with_capacity(bench.output_dim(), n);
-        let mut invoked = 0usize;
-        for (i, route) in routes.iter().enumerate() {
-            match route {
-                Route::Precise => mixed.push(self.precise.get(i)),
-                Route::Approx => {
-                    invoked += 1;
-                    mixed.push(self.approx.get(i));
-                }
-                Route::ApproxFrom(j) => {
-                    invoked += 1;
-                    mixed.push(self.approx.get((*j).min(n - 1)));
-                }
+        replay_mixture(function.benchmark().as_ref(), &[self], |i| {
+            match routes[i] {
+                Route::Precise => None,
+                Route::Approx => Some((0, i)),
+                Route::ApproxFrom(j) => Some((0, j)),
             }
-        }
-        let final_mixed = bench.run_application(&self.dataset, &mixed);
-        let quality_loss = bench
-            .quality_metric()
-            .try_quality_loss(&self.final_precise, &final_mixed)?;
-        Ok(ReplayOutcome {
-            quality_loss,
-            invoked,
-            total: n,
         })
     }
 
@@ -305,32 +271,13 @@ impl DatasetProfile {
         threshold: f32,
         online_update_period: usize,
     ) -> ReplayOutcome {
-        let bench = function.benchmark();
-        let n = self.invocation_count();
-        let mut mixed = OutputBuffer::with_capacity(bench.output_dim(), n);
-        let mut invoked = 0usize;
-        for (i, input) in self.dataset.iter().enumerate() {
+        self.replay_with(function, |i, input| {
             let decision = classifier.classify(i, input);
-            match decision {
-                Decision::Approximate => {
-                    invoked += 1;
-                    mixed.push(self.approx.get(i));
-                }
-                Decision::Precise => mixed.push(self.precise.get(i)),
-            }
             if online_update_period > 0 && i % online_update_period == 0 {
                 classifier.observe(i, input, self.max_err[i] > threshold);
             }
-        }
-        let final_mixed = bench.run_application(&self.dataset, &mixed);
-        let quality_loss = bench
-            .quality_metric()
-            .quality_loss(&self.final_precise, &final_mixed);
-        ReplayOutcome {
-            quality_loss,
-            invoked,
-            total: n,
-        }
+            decision
+        })
     }
 
     /// Per-element final error of the full-approximation run — the sample
@@ -348,6 +295,76 @@ impl DatasetProfile {
     pub fn oracle_rejects(&self, threshold: f32) -> Vec<bool> {
         self.max_err.iter().map(|&e| e > threshold).collect()
     }
+}
+
+/// The invocation count shared by every profile in `members` — per-member
+/// profiles of one dataset, cheapest pool member first.
+///
+/// # Errors
+///
+/// Returns [`crate::MithraError::InsufficientData`] for an empty slice or
+/// members that disagree on the invocation count.
+pub fn common_invocation_count(members: &[&DatasetProfile]) -> Result<usize> {
+    let insufficient = |available, needed| crate::MithraError::InsufficientData {
+        stage: "routed mixture replay",
+        available,
+        needed,
+    };
+    let n = members
+        .first()
+        .ok_or(insufficient(0, 1))?
+        .invocation_count();
+    match members.iter().find(|p| p.invocation_count() != n) {
+        Some(p) => Err(insufficient(p.invocation_count(), n)),
+        None => Ok(n),
+    }
+}
+
+/// The one mixing replay behind every replay entry point, binary and
+/// routed: builds the mixed output stream of one dataset, runs the
+/// application layer over it and scores final quality against the
+/// all-precise run.
+///
+/// `members[m]` is pool member `m`'s profile of the dataset (a binary
+/// replay is the pool of one). `source(i)`, called once per invocation in
+/// index order, names where invocation `i`'s output comes from: `None` is
+/// the precise output, `Some((m, j))` member `m`'s cached accelerator
+/// output of invocation `j` — `j == i` when the member served it, an
+/// earlier index for the stale read a FIFO drop leaves behind
+/// ([`Route::ApproxFrom`]). `invoked` counts the `Some`s.
+///
+/// # Errors
+///
+/// Returns [`crate::MithraError::InsufficientData`] for an empty or
+/// mismatched member slice, and an error when the final outputs cannot be
+/// scored.
+pub fn replay_mixture(
+    bench: &dyn Benchmark,
+    members: &[&DatasetProfile],
+    mut source: impl FnMut(usize) -> Option<(usize, usize)>,
+) -> Result<ReplayOutcome> {
+    let n = common_invocation_count(members)?;
+    let base = members[0];
+    let mut mixed = OutputBuffer::with_capacity(bench.output_dim(), n);
+    let mut invoked = 0usize;
+    for i in 0..n {
+        match source(i) {
+            Some((m, j)) => {
+                invoked += 1;
+                mixed.push(members[m].approx.get(j.min(n - 1)));
+            }
+            None => mixed.push(base.precise.get(i)),
+        }
+    }
+    let final_mixed = bench.run_application(&base.dataset, &mixed);
+    let quality_loss = bench
+        .quality_metric()
+        .try_quality_loss(&base.final_precise, &final_mixed)?;
+    Ok(ReplayOutcome {
+        quality_loss,
+        invoked,
+        total: n,
+    })
 }
 
 /// The default worker-thread count: the machine's available parallelism

@@ -23,13 +23,13 @@ use crate::classifier::{Classifier, ClassifierOverhead, Decision};
 use crate::function::{AcceleratedFunction, NpuTrainConfig};
 use crate::parallel::par_map_indexed;
 use crate::pipeline::quantizer_from_profiles;
-use crate::profile::DatasetProfile;
+use crate::profile::{common_invocation_count, replay_mixture, DatasetProfile};
 use crate::table::{PreparedTableSet, TableClassifier, TableDesign};
 use crate::threshold::RoutedThresholdOutcome;
 use crate::training::sample_invocations;
 use crate::{MithraError, Result};
 use mithra_axbench::benchmark::Benchmark;
-use mithra_axbench::dataset::{Dataset, DatasetScale, OutputBuffer};
+use mithra_axbench::dataset::{Dataset, DatasetScale};
 use mithra_npu::kernel::KernelBackend;
 use mithra_npu::topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -483,36 +483,23 @@ impl ApproximatorPool {
                 needed: n,
             });
         }
-        let bench = self.benchmark();
-        let base = members[0];
-        let mut mixed = OutputBuffer::with_capacity(bench.output_dim(), n);
-        let mut invoked = 0usize;
         let mut member_invocations = vec![0usize; self.len()];
         let mut worst_member = 0usize;
         let mut worst_err = f32::NEG_INFINITY;
-        for (i, choice) in choices.iter().enumerate() {
-            match choice {
-                RouteChoice::Member(m) => {
-                    invoked += 1;
-                    member_invocations[*m] += 1;
-                    let err = members[*m].max_error(i);
-                    if err > worst_err {
-                        worst_err = err;
-                        worst_member = *m;
-                    }
-                    mixed.push(members[*m].approx_output(i));
-                }
-                RouteChoice::Precise => mixed.push(base.precise_output(i)),
+        let outcome = replay_mixture(self.benchmark().as_ref(), members, |i| {
+            let m = choices[i].member()?;
+            member_invocations[m] += 1;
+            let err = members[m].max_error(i);
+            if err > worst_err {
+                worst_err = err;
+                worst_member = m;
             }
-        }
-        let final_mixed = bench.run_application(base.dataset(), &mixed);
-        let quality_loss = bench
-            .quality_metric()
-            .try_quality_loss(base.final_precise(), &final_mixed)?;
+            Some((m, i))
+        })?;
         Ok(RoutedReplay {
-            quality_loss,
-            invoked,
-            total: n,
+            quality_loss: outcome.quality_loss,
+            invoked: outcome.invoked,
+            total: outcome.total,
             member_invocations,
             worst_member,
         })
@@ -528,17 +515,7 @@ impl ApproximatorPool {
                 needed: self.len(),
             });
         }
-        let n = members[0].invocation_count();
-        for p in members {
-            if p.invocation_count() != n {
-                return Err(MithraError::InsufficientData {
-                    stage: "routed mixture replay",
-                    available: p.invocation_count(),
-                    needed: n,
-                });
-            }
-        }
-        Ok(n)
+        common_invocation_count(members)
     }
 }
 

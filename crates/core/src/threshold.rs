@@ -16,7 +16,7 @@
 use crate::function::AcceleratedFunction;
 use crate::parallel::par_map_indexed;
 use crate::profile::DatasetProfile;
-use crate::route::{ApproximatorPool, RouteChoice, RouteClassifier};
+use crate::route::{ApproximatorPool, RouteChoice, RouteClassifier, RoutedReplay};
 use crate::{MithraError, Result};
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
 
@@ -195,73 +195,23 @@ impl ThresholdOptimizer {
         profiles: &[DatasetProfile],
     ) -> Result<ThresholdOutcome> {
         if profiles.is_empty() {
-            return Err(MithraError::InsufficientData {
-                stage: "threshold optimization",
-                available: 0,
-                needed: 1,
-            });
+            return Err(no_profiles());
         }
-
-        // Upper end of the search range: the largest observed error.
-        let max_err = profiles
-            .iter()
-            .flat_map(|p| p.errors().iter().copied())
-            .fold(0.0f32, f32::max)
-            .max(1e-6);
-
-        // Threshold 0 filters every erroneous invocation: quality loss 0.
-        let (s0, bound0, _) = self.certify(function, profiles, 0.0)?;
-        if bound0 < self.spec.success_rate {
-            return Err(MithraError::Uncertifiable {
-                quality_target: self.spec.max_quality_loss,
-                required_rate: self.spec.success_rate,
-                best_rate: bound0,
-            });
-        }
-        let _ = s0;
-
-        // If even the loosest threshold certifies, take it.
-        let (s_hi, bound_hi, inv_hi) = self.certify(function, profiles, max_err)?;
-        if bound_hi >= self.spec.success_rate {
-            return Ok(ThresholdOutcome {
-                threshold: max_err,
-                successes: s_hi,
-                trials: profiles.len() as u64,
-                certified_rate: bound_hi,
-                mean_invocation_rate: inv_hi,
-            });
-        }
-
-        // Bisection: lo certifies, hi does not.
-        let (mut lo, mut hi) = (0.0f32, max_err);
-        let mut best = (0.0f32, 0u64, bound0, 0.0f64);
-        for _ in 0..self.iterations {
-            let mid = 0.5 * (lo + hi);
-            let (s, bound, inv) = self.certify(function, profiles, mid)?;
-            if bound >= self.spec.success_rate {
-                best = (mid, s, bound, inv);
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-
-        // `best` may still be the all-precise origin if nothing in between
-        // certified; recompute its invocation rate for reporting.
-        let (threshold, successes, certified_rate, mean_invocation_rate) = if best.0 == 0.0 {
-            let (s, b, inv) = self.certify(function, profiles, 0.0)?;
-            (0.0, s, b, inv)
-        } else {
-            best
-        };
-
-        Ok(ThresholdOutcome {
-            threshold,
-            successes,
-            trials: profiles.len() as u64,
-            certified_rate,
-            mean_invocation_rate,
-        })
+        self.bisect(
+            max_observed_error(profiles),
+            |threshold| {
+                let (successes, certified_rate, mean_invocation_rate) =
+                    self.certify(function, profiles, threshold)?;
+                Ok(ThresholdOutcome {
+                    threshold,
+                    successes,
+                    trials: profiles.len() as u64,
+                    certified_rate,
+                    mean_invocation_rate,
+                })
+            },
+            |outcome| outcome.certified_rate,
+        )
     }
 
     /// Certification probe over a **routed mixture** at one candidate
@@ -286,41 +236,8 @@ impl ThresholdOptimizer {
         member_profiles: &[Vec<DatasetProfile>],
         threshold: f32,
     ) -> Result<RoutedThresholdOutcome> {
-        let trials = check_member_profile_table(pool, member_profiles)?;
-        let replays = par_map_indexed(trials, self.threads, |i| {
-            let members: Vec<&DatasetProfile> = member_profiles.iter().map(|mp| &mp[i]).collect();
-            pool.replay_routed_threshold(&members, threshold)
-        });
-        let mut successes = 0u64;
-        let mut invocation_rates = 0.0f64;
-        let mut member_rates = vec![0.0f64; pool.len()];
-        let mut member_violations = vec![0u64; pool.len()];
-        for replay in replays {
-            let replay = replay?;
-            if replay.quality_loss <= self.spec.max_quality_loss {
-                successes += 1;
-            } else {
-                member_violations[replay.worst_member] += 1;
-            }
-            invocation_rates += replay.invocation_rate();
-            if replay.total > 0 {
-                for (m, &count) in replay.member_invocations.iter().enumerate() {
-                    member_rates[m] += count as f64 / replay.total as f64;
-                }
-            }
-        }
-        let bound = lower_bound(successes, trials as u64, self.spec.confidence)?;
-        for rate in &mut member_rates {
-            *rate /= trials as f64;
-        }
-        Ok(RoutedThresholdOutcome {
-            threshold,
-            successes,
-            trials: trials as u64,
-            certified_rate: bound,
-            mean_invocation_rate: invocation_rates / trials as f64,
-            member_invocation_rates: member_rates,
-            member_violations,
+        self.certify_mixture(pool, member_profiles, threshold, |members| {
+            pool.replay_routed_threshold(members, threshold)
         })
     }
 
@@ -351,9 +268,7 @@ impl ThresholdOptimizer {
         router: &RouteClassifier,
         threshold: f32,
     ) -> Result<RoutedThresholdOutcome> {
-        let trials = check_member_profile_table(pool, member_profiles)?;
-        let replays = par_map_indexed(trials, self.threads, |i| {
-            let members: Vec<&DatasetProfile> = member_profiles.iter().map(|mp| &mp[i]).collect();
+        self.certify_mixture(pool, member_profiles, threshold, |members| {
             let mut stages = router.clone();
             let choices: Vec<RouteChoice> = members[0]
                 .dataset()
@@ -361,7 +276,25 @@ impl ThresholdOptimizer {
                 .enumerate()
                 .map(|(j, input)| stages.classify_route(j, input))
                 .collect();
-            pool.replay_routed_choices(&members, &choices)
+            pool.replay_routed_choices(members, &choices)
+        })
+    }
+
+    /// The routed certification fold shared by both probes: `replay`
+    /// scores one dataset from its per-member profiles, datasets replay on
+    /// up to `threads` workers, and the results fold sequentially in
+    /// dataset order.
+    fn certify_mixture(
+        &self,
+        pool: &ApproximatorPool,
+        member_profiles: &[Vec<DatasetProfile>],
+        threshold: f32,
+        replay: impl Fn(&[&DatasetProfile]) -> Result<RoutedReplay> + Sync,
+    ) -> Result<RoutedThresholdOutcome> {
+        let trials = check_member_profile_table(pool, member_profiles)?;
+        let replays = par_map_indexed(trials, self.threads, |i| {
+            let members: Vec<&DatasetProfile> = member_profiles.iter().map(|mp| &mp[i]).collect();
+            replay(&members)
         });
         let mut successes = 0u64;
         let mut invocation_rates = 0.0f64;
@@ -431,53 +364,17 @@ impl ThresholdOptimizer {
     where
         F: FnMut(f32) -> Result<RouteClassifier>,
     {
-        let trials = check_member_profile_table(pool, member_profiles)?;
-        if trials == 0 {
-            return Err(MithraError::InsufficientData {
-                stage: "threshold optimization",
-                available: 0,
-                needed: 1,
-            });
+        if check_member_profile_table(pool, member_profiles)? == 0 {
+            return Err(no_profiles());
         }
-
-        let max_err = member_profiles
-            .iter()
-            .flat_map(|mp| mp.iter())
-            .flat_map(|p| p.errors().iter().copied())
-            .fold(0.0f32, f32::max)
-            .max(1e-6);
-
-        let origin_router = train_router(0.0)?;
-        let origin = self.certify_routed_deployed(pool, member_profiles, &origin_router, 0.0)?;
-        if origin.certified_rate < self.spec.success_rate {
-            return Err(MithraError::Uncertifiable {
-                quality_target: self.spec.max_quality_loss,
-                required_rate: self.spec.success_rate,
-                best_rate: origin.certified_rate,
-            });
-        }
-
-        let loose_router = train_router(max_err)?;
-        let loosest =
-            self.certify_routed_deployed(pool, member_profiles, &loose_router, max_err)?;
-        if loosest.certified_rate >= self.spec.success_rate {
-            return Ok(loosest);
-        }
-
-        let (mut lo, mut hi) = (0.0f32, max_err);
-        let mut best = origin;
-        for _ in 0..self.iterations {
-            let mid = 0.5 * (lo + hi);
-            let router = train_router(mid)?;
-            let probe = self.certify_routed_deployed(pool, member_profiles, &router, mid)?;
-            if probe.certified_rate >= self.spec.success_rate {
-                best = probe;
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(best)
+        self.bisect(
+            max_observed_error(member_profiles.iter().flatten()),
+            |threshold| {
+                let router = train_router(threshold)?;
+                self.certify_routed_deployed(pool, member_profiles, &router, threshold)
+            },
+            |outcome| outcome.certified_rate,
+        )
     }
 
     /// Finds the loosest certifiable threshold of a routed mixture by the
@@ -497,48 +394,48 @@ impl ThresholdOptimizer {
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
     ) -> Result<RoutedThresholdOutcome> {
-        let trials = check_member_profile_table(pool, member_profiles)?;
-        if trials == 0 {
-            return Err(MithraError::InsufficientData {
-                stage: "threshold optimization",
-                available: 0,
-                needed: 1,
-            });
+        if check_member_profile_table(pool, member_profiles)? == 0 {
+            return Err(no_profiles());
         }
+        self.bisect(
+            max_observed_error(member_profiles.iter().flatten()),
+            |threshold| self.certify_routed(pool, member_profiles, threshold),
+            |outcome| outcome.certified_rate,
+        )
+    }
 
-        // Upper end of the search range: the largest error observed by
-        // any member. (For a pool of one this is the binary range.)
-        let max_err = member_profiles
-            .iter()
-            .flat_map(|mp| mp.iter())
-            .flat_map(|p| p.errors().iter().copied())
-            .fold(0.0f32, f32::max)
-            .max(1e-6);
-
-        // Threshold 0 filters every erroneous invocation: quality loss 0.
-        let origin = self.certify_routed(pool, member_profiles, 0.0)?;
-        if origin.certified_rate < self.spec.success_rate {
+    /// Algorithm 1's bisection, shared by every optimizer. `probe`
+    /// certifies one candidate threshold. The all-precise origin
+    /// (threshold 0) must certify, else the spec is uncertifiable; the
+    /// loosest threshold `max_err` is taken outright when it certifies;
+    /// otherwise `iterations` midpoint probes keep `lo` certifying and
+    /// `hi` not, and the last certifying probe — the origin when none
+    /// did — is the result.
+    fn bisect<T>(
+        &self,
+        max_err: f32,
+        mut probe: impl FnMut(f32) -> Result<T>,
+        certified_rate: impl Fn(&T) -> f64,
+    ) -> Result<T> {
+        let origin = probe(0.0)?;
+        if certified_rate(&origin) < self.spec.success_rate {
             return Err(MithraError::Uncertifiable {
                 quality_target: self.spec.max_quality_loss,
                 required_rate: self.spec.success_rate,
-                best_rate: origin.certified_rate,
+                best_rate: certified_rate(&origin),
             });
         }
-
-        // If even the loosest threshold certifies, take it.
-        let loosest = self.certify_routed(pool, member_profiles, max_err)?;
-        if loosest.certified_rate >= self.spec.success_rate {
+        let loosest = probe(max_err)?;
+        if certified_rate(&loosest) >= self.spec.success_rate {
             return Ok(loosest);
         }
-
-        // Bisection: lo certifies, hi does not.
         let (mut lo, mut hi) = (0.0f32, max_err);
         let mut best = origin;
         for _ in 0..self.iterations {
             let mid = 0.5 * (lo + hi);
-            let probe = self.certify_routed(pool, member_profiles, mid)?;
-            if probe.certified_rate >= self.spec.success_rate {
-                best = probe;
+            let outcome = probe(mid)?;
+            if certified_rate(&outcome) >= self.spec.success_rate {
+                best = outcome;
                 lo = mid;
             } else {
                 hi = mid;
@@ -568,11 +465,7 @@ impl ThresholdOptimizer {
         max_steps: u32,
     ) -> Result<ThresholdOutcome> {
         if profiles.is_empty() {
-            return Err(MithraError::InsufficientData {
-                stage: "threshold optimization",
-                available: 0,
-                needed: 1,
-            });
+            return Err(no_profiles());
         }
         let mut th = initial.max(0.0);
         let mut last_pass: Option<(f32, u64, f64, f64)> = None;
@@ -626,6 +519,25 @@ impl ThresholdOptimizer {
             }
         }
     }
+}
+
+/// The error every optimizer returns for an empty profile set.
+fn no_profiles() -> MithraError {
+    MithraError::InsufficientData {
+        stage: "threshold optimization",
+        available: 0,
+        needed: 1,
+    }
+}
+
+/// Upper end of the bisection range: the largest error any profile
+/// observed (at least `1e-6`, so the range is never empty).
+fn max_observed_error<'a>(profiles: impl IntoIterator<Item = &'a DatasetProfile>) -> f32 {
+    profiles
+        .into_iter()
+        .flat_map(|p| p.errors().iter().copied())
+        .fold(0.0f32, f32::max)
+        .max(1e-6)
 }
 
 /// Validates a per-member profile table (`member_profiles[m][i]` = member

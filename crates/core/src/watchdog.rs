@@ -38,6 +38,7 @@
 
 use crate::classifier::{Classifier, Decision};
 use crate::profile::DatasetProfile;
+use crate::route::RouteChoice;
 use crate::Result;
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
 
@@ -288,6 +289,18 @@ impl QualityWatchdog {
                     Decision::Precise
                 }
             }
+        }
+    }
+
+    /// [`admit`](Self::admit) for a routed decision: a pool member's route
+    /// is admitted or overridden to the precise fallback; a precise route
+    /// passes through untouched.
+    pub fn admit_route(&mut self, route: RouteChoice) -> RouteChoice {
+        match route {
+            RouteChoice::Member(_) if self.admit(Decision::Approximate) == Decision::Precise => {
+                RouteChoice::Precise
+            }
+            _ => route,
         }
     }
 

@@ -2,24 +2,25 @@
 //!
 //! An [`EndpointSpec`] binds a compiled artifact to the dataset profile it
 //! serves; the engine lowers it into an [`EndpointState`] carrying the
-//! precomputed [`InvocationModel`], the oracle ground truth, the NPU
-//! configuration image, the calibrated watchdog prototype each worker
-//! forks, and the slot table collecting per-invocation results. Slots are
-//! keyed by invocation index, so however requests interleave across
-//! workers, the finished endpoint folds its charges in index order — the
-//! ordering that makes the aggregate bit-identical to sequential
-//! simulation.
+//! pool it serves from (a binary endpoint is the pool of one), the
+//! precomputed per-route [`RoutedInvocationModel`], the oracle ground
+//! truth, each member's NPU configuration image, the calibrated watchdog
+//! prototype each worker forks, and the slot table collecting
+//! per-invocation results. Slots are keyed by invocation index, so
+//! however requests interleave across workers, the finished endpoint
+//! folds its charges in index order — the ordering that makes the
+//! aggregate bit-identical to sequential simulation.
 
 use crate::error::ServeError;
 use crate::metrics::EndpointCounters;
 use mithra_core::classifier::Classifier;
+use mithra_core::function::AcceleratedFunction;
 use mithra_core::pipeline::Compiled;
-use mithra_core::profile::{DatasetProfile, Route};
-use mithra_core::route::{oracle_route, RouteChoice, RoutedCompiled};
+use mithra_core::profile::{replay_mixture, DatasetProfile};
+use mithra_core::route::{oracle_route, RouteChoice, RouteClassifier, RoutedCompiled};
 use mithra_core::table::TableClassifier;
 use mithra_core::watchdog::{QualityWatchdog, WatchdogConfig};
 use mithra_core::MithraError;
-use mithra_sim::fault::FifoEvent;
 use mithra_sim::system::{InvocationModel, RoutedInvocationModel, RunResult, SimOptions};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -28,7 +29,7 @@ use std::sync::{Arc, Mutex};
 /// request is pending.
 const TRIGGER_CLEAR: u64 = u64::MAX;
 
-/// The live operating point of an endpoint: the threshold/classifier pair
+/// The live operating point of an endpoint: the threshold/router pair
 /// (and the watchdog prototype guarding it) that requests are currently
 /// served under, versioned by a swap epoch.
 ///
@@ -44,8 +45,9 @@ pub(crate) struct OperatingPoint {
     pub epoch: u64,
     /// The local error threshold shadow samples are judged against.
     pub threshold: f32,
-    /// The classifier workers clone into their shards.
-    pub table: TableClassifier,
+    /// The router workers clone into their shards: the routed pool's
+    /// router, or the binary table as a one-stage router.
+    pub router: RouteClassifier,
     /// Watchdog prototype for this epoch; each worker forks a fresh copy,
     /// so a swap also resets the guard ladder to `Monitoring`.
     pub watchdog_proto: Option<QualityWatchdog>,
@@ -62,8 +64,9 @@ pub struct EndpointSpec {
     /// The profiled dataset whose invocations this endpoint serves.
     pub profile: DatasetProfile,
     /// Optional multi-approximator routing attachment. `None` serves the
-    /// binary accept/reject path exactly as before; `Some` routes each
-    /// invocation over the pool instead (see [`RoutedServeSpec`]).
+    /// compiled function and table classifier as the pool of one; `Some`
+    /// routes each invocation over the attached pool instead (see
+    /// [`RoutedServeSpec`]).
     pub routed: Option<RoutedServeSpec>,
 }
 
@@ -79,15 +82,13 @@ pub struct RoutedServeSpec {
     pub member_profiles: Vec<DatasetProfile>,
 }
 
-/// One served invocation: the worker's decision and its charge, parked in
+/// One served invocation: the worker's route and its charge, parked in
 /// the slot table until the endpoint is finished.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ServedInvocation {
-    /// Did the invocation run on the accelerator?
-    pub approx: bool,
-    /// Which pool member served it (meaningful only when `approx` on a
-    /// routed endpoint; always 0 on the binary path).
-    pub member: usize,
+    /// The pool member that served the invocation, or the precise
+    /// fallback.
+    pub route: RouteChoice,
     /// Simulated core-visible cycles charged.
     pub cycles: f64,
     /// Simulated energy charged (nJ).
@@ -101,19 +102,26 @@ pub(crate) struct SlotTable {
     pub filled: usize,
 }
 
-/// The engine-internal state of one endpoint, shared across workers.
+/// The engine-internal state of one endpoint, shared across workers. A
+/// binary endpoint is the pool of one: member 0 is `compiled.function`
+/// and the profile it serves is its only member profile.
 #[derive(Debug)]
 pub(crate) struct EndpointState {
     pub name: String,
     pub compiled: Arc<Compiled>,
-    pub profile: DatasetProfile,
-    pub model: InvocationModel,
-    /// Oracle ground truth at the certified threshold, for false-decision
-    /// accounting.
-    pub oracle_rejects: Vec<bool>,
-    /// The NPU configuration image (weights and biases as raw bit words)
-    /// streamed through the config FIFO once per same-endpoint sub-batch.
-    pub config_words: Vec<u32>,
+    /// The routed compile product whose pool serves the endpoint; `None`
+    /// for a binary endpoint.
+    routed: Option<Arc<RoutedCompiled>>,
+    /// Pool member `m`'s profile of the served dataset, cheapest first.
+    pub member_profiles: Vec<DatasetProfile>,
+    /// Per-route cost constants.
+    pub model: RoutedInvocationModel,
+    /// Whether the routing oracle at the certified threshold runs each
+    /// invocation precise, for false-positive accounting.
+    pub oracle_precise: Vec<bool>,
+    /// Each member's NPU configuration image (weights and biases as raw
+    /// bit words), streamed through the config FIFO under the burst rule.
+    pub member_config_words: Vec<Vec<u32>>,
     /// The epoch-versioned operating point workers serve under; swapped
     /// atomically by [`install`](Self::install).
     op: Mutex<Arc<OperatingPoint>>,
@@ -122,86 +130,32 @@ pub(crate) struct EndpointState {
     /// re-certification. One trigger per endpoint per epoch — the fix for
     /// per-worker forked watchdogs racing to fire their own.
     trigger: AtomicU64,
-    /// Routed sub-state; `None` keeps the binary serving path untouched.
-    pub routed: Option<RoutedEndpointState>,
     pub slots: Mutex<SlotTable>,
     pub counters: Mutex<EndpointCounters>,
 }
 
-/// Lowered routing attachment: per-route cost models, per-member NPU
-/// configuration images, and the oracle route of every invocation.
-#[derive(Debug)]
-pub(crate) struct RoutedEndpointState {
-    pub routed: Arc<RoutedCompiled>,
-    pub member_profiles: Vec<DatasetProfile>,
-    pub model: RoutedInvocationModel,
-    /// Per-member configuration images, streamed on route switches.
-    pub member_config_words: Vec<Vec<u32>>,
-    /// Ground-truth route of every invocation at the certified routed
-    /// threshold, for false-decision accounting.
-    pub oracle_routes: Vec<RouteChoice>,
-}
-
-impl RoutedEndpointState {
-    fn build(
-        spec: RoutedServeSpec,
-        served_invocations: usize,
-        options: &SimOptions,
-    ) -> Result<Self, ServeError> {
-        let RoutedServeSpec {
-            routed,
-            member_profiles,
-        } = spec;
-        if member_profiles.len() != routed.pool.len() {
-            return Err(ServeError::Core(MithraError::InsufficientData {
-                stage: "routed endpoint build",
-                available: member_profiles.len(),
-                needed: routed.pool.len(),
-            }));
-        }
-        for p in &member_profiles {
-            if p.invocation_count() != served_invocations {
-                return Err(ServeError::Core(MithraError::InsufficientData {
-                    stage: "routed endpoint build",
-                    available: p.invocation_count(),
-                    needed: served_invocations,
-                }));
-            }
-        }
-        let model = RoutedInvocationModel::new(&routed, options);
-        let threshold = model.threshold();
-        let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
-        let oracle_routes = (0..served_invocations)
-            .map(|i| oracle_route(&refs, i, threshold))
-            .collect();
-        let member_config_words = routed
-            .pool
-            .members()
-            .iter()
-            .map(|member| {
-                let (weights, biases) = member.npu().to_parameters();
-                weights
-                    .iter()
-                    .chain(biases.iter())
-                    .map(|w| w.to_bits())
-                    .collect()
-            })
-            .collect();
-        Ok(Self {
-            routed,
-            member_profiles,
-            model,
-            member_config_words,
-            oracle_routes,
-        })
+/// The pool serving an endpoint, cheapest first: the routed pool, or the
+/// binary endpoint's compiled function as the pool of one.
+fn pool_members<'a>(
+    compiled: &'a Compiled,
+    routed: Option<&'a RoutedCompiled>,
+) -> &'a [AcceleratedFunction] {
+    match routed {
+        Some(routed) => routed.pool.members(),
+        None => std::slice::from_ref(&compiled.function),
     }
 }
 
 impl EndpointState {
-    /// Lowers a spec: precomputes the invocation model and ground truth
-    /// and encodes the config image. `watchdog` is the endpoint's
-    /// calibrated guard tuning (`None` when unguarded); workers fork the
-    /// prototype built from it instead of re-running calibration.
+    /// Lowers a spec: precomputes the per-route models and ground truth
+    /// and encodes each member's config image. `watchdog` is the
+    /// endpoint's calibrated guard tuning (`None` when unguarded); workers
+    /// fork the prototype built from it instead of re-running calibration.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Core`] when a routed attachment's member profiles do
+    /// not cover the pool or the served dataset.
     pub fn build(
         spec: EndpointSpec,
         options: &SimOptions,
@@ -213,41 +167,89 @@ impl EndpointState {
             profile,
             routed,
         } = spec;
-        let model = InvocationModel::new(&compiled, &compiled.table.overhead(), options);
-        let oracle_rejects = profile.oracle_rejects(model.threshold());
-        let (weights, biases) = compiled.function.npu().to_parameters();
-        let config_words: Vec<u32> = weights
-            .iter()
-            .chain(biases.iter())
-            .map(|w| w.to_bits())
-            .collect();
-        let watchdog_proto = watchdog.map(QualityWatchdog::new);
         let n = profile.invocation_count();
-        let routed = routed
-            .map(|r| RoutedEndpointState::build(r, n, options))
-            .transpose()?;
+        let (routed, member_profiles, model, router) = match routed {
+            None => {
+                let model = InvocationModel::new(&compiled, &compiled.table.overhead(), options);
+                let router = RouteClassifier::from_stages(vec![compiled.table.clone()]);
+                let model = RoutedInvocationModel::pool_of_one(model);
+                (None, vec![profile], model, router)
+            }
+            Some(RoutedServeSpec {
+                routed,
+                member_profiles,
+            }) => {
+                let insufficient = |available, needed| {
+                    ServeError::Core(MithraError::InsufficientData {
+                        stage: "routed endpoint build",
+                        available,
+                        needed,
+                    })
+                };
+                if member_profiles.len() != routed.pool.len() {
+                    return Err(insufficient(member_profiles.len(), routed.pool.len()));
+                }
+                if let Some(p) = member_profiles.iter().find(|p| p.invocation_count() != n) {
+                    return Err(insufficient(p.invocation_count(), n));
+                }
+                let model = RoutedInvocationModel::new(&routed, options);
+                let router = routed.router.clone();
+                (Some(routed), member_profiles, model, router)
+            }
+        };
+        let threshold = model.threshold();
+        let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
+        let oracle_precise = (0..n)
+            .map(|i| oracle_route(&refs, i, threshold).is_precise())
+            .collect();
+        let member_config_words = pool_members(&compiled, routed.as_deref())
+            .iter()
+            .map(|member| {
+                let (weights, biases) = member.npu().to_parameters();
+                weights
+                    .iter()
+                    .chain(biases.iter())
+                    .map(|w| w.to_bits())
+                    .collect()
+            })
+            .collect();
         let op = Arc::new(OperatingPoint {
             epoch: 0,
-            threshold: model.threshold(),
-            table: compiled.table.clone(),
-            watchdog_proto,
+            threshold,
+            router,
+            watchdog_proto: watchdog.map(QualityWatchdog::new),
         });
         Ok(Self {
             name,
             compiled,
-            profile,
+            routed,
+            member_profiles,
             model,
-            oracle_rejects,
-            config_words,
+            oracle_precise,
+            member_config_words,
             op: Mutex::new(op),
             trigger: AtomicU64::new(TRIGGER_CLEAR),
-            routed,
             slots: Mutex::new(SlotTable {
                 slots: vec![None; n],
                 filled: 0,
             }),
             counters: Mutex::new(EndpointCounters::default()),
         })
+    }
+
+    /// The pool members serving this endpoint, cheapest first.
+    pub fn members(&self) -> &[AcceleratedFunction] {
+        pool_members(&self.compiled, self.routed.as_deref())
+    }
+
+    /// Whether a routed attachment serves this endpoint.
+    pub fn is_routed(&self) -> bool {
+        self.routed.is_some()
+    }
+
+    /// The profile of the served dataset (member 0's).
+    pub fn profile(&self) -> &DatasetProfile {
+        &self.member_profiles[0]
     }
 
     /// The operating point new sub-batches serve under. Workers call this
@@ -293,7 +295,7 @@ impl EndpointState {
         let next = Arc::new(OperatingPoint {
             epoch: op.epoch + 1,
             threshold,
-            table,
+            router: RouteClassifier::from_stages(vec![table]),
             watchdog_proto,
         });
         *op = next;
@@ -305,51 +307,53 @@ impl EndpointState {
     }
 
     /// Folds the filled slot table into a [`RunResult`], in invocation
-    /// order — the same initial charges and the same accumulation order as
-    /// `mithra_sim::system::run`, which is what pins batched serving to
-    /// the sequential simulator bit-for-bit (watchdog off). Returns `None`
-    /// while any invocation is still unserved.
+    /// order — the same initial charges, the same accumulation order, the
+    /// same false-decision rule and the same mixing replay as
+    /// `mithra_sim::system::run_routed` (and so `run` for a pool of one),
+    /// which is what pins batched serving to the sequential simulator
+    /// bit-for-bit (watchdog off). Returns `None` while any invocation is
+    /// still unserved.
     ///
     /// # Errors
     ///
-    /// Propagates quality-scoring failures from the routed replay.
+    /// Propagates quality-scoring failures from the mixing replay.
     pub fn finish(&self) -> Result<Option<RunResult>, ServeError> {
         let table = self.slots.lock().expect("slot lock poisoned");
         let n = table.slots.len();
         if table.filled < n {
             return Ok(None);
         }
-        if let Some(routed) = &self.routed {
-            return Self::finish_routed(routed, &table).map(Some);
-        }
         let baseline = self.model.baseline(n);
         let startup = self.model.startup(n);
         let mut cycles = startup.cycles;
         let mut energy = startup.energy;
-        let mut routes: Vec<Route> = Vec::with_capacity(n);
+        let threshold = self.model.threshold();
+        let mut routes: Vec<RouteChoice> = Vec::with_capacity(n);
         let mut invoked = 0usize;
         let (mut false_positives, mut false_negatives) = (0usize, 0usize);
         for (i, slot) in table.slots.iter().enumerate() {
             let s = slot.expect("filled table has no holes");
             cycles += s.cycles;
             energy += s.energy;
-            if s.approx {
-                invoked += 1;
-                if self.oracle_rejects[i] {
-                    false_negatives += 1;
+            match s.route {
+                RouteChoice::Member(m) => {
+                    invoked += 1;
+                    if self.member_profiles[m].max_error(i) > threshold {
+                        false_negatives += 1;
+                    }
                 }
-                routes.push(Route::Approx);
-            } else {
-                if !self.oracle_rejects[i] {
-                    false_positives += 1;
+                RouteChoice::Precise => {
+                    if !self.oracle_precise[i] {
+                        false_positives += 1;
+                    }
                 }
-                routes.push(Route::Precise);
             }
+            routes.push(s.route);
         }
         drop(table);
-        let replay = self
-            .profile
-            .try_replay_routed(&self.compiled.function, &routes)
+        let refs: Vec<&DatasetProfile> = self.member_profiles.iter().collect();
+        let bench = self.compiled.function.benchmark().as_ref();
+        let replay = replay_mixture(bench, &refs, |i| routes[i].member().map(|m| (m, i)))
             .map_err(ServeError::Core)?;
         Ok(Some(RunResult {
             baseline_cycles: baseline.cycles,
@@ -362,62 +366,6 @@ impl EndpointState {
             false_positives,
             false_negatives,
         }))
-    }
-
-    /// The routed counterpart of the binary fold: identical index-order
-    /// accumulation, but slots resolve to [`RouteChoice`]s, false
-    /// decisions are judged against the routing oracle, and quality comes
-    /// from the pool's mixed replay — the same fold
-    /// `mithra_sim::system::run_routed` performs, which is what keeps a
-    /// fully-covered routed endpoint bit-identical to the sequential
-    /// routed simulator.
-    fn finish_routed(
-        routed: &RoutedEndpointState,
-        table: &SlotTable,
-    ) -> Result<RunResult, ServeError> {
-        let n = table.slots.len();
-        let baseline = routed.model.baseline(n);
-        let startup = routed.model.startup(n);
-        let mut cycles = startup.cycles;
-        let mut energy = startup.energy;
-        let threshold = routed.model.threshold();
-        let mut choices: Vec<RouteChoice> = Vec::with_capacity(n);
-        let mut invoked = 0usize;
-        let (mut false_positives, mut false_negatives) = (0usize, 0usize);
-        for (i, slot) in table.slots.iter().enumerate() {
-            let s = slot.expect("filled table has no holes");
-            cycles += s.cycles;
-            energy += s.energy;
-            if s.approx {
-                invoked += 1;
-                if routed.member_profiles[s.member].max_error(i) > threshold {
-                    false_negatives += 1;
-                }
-                choices.push(RouteChoice::Member(s.member));
-            } else {
-                if !routed.oracle_routes[i].is_precise() {
-                    false_positives += 1;
-                }
-                choices.push(RouteChoice::Precise);
-            }
-        }
-        let refs: Vec<&DatasetProfile> = routed.member_profiles.iter().collect();
-        let replay = routed
-            .routed
-            .pool
-            .replay_routed_choices(&refs, &choices)
-            .map_err(ServeError::Core)?;
-        Ok(RunResult {
-            baseline_cycles: baseline.cycles,
-            accelerated_cycles: cycles,
-            baseline_energy_nj: baseline.energy,
-            accelerated_energy_nj: energy,
-            quality_loss: replay.quality_loss,
-            invoked,
-            total: n,
-            false_positives,
-            false_negatives,
-        })
     }
 
     /// Records a sub-batch of served invocations under one slot-table
@@ -438,6 +386,3 @@ impl EndpointState {
         }
     }
 }
-
-/// Re-exported for workers: the clean FIFO event serving always charges.
-pub(crate) const CLEAN_EVENT: FifoEvent = FifoEvent::None;

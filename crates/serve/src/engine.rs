@@ -1,32 +1,34 @@
 //! The sharded serving engine.
 //!
 //! `N` worker threads, each owning its **own** NPU context per endpoint —
-//! FIFOs, the fixed-point accelerator, a classifier clone, and a forked
-//! [`QualityWatchdog`] — drain a shared bounded request queue in batches.
-//! Within a batch, consecutive requests for the same endpoint form a
-//! sub-batch: the worker streams the endpoint's NPU configuration image
-//! through the config FIFO **once** for the whole sub-batch (the
-//! amortization batching buys), then classifies and executes each
-//! invocation individually — the accept/reject decision stays strictly
-//! per-invocation, exactly as MITHRA requires.
+//! FIFOs, a router clone, and a forked [`QualityWatchdog`] — drain a
+//! shared bounded request queue in batches. Within a batch, consecutive
+//! requests for the same endpoint form a sub-batch, served by one path
+//! for binary and routed endpoints alike (a binary endpoint is the pool
+//! of one): route every request, run each served member's share through
+//! one batched accelerator call, then charge each route. The routing
+//! decision stays strictly per-invocation, exactly as MITHRA requires.
+//! One config-burst rule holds everywhere: a member's image streams when
+//! the served member differs from the one configured, fresh per
+//! sub-batch.
 //!
-//! Cost accounting goes through the same [`InvocationModel`] constants the
-//! sequential simulator uses, and per-invocation results land in
-//! index-keyed slots, so a finished endpoint's [`RunResult`] is
-//! **bit-identical** to `sim::system::simulate` regardless of worker
-//! count, batch size, or arrival order (watchdog off; with the watchdog
-//! on, admission becomes shard-local state and the engine trades that
-//! identity for per-shard guarding).
+//! Cost accounting goes through the same per-route [`InvocationModel`]
+//! constants the sequential simulator uses, and per-invocation results
+//! land in index-keyed slots, so a finished endpoint's [`RunResult`] is
+//! **bit-identical** to `sim::system::simulate` (binary) or
+//! `sim::system::run_routed` (routed) regardless of worker count, batch
+//! size, or arrival order (watchdog off; with the watchdog on, admission
+//! becomes shard-local state and the engine trades that identity for
+//! per-shard guarding).
 //!
 //! [`InvocationModel`]: mithra_sim::system::InvocationModel
 
-use crate::endpoint::{EndpointSpec, EndpointState, OperatingPoint, ServedInvocation, CLEAN_EVENT};
+use crate::endpoint::{EndpointSpec, EndpointState, OperatingPoint, ServedInvocation};
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::{
     guard_state_name, EndpointCounters, EndpointMetrics, GuardLogEntry, MetricsSnapshot,
 };
 use crate::queue::{BoundedQueue, PushError};
-use mithra_core::classifier::{Classifier, Decision};
 use mithra_core::function::InvokeScratch;
 use mithra_core::parallel::par_map_indexed;
 use mithra_core::pipeline::Compiled;
@@ -35,6 +37,7 @@ use mithra_core::route::{RouteChoice, RouteClassifier};
 use mithra_core::table::TableClassifier;
 use mithra_core::watchdog::{self, GuardState, QualityWatchdog, WatchdogConfig};
 use mithra_npu::fifo::QueueInterface;
+use mithra_sim::fault::FifoEvent;
 use mithra_sim::system::{RunResult, SimOptions};
 use mithra_stats::clopper_pearson::Confidence;
 use std::sync::{Arc, Mutex};
@@ -90,29 +93,26 @@ struct Shared {
 }
 
 /// A worker's private NPU context for one endpoint: its own FIFOs,
-/// classifier clone, scratch output buffer, and forked watchdog — all
-/// derived from (and pinned to) one epoch's [`OperatingPoint`].
+/// router clone, and forked watchdog — all derived from (and pinned to)
+/// one epoch's [`OperatingPoint`] — plus the sub-batch scratch.
 struct WorkerCtx {
     /// The operating point this shard currently serves under. Refreshed
     /// at sub-batch boundaries only, so a hot swap never tears a batch.
     op: Arc<OperatingPoint>,
-    classifier: TableClassifier,
-    /// The router cascade clone for routed endpoints (`None` binary).
-    router: Option<RouteClassifier>,
+    router: RouteClassifier,
     queues: QueueInterface,
     watchdog: Option<QualityWatchdog>,
-    out: Vec<f32>,
     /// Scratch for [`EndpointState::fill_slots`] freshness flags.
     fresh: Vec<bool>,
     /// Persistent accelerator scratch: one set of buffers per worker per
     /// endpoint, so the serve hot loop allocates nothing per invocation.
     scratch: InvokeScratch,
-    /// Decision per request of the current sub-batch, aligned with the
-    /// request slice: `(decision, shadow_sampled)`.
-    decisions: Vec<(Decision, bool)>,
-    /// Flat input staging for the approximate subset of a sub-batch.
+    /// Route per request of the current sub-batch, aligned with the
+    /// request slice: `(route, shadow_sampled)`.
+    routes: Vec<(RouteChoice, bool)>,
+    /// Flat input staging for one member's share of a sub-batch.
     batch_in: Vec<f32>,
-    /// Flat accelerator outputs for the approximate subset.
+    /// Flat accelerator outputs for that share.
     batch_out: Vec<f32>,
 }
 
@@ -120,14 +120,12 @@ impl WorkerCtx {
     fn new(state: &EndpointState) -> Self {
         let op = state.operating_point();
         Self {
-            classifier: op.table.clone(),
-            router: state.routed.as_ref().map(|r| r.routed.router.clone()),
+            router: op.router.clone(),
             queues: QueueInterface::new(),
             watchdog: op.watchdog_proto.as_ref().map(QualityWatchdog::fork),
-            out: Vec::new(),
             fresh: Vec::new(),
             scratch: InvokeScratch::new(),
-            decisions: Vec::new(),
+            routes: Vec::new(),
             batch_in: Vec::new(),
             batch_out: Vec::new(),
             op,
@@ -136,7 +134,7 @@ impl WorkerCtx {
 
     /// Picks up a hot swap at a sub-batch boundary: when the endpoint's
     /// epoch moved past this shard's, the old shard watchdog's lifetime
-    /// stats are folded (its epoch is over) and the classifier, watchdog,
+    /// stats are folded (its epoch is over) and the router, watchdog,
     /// and threshold are rebuilt from the new operating point. In-flight
     /// work is unaffected — this runs only between sub-batches.
     fn refresh(&mut self, state: &EndpointState) {
@@ -147,7 +145,7 @@ impl WorkerCtx {
         if let Some(dog) = self.watchdog.take() {
             fold_watchdog(&dog, &state.counters);
         }
-        self.classifier = current.table.clone();
+        self.router = current.router.clone();
         self.watchdog = current.watchdog_proto.as_ref().map(QualityWatchdog::fork);
         self.op = current;
     }
@@ -339,7 +337,7 @@ impl ServeEngine {
                         .clone();
                     EndpointMetrics::freeze(
                         state.name.clone(),
-                        state.profile.invocation_count() as u64,
+                        state.profile().invocation_count() as u64,
                         counters,
                     )
                 })
@@ -394,7 +392,7 @@ impl ServeEngine {
             .endpoints
             .get(endpoint)
             .ok_or(ServeError::UnknownEndpoint(endpoint))?;
-        if state.routed.is_some() {
+        if state.is_routed() {
             return Err(ServeError::UnsupportedOptions(
                 "operating-point swaps target binary endpoints: routed \
                  pools re-certify through the routed compile path, not a \
@@ -420,7 +418,7 @@ impl ServeEngine {
             .endpoints
             .get(endpoint)
             .ok_or(RejectReason::UnknownEndpoint)?;
-        if invocation >= state.profile.invocation_count() {
+        if invocation >= state.profile().invocation_count() {
             state
                 .counters
                 .lock()
@@ -463,7 +461,7 @@ impl ServeEngine {
                 .endpoints
                 .get(request.endpoint)
                 .ok_or(RejectReason::UnknownEndpoint)?;
-            if request.invocation >= state.profile.invocation_count() {
+            if request.invocation >= state.profile().invocation_count() {
                 state
                     .counters
                     .lock()
@@ -582,7 +580,7 @@ impl DrainedEngine {
                 .clone();
             endpoints.push(EndpointReport {
                 name: state.name.clone(),
-                invocations: state.profile.invocation_count(),
+                invocations: state.profile().invocation_count(),
                 result,
                 counters,
             });
@@ -600,7 +598,8 @@ pub struct EndpointReport {
     pub invocations: usize,
     /// The aggregate simulation result — `Some` only when every
     /// invocation was served (full coverage), in which case it is
-    /// bit-identical to sequential `simulate` (watchdog off).
+    /// bit-identical to sequential `simulate` for a binary endpoint and
+    /// to `run_routed` for a routed one (watchdog off).
     pub result: Option<RunResult>,
     /// The endpoint's frozen metrics.
     pub counters: EndpointCounters,
@@ -651,12 +650,8 @@ fn worker_loop(shared: &Shared) {
             }
             let state = &shared.endpoints[ep];
             let ctx = ctxs[ep].get_or_insert_with(|| WorkerCtx::new(state));
-            if state.routed.is_some() {
-                serve_sub_batch_routed(state, ctx, &batch[i..j]);
-            } else {
-                ctx.refresh(state);
-                serve_sub_batch(state, ctx, &batch[i..j], shared.watchdog_period);
-            }
+            ctx.refresh(state);
+            serve_sub_batch(state, ctx, &batch[i..j], shared.watchdog_period);
             i = j;
         }
     }
@@ -669,42 +664,47 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// The one sub-batch path, binary and routed alike (a binary endpoint is
+/// the pool of one):
+///
+/// 1. **decide** — the shard's router picks each request's route, the
+///    watchdog gates admission and takes its shadow samples (sequential:
+///    the watchdog is stateful);
+/// 2. **accelerate** — one batched accelerator run per served member over
+///    that member's requests, with the modeled FIFO traffic and the
+///    config bursts of [`config_bursts`];
+/// 3. **charge** — each route is charged through the endpoint's per-route
+///    models, in request (FIFO) order, and parked in the slot table.
 fn serve_sub_batch(
     state: &EndpointState,
     ctx: &mut WorkerCtx,
     requests: &[Request],
     watchdog_period: usize,
 ) {
-    let mut delta = EndpointCounters::default();
-    let mut pending: Vec<(usize, ServedInvocation)> = Vec::with_capacity(requests.len());
-    // One configuration stream per sub-batch — the per-invocation setup
-    // cost batching amortizes.
-    delta.config_bursts += ctx.queues.stream_config(&state.config_words) as u64;
+    let members = state.members();
+    let mut delta = EndpointCounters {
+        route_served: vec![0; members.len()],
+        ..Default::default()
+    };
+    let dataset = state.profile().dataset();
 
-    // Pass 1 — decide. Classification, watchdog admission and shadow
-    // sampling are sequential (the watchdog is stateful), and the inputs
-    // the accelerator will run are staged flat, in request order.
-    ctx.decisions.clear();
-    ctx.batch_in.clear();
-    let mut approx_count = 0usize;
+    // Pass 1 — decide.
+    ctx.routes.clear();
     for request in requests {
         let inv = request.invocation;
-        let input = state.profile.dataset().input(inv);
-        let raw = ctx.classifier.classify(inv, input);
-        let decision = match ctx.watchdog.as_mut() {
-            Some(w) => w.admit(raw),
+        let raw = ctx.router.classify_route(inv, dataset.input(inv));
+        let route = match ctx.watchdog.as_mut() {
+            Some(w) => w.admit_route(raw),
             None => raw,
         };
-        let shadow = ctx.watchdog.is_some()
-            && watchdog_period > 0
-            && raw == Decision::Approximate
-            && inv % watchdog_period == 0;
-        if shadow {
-            // Judged against the *live* epoch's threshold — a hot swap
-            // re-certifies a new threshold, and the guard must watch that
-            // one, not the compile-time certificate it replaced.
-            let violation = state.profile.max_error(inv) > ctx.op.threshold;
-            if let Some(w) = ctx.watchdog.as_mut() {
+        let mut shadow = false;
+        if let (Some(w), RouteChoice::Member(m)) = (ctx.watchdog.as_mut(), raw) {
+            if watchdog_period > 0 && inv % watchdog_period == 0 {
+                shadow = true;
+                // Judged against the *live* epoch's threshold — a hot swap
+                // re-certifies a new threshold, and the guard must watch
+                // that one, not the compile-time certificate it replaced.
+                let violation = state.member_profiles[m].max_error(inv) > ctx.op.threshold;
                 // Count invariants hold, so the statistics cannot fail;
                 // transition totals are folded from the report at
                 // shutdown.
@@ -718,73 +718,80 @@ fn serve_sub_batch(
                 }
             }
         }
-        if decision == Decision::Approximate {
-            ctx.batch_in.extend_from_slice(input);
-            approx_count += 1;
+        ctx.routes.push((route, shadow));
+    }
+
+    // Pass 2 — one batched accelerator run per served member. Per-sample
+    // results are bit-identical to the per-invocation path on whichever
+    // backend the member carries; on the SIMD backend this is where the
+    // lane-parallel tiles earn their keep.
+    delta.config_bursts += config_bursts(
+        &mut ctx.queues,
+        &state.member_config_words,
+        ctx.routes.iter().map(|&(route, _)| route),
+    );
+    let in_dim = dataset.input_dim();
+    for (m, member) in members.iter().enumerate() {
+        ctx.batch_in.clear();
+        for (request, &(route, _)) in requests.iter().zip(&ctx.routes) {
+            if route == RouteChoice::Member(m) {
+                ctx.batch_in
+                    .extend_from_slice(dataset.input(request.invocation));
+            }
         }
-        ctx.decisions.push((decision, shadow));
-    }
-
-    // Pass 2 — one batched accelerator run over the approximate subset.
-    // Per-sample results are bit-identical to the per-invocation path on
-    // whichever backend the function carries; on the SIMD backend this is
-    // where the lane-parallel tiles earn their keep.
-    let function = &state.compiled.function;
-    if approx_count > 0 {
+        let count = ctx.batch_in.len() / in_dim;
+        if count == 0 {
+            continue;
+        }
         let t0 = std::time::Instant::now();
-        function.approx_batch_with(
-            &ctx.batch_in[..],
-            approx_count,
-            &mut ctx.batch_out,
-            &mut ctx.scratch,
-        );
+        member.approx_batch_with(&ctx.batch_in, count, &mut ctx.batch_out, &mut ctx.scratch);
         delta.approx_wall_nanos += t0.elapsed().as_nanos() as u64;
-    }
-
-    // Pass 3 — model and charge, in request (FIFO) order.
-    let out_dim = function.benchmark().output_dim();
-    let in_dim = function.benchmark().input_dim();
-    let mut next_approx = 0usize;
-    for (request, &(decision, shadow)) in requests.iter().zip(&ctx.decisions) {
-        let inv = request.invocation;
-        let approx = decision == Decision::Approximate;
-        if approx {
-            // The modeled accelerator traffic: operands stream through
-            // the input FIFO, results drain from the output FIFO.
-            let input = &ctx.batch_in[next_approx * in_dim..(next_approx + 1) * in_dim];
-            let out = &ctx.batch_out[next_approx * out_dim..(next_approx + 1) * out_dim];
+        // The modeled accelerator traffic: operands stream through the
+        // input FIFO, results drain from the output FIFO.
+        let out_dim = member.benchmark().output_dim();
+        for (input, out) in ctx
+            .batch_in
+            .chunks_exact(in_dim)
+            .zip(ctx.batch_out.chunks_exact(out_dim))
+        {
             ctx.queues.input.enqueue_slice(input);
             ctx.queues.input.clear();
             ctx.queues.output.enqueue_slice(out);
             ctx.queues.output.clear();
-            next_approx += 1;
         }
-        let charge = state.model.charge(decision, CLEAN_EVENT, shadow);
-        pending.push((
-            inv,
-            ServedInvocation {
-                approx,
-                member: 0,
+    }
+
+    // Pass 3 — charge, in request (FIFO) order.
+    let pending: Vec<(usize, ServedInvocation)> = requests
+        .iter()
+        .zip(&ctx.routes)
+        .map(|(request, &(route, shadow))| {
+            let charge = state.model.charge_route(route, FifoEvent::None, shadow);
+            let served = ServedInvocation {
+                route,
                 cycles: charge.cycles,
                 energy: charge.energy,
-            },
-        ));
-    }
+            };
+            (request.invocation, served)
+        })
+        .collect();
     // One slot-table lock for the whole sub-batch; duplicates surface as
     // `false` entries and are counted, never double-charged.
     state.fill_slots(&pending, &mut ctx.fresh);
     for (&(_, served), &fresh) in pending.iter().zip(ctx.fresh.iter()) {
-        if fresh {
-            delta.served += 1;
-            if served.approx {
-                delta.approx += 1;
-            } else {
-                delta.fallback += 1;
-            }
-            delta.latency.record(served.cycles);
-        } else {
+        if !fresh {
             delta.duplicates += 1;
+            continue;
         }
+        delta.served += 1;
+        match served.route {
+            RouteChoice::Member(m) => {
+                delta.approx += 1;
+                delta.route_served[m] += 1;
+            }
+            RouteChoice::Precise => delta.fallback += 1,
+        }
+        delta.latency.record(served.cycles);
     }
     // The whole sub-batch ran under one operating point, so its served
     // count is attributed to that epoch wholesale.
@@ -798,90 +805,26 @@ fn serve_sub_batch(
         .absorb(&delta);
 }
 
-/// The routed analogue of [`serve_sub_batch`]: the router cascade picks a
-/// pool member (or precise fallback) per invocation, and the worker
-/// streams a member's configuration image only when the served route
-/// *switches* members within the sub-batch — consecutive same-member runs
-/// share one config burst, the routed generalization of the binary
-/// path's one-burst-per-sub-batch amortization. Precise fallbacks touch
-/// no FIFO and leave the configured member in place.
-fn serve_sub_batch_routed(state: &EndpointState, ctx: &mut WorkerCtx, requests: &[Request]) {
-    let routed = state
-        .routed
-        .as_ref()
-        .expect("routed sub-batch needs routed state");
-    let router = ctx
-        .router
-        .as_mut()
-        .expect("routed sub-batch needs a router clone");
-    let mut delta = EndpointCounters {
-        route_served: vec![0; routed.routed.pool.len()],
-        ..Default::default()
-    };
-    let mut pending: Vec<(usize, ServedInvocation)> = Vec::with_capacity(requests.len());
-    // Which member's configuration currently sits in the (simulated)
-    // config FIFO; fresh per sub-batch, like the binary path's burst.
-    let mut configured: Option<usize> = None;
-    for request in requests {
-        let inv = request.invocation;
-        let input = state.profile.dataset().input(inv);
-        let route = router.classify_route(inv, input);
-        if let RouteChoice::Member(m) = route {
-            if configured != Some(m) {
-                delta.config_bursts +=
-                    ctx.queues.stream_config(&routed.member_config_words[m]) as u64;
-                configured = Some(m);
-            }
-            // The member's accelerator work: operands through the input
-            // FIFO, the member's fixed-point network, results drained.
-            ctx.queues.input.enqueue_slice(input);
-            ctx.queues.input.clear();
-            let t0 = std::time::Instant::now();
-            routed
-                .routed
-                .pool
-                .member(m)
-                .approx_with(input, &mut ctx.out, &mut ctx.scratch);
-            delta.approx_wall_nanos += t0.elapsed().as_nanos() as u64;
-            ctx.queues.output.enqueue_slice(&ctx.out);
-            ctx.queues.output.clear();
-        }
-        let charge = routed.model.charge_route(route, CLEAN_EVENT, false);
-        pending.push((
-            inv,
-            ServedInvocation {
-                approx: !route.is_precise(),
-                member: route.member().unwrap_or(0),
-                cycles: charge.cycles,
-                energy: charge.energy,
-            },
-        ));
-    }
-    state.fill_slots(&pending, &mut ctx.fresh);
-    for (&(_, served), &fresh) in pending.iter().zip(ctx.fresh.iter()) {
-        if fresh {
-            delta.served += 1;
-            if served.approx {
-                delta.approx += 1;
-                delta.route_served[served.member] += 1;
-            } else {
-                delta.fallback += 1;
-            }
-            delta.latency.record(served.cycles);
-        } else {
-            delta.duplicates += 1;
+/// The config-burst rule, one for every endpoint: walking a sub-batch's
+/// routes in request order, a member's image streams through the config
+/// FIFO whenever the served member differs from the one configured, and
+/// nothing is configured when the sub-batch starts. Precise fallbacks
+/// touch no FIFO and leave the configured member in place, so an
+/// all-precise sub-batch streams nothing. Returns the bursts streamed.
+fn config_bursts(
+    queues: &mut QueueInterface,
+    images: &[Vec<u32>],
+    routes: impl Iterator<Item = RouteChoice>,
+) -> u64 {
+    let mut configured = None;
+    let mut bursts = 0;
+    for m in routes.filter_map(|route| route.member()) {
+        if configured != Some(m) {
+            bursts += queues.stream_config(&images[m]) as u64;
+            configured = Some(m);
         }
     }
-    // Routed endpoints never swap (the engine rejects it), so everything
-    // is attributed to the compile-time epoch.
-    let epoch = ctx.op.epoch as usize;
-    delta.epoch_served = vec![0; epoch + 1];
-    delta.epoch_served[epoch] = delta.served;
-    state
-        .counters
-        .lock()
-        .expect("metrics lock poisoned")
-        .absorb(&delta);
+    bursts
 }
 
 #[cfg(test)]
@@ -907,6 +850,26 @@ mod tests {
         // compiled artifact is needed to observe it.
         let err = ServeEngine::start(vec![], &config).unwrap_err();
         assert!(matches!(err, ServeError::UnsupportedOptions(_)));
+    }
+
+    #[test]
+    fn config_burst_rule_streams_on_member_switches_only() {
+        use RouteChoice::{Member, Precise};
+        // Images no longer than the 32-deep config FIFO stream in one
+        // burst each.
+        let images = vec![vec![1u32; 8], vec![2u32; 32]];
+        let mut queues = QueueInterface::new();
+        let mixed = [Member(0), Precise, Member(0), Member(1), Member(1)];
+        assert_eq!(config_bursts(&mut queues, &images, mixed.into_iter()), 2);
+        assert_eq!(
+            config_bursts(&mut queues, &images, [Precise; 4].into_iter()),
+            0
+        );
+        // A switch back re-streams; longer images take several bursts.
+        let back = [Member(1), Member(0), Precise, Member(1)];
+        assert_eq!(config_bursts(&mut queues, &images, back.into_iter()), 3);
+        let long = vec![vec![0u32; 33], vec![0u32; 70]];
+        assert_eq!(config_bursts(&mut queues, &long, mixed.into_iter()), 2 + 3);
     }
 
     #[test]

@@ -12,26 +12,27 @@
 //!              │ reject:                  ╲──▶ worker 1 ─┤──▶ slot
 //!              │ full / invalid            ╲─▶ worker N ─┘    table
 //!              ▼                               (own FIFOs,      │
-//!           metrics ◀──── counters, latency,    classifier,     ▼
+//!           metrics ◀──── counters, latency,    router,         ▼
 //!           registry      watchdog stats        watchdog)   RunResult
 //! ```
 //!
-//! Each worker owns a private NPU context per endpoint (FIFOs, the
-//! fixed-point accelerator, a classifier clone, a forked
-//! [`QualityWatchdog`]) and amortizes configuration-FIFO streaming across
-//! each same-endpoint sub-batch while keeping the accept/reject decision
-//! strictly per-invocation. Cost accounting reuses the sequential
-//! simulator's [`InvocationModel`] constants and folds per-invocation
-//! charges in index order, so a fully-served endpoint's [`RunResult`] is
-//! bit-identical to `mithra_sim::system::simulate` for any worker count,
-//! batch size, and arrival order (watchdog off) — sharding buys wall-clock
+//! Every endpoint serves from a pool of approximators: a binary endpoint
+//! is the pool of one (its compiled function, routed by its table), and
+//! an endpoint with a [`RoutedServeSpec`] serves the routed pool under
+//! its router cascade. Each worker owns a private NPU context per
+//! endpoint (FIFOs, a router clone, a forked [`QualityWatchdog`]) and
+//! serves each same-endpoint sub-batch with one decide pass, one batched
+//! accelerator run per served member, and one charge pass, keeping the
+//! routing decision strictly per-invocation. A member's configuration
+//! image streams through the config FIFO whenever the served member
+//! differs from the one configured, fresh per sub-batch. Cost accounting
+//! reuses the sequential simulator's per-route [`InvocationModel`]
+//! constants and folds per-invocation charges in index order, so a
+//! fully-served endpoint's [`RunResult`] is bit-identical to
+//! `mithra_sim::system::simulate` (binary) or
+//! `mithra_sim::system::run_routed` (routed) for any worker count, batch
+//! size, and arrival order (watchdog off) — sharding buys wall-clock
 //! throughput, never different numbers.
-//!
-//! An endpoint may instead attach a [`RoutedServeSpec`]: the router
-//! cascade then picks a pool member (or the precise fallback) per
-//! invocation, workers stream a member's NPU configuration only on route
-//! switches within a sub-batch, and the fully-served fold is
-//! bit-identical to `mithra_sim::system::run_routed`.
 //!
 //! [`QualityWatchdog`]: mithra_core::watchdog::QualityWatchdog
 //! [`InvocationModel`]: mithra_sim::system::InvocationModel

@@ -175,7 +175,9 @@ pub struct EndpointCounters {
     /// Requests that named an already-served invocation; detected at the
     /// slot table, never double-charged.
     pub duplicates: u64,
-    /// Config-FIFO refill bursts (amortized across each batch).
+    /// Config-FIFO refill bursts: a member's image streams when the
+    /// served member differs from the one configured, fresh per
+    /// sub-batch.
     pub config_bursts: u64,
     /// Host wall time spent inside the batched accelerator forward
     /// (`approx_batch_with`), in nanoseconds, summed across sub-batches
@@ -183,10 +185,10 @@ pub struct EndpointCounters {
     /// serving from queue/scheduling overhead, which dwarfs it at the
     /// suite's topology sizes.
     pub approx_wall_nanos: u64,
-    /// Served requests per pool member, cheapest first — populated only
-    /// on routed endpoints (empty on the binary path). When non-empty its
-    /// sum must equal `approx`: every accelerated request was served by
-    /// exactly one member.
+    /// Served requests per pool member, cheapest first (one entry on a
+    /// binary endpoint, the pool of one). When non-empty its sum must
+    /// equal `approx`: every accelerated request was served by exactly
+    /// one member.
     pub route_served: Vec<u64>,
     /// Served requests attributed to the operating-point epoch that
     /// served them: `epoch_served[e]` is the number of requests completed

@@ -9,8 +9,11 @@ use mithra_axbench::dataset::DatasetScale;
 use mithra_axbench::suite;
 use mithra_core::pipeline::{compile, compile_routed, CompileConfig, Compiled};
 use mithra_core::profile::DatasetProfile;
-use mithra_core::route::{PoolSpec, RoutedCompiled};
-use mithra_serve::{EndpointSpec, RoutedServeSpec, ServeConfig, ServeEngine, ServeError};
+use mithra_core::route::{PoolSpec, RouteChoice, RoutedCompiled};
+use mithra_npu::fifo::QueueInterface;
+use mithra_serve::{
+    EndpointReport, EndpointSpec, Request, RoutedServeSpec, ServeConfig, ServeEngine, ServeError,
+};
 use mithra_sim::system::{run_routed, simulate, RunResult, SimOptions};
 use std::sync::{Arc, OnceLock};
 
@@ -287,6 +290,56 @@ fn serve_routed_once(
     )
 }
 
+/// Serves every invocation of one endpoint with all requests enqueued by
+/// a single `submit_batch` before any worker can pop: workers then drain
+/// the queue in consecutive chunks of `batch` requests, so each chunk is
+/// one sub-batch whatever the worker count, and the partition-dependent
+/// counters (config bursts) are deterministic.
+fn serve_chunked(spec: EndpointSpec, workers: usize, batch: usize) -> EndpointReport {
+    let n = spec.profile.invocation_count();
+    let engine = ServeEngine::start(
+        vec![spec],
+        &ServeConfig {
+            workers,
+            batch,
+            queue_depth: n,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let requests: Vec<Request> = (0..n)
+        .map(|invocation| Request {
+            endpoint: 0,
+            invocation,
+        })
+        .collect();
+    assert_eq!(engine.submit_batch(&requests).unwrap(), n);
+    let report = engine.finish().unwrap();
+    let snapshot = report.snapshot();
+    assert!(
+        snapshot.consistency_errors().is_empty(),
+        "{:?}",
+        snapshot.consistency_errors()
+    );
+    report.endpoints.into_iter().next().unwrap()
+}
+
+fn routed_spec(
+    compiled: &Arc<Compiled>,
+    routed: &Arc<RoutedCompiled>,
+    member_profiles: &[DatasetProfile],
+) -> EndpointSpec {
+    EndpointSpec {
+        name: "routed".into(),
+        compiled: Arc::clone(compiled),
+        profile: member_profiles.last().expect("non-empty pool").clone(),
+        routed: Some(RoutedServeSpec {
+            routed: Arc::clone(routed),
+            member_profiles: member_profiles.to_vec(),
+        }),
+    }
+}
+
 #[test]
 fn routed_serving_is_bit_identical_to_routed_simulate() {
     // A pool of three served through the sharded engine must reproduce
@@ -315,6 +368,72 @@ fn routed_serving_is_bit_identical_to_routed_simulate() {
             assert_eq!(route_served, served_members);
         }
     }
+
+    // Batches at least the pool size mix members within a sub-batch: the
+    // batched per-member accelerator pass and the config-burst rule must
+    // leave the result bit-identical to `run_routed`.
+    let member_profiles = member_profiles_for(&routed, 41);
+    let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
+    let mut router = routed.router.clone();
+    let expected = run_routed(&routed, &refs, &mut router, &SimOptions::default()).unwrap();
+    let dataset = member_profiles[0].dataset();
+    let mut router = routed.router.clone();
+    let routes: Vec<RouteChoice> = dataset
+        .iter()
+        .enumerate()
+        .map(|(i, input)| router.classify_route(i, input))
+        .collect();
+    let image_bursts: Vec<u64> = routed
+        .pool
+        .members()
+        .iter()
+        .map(|member| {
+            let (weights, biases) = member.npu().to_parameters();
+            let words: Vec<u32> = weights.iter().chain(&biases).map(|w| w.to_bits()).collect();
+            QueueInterface::new().stream_config(&words) as u64
+        })
+        .collect();
+    for (workers, batch) in [(1, routed.pool.len()), (2, 32)] {
+        assert!(batch >= routed.pool.len());
+        let mut mixed_sub_batches = 0;
+        let mut bursts = 0;
+        for chunk in routes.chunks(batch) {
+            let mut served: Vec<usize> = chunk.iter().filter_map(|r| r.member()).collect();
+            let mut configured = None;
+            for &m in &served {
+                if configured != Some(m) {
+                    bursts += image_bursts[m];
+                    configured = Some(m);
+                }
+            }
+            served.sort_unstable();
+            served.dedup();
+            if served.len() >= 2 {
+                mixed_sub_batches += 1;
+            }
+        }
+        assert!(
+            mixed_sub_batches > 0,
+            "batch {batch}: no sub-batch served two members"
+        );
+        let endpoint = serve_chunked(
+            routed_spec(&compiled, &routed, &member_profiles),
+            workers,
+            batch,
+        );
+        assert_eq!(
+            endpoint.result.expect("full coverage"),
+            expected.run,
+            "{workers} workers, batch {batch} diverged from run_routed"
+        );
+        let served_members: Vec<u64> = expected
+            .member_invocations
+            .iter()
+            .map(|&m| m as u64)
+            .collect();
+        assert_eq!(endpoint.counters.route_served, served_members);
+        assert_eq!(endpoint.counters.config_bursts, bursts, "batch {batch}");
+    }
 }
 
 #[test]
@@ -330,6 +449,37 @@ fn routed_pool_of_one_serving_matches_binary_serving() {
         serve_routed_once(&compiled, &routed, &member_profiles, 2, 4);
     assert_eq!(routed_result, binary);
     assert_eq!(route_served, vec![binary.invoked as u64]);
+
+    // Counter for counter too, across worker counts and batch sizes.
+    for workers in [1, 2, 4] {
+        for batch in [1, 4, 32] {
+            let binary = serve_chunked(
+                EndpointSpec {
+                    name: "binary".into(),
+                    compiled: Arc::clone(&compiled),
+                    profile: member_profiles[0].clone(),
+                    routed: None,
+                },
+                workers,
+                batch,
+            );
+            let pool = serve_chunked(
+                routed_spec(&compiled, &routed, &member_profiles),
+                workers,
+                batch,
+            );
+            let at = format!("{workers} workers, batch {batch}");
+            assert_eq!(pool.result, binary.result, "{at}");
+            let (b, p) = (&binary.counters, &pool.counters);
+            assert_eq!(p.served, b.served, "{at}");
+            assert_eq!(p.approx, b.approx, "{at}");
+            assert_eq!(p.fallback, b.fallback, "{at}");
+            assert_eq!(p.config_bursts, b.config_bursts, "{at}");
+            assert_eq!(p.latency, b.latency, "{at}");
+            assert_eq!(p.route_served, b.route_served, "{at}");
+            assert_eq!(p.route_served, vec![p.approx], "{at}");
+        }
+    }
 }
 
 #[test]

@@ -1,9 +1,12 @@
 //! The combined system: core + NPU + classifier, per-dataset.
 //!
 //! For every invocation of a profiled dataset the simulator asks the
-//! classifier for a decision, charges the corresponding cycles and energy,
+//! classifier for a route, charges the corresponding cycles and energy,
 //! and finally scores the mixed output's quality. The baseline is the
-//! benchmark running entirely on the precise core.
+//! benchmark running entirely on the precise core. One decision loop
+//! serves every design: a binary classifier is the pool of one (member 0
+//! is `compiled.function`), so [`run`] and [`run_routed`] are thin
+//! adapters over the same loop.
 //!
 //! The per-invocation cost arithmetic lives in [`InvocationModel`]: every
 //! charge an invocation can incur (classifier decision, accelerated or
@@ -28,12 +31,14 @@ use crate::fault::{DriftSchedule, FifoEvent};
 use mithra_axbench::benchmark::WorkloadProfile;
 use mithra_axbench::dataset::DatasetScale;
 use mithra_core::classifier::{Classifier, ClassifierOverhead, Decision};
+use mithra_core::function::AcceleratedFunction;
 use mithra_core::pipeline::Compiled;
-use mithra_core::profile::{DatasetProfile, Route};
+use mithra_core::profile::{common_invocation_count, replay_mixture, DatasetProfile};
 use mithra_core::recert::{RecertConfig, RecertEngine, RecertPhase, RecertReport};
 use mithra_core::route::{oracle_route, RouteChoice, RouteClassifier, RoutedCompiled};
 use mithra_core::threshold::QualitySpec;
 use mithra_core::watchdog::{GuardState, QualityWatchdog, WatchdogConfig, WatchdogReport};
+use mithra_core::MithraError;
 use mithra_npu::cost::NpuCostModel;
 use std::num::NonZeroUsize;
 
@@ -113,7 +118,7 @@ impl InvocationModel {
     /// With the benchmark's default topology and the compiled threshold
     /// this is exactly [`new`](Self::new), expression for expression.
     pub fn for_function(
-        function: &mithra_core::function::AcceleratedFunction,
+        function: &AcceleratedFunction,
         accel_topology: &mithra_npu::topology::Topology,
         threshold: f32,
         overhead: &ClassifierOverhead,
@@ -276,6 +281,16 @@ pub struct RoutedInvocationModel {
 }
 
 impl RoutedInvocationModel {
+    /// The binary design as the pool of one: member 0 and the precise
+    /// fallback are both priced by `model`, so every route's charge is
+    /// the binary [`InvocationModel::charge`] expression for expression.
+    pub fn pool_of_one(model: InvocationModel) -> Self {
+        Self {
+            members: vec![model],
+            precise: model,
+        }
+    }
+
     /// Builds the per-route models for one routed compile product.
     pub fn new(routed: &RoutedCompiled, options: &SimOptions) -> Self {
         let threshold = routed.threshold.threshold;
@@ -307,17 +322,6 @@ impl RoutedInvocationModel {
     /// The certified routed threshold the models were built against.
     pub fn threshold(&self) -> f32 {
         self.precise.threshold()
-    }
-
-    /// The per-member models, cheapest first.
-    pub fn member_models(&self) -> &[InvocationModel] {
-        &self.members
-    }
-
-    /// The precise-fallback model (used for baseline/startup accounting —
-    /// its overhead covers every router stage's tables).
-    pub fn precise_model(&self) -> &InvocationModel {
-        &self.precise
     }
 
     /// The all-precise baseline for `n` invocations.
@@ -488,14 +492,20 @@ pub fn simulate(
 /// Simulates one dataset under `classifier` with runtime hooks: injected
 /// FIFO faults and an optional quality watchdog.
 ///
-/// Per invocation the loop (1) asks the classifier for its raw decision,
-/// (2) lets the watchdog gate admission (throttling or full precise
-/// fallback), (3) charges the executed path's cycles and energy including
-/// FIFO stalls, and (4) sporadically samples the true accelerator error
-/// for the watchdog, charging the shadow execution that producing that
-/// sample costs. Quality is scored from the per-invocation [`Route`]s, so
-/// a dropped FIFO output degrades quality via the stale value the
-/// consumer actually read.
+/// The binary classifier is the pool of one: member 0 is
+/// `compiled.function`, priced by the classifier's [`InvocationModel`]
+/// on both routes, and the decision loop [`run_routed`] runs does the
+/// rest. Per invocation the loop (1) asks the classifier for its raw
+/// decision, (2) lets the watchdog gate admission (throttling or full
+/// precise fallback), (3) takes the FIFO event of an accelerated
+/// invocation, (4) sporadically samples the true accelerator error for
+/// the watchdog, charging the shadow execution that producing that sample
+/// costs, and (5) charges the executed route. Quality is scored from
+/// where each output actually came from, so a dropped FIFO output
+/// degrades quality via the stale value the consumer read. With
+/// `options.online_update_period > 0` the classifier observes the
+/// measured error at the certified threshold every that many invocations,
+/// right after deciding.
 ///
 /// # Errors
 ///
@@ -509,111 +519,21 @@ pub fn run(
     options: &SimOptions,
     hooks: RunHooks<'_>,
 ) -> Result<RunResult, SimError> {
-    let function = &compiled.function;
     let model = InvocationModel::new(compiled, &classifier.overhead(), options);
     let threshold = model.threshold();
-
-    let n = profile.invocation_count();
-    let oracle_rejects = profile.oracle_rejects(threshold);
-
-    // Baseline: the whole application on the precise core.
-    let baseline = model.baseline(n);
-
-    // Non-kernel portion plus one-time table decompression at load.
-    let startup = model.startup(n);
-    let mut cycles = startup.cycles;
-    let mut energy = startup.energy;
-
-    let (mut watchdog, watchdog_period) = match hooks.watchdog {
-        Some(hook) => {
-            let period = hook.period();
-            (Some(hook.dog), period)
-        }
-        None => (None, 0),
-    };
-
-    let mut routes: Vec<Route> = Vec::with_capacity(n);
-    let mut invoked = 0usize;
-    let (mut false_positives, mut false_negatives) = (0usize, 0usize);
-    // The last invocation whose accelerator output actually reached the
-    // output FIFO — what a Drop leaves for the consumer to read.
-    let mut last_good = 0usize;
-
-    for (i, input) in profile.dataset().iter().enumerate() {
-        let raw = classifier.classify(i, input);
-        // The watchdog gates admission: in degraded states some (or all)
-        // approximate decisions are overridden to the precise path.
-        let decision = match watchdog.as_deref_mut() {
-            Some(w) => w.admit(raw),
-            None => raw,
-        };
-
-        let mut event = FifoEvent::None;
-        match decision {
-            Decision::Approximate => {
-                invoked += 1;
-                if oracle_rejects[i] {
-                    false_negatives += 1;
-                }
-                event = hooks.fifo_events.get(i).copied().unwrap_or(FifoEvent::None);
-                match event {
-                    FifoEvent::None | FifoEvent::Stall => {
-                        last_good = i;
-                        routes.push(Route::Approx);
-                    }
-                    FifoEvent::Drop => {
-                        // The result never reached the output FIFO; the
-                        // consumer dequeues the stale last-good output.
-                        routes.push(Route::ApproxFrom(last_good));
-                    }
-                }
-            }
-            Decision::Precise => {
-                if !oracle_rejects[i] {
-                    false_positives += 1;
-                }
-                routes.push(Route::Precise);
-            }
-        }
-
-        // Sporadic watchdog quality sampling: compare accelerator and
-        // precise outputs for this invocation and charge the shadow
-        // execution that produces the missing half of the pair.
-        let shadow = watchdog.is_some()
-            && watchdog_period > 0
-            && raw == Decision::Approximate
-            && i % watchdog_period == 0;
-        if shadow {
-            let violation = profile.max_error(i) > threshold;
-            if let Some(w) = watchdog.as_deref_mut() {
-                w.record(violation)?;
-            }
-        }
-
-        let inv = model.charge(decision, event, shadow);
-        cycles += inv.cycles;
-        energy += inv.energy;
-
-        if options.online_update_period > 0 && i % options.online_update_period == 0 {
+    let period = options.online_update_period;
+    let decide = |i: usize, input: &[f32]| {
+        let decision = classifier.classify(i, input);
+        if period > 0 && i.is_multiple_of(period) {
             classifier.observe(i, input, profile.max_error(i) > threshold);
         }
-    }
-
-    // Quality of the mixed output stream. With clean routes this is
-    // numerically identical to `DatasetProfile::replay_with`.
-    let replay = profile.try_replay_routed(function, &routes)?;
-
-    Ok(RunResult {
-        baseline_cycles: baseline.cycles,
-        accelerated_cycles: cycles,
-        baseline_energy_nj: baseline.energy,
-        accelerated_energy_nj: energy,
-        quality_loss: replay.quality_loss,
-        invoked,
-        total: n,
-        false_positives,
-        false_negatives,
-    })
+        match decision {
+            Decision::Approximate => RouteChoice::Member(0),
+            Decision::Precise => RouteChoice::Precise,
+        }
+    };
+    let models = RoutedInvocationModel::pool_of_one(model);
+    run_pool(&models, &compiled.function, &[profile], hooks, decide).map(|r| r.run)
 }
 
 /// The result of simulating one dataset through a routed system: the
@@ -639,75 +559,137 @@ pub struct RoutedRunResult {
 /// served.
 ///
 /// `member_profiles[m]` must be pool member `m`'s profile of the **same**
-/// dataset. False decisions are judged against the routing oracle: a
-/// false positive runs precise although some member's error was within
-/// the threshold; a false negative is served by a member whose error
-/// exceeded it.
-///
-/// For a pool of one this is [`run`] with [`RunHooks::none`], bit for
-/// bit: same decisions (the single router stage is the binary table),
-/// same charges, same replay. Online classifier updates are not threaded
-/// through routed runs; `options.online_update_period` is ignored.
+/// dataset. This is the decision loop [`run`] runs, without hooks; for a
+/// pool of one it is [`run`] with [`RunHooks::none`], bit for bit: same
+/// decisions (the single router stage is the binary table), same
+/// charges, same replay.
 ///
 /// # Errors
 ///
-/// Propagates routed-replay scoring failures (mismatched member
-/// profiles) as [`SimError`].
+/// [`SimError::Core`] with [`MithraError::InvalidConfig`] when
+/// `options.online_update_period` is nonzero (the router has no online
+/// update path); member profiles that do not cover the pool or disagree
+/// on the invocation count, and routed-replay scoring failures, propagate
+/// as [`SimError`].
 pub fn run_routed(
     routed: &RoutedCompiled,
     member_profiles: &[&DatasetProfile],
     router: &mut RouteClassifier,
     options: &SimOptions,
 ) -> Result<RoutedRunResult, SimError> {
-    let model = RoutedInvocationModel::new(routed, options);
-    let threshold = model.threshold();
-
-    let base = member_profiles.first().ok_or_else(|| {
-        SimError::from(mithra_core::MithraError::InsufficientData {
+    if options.online_update_period != 0 {
+        return Err(SimError::Core(MithraError::InvalidConfig {
+            parameter: "online_update_period",
+            constraint: "0 for routed runs: the router has no online update path",
+        }));
+    }
+    if member_profiles.len() != routed.pool.len() {
+        return Err(SimError::Core(MithraError::InsufficientData {
             stage: "routed simulation",
-            available: 0,
-            needed: 1,
-        })
-    })?;
-    let n = base.invocation_count();
+            available: member_profiles.len(),
+            needed: routed.pool.len(),
+        }));
+    }
+    let models = RoutedInvocationModel::new(routed, options);
+    run_pool(
+        &models,
+        routed.pool.member(0),
+        member_profiles,
+        RunHooks::none(),
+        |i, input| router.classify_route(i, input),
+    )
+}
 
-    let baseline = model.baseline(n);
-    let startup = model.startup(n);
+/// The one runtime decision loop behind [`run`] and [`run_routed`]:
+/// decide, watchdog admit, FIFO event, shadow sample, charge the route
+/// through `models`, then score the mixture with [`replay_mixture`]. The
+/// shadow sample judges the *raw* member's error, since that is the
+/// decision the watchdog is guarding.
+///
+/// False decisions are judged against the routing oracle at the models'
+/// threshold: a false positive runs precise although some member's error
+/// was within the threshold; a false negative is served by a member whose
+/// error exceeded it.
+fn run_pool(
+    models: &RoutedInvocationModel,
+    function: &AcceleratedFunction,
+    members: &[&DatasetProfile],
+    hooks: RunHooks<'_>,
+    mut decide: impl FnMut(usize, &[f32]) -> RouteChoice,
+) -> Result<RoutedRunResult, SimError> {
+    let n = common_invocation_count(members)?;
+    let threshold = models.threshold();
+
+    // Baseline: the whole application on the precise core.
+    let baseline = models.baseline(n);
+    // Non-kernel portion plus one-time table decompression at load.
+    let startup = models.startup(n);
     let mut cycles = startup.cycles;
     let mut energy = startup.energy;
 
-    let mut choices: Vec<RouteChoice> = Vec::with_capacity(n);
-    let mut member_invocations = vec![0usize; routed.pool.len()];
+    let mut watchdog = hooks.watchdog.map(|hook| (hook.period(), hook.dog));
+    let mut sources: Vec<Option<(usize, usize)>> = Vec::with_capacity(n);
+    let mut member_invocations = vec![0usize; members.len()];
     let mut invoked = 0usize;
     let (mut false_positives, mut false_negatives) = (0usize, 0usize);
+    let (mut worst_member, mut worst_err) = (0usize, f32::NEG_INFINITY);
+    // The last (member, invocation) whose accelerator output actually
+    // reached the output FIFO — what a Drop leaves for the consumer.
+    let mut last_good = (0usize, 0usize);
 
-    for (i, input) in base.dataset().iter().enumerate() {
-        let route = router.classify_route(i, input);
-        let oracle = oracle_route(member_profiles, i, threshold);
+    for (i, input) in members[0].dataset().iter().enumerate() {
+        let raw = decide(i, input);
+        let route = match &mut watchdog {
+            Some((_, w)) => w.admit_route(raw),
+            None => raw,
+        };
+
+        let mut event = FifoEvent::None;
         match route {
             RouteChoice::Member(m) => {
                 invoked += 1;
                 member_invocations[m] += 1;
-                if member_profiles[m].max_error(i) > threshold {
+                let err = members[m].max_error(i);
+                if err > threshold {
                     false_negatives += 1;
                 }
+                if err > worst_err {
+                    worst_err = err;
+                    worst_member = m;
+                }
+                event = hooks.fifo_events.get(i).copied().unwrap_or(FifoEvent::None);
+                // A dropped result never reached the output FIFO; the
+                // consumer dequeues the stale last-good output.
+                if event != FifoEvent::Drop {
+                    last_good = (m, i);
+                }
+                sources.push(Some(last_good));
             }
             RouteChoice::Precise => {
-                if !oracle.is_precise() {
+                if !oracle_route(members, i, threshold).is_precise() {
                     false_positives += 1;
                 }
+                sources.push(None);
             }
         }
-        choices.push(route);
 
-        let inv = model.charge_route(route, FifoEvent::None, false);
+        // Sporadic watchdog quality sampling: compare accelerator and
+        // precise outputs for this invocation and charge the shadow
+        // execution that produces the missing half of the pair.
+        let mut shadow = false;
+        if let (Some((period, w)), RouteChoice::Member(m)) = (&mut watchdog, raw) {
+            if i % *period == 0 {
+                shadow = true;
+                w.record(members[m].max_error(i) > threshold)?;
+            }
+        }
+
+        let inv = models.charge_route(route, event, shadow);
         cycles += inv.cycles;
         energy += inv.energy;
     }
 
-    let replay = routed
-        .pool
-        .replay_routed_choices(member_profiles, &choices)?;
+    let replay = replay_mixture(function.benchmark().as_ref(), members, |i| sources[i])?;
 
     Ok(RoutedRunResult {
         run: RunResult {
@@ -722,7 +704,7 @@ pub fn run_routed(
             false_negatives,
         },
         member_invocations,
-        worst_member: replay.worst_member,
+        worst_member,
     })
 }
 
@@ -1365,6 +1347,32 @@ mod tests {
 
         assert_eq!(binary, mixed.run);
         assert_eq!(mixed.member_invocations[0], binary.invoked);
+    }
+
+    #[test]
+    fn routed_runs_reject_online_updates() {
+        let routed = routed_for("sobel", 1);
+        let member = routed.pool.member(0);
+        let profile = DatasetProfile::collect(member, member.dataset(31, DatasetScale::Smoke));
+        let options = SimOptions {
+            online_update_period: 4,
+            ..SimOptions::default()
+        };
+        let mut router = routed.router.clone();
+        let err = run_routed(&routed, &[&profile], &mut router, &options).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Core(MithraError::InvalidConfig {
+                    parameter: "online_update_period",
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+        // The same run without online updates goes through.
+        let mut router = routed.router.clone();
+        run_routed(&routed, &[&profile], &mut router, &SimOptions::default()).unwrap();
     }
 
     #[test]

@@ -31,6 +31,9 @@ pin() {
 
 pin table1_benchmarks
 pin fig01_error_cdf
+# fig08's oracle, table and neural rows come from sim::simulate over every
+# validation dataset, so this slice pins the runtime decision loop.
+pin fig08_per_benchmark
 
 # Extended-workload slice: the kmeans rows of the *_extended Table I and
 # Figure 1 files (run_all.sh regenerates those with --bench
