@@ -271,7 +271,10 @@ mod tests {
         let out = run_precise(&b, &ds);
         let via_app = b.run_application(&ds, &out);
         let signal = generate_signal(5, SMOKE_SIGNAL_LEN);
-        let direct = fft_with_twiddles(&signal, &precise_twiddles(SMOKE_SIGNAL_LEN));
+        let direct = fft_with_twiddles(
+            &signal,
+            &precise_twiddles(std::hint::black_box(SMOKE_SIGNAL_LEN)),
+        );
         assert_eq!(via_app.len(), direct.len() / 2);
         for (i, a) in via_app.iter().enumerate() {
             let mag = (direct[2 * i].powi(2) + direct[2 * i + 1].powi(2)).sqrt();

@@ -7,18 +7,21 @@ use mithra_axbench::jmeint::tri_tri_intersect;
 use mithra_axbench::jpeg::{decode_block, encode_block};
 use mithra_axbench::sobel::gradient_magnitude;
 use mithra_bdi::{compress, decompress, CompressedTable};
-use mithra_core::misr::{Misr, MisrConfig};
+use mithra_core::misr::{MisrConfig, MisrKernel};
 use mithra_npu::mlp::{Activation, Mlp};
 use mithra_npu::topology::Topology;
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
 
 fn bench_misr(c: &mut Criterion) {
+    // The paper's ensemble: 8 tables of 4096 entries, one kernel lane each.
+    let configs = &MisrConfig::pool()[..8];
     let mut group = c.benchmark_group("misr_hash");
     for dims in [2usize, 9, 18, 64] {
         let elements: Vec<u8> = (0..dims).map(|i| (i * 37) as u8).collect();
-        let cfg = MisrConfig::pool()[3];
-        group.bench_function(format!("{dims}_elements"), |b| {
-            b.iter(|| Misr::hash(black_box(cfg), 12, black_box(&elements)))
+        let kernel = MisrKernel::new(configs, 12, 256, dims);
+        let mut out = [0u32; 8];
+        group.bench_function(format!("{dims}_elements_8_tables"), |b| {
+            b.iter(|| kernel.hash_into(black_box(&elements), black_box(&mut out)))
         });
     }
     group.finish();

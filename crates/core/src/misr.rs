@@ -155,11 +155,6 @@ impl Misr {
         self.width
     }
 
-    /// Resets the register for a new invocation.
-    pub fn reset(&mut self) {
-        self.state = 0;
-    }
-
     /// Shifts one quantized input element into the register.
     pub fn shift_in(&mut self, element: u8) {
         let mask = (1u32 << self.width) - 1;
@@ -185,7 +180,9 @@ impl Misr {
         (self.state & ((1u32 << self.width) - 1)) as usize
     }
 
-    /// Convenience: hash a whole quantized input vector from reset.
+    /// Convenience: hash a whole quantized input vector from reset, one
+    /// [`shift_in`](Self::shift_in) per element — the definition
+    /// [`MisrKernel`] tabulates.
     pub fn hash(config: MisrConfig, width: u32, elements: &[u8]) -> usize {
         let mut misr = Misr::new(config, width);
         for &e in elements {
@@ -195,15 +192,109 @@ impl Misr {
     }
 }
 
+/// Several MISR configurations' hashes tabulated, so hashing an input
+/// under all of them costs one lane-wide XOR per element.
+///
+/// A [`Misr::shift_in`] step is affine over GF(2): `state' = L(state) ^
+/// g(element)`, where `L` (rotate plus tap feedback) is linear and
+/// `g(0) = 0`. From reset, the hash of `e_0 … e_{n-1}` is therefore the
+/// XOR over `i` of `L^k(g(e_i))` with `k = n - 1 - i`, the element's
+/// distance from the end. Entry `[k][v][lane]` holds exactly that term —
+/// the register after shifting in `v` and then `k` zeros, produced by
+/// `shift_in` itself — so every hash equals [`Misr::hash`] bit for bit,
+/// for any input no longer than the table's distances.
+///
+/// Only the emulation changes: the hardware still shifts each element
+/// into each table's register, as
+/// [`ClassifierOverhead::misr_shifts`](crate::classifier::ClassifierOverhead)
+/// models.
+pub struct MisrKernel {
+    lanes: usize,
+    levels: usize,
+    distances: usize,
+    /// `[distance][value][lane]`, lanes contiguous.
+    terms: Vec<u32>,
+}
+
+impl MisrKernel {
+    /// Tabulates `configs` (one lane each) over `width`-bit registers for
+    /// element values `0..levels` and inputs of up to `distances`
+    /// elements.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not in `1..=24` or `levels` exceeds 256.
+    pub fn new(configs: &[MisrConfig], width: u32, levels: usize, distances: usize) -> Self {
+        assert!(levels <= 256, "MISR elements are bytes");
+        let lanes = configs.len();
+        let mut terms = vec![0u32; distances * levels * lanes];
+        for (lane, &config) in configs.iter().enumerate() {
+            for v in 0..levels {
+                let mut misr = Misr::new(config, width);
+                misr.shift_in(v as u8);
+                for k in 0..distances {
+                    terms[(k * levels + v) * lanes + lane] = misr.index() as u32;
+                    misr.shift_in(0);
+                }
+            }
+        }
+        Self {
+            lanes,
+            levels,
+            distances,
+            terms,
+        }
+    }
+
+    /// Number of configurations hashed per input.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Hashes `elements` from reset under every configuration:
+    /// `out[lane]` becomes [`Misr::hash`] of the lane's configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold one slot per lane, if `elements` is
+    /// longer than the tabulated distances, or if an element is not below
+    /// the tabulated levels.
+    pub fn hash_into(&self, elements: &[u8], out: &mut [u32]) {
+        assert_eq!(out.len(), self.lanes, "one output slot per lane");
+        assert!(
+            elements.len() <= self.distances,
+            "input longer than the tabulated distances"
+        );
+        out.fill(0);
+        for (k, &e) in elements.iter().rev().enumerate() {
+            let v = usize::from(e);
+            assert!(v < self.levels, "element above the tabulated levels");
+            let at = (k * self.levels + v) * self.lanes;
+            for (h, &t) in out.iter_mut().zip(&self.terms[at..at + self.lanes]) {
+                *h ^= t;
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for MisrKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MisrKernel")
+            .field("lanes", &self.lanes)
+            .field("levels", &self.levels)
+            .field("distances", &self.distances)
+            .finish_non_exhaustive()
+    }
+}
+
 /// A training set's inputs quantized once into a dense row-major byte
 /// grid, ready for batch MISR hashing.
 ///
 /// Hashing every example under every pool configuration dominates table
 /// training, but quantization depends only on the granularity — never on
 /// the MISR configuration. The grid therefore quantizes each input
-/// exactly once and hashes rows under each configuration with a single
-/// reused register ([`Misr::reset`] between rows is bit-identical to
-/// constructing a fresh register per row).
+/// exactly once and hashes each row under every configuration in one
+/// [`MisrKernel`] pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedGrid {
     data: Vec<u8>,
@@ -237,19 +328,23 @@ impl QuantizedGrid {
         &self.data[i * self.dims..(i + 1) * self.dims]
     }
 
-    /// Hashes every row under one configuration, reusing a single
-    /// register across rows. Bit-identical to calling [`Misr::hash`] per
-    /// row; indices are stored as `u32` because a register is at most 24
-    /// bits wide, which halves the rows a training set keeps.
-    pub fn hash_all(&self, config: MisrConfig, width: u32) -> Vec<u32> {
-        let mut misr = Misr::new(config, width);
-        let mut out = Vec::with_capacity(self.rows());
+    /// Hashes every row under each of `kernel`'s configurations:
+    /// `out[lane][i]` is row `i`'s [`Misr::hash`] under the lane's
+    /// configuration. Indices are stored as `u32` because a register is
+    /// at most 24 bits wide, which halves the rows a training set keeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel` was tabulated for fewer distances or levels
+    /// than the rows need.
+    pub fn hash_all(&self, kernel: &MisrKernel) -> Vec<Vec<u32>> {
+        let mut out = vec![Vec::with_capacity(self.rows()); kernel.lanes()];
+        let mut hashes = vec![0u32; kernel.lanes()];
         for row in self.data.chunks_exact(self.dims.max(1)) {
-            misr.reset();
-            for &e in row {
-                misr.shift_in(e);
+            kernel.hash_into(row, &mut hashes);
+            for (lane, &h) in out.iter_mut().zip(&hashes) {
+                lane.push(h);
             }
-            out.push(misr.index() as u32);
         }
         out
     }
@@ -409,18 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_restores_initial_state() {
-        let mut m = Misr::new(MisrConfig::pool()[3], 12);
-        m.shift_in(200);
-        m.shift_in(17);
-        let idx = m.index();
-        m.reset();
-        m.shift_in(200);
-        m.shift_in(17);
-        assert_eq!(m.index(), idx);
-    }
-
-    #[test]
     fn diffusion_small_input_changes_move_index() {
         // Adjacent bytes should usually land in different buckets
         // (aliasing exists, but not systematically for neighbours).
@@ -488,13 +571,16 @@ mod tests {
         assert_eq!(grid.rows(), 40);
         // 12 bits is the paper's table; 24 is the widest register, whose
         // indices must survive the `u32` rows intact.
+        let pool = MisrConfig::pool();
         for width in [12, 24] {
-            for cfg in MisrConfig::pool() {
-                let batch = grid.hash_all(cfg, width);
+            let kernel = MisrKernel::new(&pool, width, 32, 2);
+            let batch = grid.hash_all(&kernel);
+            assert_eq!(batch.len(), pool.len());
+            for (cfg, rows) in pool.iter().zip(&batch) {
                 for (i, input) in inputs.iter().enumerate() {
-                    let expected = Misr::hash(cfg, width, &q.quantize(input));
+                    let expected = Misr::hash(*cfg, width, &q.quantize(input));
                     assert_eq!(
-                        batch[i] as usize, expected,
+                        rows[i] as usize, expected,
                         "cfg {cfg:?} width {width} row {i}"
                     );
                     assert_eq!(grid.row(i), q.quantize(input).as_slice());
@@ -508,7 +594,22 @@ mod tests {
         let q = InputQuantizer::new(vec![0.0], vec![1.0]);
         let grid = QuantizedGrid::from_inputs(&q, std::iter::empty());
         assert_eq!(grid.rows(), 0);
-        assert!(grid.hash_all(MisrConfig::pool()[0], 12).is_empty());
+        let kernel = MisrKernel::new(&MisrConfig::pool(), 12, 16, 1);
+        assert!(grid.hash_all(&kernel).iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    #[should_panic(expected = "input longer than the tabulated distances")]
+    fn kernel_rejects_inputs_past_its_distances() {
+        let kernel = MisrKernel::new(&MisrConfig::pool(), 12, 16, 2);
+        kernel.hash_into(&[1, 2, 3], &mut [0u32; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "element above the tabulated levels")]
+    fn kernel_rejects_elements_past_its_levels() {
+        let kernel = MisrKernel::new(&MisrConfig::pool(), 12, 16, 2);
+        kernel.hash_into(&[16], &mut [0u32; 16]);
     }
 
     #[test]

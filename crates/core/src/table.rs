@@ -11,13 +11,14 @@
 //! tables ship in the binary compressed with Base-Delta-Immediate.
 
 use crate::classifier::{Classifier, ClassifierOverhead, Decision};
-use crate::misr::{InputQuantizer, Misr, MisrConfig, QuantizedGrid};
+use crate::misr::{InputQuantizer, MisrConfig, MisrKernel, QuantizedGrid};
 use crate::parallel::par_map_indexed;
 use crate::training::TrainingExample;
 use crate::{MithraError, Result};
 use mithra_bdi::CompressedTable;
 use mithra_npu::fault::FaultSite;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Geometry of a table design point: `aT × bKB` in the paper's notation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -142,20 +143,53 @@ impl BitTable {
     }
 }
 
+/// The largest ensemble: one table per pool configuration.
+const MAX_TABLES: usize = 16;
+
 /// The trained multi-table classifier.
 ///
 /// Construct with [`TableClassifier::train`]; at runtime it implements
 /// [`Classifier`]. The online-update path ([`Classifier::observe`]) applies
 /// the same conservative rule as pre-training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Equality and serialization cover the trained state only; the MISR
+/// kernel and the quantization scratch are derived from it.
+#[derive(Debug, Clone, Serialize)]
 pub struct TableClassifier {
     design: TableDesign,
     configs: Vec<MisrConfig>,
     tables: Vec<BitTable>,
     quantizer: InputQuantizer,
     vote_threshold: f64,
+    /// Every table's MISR tabulated over the quantizer's levels and
+    /// dimensions; built once and shared by clones.
+    #[serde(skip)]
+    kernel: Arc<MisrKernel>,
     #[serde(skip)]
     scratch: Vec<u8>,
+}
+
+impl PartialEq for TableClassifier {
+    fn eq(&self, other: &Self) -> bool {
+        self.design == other.design
+            && self.configs == other.configs
+            && self.tables == other.tables
+            && self.quantizer == other.quantizer
+            && self.vote_threshold == other.vote_threshold
+    }
+}
+
+impl Deserialize for TableClassifier {
+    fn deserialize(value: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let field = |name| serde::get_field(value, name);
+        Ok(Self::assemble(
+            Deserialize::deserialize(field("design")?)?,
+            Deserialize::deserialize(field("configs")?)?,
+            Deserialize::deserialize(field("tables")?)?,
+            Deserialize::deserialize(field("quantizer")?)?,
+            Deserialize::deserialize(field("vote_threshold")?)?,
+        ))
+    }
 }
 
 impl TableClassifier {
@@ -275,6 +309,26 @@ impl TableClassifier {
         Ok(ensemble.into_classifier(design, quantizer, vote_threshold))
     }
 
+    /// Binds trained state to the MISR kernel it hashes with.
+    fn assemble(
+        design: TableDesign,
+        configs: Vec<MisrConfig>,
+        tables: Vec<BitTable>,
+        quantizer: InputQuantizer,
+        vote_threshold: f64,
+    ) -> Self {
+        let kernel = Arc::new(misr_kernel(&configs, design.index_width(), &quantizer));
+        Self {
+            design,
+            configs,
+            tables,
+            quantizer,
+            vote_threshold,
+            kernel,
+            scratch: Vec::new(),
+        }
+    }
+
     /// The geometry of this classifier.
     pub fn design(&self) -> TableDesign {
         self.design
@@ -327,24 +381,38 @@ impl TableClassifier {
         cfg.taps ^= taps_mask;
         cfg.rotate = cfg.rotate.wrapping_add(rotate_delta);
         cfg.input_rotate = cfg.input_rotate.wrapping_add(rotate_delta);
+        let width = self.design.index_width();
+        self.kernel = Arc::new(misr_kernel(&self.configs, width, &self.quantizer));
     }
 
     /// The decision for a raw input vector without mutating online state —
     /// used by trainers evaluating candidate designs.
     pub fn decide(&mut self, input: &[f32]) -> Decision {
-        let width = self.design.index_width();
-        let mut qbuf = std::mem::take(&mut self.scratch);
-        self.quantizer.quantize_into(input, &mut qbuf);
-        let mut reject = false;
-        for (cfg, table) in self.configs.iter().zip(&self.tables) {
-            if table.get(Misr::hash(*cfg, width, &qbuf)) {
-                reject = true;
-                break;
-            }
-        }
-        self.scratch = qbuf;
+        let mut hashes = [0u32; MAX_TABLES];
+        let hashes = self.table_indices(input, &mut hashes);
+        let reject = self
+            .tables
+            .iter()
+            .zip(hashes)
+            .any(|(table, &h)| table.get(h as usize));
         Decision::from_reject(reject)
     }
+
+    /// Quantizes `input` and hashes it under every table's MISR; returns
+    /// the per-table indices, in table order, from `out`'s prefix.
+    fn table_indices<'o>(&mut self, input: &[f32], out: &'o mut [u32; MAX_TABLES]) -> &'o [u32] {
+        let hashes = &mut out[..self.tables.len()];
+        self.quantizer.quantize_into(input, &mut self.scratch);
+        self.kernel.hash_into(&self.scratch, hashes);
+        hashes
+    }
+}
+
+/// The kernel hashing `configs` into `width`-bit indices, for every value
+/// and input position `quantizer` produces.
+fn misr_kernel(configs: &[MisrConfig], width: u32, quantizer: &InputQuantizer) -> MisrKernel {
+    let levels = usize::from(quantizer.levels());
+    MisrKernel::new(configs, width, levels, quantizer.dims())
 }
 
 /// Candidate quantizer granularities of the compile-time search.
@@ -364,10 +432,7 @@ fn pool_hash_rows<'a>(
     width: u32,
 ) -> Vec<Vec<u32>> {
     let grid = QuantizedGrid::from_inputs(quantizer, inputs);
-    MisrConfig::pool()
-        .iter()
-        .map(|&cfg| grid.hash_all(cfg, width))
-        .collect()
+    grid.hash_all(&misr_kernel(&MisrConfig::pool(), width, quantizer))
 }
 
 /// The label-independent half of [`TableClassifier::train_with_threads`]:
@@ -583,14 +648,8 @@ impl Ensemble {
         vote_threshold: f64,
     ) -> TableClassifier {
         let pool = MisrConfig::pool();
-        TableClassifier {
-            design,
-            configs: self.chosen.iter().map(|&c| pool[c]).collect(),
-            tables: self.tables,
-            quantizer,
-            vote_threshold,
-            scratch: Vec::new(),
-        }
+        let configs = self.chosen.iter().map(|&c| pool[c]).collect();
+        TableClassifier::assemble(design, configs, self.tables, quantizer, vote_threshold)
     }
 }
 
@@ -725,14 +784,11 @@ impl Classifier for TableClassifier {
         if !reject {
             return; // entries only ever turn 1 (conservative policy)
         }
-        let width = self.design.index_width();
-        let mut qbuf = std::mem::take(&mut self.scratch);
-        self.quantizer.quantize_into(input, &mut qbuf);
-        for (cfg, table) in self.configs.iter().zip(self.tables.iter_mut()) {
-            let idx = Misr::hash(*cfg, width, &qbuf);
-            table.set(idx);
+        let mut hashes = [0u32; MAX_TABLES];
+        let hashes = self.table_indices(input, &mut hashes);
+        for (table, &h) in self.tables.iter_mut().zip(hashes) {
+            table.set(h as usize);
         }
-        self.scratch = qbuf;
     }
 }
 
@@ -913,7 +969,7 @@ mod tests {
         assert_eq!(c.decide(&[0.5]), Decision::Approximate);
         // Corrupt the exact bucket 0.5 hashes to.
         let qbuf = c.quantizer().quantize(&[0.5]);
-        let idx = Misr::hash(c.configs()[0], c.design().index_width(), &qbuf);
+        let idx = crate::misr::Misr::hash(c.configs()[0], c.design().index_width(), &qbuf);
         c.flip_bit(idx as u64);
         assert_eq!(c.decide(&[0.5]), Decision::Precise);
     }
@@ -937,6 +993,17 @@ mod tests {
         // The trained reject now hashes elsewhere; with a sparse table the
         // aliased bucket is almost surely clear.
         assert_eq!(c.decide(&[0.9]), Decision::Approximate);
+    }
+
+    #[test]
+    fn clones_share_the_kernel_until_reconfigured() {
+        let ex = examples_1d(&[0.9], &[0.1]);
+        let c = TableClassifier::train(TableDesign::paper_default(), quantizer_1d(), &ex).unwrap();
+        let mut clone = c.clone();
+        assert!(Arc::ptr_eq(&c.kernel, &clone.kernel));
+        clone.corrupt_misr(0, 0x155, 3);
+        assert!(!Arc::ptr_eq(&c.kernel, &clone.kernel));
+        assert_eq!(clone.kernel.lanes(), 8);
     }
 
     /// The row-by-row greedy selection the packed `select_greedy`

@@ -4,12 +4,18 @@
 //! millions of times per run; their contract is that a warmed
 //! [`InvokeScratch`] absorbs every buffer, leaving the per-invocation
 //! and per-batch paths allocation-free. A counting `#[global_allocator]`
-//! with per-thread counters pins that here, for both kernel backends.
+//! with per-thread counters pins that here, for both kernel backends,
+//! and for the table classifier's and router's per-invocation decide.
 
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, DatasetScale};
 use mithra_axbench::suite;
+use mithra_core::classifier::Classifier;
 use mithra_core::function::{AcceleratedFunction, InvokeScratch, NpuTrainConfig};
+use mithra_core::misr::InputQuantizer;
+use mithra_core::route::RouteClassifier;
+use mithra_core::table::{TableClassifier, TableDesign};
+use mithra_core::training::TrainingExample;
 use mithra_npu::kernel::KernelBackend;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -114,4 +120,60 @@ fn batched_approx_is_allocation_free_after_warmup() {
             "approx_batch_with allocated on backend {backend:?}"
         );
     }
+}
+
+/// Unseen `inversek2j` inputs to classify.
+fn decide_dataset() -> Dataset {
+    suite::by_name("inversek2j")
+        .unwrap()
+        .dataset(100, DatasetScale::Smoke)
+}
+
+/// A table classifier trained on `dataset`'s inputs whose rejects follow
+/// `reject`.
+fn table_classifier(dataset: &Dataset, reject: impl Fn(usize) -> bool) -> TableClassifier {
+    let examples: Vec<TrainingExample> = (0..dataset.invocation_count())
+        .map(|i| TrainingExample {
+            input: dataset.input(i).to_vec(),
+            reject: reject(i),
+        })
+        .collect();
+    let quantizer = InputQuantizer::fit(examples.iter().map(|e| &e.input[..]));
+    TableClassifier::train(TableDesign::paper_default(), quantizer, &examples).unwrap()
+}
+
+#[test]
+fn table_decide_is_allocation_free_after_warmup() {
+    let dataset = decide_dataset();
+    let mut table = table_classifier(&dataset, |i| i % 3 == 0);
+    // One warm call sizes the quantization scratch.
+    table.decide(dataset.input(0));
+    let (allocs, _) = allocs_during(|| {
+        for i in 0..dataset.invocation_count() {
+            table.decide(dataset.input(i));
+            table.classify(i, dataset.input(i));
+        }
+    });
+    assert_eq!(allocs, 0, "TableClassifier::decide allocated");
+}
+
+#[test]
+fn router_classify_route_is_allocation_free_after_warmup() {
+    let dataset = decide_dataset();
+    let stages = vec![
+        table_classifier(&dataset, |i| i % 2 == 0),
+        table_classifier(&dataset, |i| i % 5 == 0),
+    ];
+    let mut router = RouteClassifier::from_stages(stages);
+    // One warm pass sizes every stage's scratch: the inputs stage 0
+    // rejects reach stage 1.
+    for i in 0..dataset.invocation_count() {
+        router.classify_route(i, dataset.input(i));
+    }
+    let (allocs, _) = allocs_during(|| {
+        for i in 0..dataset.invocation_count() {
+            router.classify_route(i, dataset.input(i));
+        }
+    });
+    assert_eq!(allocs, 0, "RouteClassifier::classify_route allocated");
 }

@@ -1,7 +1,7 @@
 //! Property-based tests on MITHRA's core data structures and invariants.
 
 use mithra_core::classifier::{Classifier, Decision};
-use mithra_core::misr::{InputQuantizer, Misr, MisrConfig};
+use mithra_core::misr::{InputQuantizer, Misr, MisrConfig, MisrKernel, QuantizedGrid};
 use mithra_core::table::{TableClassifier, TableDesign};
 use mithra_core::training::TrainingExample;
 use proptest::prelude::*;
@@ -155,5 +155,222 @@ proptest! {
             }
         }
         let _ = probes;
+    }
+}
+
+/// The pool plus `corrupt_misr`-style reconfigurations of it at `width`:
+/// taps reaching past the register and rotations at or beyond its width.
+fn kernel_configs(width: u32) -> Vec<MisrConfig> {
+    let pool = MisrConfig::pool();
+    let corrupted = pool.iter().enumerate().map(|(i, c)| MisrConfig {
+        taps: c.taps ^ (0xFFFF_F000 | (i as u32 * 0x155)),
+        rotate: c.rotate.wrapping_add(width + i as u32),
+        input_rotate: c.input_rotate.wrapping_add(2 * width + 3 * i as u32),
+    });
+    pool.iter().copied().chain(corrupted).collect()
+}
+
+/// Deterministic filler bytes for the sweep below.
+fn filler(seed: usize, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| ((seed * 131 + i * 29 + (i * i) * 7) % 256) as u8)
+        .collect()
+}
+
+fn assert_kernel_matches(kernel: &MisrKernel, configs: &[MisrConfig], width: u32, input: &[u8]) {
+    let mut out = vec![0u32; configs.len()];
+    kernel.hash_into(input, &mut out);
+    for (lane, (cfg, &h)) in configs.iter().zip(&out).enumerate() {
+        assert_eq!(
+            h as usize,
+            Misr::hash(*cfg, width, input),
+            "lane {lane} width {width} input {input:?}"
+        );
+    }
+}
+
+/// Pins the tabulated kernel to the shift register it tabulates: every
+/// width, every byte value at every position distance, every length.
+#[test]
+fn misr_kernel_matches_the_shift_register() {
+    for width in 1..=24 {
+        let configs = kernel_configs(width);
+        let kernel = MisrKernel::new(&configs, width, 256, 64);
+        for len in 0..=64 {
+            assert_kernel_matches(&kernel, &configs, width, &filler(len, len));
+        }
+        for v in 0..=255u8 {
+            // Value `v` at distance `v % 64` from the end of a
+            // `v % 64 + 1 + (v / 64)`-element input.
+            let distance = usize::from(v) % 64;
+            let len = (distance + 1 + usize::from(v) / 64).min(64);
+            let mut input = filler(usize::from(v) + width as usize, len);
+            input[len - 1 - distance] = v;
+            assert_kernel_matches(&kernel, &configs, width, &input);
+        }
+    }
+}
+
+/// A trained ensemble over `dims`-element inputs with many set bits, so a
+/// wrong hash flips decisions.
+fn dense_classifier(seed: u64, dims: usize, levels: u16) -> TableClassifier {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let examples: Vec<TrainingExample> = (0..400)
+        .map(|_| TrainingExample {
+            input: (0..dims).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+            reject: rng.gen_bool(0.3),
+        })
+        .collect();
+    let quantizer = InputQuantizer::new(vec![-1.0; dims], vec![1.0; dims]).with_levels(levels);
+    let design = TableDesign {
+        tables: 8,
+        entries_per_table: 1024,
+    };
+    TableClassifier::train_with_quantizer(design, quantizer, &examples).unwrap()
+}
+
+/// Probe inputs spanning the fitted range, past it, and non-finite.
+fn probes(seed: u64, dims: usize, count: usize) -> Vec<Vec<f32>> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let special = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -7.5,
+        3.0,
+        1.0,
+        -1.0,
+    ];
+    (0..count)
+        .map(|_| {
+            (0..dims)
+                .map(|_| {
+                    if rng.gen_bool(0.2) {
+                        special[rng.gen_range(0..special.len())]
+                    } else {
+                        rng.gen_range(-1.0f32..1.0)
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Table `t`'s entries per the compressed image: entry `i` is bit `i % 8`
+/// of byte `i / 8` of the table's row.
+fn entry(bytes: &[u8], c: &TableClassifier, t: usize, i: usize) -> bool {
+    let row = c.design().entries_per_table / 8;
+    (bytes[t * row + i / 8] >> (i % 8)) & 1 == 1
+}
+
+/// Every table's index by the shift-register fold.
+fn fold_indices(c: &TableClassifier, input: &[f32]) -> Vec<usize> {
+    let q = c.quantizer().quantize(input);
+    let width = c.design().index_width();
+    c.configs()
+        .iter()
+        .map(|cfg| Misr::hash(*cfg, width, &q))
+        .collect()
+}
+
+/// The ensemble OR by the shift-register fold.
+fn fold_decide(c: &TableClassifier, input: &[f32]) -> Decision {
+    let bytes = c.compress().decompress();
+    let reject = fold_indices(c, input)
+        .iter()
+        .enumerate()
+        .any(|(t, &i)| entry(&bytes, c, t, i));
+    Decision::from_reject(reject)
+}
+
+proptest! {
+    #[test]
+    fn misr_kernel_matches_for_any_input(
+        elements in prop::collection::vec(any::<u8>(), 0..=64),
+        width in 1u32..=24,
+    ) {
+        let configs = kernel_configs(width);
+        let kernel = MisrKernel::new(&configs, width, 256, 64);
+        assert_kernel_matches(&kernel, &configs, width, &elements);
+    }
+
+    #[test]
+    fn decide_matches_the_shift_register_fold(
+        seed in any::<u64>(),
+        dims in 1usize..=12,
+        levels in 2u16..=256,
+        taps_mask in any::<u32>(),
+        rotate_delta in 0u32..64,
+    ) {
+        let mut c = dense_classifier(seed, dims, levels);
+        let inputs = probes(seed ^ 1, dims, 200);
+        for input in &inputs {
+            prop_assert_eq!(c.decide(input), fold_decide(&c, input));
+        }
+        // A reconfigured MISR hashes under its new configuration.
+        c.corrupt_misr(seed as usize, taps_mask, rotate_delta);
+        for input in &inputs {
+            prop_assert_eq!(c.decide(input), fold_decide(&c, input));
+        }
+        // A clone taken after the reconfiguration decides the same way.
+        let mut clone = c.clone();
+        for input in &inputs {
+            prop_assert_eq!(clone.decide(input), fold_decide(&c, input));
+        }
+    }
+
+    #[test]
+    fn observe_sets_the_shift_register_fold_entries(
+        seed in any::<u64>(),
+        dims in 1usize..=12,
+        levels in 2u16..=256,
+    ) {
+        let accepts: Vec<TrainingExample> = (0..4)
+            .map(|i| TrainingExample { input: vec![i as f32; dims], reject: false })
+            .collect();
+        let quantizer =
+            InputQuantizer::new(vec![-1.0; dims], vec![1.0; dims]).with_levels(levels);
+        let mut c = TableClassifier::train_with_quantizer(
+            TableDesign::paper_default(),
+            quantizer,
+            &accepts,
+        )
+        .unwrap();
+        for input in probes(seed, dims, 20) {
+            let before = c.compress().decompress();
+            c.observe(0, &input, true);
+            let after = c.compress().decompress();
+            let expected = fold_indices(&c, &input);
+            for (t, &hashed) in expected.iter().enumerate() {
+                for i in 0..c.design().entries_per_table {
+                    let set = entry(&before, &c, t, i) || i == hashed;
+                    prop_assert_eq!(entry(&after, &c, t, i), set, "table {} entry {}", t, i);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_all_matches_the_shift_register_fold(
+        seed in any::<u64>(),
+        dims in 1usize..=12,
+        levels in 2u16..=256,
+        width in 8u32..=24,
+    ) {
+        let quantizer =
+            InputQuantizer::new(vec![-1.0; dims], vec![1.0; dims]).with_levels(levels);
+        let inputs = probes(seed, dims, 50);
+        let grid = QuantizedGrid::from_inputs(&quantizer, inputs.iter().map(Vec::as_slice));
+        let pool = MisrConfig::pool();
+        let kernel = MisrKernel::new(&pool, width, usize::from(levels), dims);
+        let rows = grid.hash_all(&kernel);
+        for (cfg, per_cfg) in pool.iter().zip(&rows) {
+            prop_assert_eq!(per_cfg.len(), inputs.len());
+            for (input, &h) in inputs.iter().zip(per_cfg) {
+                prop_assert_eq!(h as usize, Misr::hash(*cfg, width, &quantizer.quantize(input)));
+            }
+        }
     }
 }

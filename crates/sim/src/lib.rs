@@ -42,11 +42,9 @@
 pub mod cpu;
 pub mod energy;
 pub mod fault;
-pub mod overlap;
 pub mod report;
 pub mod software;
 pub mod system;
-pub mod trace;
 
 mod error;
 
