@@ -6,6 +6,7 @@ use mithra_axbench::dataset::DatasetScale;
 use mithra_axbench::suite;
 use mithra_core::function::{AcceleratedFunction, NpuTrainConfig};
 use mithra_core::profile::DatasetProfile;
+use mithra_core::route::ApproximatorPool;
 use mithra_core::threshold::{QualitySpec, ThresholdOptimizer};
 use std::sync::Arc;
 
@@ -46,14 +47,20 @@ fn bench_threshold_machinery(c: &mut Criterion) {
         .collect();
     let spec = QualitySpec::new(0.10, 0.9, 0.5).unwrap();
     let optimizer = ThresholdOptimizer::new(spec);
+    let pool = ApproximatorPool::single(f);
+    let table = std::slice::from_ref(&profiles);
 
     let mut group = c.benchmark_group("threshold");
     group.sample_size(20);
     group.bench_function("certify_one_candidate", |b| {
-        b.iter(|| optimizer.certify(&f, black_box(&profiles), 0.05).unwrap())
+        b.iter(|| {
+            optimizer
+                .certify_routed(&pool, black_box(table), 0.05)
+                .unwrap()
+        })
     });
     group.bench_function("optimize_bisection_20_datasets", |b| {
-        b.iter(|| optimizer.optimize(&f, black_box(&profiles)).unwrap())
+        b.iter(|| optimizer.optimize_routed(&pool, black_box(table)).unwrap())
     });
     group.finish();
 }

@@ -311,7 +311,10 @@ fn run_scenario(
             threads: cfg.threads,
             test_confidence: 0.95,
         };
-        Some(validate_profiles(&swapped, &spec, &profiles, &vconfig).map_err(|e| err(&e))?)
+        Some(
+            validate_profiles(&swapped, &spec, std::slice::from_ref(&profiles), &vconfig)
+                .map_err(|e| err(&e))?,
+        )
     } else {
         None
     };

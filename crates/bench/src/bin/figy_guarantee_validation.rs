@@ -137,15 +137,22 @@ fn validate_benchmark(
         test_confidence: bench_args.test_confidence,
         ..ValidatorConfig::default()
     };
-    let guarantee = validate_profiles(&compiled, &spec, &profiles, &vconfig)
+    let guarantee = validate_profiles(&compiled, &spec, std::slice::from_ref(&profiles), &vconfig)
         .unwrap_or_else(|e| panic!("{}: conformance validation failed: {e}", bench.name()));
     let losses: Vec<f64> = guarantee
         .trial_records
         .iter()
         .map(|t| t.quality_loss)
         .collect();
+    let routes: Vec<usize> = guarantee
+        .trial_records
+        .iter()
+        .map(|t| t.worst_route)
+        .collect();
     let selfcheck = self_check(
         &losses,
+        &routes,
+        1,
         &spec,
         bench_args.epsilon,
         1.0 - bench_args.test_confidence,

@@ -27,10 +27,9 @@
 
 use mithra_bench::runner::VALIDATION_SEED_BASE;
 use mithra_bench::{ExperimentConfig, TextTable};
-use mithra_conform::selfcheck::{self_check_routed, SelfCheckReport};
+use mithra_conform::selfcheck::{self_check, SelfCheckReport};
 use mithra_conform::{
-    validate_profiles, validate_routed, GuaranteeReport, ValidatorConfig, Verdict,
-    CONFORM_SEED_BASE,
+    validate, validate_profiles, GuaranteeReport, ValidatorConfig, Verdict, CONFORM_SEED_BASE,
 };
 use mithra_core::pipeline::{compile_routed_with_report, compile_with_report, Compiled};
 use mithra_core::profile::DatasetProfile;
@@ -257,8 +256,13 @@ fn run_benchmark(
     report.stages.push(conform_report);
     eprint!("{report}");
     let binary = binary_frontier(&compiled, &validation);
-    let binary_report = validate_profiles(&compiled, &spec, &conform_profiles, &vconfig)
-        .unwrap_or_else(|e| panic!("{name}: binary conformance validation failed: {e}"));
+    let binary_report = validate_profiles(
+        &compiled,
+        &spec,
+        std::slice::from_ref(&conform_profiles),
+        &vconfig,
+    )
+    .unwrap_or_else(|e| panic!("{name}: binary conformance validation failed: {e}"));
 
     // Routed pool: compile, frontier arm, guarantee arm, self-check.
     let pool_spec = PoolSpec::sized(&bench.npu_topology(), bench_args.pool);
@@ -274,7 +278,7 @@ fn run_benchmark(
     eprint!("{rreport}");
     let (routed_front, member_share) =
         routed_frontier(&routed, &pool_profiles, cfg.validation_datasets);
-    let routed_report = validate_routed(&routed, &spec, &vconfig)
+    let routed_report = validate(&routed, &spec, &vconfig)
         .unwrap_or_else(|e| panic!("{name}: routed conformance validation failed: {e}"));
     let losses: Vec<f64> = routed_report
         .trial_records
@@ -286,7 +290,7 @@ fn run_benchmark(
         .iter()
         .map(|t| t.worst_route)
         .collect();
-    let selfcheck = self_check_routed(
+    let selfcheck = self_check(
         &losses,
         &routes,
         routed.pool.len(),
@@ -301,7 +305,7 @@ fn run_benchmark(
     let pool1_parity = if bench_args.pool_check {
         let single = PoolSpec::single(bench.npu_topology());
         let (pool1, _) = compile_routed_with_report(Arc::clone(bench), &compile_cfg, &single)?;
-        let pool1_report = validate_routed(&pool1, &spec, &vconfig)
+        let pool1_report = validate(&pool1, &spec, &vconfig)
             .unwrap_or_else(|e| panic!("{name}: pool-of-one validation failed: {e}"));
         let parity = serde_json::to_string(&binary_report).expect("report serializes")
             == serde_json::to_string(&pool1_report).expect("report serializes");

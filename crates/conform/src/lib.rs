@@ -6,13 +6,14 @@
 //! — it only shows the numbers the compiler printed once. This crate
 //! re-proves the claim empirically, every time it runs:
 //!
-//! 1. take a [`Compiled`] artifact (typically out of the
-//!    `core::session` artifact cache);
+//! 1. take a compiled artifact (typically out of the `core::session`
+//!    artifact cache): a [`Compiled`] binary artifact, validated as its
+//!    pool of one, or a [`RoutedCompiled`] mixture — one [`Mixture`];
 //! 2. draw `M` fresh datasets from a seed space disjoint from every seed
 //!    the compiler, profiler, or serving load generator has ever seen
 //!    ([`CONFORM_SEED_BASE`]);
-//! 3. run each through the system simulator under the deployed table
-//!    classifier and score final application quality;
+//! 3. run each through the system simulator under the mixture's deployed
+//!    router and score final application quality;
 //! 4. compare the observed success fraction against the certified
 //!    `(success-rate, confidence)` pair with an exact one-sided binomial
 //!    test ([`mithra_stats::binomial::one_sided_p_value`]), yielding a
@@ -26,17 +27,19 @@
 //! each be *detected* by the harness's independent audits, or the harness
 //! refuses to vouch for itself.
 //!
-//! Routed mixtures go through the same machinery: [`validate_routed`]
-//! draws the same unseen seeds, simulates each under the deployed router
-//! cascade, and charges every violation against the pool member that
-//! served with the worst error — the certificate is over the *mixture*,
-//! and the audit re-attributes blame per member.
+//! There is one path for every mixture: [`validate`] (seeded) and
+//! [`validate_profiles`] (pre-collected profiles) share one trial body,
+//! one fold and one verdict computation, and every violation is charged
+//! against the pool member that served with the worst error — the
+//! certificate is over the *mixture*, and the audit re-attributes blame
+//! per member (a binary artifact charges member 0).
 //!
 //! Trials fan out through [`mithra_core::parallel::par_map_indexed`] and
 //! fold in candidate (seed) order, so every report is bit-identical at any
 //! `--threads` setting.
 //!
 //! [`Compiled`]: mithra_core::pipeline::Compiled
+//! [`RoutedCompiled`]: mithra_core::route::RoutedCompiled
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -47,7 +50,7 @@ pub mod validator;
 
 pub use report::{GuaranteeReport, TrialRecord, Verdict};
 pub use selfcheck::{Mutation, SelfCheckOutcome, SelfCheckReport};
-pub use validator::{validate, validate_profiles, validate_routed, ValidatorConfig};
+pub use validator::{validate, validate_profiles, Mixture, ValidatorConfig};
 
 use std::fmt;
 

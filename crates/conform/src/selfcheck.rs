@@ -86,31 +86,15 @@ pub struct Judgement {
     pub p_value: f64,
 }
 
-/// Computes a [`Judgement`] from raw per-trial losses, optionally with a
-/// planted [`Mutation`] — binary accept/reject is judged as the
-/// one-member mixture (see [`judge_routed`]).
+/// Computes a [`Judgement`] from raw per-trial losses over a mixture,
+/// optionally with a planted [`Mutation`]: `worst_routes[i]` names the
+/// pool member trial `i`'s violation is charged against (the member that
+/// served with the worst error), and the per-member tallies land in
+/// [`Judgement::route_violations`]. Binary accept/reject is judged as the
+/// one-member mixture: every route 0, `n_routes = 1`.
 ///
 /// The clean path (`mutation = None`) is the one the validator publishes;
 /// the mutated paths exist only so [`audit`] can prove it would notice.
-///
-/// # Errors
-///
-/// Returns [`ConformError::InvalidConfig`] for an empty loss vector and
-/// propagates statistics errors.
-pub fn judge(
-    losses: &[f64],
-    spec: &QualitySpec,
-    mutation: Option<Mutation>,
-    epsilon: f64,
-) -> Result<Judgement> {
-    judge_routed(losses, &vec![0; losses.len()], 1, spec, mutation, epsilon)
-}
-
-/// Computes a [`Judgement`] over a routed mixture: `worst_routes[i]`
-/// names the pool member trial `i`'s violation is charged against (the
-/// member that served with the worst error), and the per-member tallies
-/// land in [`Judgement::route_violations`]. There is exactly one judging
-/// code path — [`judge`] is this function at `n_routes = 1`.
 ///
 /// # Errors
 ///
@@ -118,7 +102,7 @@ pub fn judge(
 /// `worst_routes` slice that does not pair 1:1 with `losses`, a zero
 /// `n_routes`, or an out-of-range route index; propagates statistics
 /// errors.
-pub fn judge_routed(
+pub fn judge(
     losses: &[f64],
     worst_routes: &[usize],
     n_routes: usize,
@@ -224,21 +208,6 @@ pub struct AuditFinding {
 }
 
 /// Recomputes every figure in `judgement` independently from the raw
-/// losses and the original spec, returning one finding per disagreement —
-/// the binary entry point, treating the sample as a one-member mixture.
-///
-/// # Errors
-///
-/// Propagates statistics errors from the recomputations.
-pub fn audit(
-    judgement: &Judgement,
-    losses: &[f64],
-    spec: &QualitySpec,
-) -> Result<Vec<AuditFinding>> {
-    audit_routed(judgement, losses, &vec![0; losses.len()], spec)
-}
-
-/// Recomputes every figure in `judgement` independently from the raw
 /// losses, their per-trial violation attributions, and the original
 /// spec, returning one finding per disagreement.
 ///
@@ -250,7 +219,7 @@ pub fn audit(
 /// # Errors
 ///
 /// Propagates statistics errors from the recomputations.
-pub fn audit_routed(
+pub fn audit(
     judgement: &Judgement,
     losses: &[f64],
     worst_routes: &[usize],
@@ -395,32 +364,16 @@ impl SelfCheckReport {
     }
 }
 
-/// Runs the complete mutation self-check over raw per-trial losses — the
-/// binary entry point (a one-member mixture, every violation charged to
-/// member 0).
-///
-/// # Errors
-///
-/// Returns [`ConformError::InvalidConfig`] for a non-positive `epsilon`
-/// or empty losses, and propagates statistics errors.
-pub fn self_check(
-    losses: &[f64],
-    spec: &QualitySpec,
-    epsilon: f64,
-    test_alpha: f64,
-) -> Result<SelfCheckReport> {
-    self_check_routed(losses, &vec![0; losses.len()], 1, spec, epsilon, test_alpha)
-}
-
-/// Runs the complete mutation self-check over a routed mixture's raw
-/// per-trial losses and violation attributions.
+/// Runs the complete mutation self-check over a mixture's raw per-trial
+/// losses and violation attributions (for a binary run, the one-member
+/// mixture: every route 0, `n_routes = 1`).
 ///
 /// # Errors
 ///
 /// Returns [`ConformError::InvalidConfig`] for a non-positive `epsilon`,
 /// empty losses, or a `worst_routes`/`n_routes` mismatch, and propagates
 /// statistics errors.
-pub fn self_check_routed(
+pub fn self_check(
     losses: &[f64],
     worst_routes: &[usize],
     n_routes: usize,
@@ -434,11 +387,11 @@ pub fn self_check_routed(
             constraint: "finite and > 0",
         });
     }
-    let clean = judge_routed(losses, worst_routes, n_routes, spec, None, epsilon)?;
-    let clean_findings = audit_routed(&clean, losses, worst_routes, spec)?;
+    let clean = judge(losses, worst_routes, n_routes, spec, None, epsilon)?;
+    let clean_findings = audit(&clean, losses, worst_routes, spec)?;
     let mut outcomes = Vec::with_capacity(Mutation::ALL.len());
     for mutation in Mutation::ALL {
-        let judgement = judge_routed(
+        let judgement = judge(
             losses,
             worst_routes,
             n_routes,
@@ -446,7 +399,7 @@ pub fn self_check_routed(
             Some(mutation),
             epsilon,
         )?;
-        let findings = audit_routed(&judgement, losses, worst_routes, spec)?;
+        let findings = audit(&judgement, losses, worst_routes, spec)?;
         outcomes.push(SelfCheckOutcome {
             mutation,
             detected: !findings.is_empty(),
@@ -475,18 +428,25 @@ mod tests {
         v
     }
 
+    /// The one-member routes of a binary run: every trial on member 0.
+    fn one_member(losses: &[f64]) -> Vec<usize> {
+        vec![0; losses.len()]
+    }
+
     #[test]
     fn clean_judgement_audits_clean() {
         let l = losses(95, 5);
-        let j = judge(&l, &spec(), None, 0.005).unwrap();
+        let r = one_member(&l);
+        let j = judge(&l, &r, 1, &spec(), None, 0.005).unwrap();
         assert_eq!(j.successes, 95);
         assert_eq!(j.violations, 5);
-        assert!(audit(&j, &l, &spec()).unwrap().is_empty());
+        assert!(audit(&j, &l, &r, &spec()).unwrap().is_empty());
     }
 
     #[test]
     fn every_mutation_detected_on_typical_losses() {
-        let report = self_check(&losses(95, 5), &spec(), 0.005, 0.05).unwrap();
+        let l = losses(95, 5);
+        let report = self_check(&l, &one_member(&l), 1, &spec(), 0.005, 0.05).unwrap();
         assert!(report.all_detected(), "{report:?}");
     }
 
@@ -494,13 +454,15 @@ mod tests {
     fn every_mutation_detected_with_zero_violations() {
         // The off-by-one mutation must not vanish when there is no
         // violation to drop.
-        let report = self_check(&losses(50, 0), &spec(), 0.005, 0.05).unwrap();
+        let l = losses(50, 0);
+        let report = self_check(&l, &one_member(&l), 1, &spec(), 0.005, 0.05).unwrap();
         assert!(report.all_detected(), "{report:?}");
     }
 
     #[test]
     fn every_mutation_detected_with_all_violations() {
-        let report = self_check(&losses(0, 50), &spec(), 0.005, 0.05).unwrap();
+        let l = losses(0, 50);
+        let report = self_check(&l, &one_member(&l), 1, &spec(), 0.005, 0.05).unwrap();
         assert!(report.all_detected(), "{report:?}");
     }
 
@@ -509,38 +471,41 @@ mod tests {
         // No loss falls between q and q±ε, so the success count does not
         // change — the bit-exact target echo must still catch it.
         let l = vec![0.001; 30];
-        let report = self_check(&l, &spec(), 1e-9, 0.05).unwrap();
+        let report = self_check(&l, &one_member(&l), 1, &spec(), 1e-9, 0.05).unwrap();
         assert!(report.all_detected(), "{report:?}");
     }
 
     #[test]
     fn verdicts_follow_the_binomial_test() {
         let s = spec();
+        let judged = |l: Vec<f64>| judge(&l, &one_member(&l), 1, &s, None, 0.005).unwrap();
         // 100/100 at a 90% certificate: holds.
-        let j = judge(&losses(100, 0), &s, None, 0.005).unwrap();
+        let j = judged(losses(100, 0));
         assert_eq!(verdict_for(&j, &s, 0.05), Verdict::Holds);
         // 88/100: short of 90% but consistent with it.
-        let j = judge(&losses(88, 12), &s, None, 0.005).unwrap();
+        let j = judged(losses(88, 12));
         assert_eq!(verdict_for(&j, &s, 0.05), Verdict::Marginal);
         // 70/100: refuted.
-        let j = judge(&losses(70, 30), &s, None, 0.005).unwrap();
+        let j = judged(losses(70, 30));
         assert_eq!(verdict_for(&j, &s, 0.05), Verdict::Violated);
     }
 
     #[test]
     fn self_check_rejects_bad_epsilon() {
-        assert!(self_check(&losses(10, 0), &spec(), 0.0, 0.05).is_err());
-        assert!(self_check(&losses(10, 0), &spec(), f64::NAN, 0.05).is_err());
-        assert!(judge(&[], &spec(), None, 0.005).is_err());
+        let l = losses(10, 0);
+        let r = one_member(&l);
+        assert!(self_check(&l, &r, 1, &spec(), 0.0, 0.05).is_err());
+        assert!(self_check(&l, &r, 1, &spec(), f64::NAN, 0.05).is_err());
+        assert!(judge(&[], &[], 1, &spec(), None, 0.005).is_err());
     }
 
     #[test]
     fn binary_judge_is_the_one_member_mixture() {
+        // One slot holds every violation.
         let l = losses(95, 5);
-        let j = judge(&l, &spec(), None, 0.005).unwrap();
+        let j = judge(&l, &one_member(&l), 1, &spec(), None, 0.005).unwrap();
         assert_eq!(j.route_violations, vec![5]);
-        let routed = judge_routed(&l, &vec![0; l.len()], 1, &spec(), None, 0.005).unwrap();
-        assert_eq!(j, routed);
+        assert_eq!(j.violations, 5);
     }
 
     #[test]
@@ -549,18 +514,18 @@ mod tests {
         let l = losses(95, 5);
         let mut routes = vec![0; 95];
         routes.extend_from_slice(&[2, 1, 2, 0, 2]);
-        let j = judge_routed(&l, &routes, 3, &spec(), None, 0.005).unwrap();
+        let j = judge(&l, &routes, 3, &spec(), None, 0.005).unwrap();
         assert_eq!(j.violations, 5);
         assert_eq!(j.route_violations, vec![1, 1, 3]);
-        assert!(audit_routed(&j, &l, &routes, &spec()).unwrap().is_empty());
+        assert!(audit(&j, &l, &routes, &spec()).unwrap().is_empty());
     }
 
     #[test]
     fn routed_judge_validates_inputs() {
         let l = losses(4, 0);
-        assert!(judge_routed(&l, &[0, 0, 0], 1, &spec(), None, 0.005).is_err());
-        assert!(judge_routed(&l, &[0; 4], 0, &spec(), None, 0.005).is_err());
-        assert!(judge_routed(&l, &[0, 0, 0, 7], 3, &spec(), None, 0.005).is_err());
+        assert!(judge(&l, &[0, 0, 0], 1, &spec(), None, 0.005).is_err());
+        assert!(judge(&l, &[0; 4], 0, &spec(), None, 0.005).is_err());
+        assert!(judge(&l, &[0, 0, 0, 7], 3, &spec(), None, 0.005).is_err());
     }
 
     #[test]
@@ -568,7 +533,7 @@ mod tests {
         let l = losses(90, 10);
         let mut routes = vec![0; 90];
         routes.extend((0..10).map(|i| i % 3));
-        let report = self_check_routed(&l, &routes, 3, &spec(), 0.005, 0.05).unwrap();
+        let report = self_check(&l, &routes, 3, &spec(), 0.005, 0.05).unwrap();
         assert_eq!(report.outcomes.len(), Mutation::ALL.len());
         assert!(report.all_detected(), "{report:?}");
     }
@@ -578,7 +543,8 @@ mod tests {
         // The phantom-member path: shifting a violation off the only
         // member must still disagree with the re-attribution.
         for (s, v) in [(95usize, 5usize), (50, 0)] {
-            let report = self_check(&losses(s, v), &spec(), 0.005, 0.05).unwrap();
+            let l = losses(s, v);
+            let report = self_check(&l, &one_member(&l), 1, &spec(), 0.005, 0.05).unwrap();
             let outcome = report
                 .outcomes
                 .iter()

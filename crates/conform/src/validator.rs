@@ -1,20 +1,74 @@
 //! The Monte-Carlo guarantee validator.
 //!
 //! Draws `M` unseen datasets from the conformance seed space, runs each
-//! through the full system simulator under the deployed table classifier,
+//! through the full system simulator under the mixture's deployed router,
 //! and tests the observed success fraction against the certified
 //! `(success-rate, confidence)` pair.
 
 use crate::report::{GuaranteeReport, TrialRecord};
-use crate::selfcheck::{judge_routed, verdict_for};
+use crate::selfcheck::{judge, verdict_for};
 use crate::{ConformError, Result, CONFORM_SEED_BASE};
 use mithra_axbench::dataset::DatasetScale;
+use mithra_core::function::AcceleratedFunction;
 use mithra_core::parallel::par_map_indexed;
 use mithra_core::pipeline::Compiled;
 use mithra_core::profile::DatasetProfile;
 use mithra_core::route::RoutedCompiled;
-use mithra_core::threshold::QualitySpec;
+use mithra_core::threshold::{QualitySpec, ThresholdOutcome};
 use mithra_sim::system::{run, run_routed, RunHooks, RunResult, SimOptions};
+use std::sync::Arc;
+
+/// The system a conformance run validates: an ordered pool of
+/// approximators behind its deployed router. A binary artifact is the
+/// pool of one, whose router is its table classifier.
+#[derive(Debug, Clone, Copy)]
+pub enum Mixture<'a> {
+    /// A binary artifact, validated as its pool of one.
+    Binary(&'a Compiled),
+    /// A routed artifact behind its router cascade.
+    Routed(&'a RoutedCompiled),
+}
+
+impl<'a> From<&'a Compiled> for Mixture<'a> {
+    fn from(compiled: &'a Compiled) -> Self {
+        Mixture::Binary(compiled)
+    }
+}
+
+impl<'a> From<&'a RoutedCompiled> for Mixture<'a> {
+    fn from(routed: &'a RoutedCompiled) -> Self {
+        Mixture::Routed(routed)
+    }
+}
+
+/// A shared artifact, such as the `Arc<Compiled>` a serving engine holds,
+/// validates as the artifact it points to.
+impl<'a, T> From<&'a Arc<T>> for Mixture<'a>
+where
+    &'a T: Into<Mixture<'a>>,
+{
+    fn from(shared: &'a Arc<T>) -> Self {
+        shared.as_ref().into()
+    }
+}
+
+impl<'a> Mixture<'a> {
+    /// The pool members, cheapest first; the last is the most accurate.
+    fn members(self) -> &'a [AcceleratedFunction] {
+        match self {
+            Mixture::Binary(compiled) => std::slice::from_ref(&compiled.function),
+            Mixture::Routed(routed) => routed.pool.members(),
+        }
+    }
+
+    /// The compile-time certificate under test.
+    fn threshold(self) -> &'a ThresholdOutcome {
+        match self {
+            Mixture::Binary(compiled) => &compiled.threshold,
+            Mixture::Routed(routed) => &routed.threshold,
+        }
+    }
+}
 
 /// Configuration for one conformance run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,147 +132,109 @@ impl ValidatorConfig {
 /// Validates a certified guarantee on `config.trials` unseen datasets
 /// generated on the fly from the conformance seed space.
 ///
-/// Each trial profiles a fresh dataset, simulates it under the deployed
-/// table classifier, and scores final application quality. The fan-out
-/// runs under [`par_map_indexed`] and the fold walks trial indices in
-/// order, so the report is bit-identical at any thread count.
+/// `mixture` is a `&Compiled` (validated as its pool of one) or a
+/// `&RoutedCompiled`. Each trial profiles a fresh dataset under every
+/// pool member, simulates it under the deployed router, and scores final
+/// application quality of the mixed output stream. Violations are charged
+/// against the serving member with the worst error, so the report's
+/// `route_violations` says *which* approximator broke a trial, not just
+/// that one broke. The fan-out runs under [`par_map_indexed`] and the
+/// fold walks trial indices in order, so the report is bit-identical at
+/// any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`ConformError::InvalidConfig`] for a bad configuration and
 /// propagates simulator and statistics errors.
-pub fn validate(
-    compiled: &Compiled,
+pub fn validate<'a>(
+    mixture: impl Into<Mixture<'a>>,
     spec: &QualitySpec,
     config: &ValidatorConfig,
 ) -> Result<GuaranteeReport> {
     config.check()?;
+    let mixture = mixture.into();
+    let (accurate, cheaper) = mixture.members().split_last().expect("pools are non-empty");
     let trial_results = par_map_indexed(config.trials, config.threads, |i| {
-        let seed = config.seed_base + i as u64;
-        let dataset = compiled.function.dataset(seed, config.scale);
-        let profile = DatasetProfile::collect(&compiled.function, dataset);
-        run_trial(compiled, &profile)
-    });
-    score(
-        compiled.function.benchmark().name().to_string(),
-        compiled.threshold.certified_rate,
-        1,
-        spec,
-        config,
-        trial_results,
-    )
-}
-
-/// Validates a certified **routed-mixture** guarantee on unseen datasets:
-/// each trial profiles the fresh dataset under *every* pool member, runs
-/// it through the routed simulator under a fresh clone of the deployed
-/// router cascade, and scores final application quality of the mixed
-/// output stream. Violations are charged against the serving member with
-/// the worst error, so the report's `route_violations` says *which*
-/// approximator broke a trial, not just that one broke.
-///
-/// Verdict and statistics flow through the same
-/// [`judge_routed`] path the mutation self-check exercises; a pool of
-/// one reproduces [`validate`] bit for bit.
-///
-/// # Errors
-///
-/// Returns [`ConformError::InvalidConfig`] for a bad configuration and
-/// propagates simulator and statistics errors.
-pub fn validate_routed(
-    routed: &RoutedCompiled,
-    spec: &QualitySpec,
-    config: &ValidatorConfig,
-) -> Result<GuaranteeReport> {
-    config.check()?;
-    let trial_results = par_map_indexed(config.trials, config.threads, |i| {
-        let seed = config.seed_base + i as u64;
-        let dataset = routed.pool.accurate().dataset(seed, config.scale);
-        let member_profiles: Vec<DatasetProfile> = routed
-            .pool
-            .members()
+        let dataset = accurate.dataset(config.seed_base + i as u64, config.scale);
+        let mut profiles: Vec<DatasetProfile> = cheaper
             .iter()
             .map(|m| DatasetProfile::collect(m, dataset.clone()))
             .collect();
-        let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
-        let mut router = routed.router.clone();
-        run_routed(routed, &refs, &mut router, &SimOptions::default())
-            .map(|r| (seed, r.run, r.worst_member))
+        profiles.push(DatasetProfile::collect(accurate, dataset));
+        trial(mixture, &profiles.iter().collect::<Vec<_>>())
     });
-    score(
-        routed.pool.benchmark().name().to_string(),
-        routed.threshold.certified_rate,
-        routed.pool.len(),
-        spec,
-        config,
-        trial_results,
-    )
+    score(mixture, spec, config, trial_results)
 }
 
 /// Validates a certified guarantee on pre-collected unseen profiles —
 /// the artifact-cache-backed path
-/// ([`mithra_core::session::profile_validation`] with the conformance
-/// seed base produces and caches exactly these).
+/// ([`mithra_core::session::profile_validation`] and
+/// [`mithra_core::session::profile_pool_validation`] with the
+/// conformance seed base produce and cache exactly these).
 ///
-/// `config.trials` and `config.seed_base` are ignored; the profiles
-/// define both. Scoring and determinism are identical to [`validate`].
+/// `profiles[m][i]` is pool member `m`'s profile of unseen dataset `i`;
+/// a binary artifact passes its one-member table,
+/// `std::slice::from_ref(&profiles)`. `config.trials` and
+/// `config.seed_base` are ignored; the profiles define both. Scoring and
+/// determinism are identical to [`validate`].
 ///
 /// # Errors
 ///
-/// Returns [`ConformError::InvalidConfig`] for an empty profile slice or
-/// a bad `test_confidence`, and propagates simulator and statistics
-/// errors.
-pub fn validate_profiles(
-    compiled: &Compiled,
+/// Returns [`ConformError::InvalidConfig`] for an empty profile table, a
+/// table that does not hold one equally long list per pool member, or a
+/// bad `test_confidence`, and propagates simulator and statistics errors.
+pub fn validate_profiles<'a>(
+    mixture: impl Into<Mixture<'a>>,
     spec: &QualitySpec,
-    profiles: &[DatasetProfile],
+    profiles: &[Vec<DatasetProfile>],
     config: &ValidatorConfig,
 ) -> Result<GuaranteeReport> {
-    ValidatorConfig {
-        trials: profiles.len(),
-        ..*config
+    let mixture = mixture.into();
+    let trials = profiles.first().map_or(0, Vec::len);
+    if profiles.len() != mixture.members().len() || profiles.iter().any(|p| p.len() != trials) {
+        return Err(ConformError::InvalidConfig {
+            parameter: "profiles",
+            constraint: "one equally long profile list per pool member",
+        });
     }
-    .check()?;
-    let trial_results = par_map_indexed(profiles.len(), config.threads, |i| {
-        run_trial(compiled, &profiles[i])
+    ValidatorConfig { trials, ..*config }.check()?;
+    let trial_results = par_map_indexed(trials, config.threads, |i| {
+        trial(mixture, &profiles.iter().map(|p| &p[i]).collect::<Vec<_>>())
     });
-    score(
-        compiled.function.benchmark().name().to_string(),
-        compiled.threshold.certified_rate,
-        1,
-        spec,
-        config,
-        trial_results,
-    )
+    score(mixture, spec, config, trial_results)
 }
 
-/// One trial: simulate a profile under a fresh clone of the deployed
-/// table classifier (per-trial clones keep online updates from leaking
-/// state across datasets — and across threads). Binary trials are the
-/// one-member mixture, so the violation attribution is always member 0.
-fn run_trial(
-    compiled: &Compiled,
-    profile: &DatasetProfile,
-) -> std::result::Result<(u64, RunResult, usize), mithra_sim::SimError> {
-    let mut classifier = compiled.table.clone();
-    let result = run(
-        compiled,
-        profile,
-        &mut classifier,
-        &SimOptions::default(),
-        RunHooks::none(),
-    )?;
-    Ok((profile.dataset().seed(), result, 0))
+/// One trial's dataset seed, simulated run, and the member its violation
+/// is charged against.
+type TrialResult = std::result::Result<(u64, RunResult, usize), mithra_sim::SimError>;
+
+/// One trial: simulate a dataset, given every member's profile of it,
+/// under a fresh clone of the deployed router (per-trial clones keep
+/// online updates from leaking state across datasets — and across
+/// threads). The binary pool of one charges every violation to member 0.
+fn trial(mixture: Mixture<'_>, members: &[&DatasetProfile]) -> TrialResult {
+    let options = SimOptions::default();
+    let (result, worst_member) = match mixture {
+        Mixture::Binary(compiled) => {
+            let mut table = compiled.table.clone();
+            let result = run(compiled, members[0], &mut table, &options, RunHooks::none())?;
+            (result, 0)
+        }
+        Mixture::Routed(routed) => {
+            let mut router = routed.router.clone();
+            let result = run_routed(routed, members, &mut router, &options)?;
+            (result.run, result.worst_member)
+        }
+    };
+    Ok((members[0].dataset().seed(), result, worst_member))
 }
 
 /// Folds per-trial results (in trial-index order) into the report.
 fn score(
-    benchmark: String,
-    certified_rate: f64,
-    n_routes: usize,
+    mixture: Mixture<'_>,
     spec: &QualitySpec,
     config: &ValidatorConfig,
-    trial_results: Vec<std::result::Result<(u64, RunResult, usize), mithra_sim::SimError>>,
+    trial_results: Vec<TrialResult>,
 ) -> Result<GuaranteeReport> {
     let mut trial_records = Vec::with_capacity(trial_results.len());
     let mut losses = Vec::with_capacity(trial_results.len());
@@ -237,21 +253,22 @@ fn score(
             worst_route,
         });
     }
-    // The published numbers come from the same judge_routed() the
-    // mutation self-check exercises: there is exactly one verdict code
-    // path, binary included (a one-member mixture).
-    let judgement = judge_routed(&losses, &worst_routes, n_routes, spec, None, f64::EPSILON)?;
+    // The published numbers come from the same judge() the mutation
+    // self-check exercises: there is exactly one verdict code path,
+    // binary included (a one-member mixture).
+    let n_routes = mixture.members().len();
+    let judgement = judge(&losses, &worst_routes, n_routes, spec, None, f64::EPSILON)?;
     let verdict = verdict_for(&judgement, spec, 1.0 - config.test_confidence);
     debug_assert_eq!(
         judgement.successes,
         trial_records.iter().filter(|t| t.met_target).count() as u64
     );
     Ok(GuaranteeReport {
-        benchmark,
+        benchmark: mixture.members()[0].benchmark().name().to_string(),
         quality_target: spec.max_quality_loss,
         target_rate: spec.success_rate,
         confidence: spec.confidence.level(),
-        certified_rate,
+        certified_rate: mixture.threshold().certified_rate,
         trials: judgement.trials,
         successes: judgement.successes,
         observed_rate: judgement.successes as f64 / judgement.trials as f64,

@@ -11,8 +11,8 @@ use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::DatasetScale;
 use mithra_axbench::suite;
 use mithra_conform::{
-    selfcheck::{self_check, self_check_routed},
-    validate, validate_routed, Mutation, ValidatorConfig, Verdict, CONFORM_SEED_BASE,
+    selfcheck::self_check, validate, validate_profiles, ConformError, Mutation, ValidatorConfig,
+    Verdict, CONFORM_SEED_BASE,
 };
 use mithra_core::pipeline::{compile, compile_routed, CompileConfig, Compiled};
 use mithra_core::route::{PoolSpec, RoutedCompiled};
@@ -55,6 +55,10 @@ fn report_is_bit_identical_across_thread_counts() {
         .collect();
     assert_eq!(reports[0], reports[1], "threads=1 vs threads=2");
     assert_eq!(reports[0], reports[2], "threads=1 vs threads=4");
+    // A shared artifact validates as the artifact it points to.
+    let shared = Arc::new(compiled);
+    let report = validate(&shared, &spec, &smoke_validator(1)).unwrap();
+    assert_eq!(serde_json::to_string(&report).unwrap(), reports[0]);
 }
 
 #[test]
@@ -102,8 +106,13 @@ fn every_mutation_detected_on_real_losses() {
         .iter()
         .map(|t| t.quality_loss)
         .collect();
+    let routes: Vec<usize> = report.trial_records.iter().map(|t| t.worst_route).collect();
+    assert!(
+        routes.iter().all(|&r| r == 0),
+        "a binary run is the pool of one"
+    );
 
-    let check = self_check(&losses, &spec, 0.005, 0.05).unwrap();
+    let check = self_check(&losses, &routes, 1, &spec, 0.005, 0.05).unwrap();
     assert!(
         check.clean_findings.is_empty(),
         "the unmutated pipeline must audit clean: {:?}",
@@ -127,7 +136,7 @@ fn routed_report_is_bit_identical_across_thread_counts() {
     let reports: Vec<String> = [1, 2, 4]
         .iter()
         .map(|&threads| {
-            let report = validate_routed(&routed, &spec, &smoke_validator(threads)).unwrap();
+            let report = validate(&routed, &spec, &smoke_validator(threads)).unwrap();
             serde_json::to_string(&report).unwrap()
         })
         .collect();
@@ -137,14 +146,14 @@ fn routed_report_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn routed_pool_of_one_report_matches_binary_report() {
-    // A pool-of-one routed conformance run must publish the same numbers
-    // as the binary validator, bit for bit, except for the explicit
-    // mixture bookkeeping (which is trivially one slot).
+    // A binary artifact and its pool-of-one routed compile are the same
+    // mixture: the one validator must publish the same report for both,
+    // bit for bit.
     let compiled = compiled_smoke("inversek2j");
-    let routed = routed_smoke("inversek2j", 1);
+    let pool1 = routed_smoke("inversek2j", 1);
     let spec = QualitySpec::paper_default(0.10).unwrap();
     let binary = validate(&compiled, &spec, &smoke_validator(2)).unwrap();
-    let mixed = validate_routed(&routed, &spec, &smoke_validator(2)).unwrap();
+    let mixed = validate(&pool1, &spec, &smoke_validator(2)).unwrap();
     assert_eq!(
         serde_json::to_string(&binary).unwrap(),
         serde_json::to_string(&mixed).unwrap()
@@ -152,10 +161,62 @@ fn routed_pool_of_one_report_matches_binary_report() {
 }
 
 #[test]
+fn pre_collected_profiles_reproduce_the_seeded_report() {
+    // validate_profiles over the conformance seeds' profiles — one list
+    // per pool member — publishes exactly the seeded validate report, for
+    // a binary artifact (its one-member table) and a routed mixture.
+    let spec = QualitySpec::paper_default(0.10).unwrap();
+    let config = smoke_validator(2);
+    let seeded = |seed_base: u64, members: &[mithra_core::function::AcceleratedFunction]| {
+        members
+            .iter()
+            .map(|m| {
+                (0..TRIALS as u64)
+                    .map(|i| {
+                        let dataset = m.dataset(seed_base + i, config.scale);
+                        mithra_core::profile::DatasetProfile::collect(m, dataset)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+    };
+
+    let compiled = compiled_smoke("inversek2j");
+    let profiles = seeded(config.seed_base, std::slice::from_ref(&compiled.function));
+    let from_profiles = validate_profiles(&compiled, &spec, &profiles, &config).unwrap();
+    let from_seeds = validate(&compiled, &spec, &config).unwrap();
+    assert_eq!(
+        serde_json::to_string(&from_profiles).unwrap(),
+        serde_json::to_string(&from_seeds).unwrap()
+    );
+
+    let routed = routed_smoke("inversek2j", 2);
+    let profiles = seeded(config.seed_base, routed.pool.members());
+    let from_profiles = validate_profiles(&routed, &spec, &profiles, &config).unwrap();
+    let from_seeds = validate(&routed, &spec, &config).unwrap();
+    assert_eq!(
+        serde_json::to_string(&from_profiles).unwrap(),
+        serde_json::to_string(&from_seeds).unwrap()
+    );
+
+    // A table that does not hold one equally long list per member, or
+    // holds no trials, is rejected rather than misread.
+    let bad = |profiles: &[Vec<_>]| {
+        matches!(
+            validate_profiles(&routed, &spec, profiles, &config),
+            Err(ConformError::InvalidConfig { .. })
+        )
+    };
+    assert!(bad(&profiles[..1]));
+    assert!(bad(&[profiles[0].clone(), profiles[1][..1].to_vec()]));
+    assert!(bad(&[Vec::new(), Vec::new()]));
+}
+
+#[test]
 fn routed_report_attributes_violations_and_audits_clean() {
     let routed = routed_smoke("sobel", 3);
     let spec = QualitySpec::paper_default(0.10).unwrap();
-    let report = validate_routed(&routed, &spec, &smoke_validator(2)).unwrap();
+    let report = validate(&routed, &spec, &smoke_validator(2)).unwrap();
 
     assert_eq!(report.route_violations.len(), routed.pool.len());
     assert_eq!(
@@ -176,7 +237,7 @@ fn routed_report_attributes_violations_and_audits_clean() {
         .map(|t| t.quality_loss)
         .collect();
     let routes: Vec<usize> = report.trial_records.iter().map(|t| t.worst_route).collect();
-    let check = self_check_routed(&losses, &routes, routed.pool.len(), &spec, 0.005, 0.05).unwrap();
+    let check = self_check(&losses, &routes, routed.pool.len(), &spec, 0.005, 0.05).unwrap();
     assert!(
         check.clean_findings.is_empty(),
         "the unmutated routed pipeline must audit clean: {:?}",

@@ -9,13 +9,16 @@
 //! deserialized instead.
 //!
 //! Layout: `<dir>/<benchmark>/<stage>-<fingerprint>.json` (or `.bin` for
-//! dataset profiles), where the fingerprint is an FNV-1a 64-bit hash of a
-//! canonical description of everything that influences the artifact
-//! (benchmark name, dataset scale and seeds, stage configuration, and the
-//! fingerprints of upstream stages). Files are written atomically (temp
-//! file + rename) and any read failure — missing, truncated, garbage, or
-//! schema-mismatched — falls back to recomputation: the cache can never
-//! poison a run, only skip work.
+//! dataset profiles), where the fingerprint is an FNV-1a 64-bit hash of
+//! the artifact's canonical key string: a description of everything that
+//! influences the artifact (benchmark name, dataset scale and seeds,
+//! stage configuration, and the keys of upstream stages). Every file
+//! starts with a header line holding that key string, and a load checks
+//! it, so two keys that hash alike can never serve each other's
+//! artifacts. Files are written atomically (temp file + rename) and any
+//! read failure — missing, truncated, garbage, a header for another key
+//! or no header at all, or schema-mismatched — falls back to
+//! recomputation: the cache can never poison a run, only skip work.
 //!
 //! Small artifacts (trained NPU, threshold, classifiers) go through serde
 //! as JSON. Dataset profiles are hundreds of megabytes of flat `f32`/`f64`
@@ -160,26 +163,30 @@ impl ArtifactCache {
         }
     }
 
-    /// The file a `(stage, fingerprint)` pair maps to.
-    pub fn path(&self, stage: &str, fingerprint: u64) -> PathBuf {
-        self.dir.join(format!("{stage}-{fingerprint:016x}.json"))
+    /// The file a `(stage, key)` pair maps to.
+    pub fn path(&self, stage: &str, key: &str) -> PathBuf {
+        self.dir
+            .join(format!("{stage}-{:016x}.json", fingerprint(key)))
     }
 
-    /// Loads a stage artifact, or `None` when it is absent or unreadable
-    /// (corrupt files are treated as misses, never errors).
-    pub fn load<T: serde::Deserialize>(&self, stage: &str, fingerprint: u64) -> Option<T> {
-        let bytes = std::fs::read(self.path(stage, fingerprint)).ok()?;
-        serde_json::from_slice(&bytes).ok()
+    /// Loads a stage artifact stored under `key`, or `None` when it is
+    /// absent, unreadable or stored under another key (corrupt files are
+    /// treated as misses, never errors).
+    pub fn load<T: serde::Deserialize>(&self, stage: &str, key: &str) -> Option<T> {
+        let bytes = std::fs::read(self.path(stage, key)).ok()?;
+        serde_json::from_slice(strip_key_header(&bytes, key)?).ok()
     }
 
-    /// Stores a stage artifact, best-effort: an unwritable cache degrades
-    /// to recomputation on the next run rather than failing the compile.
-    /// Returns whether the artifact landed on disk.
-    pub fn store<T: serde::Serialize>(&self, stage: &str, fingerprint: u64, value: &T) -> bool {
-        let Ok(bytes) = serde_json::to_vec(value) else {
+    /// Stores a stage artifact under `key`, best-effort: an unwritable
+    /// cache degrades to recomputation on the next run rather than
+    /// failing the compile. Returns whether the artifact landed on disk.
+    pub fn store<T: serde::Serialize>(&self, stage: &str, key: &str, value: &T) -> bool {
+        let Ok(json) = serde_json::to_vec(value) else {
             return false;
         };
-        self.publish(&self.path(stage, fingerprint), &bytes)
+        let mut bytes = key_header(key);
+        bytes.extend_from_slice(&json);
+        self.publish(&self.path(stage, key), &bytes)
     }
 
     /// Writes `bytes` to `target` through a temp file of this writer's
@@ -208,31 +215,43 @@ impl ArtifactCache {
         &self.dir
     }
 
-    /// The file a binary `(stage, fingerprint)` pair maps to.
-    pub fn bin_path(&self, stage: &str, fingerprint: u64) -> PathBuf {
-        self.dir.join(format!("{stage}-{fingerprint:016x}.bin"))
+    /// The file a binary `(stage, key)` pair maps to.
+    pub fn bin_path(&self, stage: &str, key: &str) -> PathBuf {
+        self.dir
+            .join(format!("{stage}-{:016x}.bin", fingerprint(key)))
     }
 
-    /// Loads a profile artifact from the flat binary format, or `None`
-    /// when it is absent or unreadable.
-    pub fn load_profiles(&self, stage: &str, fingerprint: u64) -> Option<Vec<DatasetProfile>> {
-        let bytes = std::fs::read(self.bin_path(stage, fingerprint)).ok()?;
-        decode_profiles(&bytes)
+    /// Loads a profile artifact stored under `key` from the flat binary
+    /// format, or `None` when it is absent, unreadable or stored under
+    /// another key.
+    pub fn load_profiles(&self, stage: &str, key: &str) -> Option<Vec<DatasetProfile>> {
+        let bytes = std::fs::read(self.bin_path(stage, key)).ok()?;
+        decode_profiles(strip_key_header(&bytes, key)?)
     }
 
-    /// Stores a profile artifact in the flat binary format, best-effort.
-    /// Returns whether the artifact landed on disk.
-    pub fn store_profiles(
-        &self,
-        stage: &str,
-        fingerprint: u64,
-        profiles: &[DatasetProfile],
-    ) -> bool {
-        self.publish(
-            &self.bin_path(stage, fingerprint),
-            &encode_profiles(profiles),
-        )
+    /// Stores a profile artifact under `key` in the flat binary format,
+    /// best-effort. Returns whether the artifact landed on disk.
+    pub fn store_profiles(&self, stage: &str, key: &str, profiles: &[DatasetProfile]) -> bool {
+        let mut bytes = key_header(key);
+        encode_profiles_into(&mut bytes, profiles);
+        self.publish(&self.bin_path(stage, key), &bytes)
     }
+}
+
+/// Tag opening every artifact file's header line.
+const KEY_HEADER_TAG: &str = "mithra-artifact-key ";
+
+/// The header line of an artifact stored under `key`: the tag, then the
+/// key as a JSON string (so it holds no raw newline), then `\n`.
+fn key_header(key: &str) -> Vec<u8> {
+    let quoted = serde_json::to_string(&key.to_owned()).expect("a string always serializes");
+    format!("{KEY_HEADER_TAG}{quoted}\n").into_bytes()
+}
+
+/// The artifact body after `key`'s header line, or `None` when the file
+/// has no header or a header for another key.
+fn strip_key_header<'a>(bytes: &'a [u8], key: &str) -> Option<&'a [u8]> {
+    bytes.strip_prefix(key_header(key).as_slice())
 }
 
 /// Magic prefix of the binary profile format; the trailing byte is its
@@ -260,25 +279,30 @@ fn push_f64s(out: &mut Vec<u8>, values: &[f64]) {
 /// Serializes profiles into the flat little-endian binary format.
 pub fn encode_profiles(profiles: &[DatasetProfile]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(PROFILE_MAGIC);
-    push_u64(&mut out, profiles.len() as u64);
-    for p in profiles {
-        push_u64(&mut out, p.dataset().seed());
-        push_u64(&mut out, p.dataset().input_dim() as u64);
-        push_u64(&mut out, p.dataset().as_flat().len() as u64);
-        push_f32s(&mut out, p.dataset().as_flat());
-        push_u64(&mut out, p.precise_outputs().dim() as u64);
-        push_u64(&mut out, p.precise_outputs().as_flat().len() as u64);
-        push_f32s(&mut out, p.precise_outputs().as_flat());
-        push_u64(&mut out, p.approx_outputs().dim() as u64);
-        push_u64(&mut out, p.approx_outputs().as_flat().len() as u64);
-        push_f32s(&mut out, p.approx_outputs().as_flat());
-        push_u64(&mut out, p.errors().len() as u64);
-        push_f32s(&mut out, p.errors());
-        push_u64(&mut out, p.final_precise().len() as u64);
-        push_f64s(&mut out, p.final_precise());
-    }
+    encode_profiles_into(&mut out, profiles);
     out
+}
+
+/// Appends the flat binary encoding of `profiles` to `out`.
+fn encode_profiles_into(out: &mut Vec<u8>, profiles: &[DatasetProfile]) {
+    out.extend_from_slice(PROFILE_MAGIC);
+    push_u64(out, profiles.len() as u64);
+    for p in profiles {
+        push_u64(out, p.dataset().seed());
+        push_u64(out, p.dataset().input_dim() as u64);
+        push_u64(out, p.dataset().as_flat().len() as u64);
+        push_f32s(out, p.dataset().as_flat());
+        push_u64(out, p.precise_outputs().dim() as u64);
+        push_u64(out, p.precise_outputs().as_flat().len() as u64);
+        push_f32s(out, p.precise_outputs().as_flat());
+        push_u64(out, p.approx_outputs().dim() as u64);
+        push_u64(out, p.approx_outputs().as_flat().len() as u64);
+        push_f32s(out, p.approx_outputs().as_flat());
+        push_u64(out, p.errors().len() as u64);
+        push_f32s(out, p.errors());
+        push_u64(out, p.final_precise().len() as u64);
+        push_f64s(out, p.final_precise());
+    }
 }
 
 struct ByteReader<'a> {
@@ -401,15 +425,15 @@ mod tests {
     #[test]
     fn missing_artifact_is_a_miss() {
         let (_config, cache) = tmp_cache("miss");
-        assert!(cache.load::<Vec<f32>>("npu", 1).is_none());
+        assert!(cache.load::<Vec<f32>>("npu", "k1").is_none());
     }
 
     #[test]
     fn round_trip_returns_stored_value() {
         let (config, cache) = tmp_cache("roundtrip");
         let value: Vec<f64> = vec![1.5, -2.25, 0.0];
-        assert!(cache.store("profiles", 42, &value));
-        assert_eq!(cache.load::<Vec<f64>>("profiles", 42), Some(value));
+        assert!(cache.store("profiles", "k42", &value));
+        assert_eq!(cache.load::<Vec<f64>>("profiles", "k42"), Some(value));
         let _ = std::fs::remove_dir_all(&config.dir);
     }
 
@@ -427,8 +451,8 @@ mod tests {
         assert_eq!(decode_profiles(&bytes).as_ref(), Some(&profiles));
 
         let (config, cache) = tmp_cache("profiles-bin");
-        assert!(cache.store_profiles("profiling", 9, &profiles));
-        assert_eq!(cache.load_profiles("profiling", 9), Some(profiles));
+        assert!(cache.store_profiles("profiling", "k9", &profiles));
+        assert_eq!(cache.load_profiles("profiling", "k9"), Some(profiles));
         let _ = std::fs::remove_dir_all(&config.dir);
     }
 
@@ -458,11 +482,11 @@ mod tests {
 
         // On-disk corruption goes through the same path.
         let (config, cache) = tmp_cache("profiles-corrupt");
-        assert!(cache.store_profiles("profiling", 4, &profiles));
-        let path = cache.bin_path("profiling", 4);
+        assert!(cache.store_profiles("profiling", "k4", &profiles));
+        let path = cache.bin_path("profiling", "k4");
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 3]).unwrap();
-        assert_eq!(cache.load_profiles("profiling", 4), None);
+        assert_eq!(cache.load_profiles("profiling", "k4"), None);
         let _ = std::fs::remove_dir_all(&config.dir);
     }
 
@@ -481,16 +505,18 @@ mod tests {
                 scope.spawn(move || {
                     start.wait();
                     for _ in 0..10 {
-                        assert!(cache.store("npu", 3, value));
-                        assert!(cache.store_profiles("profiling", 3, profiles));
+                        assert!(cache.store("npu", "k3", value));
+                        assert!(cache.store_profiles("profiling", "k3", profiles));
                     }
                 });
             }
         });
-        let loaded = cache.load::<Vec<f64>>("npu", 3).expect("a whole artifact");
+        let loaded = cache
+            .load::<Vec<f64>>("npu", "k3")
+            .expect("a whole artifact");
         assert!(values.contains(&loaded));
         let loaded = cache
-            .load_profiles("profiling", 3)
+            .load_profiles("profiling", "k3")
             .expect("a whole artifact");
         assert!(profiles.contains(&loaded));
         let leftovers: Vec<_> = std::fs::read_dir(cache.dir())
@@ -509,19 +535,72 @@ mod tests {
     fn truncated_and_garbage_files_fall_back_to_miss() {
         let (config, cache) = tmp_cache("corrupt");
         let value: Vec<f64> = vec![3.0; 8];
-        assert!(cache.store("threshold", 7, &value));
-        let path = cache.path("threshold", 7);
+        assert!(cache.store("threshold", "k7", &value));
+        let path = cache.path("threshold", "k7");
 
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert!(cache.load::<Vec<f64>>("threshold", 7).is_none());
+        assert!(cache.load::<Vec<f64>>("threshold", "k7").is_none());
 
         std::fs::write(&path, b"not json at all {{{").unwrap();
-        assert!(cache.load::<Vec<f64>>("threshold", 7).is_none());
+        assert!(cache.load::<Vec<f64>>("threshold", "k7").is_none());
 
-        // Valid JSON of the wrong shape is also just a miss.
+        // Valid JSON of the wrong shape is also just a miss, with or
+        // without the key header.
         std::fs::write(&path, b"{\"wrong\": true}").unwrap();
-        assert!(cache.load::<Vec<f64>>("threshold", 7).is_none());
+        assert!(cache.load::<Vec<f64>>("threshold", "k7").is_none());
+        let mut wrong_shape = key_header("k7");
+        wrong_shape.extend_from_slice(b"{\"wrong\": true}");
+        std::fs::write(&path, wrong_shape).unwrap();
+        assert!(cache.load::<Vec<f64>>("threshold", "k7").is_none());
+        let _ = std::fs::remove_dir_all(&config.dir);
+    }
+
+    #[test]
+    fn artifacts_under_another_keys_path_are_misses() {
+        // A file copied to another key's path stands in for an FNV
+        // collision: the header names the key it was stored under, so the
+        // lookup for the other key must miss, for both formats.
+        let (config, cache) = tmp_cache("key-check");
+        let value: Vec<f64> = vec![1.0, 2.0];
+        assert!(cache.store("npu", "key-a", &value));
+        std::fs::copy(cache.path("npu", "key-a"), cache.path("npu", "key-b")).unwrap();
+        assert_eq!(cache.load::<Vec<f64>>("npu", "key-a"), Some(value));
+        assert_eq!(cache.load::<Vec<f64>>("npu", "key-b"), None);
+
+        let profiles = vec![tiny_profile(5)];
+        assert!(cache.store_profiles("profiling", "key-a", &profiles));
+        std::fs::copy(
+            cache.bin_path("profiling", "key-a"),
+            cache.bin_path("profiling", "key-b"),
+        )
+        .unwrap();
+        assert_eq!(cache.load_profiles("profiling", "key-a"), Some(profiles));
+        assert_eq!(cache.load_profiles("profiling", "key-b"), None);
+
+        // A key that merely extends the stored one is not a match either.
+        std::fs::copy(
+            cache.bin_path("profiling", "key-a"),
+            cache.bin_path("profiling", "key-a/more"),
+        )
+        .unwrap();
+        assert_eq!(cache.load_profiles("profiling", "key-a/more"), None);
+        let _ = std::fs::remove_dir_all(&config.dir);
+    }
+
+    #[test]
+    fn headerless_artifacts_are_misses() {
+        // Files in the pre-header layout: bare JSON and bare profile
+        // encodings at the right paths.
+        let (config, cache) = tmp_cache("headerless");
+        let value: Vec<f64> = vec![4.0];
+        assert!(cache.store("npu", "k", &value));
+        std::fs::write(cache.path("npu", "k"), serde_json::to_vec(&value).unwrap()).unwrap();
+        assert_eq!(cache.load::<Vec<f64>>("npu", "k"), None);
+
+        let profiles = vec![tiny_profile(6)];
+        std::fs::write(cache.bin_path("profiling", "k"), encode_profiles(&profiles)).unwrap();
+        assert_eq!(cache.load_profiles("profiling", "k"), None);
         let _ = std::fs::remove_dir_all(&config.dir);
     }
 }

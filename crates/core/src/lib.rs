@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod binary;
 pub mod cache;
 pub mod classifier;
 pub mod context;
@@ -95,7 +94,7 @@ pub mod prelude {
     };
     pub use crate::session::{CompileSession, SessionReport, Stage, StageReport};
     pub use crate::table::{TableClassifier, TableDesign};
-    pub use crate::threshold::{QualitySpec, RoutedThresholdOutcome, ThresholdOutcome};
+    pub use crate::threshold::{QualitySpec, ThresholdOutcome};
     pub use crate::watchdog::{GuardState, QualityWatchdog, WatchdogConfig};
     pub use crate::MithraError;
 }

@@ -153,7 +153,7 @@ impl Compiled {
             function: self.function.clone(),
             threshold: crate::threshold::ThresholdOutcome {
                 threshold,
-                ..self.threshold
+                ..self.threshold.clone()
             },
             table,
             neural: self.neural.clone(),

@@ -49,7 +49,7 @@ use crate::pipeline::quantizer_from_profiles;
 use crate::profile::DatasetProfile;
 use crate::route::{ApproximatorPool, PoolSpec, RouteClassifier, RouterKind, RouterTrainer};
 use crate::table::{TableClassifier, TableDesign};
-use crate::threshold::{QualitySpec, RoutedThresholdOutcome};
+use crate::threshold::{QualitySpec, ThresholdOutcome};
 use crate::training::generate_training_data;
 use crate::watchdog::{self, WatchdogConfig};
 use crate::{MithraError, Result};
@@ -582,7 +582,7 @@ pub fn select_routed_candidate(
     member_window: &[Vec<DatasetProfile>],
     spec: &QualitySpec,
     config: &RecertConfig,
-) -> Result<(RoutedThresholdOutcome, RouteClassifier)> {
+) -> Result<(ThresholdOutcome, RouteClassifier)> {
     config.validate()?;
     let trials = member_window.first().map_or(0, Vec::len);
     if trials == 0 {

@@ -25,7 +25,7 @@ use crate::parallel::par_map_indexed;
 use crate::pipeline::quantizer_from_profiles;
 use crate::profile::{common_invocation_count, replay_mixture, DatasetProfile};
 use crate::table::{PreparedTableSet, TableClassifier, TableDesign};
-use crate::threshold::RoutedThresholdOutcome;
+use crate::threshold::ThresholdOutcome;
 use crate::training::sample_invocations;
 use crate::{MithraError, Result};
 use mithra_axbench::benchmark::Benchmark;
@@ -369,6 +369,13 @@ impl ApproximatorPool {
         }
     }
 
+    /// The binary design as the pool of one: `function` is the only
+    /// member, on its own topology.
+    pub fn single(function: AcceleratedFunction) -> Self {
+        let topology = function.npu().topology().clone();
+        Self::from_members(vec![function], vec![topology])
+    }
+
     /// This pool with every member's kernel backend replaced — the
     /// artifact-cache reattach, mirroring
     /// [`AcceleratedFunction::with_kernel`].
@@ -455,11 +462,8 @@ impl ApproximatorPool {
         members: &[&DatasetProfile],
         threshold: f32,
     ) -> Result<RoutedReplay> {
-        let n = self.check_member_profiles(members)?;
-        let choices: Vec<RouteChoice> = (0..n)
-            .map(|i| oracle_route(members, i, threshold))
-            .collect();
-        self.replay_routed_choices(members, &choices)
+        self.check_member_profiles(members)?;
+        self.replay_routed(members, |i| oracle_route(members, i, threshold))
     }
 
     /// Replays one dataset under explicit per-invocation [`RouteChoice`]s
@@ -483,11 +487,22 @@ impl ApproximatorPool {
                 needed: n,
             });
         }
+        self.replay_routed(members, |i| choices[i])
+    }
+
+    /// Mixes one dataset's output stream from `route(i)` per invocation,
+    /// tallying each member's invocations and the member that served the
+    /// worst error. `members` must already be checked against the pool.
+    fn replay_routed(
+        &self,
+        members: &[&DatasetProfile],
+        route: impl Fn(usize) -> RouteChoice,
+    ) -> Result<RoutedReplay> {
         let mut member_invocations = vec![0usize; self.len()];
         let mut worst_member = 0usize;
         let mut worst_err = f32::NEG_INFINITY;
         let outcome = replay_mixture(self.benchmark().as_ref(), members, |i| {
-            let m = choices[i].member()?;
+            let m = route(i).member()?;
             member_invocations[m] += 1;
             let err = members[m].max_error(i);
             if err > worst_err {
@@ -894,7 +909,7 @@ pub struct RoutedCompiled {
     /// `i`.
     pub member_profiles: Vec<Vec<DatasetProfile>>,
     /// The threshold certified over the routed mixture.
-    pub threshold: RoutedThresholdOutcome,
+    pub threshold: ThresholdOutcome,
     /// The deployed K-ary router.
     pub router: RouteClassifier,
 }

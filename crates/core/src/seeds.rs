@@ -12,7 +12,7 @@
 //! |----------------------------|-------------|----------------------------------|
 //! | compile / training         | 0           | `pipeline::CompileConfig`        |
 //! | figure-harness validation  | 1,000,000   | `mithra-bench` runner            |
-//! | serving load generation    | 2,000,000   | `bench_serve_throughput`         |
+//! | serving load generation    | 2,000,000   | mithra_perf `serve`              |
 //! | conformance trials         | 3,000,000   | `mithra-conform`                 |
 //! | drifted conformance trials | 3,500,000   | `mithra-conform` (drift window)  |
 //! | differential fuzzing       | 4,000,000   | `mithra-fuzz`                    |

@@ -27,8 +27,7 @@
 //! `prepare_base`/`certify_at` are all thin wrappers over this type.
 
 use crate::cache::{
-    fingerprint, ArtifactCache, ClassifierArtifact, PoolArtifact, TrainedNpuArtifact,
-    CACHE_FORMAT_VERSION,
+    ArtifactCache, ClassifierArtifact, PoolArtifact, TrainedNpuArtifact, CACHE_FORMAT_VERSION,
 };
 use crate::function::AcceleratedFunction;
 use crate::neural::NeuralClassifier;
@@ -36,7 +35,7 @@ use crate::pipeline::{quantizer_from_profiles, CompileConfig, Compiled};
 use crate::profile::{collect_profiles_parallel, DatasetProfile};
 use crate::route::{ApproximatorPool, PoolSpec, RouteClassifier, RoutedCompiled, RouterTrainer};
 use crate::table::TableClassifier;
-use crate::threshold::{RoutedThresholdOutcome, ThresholdOptimizer, ThresholdOutcome};
+use crate::threshold::{ThresholdOptimizer, ThresholdOutcome};
 use crate::training::{generate_training_data, TrainingExample};
 use crate::Result;
 use mithra_axbench::benchmark::Benchmark;
@@ -138,13 +137,56 @@ impl StageReport {
     }
 }
 
-/// Per-lookup counters for a stage that consults exactly one artifact.
-fn counters_for(outcome: CacheOutcome) -> (u32, u32) {
-    match outcome {
-        CacheOutcome::Hit => (1, 0),
-        CacheOutcome::Miss => (0, 1),
-        CacheOutcome::Disabled => (0, 0),
+/// The report of a stage started at `started` that made the artifact
+/// `lookups`: a hit when every lookup hit, a miss when any missed, and
+/// disabled without a cache.
+fn stage_report(
+    stage: Stage,
+    started: Instant,
+    invocations: u64,
+    lookups: &[CacheOutcome],
+) -> StageReport {
+    let count = |outcome| lookups.iter().filter(|&&l| l == outcome).count() as u32;
+    let (cache_hits, cache_misses) = (count(CacheOutcome::Hit), count(CacheOutcome::Miss));
+    let cache = if cache_misses > 0 {
+        CacheOutcome::Miss
+    } else if cache_hits > 0 {
+        CacheOutcome::Hit
+    } else {
+        CacheOutcome::Disabled
+    };
+    StageReport {
+        stage,
+        wall: started.elapsed(),
+        invocations,
+        cache,
+        cache_hits,
+        cache_misses,
     }
+}
+
+/// Loads `key`'s profiles from `cache`, or runs `collect` and stores its
+/// profiles best-effort. Returns the profiles, the invocations spent
+/// collecting them, and the lookup's outcome.
+fn cached_profiles(
+    cache: Option<&ArtifactCache>,
+    stage: Stage,
+    key: &str,
+    collect: impl FnOnce() -> Vec<DatasetProfile>,
+) -> (Vec<DatasetProfile>, u64, CacheOutcome) {
+    if let Some(profiles) = cache.and_then(|c| c.load_profiles(stage.label(), key)) {
+        return (profiles, 0, CacheOutcome::Hit);
+    }
+    let profiles = collect();
+    let invocations = profiles.iter().map(|p| p.invocation_count() as u64).sum();
+    let outcome = match cache {
+        Some(c) => {
+            let _ = c.store_profiles(stage.label(), key, &profiles);
+            CacheOutcome::Miss
+        }
+        None => CacheOutcome::Disabled,
+    };
+    (profiles, invocations, outcome)
 }
 
 /// The full per-stage instrumentation of one compile session.
@@ -268,7 +310,7 @@ pub struct RoutedCertified {
     spec: PoolSpec,
     pool: ApproximatorPool,
     member_profiles: Vec<Vec<DatasetProfile>>,
-    threshold: RoutedThresholdOutcome,
+    threshold: ThresholdOutcome,
 }
 
 /// Final state of the routing branch: the K-ary router trained; ready to
@@ -279,7 +321,7 @@ pub struct RoutedCertified {
 pub struct RoutedClassifiers {
     pool: ApproximatorPool,
     member_profiles: Vec<Vec<DatasetProfile>>,
-    threshold: RoutedThresholdOutcome,
+    threshold: ThresholdOutcome,
     router: RouteClassifier,
 }
 
@@ -316,14 +358,69 @@ impl<S> CompileSession<S> {
         }
     }
 
-    fn load_cached<T: serde::Deserialize>(&self, stage: Stage, key: u64) -> Option<T> {
+    fn load_cached<T: serde::Deserialize>(&self, stage: Stage, key: &str) -> Option<T> {
         self.cache.as_ref().and_then(|c| c.load(stage.label(), key))
     }
 
-    fn store_cached<T: serde::Serialize>(&self, stage: Stage, key: u64, value: &T) {
+    fn store_cached<T: serde::Serialize>(&self, stage: Stage, key: &str, value: &T) {
         if let Some(cache) = &self.cache {
             let _ = cache.store(stage.label(), key, value);
         }
+    }
+
+    /// The one certifier behind [`CompileSession::certify`] and
+    /// [`CompileSession::certify_routed`]: certifies `pool` over its
+    /// compile profile table as `stage` (or loads the certified outcome
+    /// from the cache). Algorithm 1's bisection runs over the mixture
+    /// probe; violations are attributed to the member that served each
+    /// violating dataset's worst invocation.
+    ///
+    /// A pool of one — the binary design — probes with the oracle router,
+    /// which accepts exactly the invocations whose error is within the
+    /// candidate threshold. A larger pool certifies with the **deployed
+    /// router in the loop**: each probe trains the table cascade at the
+    /// candidate threshold and certifies the cascade's own routing
+    /// decisions, because per-stage false-accepts compound across a
+    /// cascade and an oracle-only certificate would not survive
+    /// deployment. The router trainer is prepared once, before the
+    /// bisection, so a probe only relabels the sample and runs the table
+    /// candidate grid.
+    fn certify_pool(
+        &self,
+        stage: Stage,
+        key: &str,
+        spec: &PoolSpec,
+        pool: &ApproximatorPool,
+        member_profiles: &[Vec<DatasetProfile>],
+    ) -> Result<(ThresholdOutcome, StageReport)> {
+        let started = Instant::now();
+        let (threshold, invocations, cache) = match self.load_cached::<ThresholdOutcome>(stage, key)
+        {
+            Some(threshold) => (threshold, 0, CacheOutcome::Hit),
+            None => {
+                let optimizer =
+                    ThresholdOptimizer::new(self.config.spec).with_threads(self.config.threads);
+                let threshold = if pool.len() <= 1 {
+                    optimizer.optimize_routed(pool, member_profiles)?
+                } else {
+                    let trainer = RouterTrainer::new(
+                        spec,
+                        member_profiles,
+                        &self.config.table_design,
+                        self.config.classifier_train_samples,
+                        self.config.seed_base ^ 0x7261_696E,
+                        self.config.threads,
+                    )?;
+                    optimizer
+                        .optimize_routed_deployed(pool, member_profiles, |t| trainer.train(t))?
+                };
+                self.store_cached(stage, key, &threshold);
+                let trials = threshold.trials;
+                (threshold, trials, self.miss_outcome())
+            }
+        };
+        let report = stage_report(stage, started, invocations, &[cache]);
+        Ok((threshold, report))
     }
 
     fn miss_outcome(&self) -> CacheOutcome {
@@ -445,6 +542,23 @@ fn router_key(benchmark: &str, config: &CompileConfig, spec: &PoolSpec) -> Strin
     )
 }
 
+/// Validation profiles of `count` datasets from `seed_base`, through the
+/// benchmark's default topology (`None`, shared with the binary pipeline)
+/// or a non-default pool member's `topology`.
+fn validation_key(
+    benchmark: &str,
+    config: &CompileConfig,
+    topology: Option<&mithra_npu::topology::Topology>,
+    seed_base: u64,
+    count: usize,
+) -> String {
+    let member = topology.map_or(String::new(), |t| format!("/pool_member_topology={t:?}"));
+    format!(
+        "{}{member}/validation_seed_base={seed_base}/validation_datasets={count}",
+        npu_key(benchmark, config)
+    )
+}
+
 impl CompileSession<Pending> {
     /// Opens a session for one benchmark. No work happens until the first
     /// stage transition.
@@ -476,9 +590,9 @@ impl CompileSession<Pending> {
     /// Propagates NPU training failures.
     pub fn train_npu(self) -> Result<CompileSession<TrainedFunction>> {
         let started = Instant::now();
-        let key = fingerprint(&npu_key(self.benchmark.name(), &self.config));
+        let key = npu_key(self.benchmark.name(), &self.config);
         let (function, invocations, cache) = match self
-            .load_cached::<TrainedNpuArtifact>(Stage::NpuTraining, key)
+            .load_cached::<TrainedNpuArtifact>(Stage::NpuTraining, &key)
         {
             Some(artifact) => (
                 // Reattach the session's kernel so inference (profiling,
@@ -503,19 +617,11 @@ impl CompileSession<Pending> {
                     &self.config.npu,
                     self.config.kernel,
                 )?;
-                self.store_cached(Stage::NpuTraining, key, &TrainedNpuArtifact::of(&function));
+                self.store_cached(Stage::NpuTraining, &key, &TrainedNpuArtifact::of(&function));
                 (function, invocations, self.miss_outcome())
             }
         };
-        let (cache_hits, cache_misses) = counters_for(cache);
-        let report = StageReport {
-            stage: Stage::NpuTraining,
-            wall: started.elapsed(),
-            invocations,
-            cache,
-            cache_hits,
-            cache_misses,
-        };
+        let report = stage_report(Stage::NpuTraining, started, invocations, &[cache]);
         Ok(self.advance(report, |_| TrainedFunction { function }))
     }
 }
@@ -544,37 +650,18 @@ impl CompileSession<TrainedFunction> {
     /// signature uniform and future-proof.
     pub fn profile(self) -> Result<CompileSession<Profiles>> {
         let started = Instant::now();
-        let key = fingerprint(&profiles_key(self.benchmark.name(), &self.config));
-        let cached = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.load_profiles(Stage::Profiling.label(), key));
-        let (profiles, invocations, cache) = match cached {
-            Some(profiles) => (profiles, 0, CacheOutcome::Hit),
-            None => {
-                let profiles = collect_profiles_parallel(
+        let key = profiles_key(self.benchmark.name(), &self.config);
+        let (profiles, invocations, cache) =
+            cached_profiles(self.cache.as_ref(), Stage::Profiling, &key, || {
+                collect_profiles_parallel(
                     &self.state.function,
                     self.config.seed_base,
                     self.config.compile_datasets,
                     self.config.scale,
                     self.config.threads,
-                );
-                let invocations: u64 = profiles.iter().map(|p| p.invocation_count() as u64).sum();
-                if let Some(c) = &self.cache {
-                    let _ = c.store_profiles(Stage::Profiling.label(), key, &profiles);
-                }
-                (profiles, invocations, self.miss_outcome())
-            }
-        };
-        let (cache_hits, cache_misses) = counters_for(cache);
-        let report = StageReport {
-            stage: Stage::Profiling,
-            wall: started.elapsed(),
-            invocations,
-            cache,
-            cache_hits,
-            cache_misses,
-        };
+                )
+            });
+        let report = stage_report(Stage::Profiling, started, invocations, &[cache]);
         Ok(self.advance(report, |s| Profiles {
             function: s.function,
             profiles,
@@ -630,28 +717,18 @@ impl CompileSession<Profiles> {
     /// Returns [`crate::MithraError::Uncertifiable`] when the quality
     /// spec cannot be met on the compilation datasets.
     pub fn certify(self) -> Result<CompileSession<CertifiedThreshold>> {
-        let started = Instant::now();
-        let key = fingerprint(&threshold_key(self.benchmark.name(), &self.config));
-        let (threshold, invocations, cache) =
-            match self.load_cached::<ThresholdOutcome>(Stage::Certification, key) {
-                Some(threshold) => (threshold, 0, CacheOutcome::Hit),
-                None => {
-                    let threshold = ThresholdOptimizer::new(self.config.spec)
-                        .with_threads(self.config.threads)
-                        .optimize(&self.state.function, &self.state.profiles)?;
-                    self.store_cached(Stage::Certification, key, &threshold);
-                    (threshold, threshold.trials, self.miss_outcome())
-                }
-            };
-        let (cache_hits, cache_misses) = counters_for(cache);
-        let report = StageReport {
-            stage: Stage::Certification,
-            wall: started.elapsed(),
-            invocations,
-            cache,
-            cache_hits,
-            cache_misses,
-        };
+        let key = threshold_key(self.benchmark.name(), &self.config);
+        // The binary design certifies as the pool of one; its one-member
+        // profile table borrows this session's profiles.
+        let pool = ApproximatorPool::single(self.state.function.clone());
+        let spec = PoolSpec::single(pool.topologies()[0].clone());
+        let (threshold, report) = self.certify_pool(
+            Stage::Certification,
+            &key,
+            &spec,
+            &pool,
+            std::slice::from_ref(&self.state.profiles),
+        )?;
         Ok(self.advance(report, |s| CertifiedThreshold {
             function: s.function,
             profiles: s.profiles,
@@ -679,24 +756,20 @@ impl CompileSession<Profiles> {
         let default_topology = self.benchmark.npu_topology();
 
         // The pool itself: cache the non-default members' networks.
-        let key = fingerprint(&pool_key(&name, &self.config, spec));
+        let key = pool_key(&name, &self.config, spec);
         let cached_pool = self
-            .load_cached::<PoolArtifact>(Stage::PoolTraining, key)
+            .load_cached::<PoolArtifact>(Stage::PoolTraining, &key)
             .and_then(|a| a.into_pool(&self.benchmark, spec.topologies.clone()))
             .map(|p| p.with_kernel(self.config.kernel));
         let mut invocations = 0u64;
-        let mut cache_hits = 0u32;
-        let mut cache_misses = 0u32;
-        if self.cache.is_some() {
-            if cached_pool.is_some() {
-                cache_hits += 1;
-            } else {
-                cache_misses += 1;
+        let mut lookups = Vec::with_capacity(spec.len() + 1);
+        let pool = match cached_pool {
+            Some(pool) => {
+                lookups.push(CacheOutcome::Hit);
+                pool
             }
-        }
-        let (pool, mut all_hit) = match cached_pool {
-            Some(pool) => (pool, self.cache.is_some()),
             None => {
+                lookups.push(self.miss_outcome());
                 let train_sets: Vec<Dataset> = (0..self.config.npu_train_datasets as u64)
                     .map(|i| {
                         self.benchmark
@@ -720,8 +793,8 @@ impl CompileSession<Profiles> {
                     Some(&self.state.function),
                     self.config.kernel,
                 )?;
-                self.store_cached(Stage::PoolTraining, key, &PoolArtifact::of(&pool));
-                (pool, false)
+                self.store_cached(Stage::PoolTraining, &key, &PoolArtifact::of(&pool));
+                pool
             }
         };
 
@@ -733,58 +806,22 @@ impl CompileSession<Profiles> {
                 member_profiles.push(self.state.profiles.clone());
                 continue;
             }
-            let key = fingerprint(&pool_member_profiles_key(
-                &self.benchmark,
-                &self.config,
-                topology,
-            ));
-            let cached = self
-                .cache
-                .as_ref()
-                .and_then(|c| c.load_profiles(Stage::Profiling.label(), key));
-            if self.cache.is_some() {
-                if cached.is_some() {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
-                }
-            }
-            match cached {
-                Some(profiles) => member_profiles.push(profiles),
-                None => {
-                    all_hit = false;
-                    let profiles = collect_profiles_parallel(
+            let key = pool_member_profiles_key(&self.benchmark, &self.config, topology);
+            let (profiles, spent, lookup) =
+                cached_profiles(self.cache.as_ref(), Stage::Profiling, &key, || {
+                    collect_profiles_parallel(
                         pool.member(m),
                         self.config.seed_base,
                         self.config.compile_datasets,
                         self.config.scale,
                         self.config.threads,
-                    );
-                    invocations += profiles
-                        .iter()
-                        .map(|p| p.invocation_count() as u64)
-                        .sum::<u64>();
-                    if let Some(c) = &self.cache {
-                        let _ = c.store_profiles(Stage::Profiling.label(), key, &profiles);
-                    }
-                    member_profiles.push(profiles);
-                }
-            }
+                    )
+                });
+            member_profiles.push(profiles);
+            invocations += spent;
+            lookups.push(lookup);
         }
-
-        let cache = if all_hit {
-            CacheOutcome::Hit
-        } else {
-            self.miss_outcome()
-        };
-        let report = StageReport {
-            stage: Stage::PoolTraining,
-            wall: started.elapsed(),
-            invocations,
-            cache,
-            cache_hits,
-            cache_misses,
-        };
+        let report = stage_report(Stage::PoolTraining, started, invocations, &lookups);
         let spec = spec.clone();
         Ok(self.advance(report, |_| PooledProfiles {
             spec,
@@ -807,21 +844,9 @@ impl CompileSession<PooledProfiles> {
     }
 
     /// Routing branch, stage 4′: certifies the threshold over the routed
-    /// mixture (or loads the certified outcome from the cache). Same
-    /// Algorithm-1 bisection as the binary [`certify`]; violations are
-    /// attributed to the member that served each violating dataset's
-    /// worst invocation.
-    ///
-    /// A pool of one replays every probe through the oracle router —
-    /// bit-identical to the binary pipeline, whose classifier fidelity
-    /// the binary experiments validate separately. A larger pool
-    /// certifies with the **deployed router in the loop**: each probe
-    /// trains the table cascade at the candidate threshold and certifies
-    /// the cascade's own routing decisions, because per-stage
-    /// false-accepts compound across a cascade and an oracle-only
-    /// certificate would not survive deployment. The router trainer is
-    /// prepared once, before the bisection, so a probe only relabels the
-    /// sample and runs the table candidate grid.
+    /// mixture (or loads the certified outcome from the cache), through
+    /// the same certifier as the binary [`certify`], which is this stage
+    /// for the pool of one.
     ///
     /// [`certify`]: CompileSession::certify
     ///
@@ -830,48 +855,14 @@ impl CompileSession<PooledProfiles> {
     /// Returns [`crate::MithraError::Uncertifiable`] when the quality
     /// spec cannot be met by the routed mixture.
     pub fn certify_routed(self) -> Result<CompileSession<RoutedCertified>> {
-        let started = Instant::now();
-        let key = fingerprint(&routed_threshold_key(
-            self.benchmark.name(),
-            &self.config,
+        let key = routed_threshold_key(self.benchmark.name(), &self.config, &self.state.spec);
+        let (threshold, report) = self.certify_pool(
+            Stage::RoutedCertification,
+            &key,
             &self.state.spec,
-        ));
-        let (threshold, invocations, cache) =
-            match self.load_cached::<RoutedThresholdOutcome>(Stage::RoutedCertification, key) {
-                Some(threshold) => (threshold, 0, CacheOutcome::Hit),
-                None => {
-                    let optimizer =
-                        ThresholdOptimizer::new(self.config.spec).with_threads(self.config.threads);
-                    let threshold = if self.state.pool.len() <= 1 {
-                        optimizer.optimize_routed(&self.state.pool, &self.state.member_profiles)?
-                    } else {
-                        let profiles = &self.state.member_profiles;
-                        let trainer = RouterTrainer::new(
-                            &self.state.spec,
-                            profiles,
-                            &self.config.table_design,
-                            self.config.classifier_train_samples,
-                            self.config.seed_base ^ 0x7261_696E,
-                            self.config.threads,
-                        )?;
-                        optimizer.optimize_routed_deployed(&self.state.pool, profiles, |t| {
-                            trainer.train(t)
-                        })?
-                    };
-                    self.store_cached(Stage::RoutedCertification, key, &threshold);
-                    let trials = threshold.trials;
-                    (threshold, trials, self.miss_outcome())
-                }
-            };
-        let (cache_hits, cache_misses) = counters_for(cache);
-        let report = StageReport {
-            stage: Stage::RoutedCertification,
-            wall: started.elapsed(),
-            invocations,
-            cache,
-            cache_hits,
-            cache_misses,
-        };
+            &self.state.pool,
+            &self.state.member_profiles,
+        )?;
         Ok(self.advance(report, |s| RoutedCertified {
             spec: s.spec,
             pool: s.pool,
@@ -883,7 +874,7 @@ impl CompileSession<PooledProfiles> {
 
 impl CompileSession<RoutedCertified> {
     /// The threshold certified over the routed mixture.
-    pub fn routed_threshold(&self) -> &RoutedThresholdOutcome {
+    pub fn routed_threshold(&self) -> &ThresholdOutcome {
         &self.state.threshold
     }
 
@@ -901,13 +892,9 @@ impl CompileSession<RoutedCertified> {
     /// Propagates classifier-training failures.
     pub fn train_router(self) -> Result<CompileSession<RoutedClassifiers>> {
         let started = Instant::now();
-        let key = fingerprint(&router_key(
-            self.benchmark.name(),
-            &self.config,
-            &self.state.spec,
-        ));
+        let key = router_key(self.benchmark.name(), &self.config, &self.state.spec);
         let (router, invocations, cache) =
-            match self.load_cached::<RouteClassifier>(Stage::RouterTraining, key) {
+            match self.load_cached::<RouteClassifier>(Stage::RouterTraining, &key) {
                 Some(router) => (router, 0, CacheOutcome::Hit),
                 None => {
                     // `threads` is deliberately not part of the cache key: the
@@ -922,20 +909,12 @@ impl CompileSession<RoutedCertified> {
                         self.config.seed_base ^ 0x7261_696E,
                         self.config.threads,
                     )?;
-                    self.store_cached(Stage::RouterTraining, key, &router);
+                    self.store_cached(Stage::RouterTraining, &key, &router);
                     let invocations = (self.config.classifier_train_samples * router.len()) as u64;
                     (router, invocations, self.miss_outcome())
                 }
             };
-        let (cache_hits, cache_misses) = counters_for(cache);
-        let report = StageReport {
-            stage: Stage::RouterTraining,
-            wall: started.elapsed(),
-            invocations,
-            cache,
-            cache_hits,
-            cache_misses,
-        };
+        let report = stage_report(Stage::RouterTraining, started, invocations, &[cache]);
         Ok(self.advance(report, |s| RoutedClassifiers {
             pool: s.pool,
             member_profiles: s.member_profiles,
@@ -981,7 +960,7 @@ impl CompileSession<CertifiedThreshold> {
     /// Propagates classifier-training failures.
     pub fn train_classifiers(self) -> Result<CompileSession<Classifiers>> {
         let started = Instant::now();
-        let key = fingerprint(&classifier_key(self.benchmark.name(), &self.config));
+        let key = classifier_key(self.benchmark.name(), &self.config);
         let training_data = generate_training_data(
             &self.state.profiles,
             self.state.threshold.threshold,
@@ -989,7 +968,7 @@ impl CompileSession<CertifiedThreshold> {
             self.config.seed_base ^ 0x7261_696E,
         );
         let (artifact, invocations, cache) =
-            match self.load_cached::<ClassifierArtifact>(Stage::ClassifierTraining, key) {
+            match self.load_cached::<ClassifierArtifact>(Stage::ClassifierTraining, &key) {
                 Some(artifact) => (artifact, 0, CacheOutcome::Hit),
                 None => {
                     let quantizer = quantizer_from_profiles(&self.state.profiles);
@@ -1009,20 +988,12 @@ impl CompileSession<CertifiedThreshold> {
                         self.config.threads,
                     )?;
                     let artifact = ClassifierArtifact { table, neural };
-                    self.store_cached(Stage::ClassifierTraining, key, &artifact);
+                    self.store_cached(Stage::ClassifierTraining, &key, &artifact);
                     let invocations = training_data.len() as u64;
                     (artifact, invocations, self.miss_outcome())
                 }
             };
-        let (cache_hits, cache_misses) = counters_for(cache);
-        let report = StageReport {
-            stage: Stage::ClassifierTraining,
-            wall: started.elapsed(),
-            invocations,
-            cache,
-            cache_hits,
-            cache_misses,
-        };
+        let report = stage_report(Stage::ClassifierTraining, started, invocations, &[cache]);
         Ok(self.advance(report, |s| Classifiers {
             function: s.function,
             profiles: s.profiles,
@@ -1065,38 +1036,12 @@ pub fn profile_validation(
     let started = Instant::now();
     let name = function.benchmark().name();
     let cache = config.cache.as_ref().map(|c| ArtifactCache::open(c, name));
-    let key = fingerprint(&format!(
-        "{}/validation_seed_base={seed_base}/validation_datasets={count}",
-        npu_key(name, config)
-    ));
+    let key = validation_key(name, config, None, seed_base, count);
     let stage = Stage::ValidationProfiling;
-    let cached = cache
-        .as_ref()
-        .and_then(|c| c.load_profiles(stage.label(), key));
-    let (profiles, invocations, outcome) = match cached {
-        Some(profiles) => (profiles, 0, CacheOutcome::Hit),
-        None => {
-            let profiles =
-                collect_profiles_parallel(function, seed_base, count, config.scale, config.threads);
-            let invocations: u64 = profiles.iter().map(|p| p.invocation_count() as u64).sum();
-            let outcome = if let Some(c) = &cache {
-                let _ = c.store_profiles(stage.label(), key, &profiles);
-                CacheOutcome::Miss
-            } else {
-                CacheOutcome::Disabled
-            };
-            (profiles, invocations, outcome)
-        }
-    };
-    let (cache_hits, cache_misses) = counters_for(outcome);
-    let report = StageReport {
-        stage,
-        wall: started.elapsed(),
-        invocations,
-        cache: outcome,
-        cache_hits,
-        cache_misses,
-    };
+    let (profiles, invocations, outcome) = cached_profiles(cache.as_ref(), stage, &key, || {
+        collect_profiles_parallel(function, seed_base, count, config.scale, config.threads)
+    });
+    let report = stage_report(stage, started, invocations, &[outcome]);
     (profiles, report)
 }
 
@@ -1119,69 +1064,24 @@ pub fn profile_pool_validation(
     let default_topology = benchmark.npu_topology();
     let mut member_profiles = Vec::with_capacity(pool.len());
     let mut invocations = 0u64;
-    let mut all_hit = true;
-    let mut cache_hits = 0u32;
-    let mut cache_misses = 0u32;
+    let mut lookups = Vec::with_capacity(pool.len());
     for (m, topology) in pool.topologies().iter().enumerate() {
-        let key = if *topology == default_topology {
-            fingerprint(&format!(
-                "{}/validation_seed_base={seed_base}/validation_datasets={count}",
-                npu_key(name, config)
-            ))
-        } else {
-            fingerprint(&format!(
-                "{}/pool_member_topology={:?}/validation_seed_base={seed_base}/validation_datasets={count}",
-                npu_key(name, config),
-                topology
-            ))
-        };
-        let cached = cache
-            .as_ref()
-            .and_then(|c| c.load_profiles(stage.label(), key));
-        if cache.is_some() {
-            if cached.is_some() {
-                cache_hits += 1;
-            } else {
-                cache_misses += 1;
-            }
-        }
-        match cached {
-            Some(profiles) => member_profiles.push(profiles),
-            None => {
-                all_hit = false;
-                let profiles = collect_profiles_parallel(
-                    pool.member(m),
-                    seed_base,
-                    count,
-                    config.scale,
-                    config.threads,
-                );
-                invocations += profiles
-                    .iter()
-                    .map(|p| p.invocation_count() as u64)
-                    .sum::<u64>();
-                if let Some(c) = &cache {
-                    let _ = c.store_profiles(stage.label(), key, &profiles);
-                }
-                member_profiles.push(profiles);
-            }
-        }
+        let member_topology = (*topology != default_topology).then_some(topology);
+        let key = validation_key(name, config, member_topology, seed_base, count);
+        let (profiles, spent, lookup) = cached_profiles(cache.as_ref(), stage, &key, || {
+            collect_profiles_parallel(
+                pool.member(m),
+                seed_base,
+                count,
+                config.scale,
+                config.threads,
+            )
+        });
+        member_profiles.push(profiles);
+        invocations += spent;
+        lookups.push(lookup);
     }
-    let outcome = if all_hit && cache.is_some() {
-        CacheOutcome::Hit
-    } else if cache.is_some() {
-        CacheOutcome::Miss
-    } else {
-        CacheOutcome::Disabled
-    };
-    let report = StageReport {
-        stage,
-        wall: started.elapsed(),
-        invocations,
-        cache: outcome,
-        cache_hits,
-        cache_misses,
-    };
+    let report = stage_report(stage, started, invocations, &lookups);
     (member_profiles, report)
 }
 
@@ -1499,7 +1399,7 @@ mod tests {
         let store = ArtifactCache::open(&cache, bench.name());
         // Wipe the v2 entry the session just wrote; keep only the v1 one.
         let _ = std::fs::remove_dir_all(store.dir());
-        assert!(store.store(Stage::NpuTraining.label(), fingerprint(&v1_key), &artifact));
+        assert!(store.store(Stage::NpuTraining.label(), &v1_key, &artifact));
 
         let session = CompileSession::new(bench, config).train_npu().unwrap();
         assert_eq!(
@@ -1507,6 +1407,54 @@ mod tests {
             CacheOutcome::Miss,
             "v1 artifact must not satisfy a v2 lookup"
         );
+        let _ = std::fs::remove_dir_all(&cache.dir);
+    }
+
+    #[test]
+    fn old_shape_certificates_recompute() {
+        // A certification artifact in the shape the binary certifier used
+        // to store (no per-member fields), under the right key and header,
+        // must miss and recompute rather than misparse.
+        #[derive(serde::Serialize)]
+        struct OldOutcome {
+            threshold: f32,
+            successes: u64,
+            trials: u64,
+            certified_rate: f64,
+            mean_invocation_rate: f64,
+        }
+        let cache = tmp_cache("old-shape");
+        let config = session_config(Some(cache.clone()));
+        let bench = sobel();
+        let profiled = || {
+            CompileSession::new(Arc::clone(&bench), config.clone())
+                .train_npu()
+                .unwrap()
+                .profile()
+                .unwrap()
+        };
+        let cold = profiled().certify().unwrap();
+        let cold = cold.threshold().clone();
+
+        let store = ArtifactCache::open(&cache, bench.name());
+        let key = threshold_key(bench.name(), &config);
+        let old = OldOutcome {
+            threshold: cold.threshold,
+            successes: cold.successes,
+            trials: cold.trials,
+            certified_rate: cold.certified_rate,
+            mean_invocation_rate: cold.mean_invocation_rate,
+        };
+        assert!(store.store(Stage::Certification.label(), &key, &old));
+
+        let session = profiled().certify().unwrap();
+        let report = session.stage_reports().last().unwrap();
+        assert_eq!(report.stage, Stage::Certification);
+        assert_eq!(report.cache, CacheOutcome::Miss);
+        assert_eq!(*session.threshold(), cold);
+        // The recomputed certificate was re-stored in the current shape.
+        let reloaded: Option<ThresholdOutcome> = store.load(Stage::Certification.label(), &key);
+        assert_eq!(reloaded, Some(cold));
         let _ = std::fs::remove_dir_all(&cache.dir);
     }
 

@@ -13,7 +13,6 @@
 //! test at every probe. [`ThresholdOptimizer::optimize_stepping`] also
 //! provides the paper's literal Algorithm 1 for comparison.
 
-use crate::function::AcceleratedFunction;
 use crate::parallel::par_map_indexed;
 use crate::profile::DatasetProfile;
 use crate::route::{ApproximatorPool, RouteChoice, RouteClassifier, RoutedReplay};
@@ -74,40 +73,25 @@ impl QualitySpec {
     }
 }
 
-/// The optimizer's result: the certified threshold and its statistics.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ThresholdOutcome {
-    /// The certified accelerator-error threshold (normalized output space).
-    pub threshold: f32,
-    /// Datasets meeting the quality target at this threshold.
-    pub successes: u64,
-    /// Total datasets evaluated.
-    pub trials: u64,
-    /// The Clopper–Pearson lower bound on the unseen-dataset success rate.
-    pub certified_rate: f64,
-    /// Mean accelerator invocation rate over the datasets at this threshold.
-    pub mean_invocation_rate: f64,
-}
-
-/// The optimizer's result over a **routed mixture**: the shared threshold
-/// certified against the mixed output stream of an ordered approximator
-/// pool, plus per-member accounting. Violations are attributed to
-/// whichever member served the worst (largest profiled error) invocation
-/// of the violating dataset, so `successes + Σ member_violations = trials`.
+/// The optimizer's result: the threshold certified against the mixed
+/// output stream of an ordered approximator pool, plus per-member
+/// accounting. Violations are attributed to whichever member served the
+/// worst (largest profiled error) invocation of the violating dataset, so
+/// `successes + Σ member_violations = trials`.
 ///
-/// For a pool of one, every shared field (`threshold`, `successes`,
-/// `trials`, `certified_rate`, `mean_invocation_rate`) is bit-identical to
-/// the binary [`ThresholdOutcome`].
+/// The binary design is the pool of one: `member_*` has a single slot,
+/// and `member_invocation_rates[0]` is `mean_invocation_rate`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RoutedThresholdOutcome {
-    /// The certified accelerator-error threshold shared by all members.
+pub struct ThresholdOutcome {
+    /// The certified accelerator-error threshold shared by all members
+    /// (normalized output space).
     pub threshold: f32,
-    /// Datasets meeting the quality target under the routed mixture.
+    /// Datasets meeting the quality target under the mixture.
     pub successes: u64,
     /// Total datasets evaluated.
     pub trials: u64,
     /// The Clopper–Pearson lower bound on the unseen-dataset success rate
-    /// of the routed mixture.
+    /// of the mixture.
     pub certified_rate: f64,
     /// Mean fraction of invocations served by *any* pool member.
     pub mean_invocation_rate: f64,
@@ -156,75 +140,18 @@ impl ThresholdOptimizer {
         &self.spec
     }
 
-    /// Certification probe: successes and the Clopper–Pearson bound at one
-    /// candidate threshold.
-    pub fn certify(
-        &self,
-        function: &AcceleratedFunction,
-        profiles: &[DatasetProfile],
-        threshold: f32,
-    ) -> Result<(u64, f64, f64)> {
-        // Replays are independent per profile; the floating-point
-        // invocation-rate sum below folds their results in profile order.
-        let replays = par_map_indexed(profiles.len(), self.threads, |i| {
-            profiles[i].replay_with_threshold(function, threshold)
-        });
-        let mut successes = 0u64;
-        let mut invocation_rates = 0.0f64;
-        for replay in replays {
-            if replay.quality_loss <= self.spec.max_quality_loss {
-                successes += 1;
-            }
-            invocation_rates += replay.invocation_rate();
-        }
-        let bound = lower_bound(successes, profiles.len() as u64, self.spec.confidence)?;
-        Ok((successes, bound, invocation_rates / profiles.len() as f64))
-    }
-
-    /// Finds the loosest certifiable threshold by bisection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MithraError::InsufficientData`] with no profiles, and
-    /// [`MithraError::Uncertifiable`] if even threshold 0 (all-precise)
-    /// cannot be certified — i.e. the dataset count is too small for the
-    /// requested confidence/success rate.
-    pub fn optimize(
-        &self,
-        function: &AcceleratedFunction,
-        profiles: &[DatasetProfile],
-    ) -> Result<ThresholdOutcome> {
-        if profiles.is_empty() {
-            return Err(no_profiles());
-        }
-        self.bisect(
-            max_observed_error(profiles),
-            |threshold| {
-                let (successes, certified_rate, mean_invocation_rate) =
-                    self.certify(function, profiles, threshold)?;
-                Ok(ThresholdOutcome {
-                    threshold,
-                    successes,
-                    trials: profiles.len() as u64,
-                    certified_rate,
-                    mean_invocation_rate,
-                })
-            },
-            |outcome| outcome.certified_rate,
-        )
-    }
-
-    /// Certification probe over a **routed mixture** at one candidate
-    /// threshold: each dataset is replayed through the oracle router (the
-    /// cheapest member whose profiled error is within the threshold; see
+    /// Certification probe over a mixture at one candidate threshold:
+    /// each dataset is replayed through the oracle router (the cheapest
+    /// member whose profiled error is within the threshold; see
     /// [`ApproximatorPool::replay_routed_threshold`]) and the
     /// Clopper–Pearson bound is taken over the mixed quality outcomes.
     /// Violations are attributed to the member that served each violating
-    /// dataset's worst invocation.
+    /// dataset's worst invocation. For the binary design's pool of one
+    /// ([`ApproximatorPool::single`]) this is Algorithm 1's probe: accept
+    /// exactly the invocations whose error is within the threshold.
     ///
     /// Replays fold sequentially in dataset order from per-dataset
-    /// results, so the probe is bit-identical at any thread count — and
-    /// bit-identical to [`certify`](Self::certify) for a pool of one.
+    /// results, so the probe is bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -235,7 +162,7 @@ impl ThresholdOptimizer {
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
         threshold: f32,
-    ) -> Result<RoutedThresholdOutcome> {
+    ) -> Result<ThresholdOutcome> {
         self.certify_mixture(pool, member_profiles, threshold, |members| {
             pool.replay_routed_threshold(members, threshold)
         })
@@ -267,7 +194,7 @@ impl ThresholdOptimizer {
         member_profiles: &[Vec<DatasetProfile>],
         router: &RouteClassifier,
         threshold: f32,
-    ) -> Result<RoutedThresholdOutcome> {
+    ) -> Result<ThresholdOutcome> {
         self.certify_mixture(pool, member_profiles, threshold, |members| {
             let mut stages = router.clone();
             let choices: Vec<RouteChoice> = members[0]
@@ -280,17 +207,17 @@ impl ThresholdOptimizer {
         })
     }
 
-    /// The routed certification fold shared by both probes: `replay`
-    /// scores one dataset from its per-member profiles, datasets replay on
-    /// up to `threads` workers, and the results fold sequentially in
-    /// dataset order.
+    /// The certification fold shared by both probes: `replay` scores one
+    /// dataset from its per-member profiles, datasets replay on up to
+    /// `threads` workers, and the results fold sequentially in dataset
+    /// order.
     fn certify_mixture(
         &self,
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
         threshold: f32,
         replay: impl Fn(&[&DatasetProfile]) -> Result<RoutedReplay> + Sync,
-    ) -> Result<RoutedThresholdOutcome> {
+    ) -> Result<ThresholdOutcome> {
         let trials = check_member_profile_table(pool, member_profiles)?;
         let replays = par_map_indexed(trials, self.threads, |i| {
             let members: Vec<&DatasetProfile> = member_profiles.iter().map(|mp| &mp[i]).collect();
@@ -318,7 +245,7 @@ impl ThresholdOptimizer {
         for rate in &mut member_rates {
             *rate /= trials as f64;
         }
-        Ok(RoutedThresholdOutcome {
+        Ok(ThresholdOutcome {
             threshold,
             successes,
             trials: trials as u64,
@@ -360,29 +287,21 @@ impl ThresholdOptimizer {
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
         mut train_router: F,
-    ) -> Result<RoutedThresholdOutcome>
+    ) -> Result<ThresholdOutcome>
     where
         F: FnMut(f32) -> Result<RouteClassifier>,
     {
-        if check_member_profile_table(pool, member_profiles)? == 0 {
-            return Err(no_profiles());
-        }
-        self.bisect(
-            max_observed_error(member_profiles.iter().flatten()),
-            |threshold| {
-                let router = train_router(threshold)?;
-                self.certify_routed_deployed(pool, member_profiles, &router, threshold)
-            },
-            |outcome| outcome.certified_rate,
-        )
+        self.bisect(pool, member_profiles, |threshold| {
+            let router = train_router(threshold)?;
+            self.certify_routed_deployed(pool, member_profiles, &router, threshold)
+        })
     }
 
-    /// Finds the loosest certifiable threshold of a routed mixture by the
-    /// same bisection as [`optimize`](Self::optimize): identical probe
-    /// points (the search range spans every member's observed errors),
-    /// identical certification test, identical fold order. For a pool of
-    /// one the result's shared fields are bit-identical to the binary
-    /// optimizer's.
+    /// Finds the loosest certifiable threshold of a mixture by bisection
+    /// over the oracle probe ([`certify_routed`](Self::certify_routed)).
+    /// The search range spans every member's observed errors. The binary
+    /// compile certifies its trained function this way, as the pool of
+    /// one.
     ///
     /// # Errors
     ///
@@ -393,40 +312,35 @@ impl ThresholdOptimizer {
         &self,
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
-    ) -> Result<RoutedThresholdOutcome> {
-        if check_member_profile_table(pool, member_profiles)? == 0 {
-            return Err(no_profiles());
-        }
-        self.bisect(
-            max_observed_error(member_profiles.iter().flatten()),
-            |threshold| self.certify_routed(pool, member_profiles, threshold),
-            |outcome| outcome.certified_rate,
-        )
+    ) -> Result<ThresholdOutcome> {
+        self.bisect(pool, member_profiles, |threshold| {
+            self.certify_routed(pool, member_profiles, threshold)
+        })
     }
 
     /// Algorithm 1's bisection, shared by every optimizer. `probe`
     /// certifies one candidate threshold. The all-precise origin
     /// (threshold 0) must certify, else the spec is uncertifiable; the
-    /// loosest threshold `max_err` is taken outright when it certifies;
-    /// otherwise `iterations` midpoint probes keep `lo` certifying and
-    /// `hi` not, and the last certifying probe — the origin when none
-    /// did — is the result.
-    fn bisect<T>(
+    /// loosest threshold — the largest error any member observed — is
+    /// taken outright when it certifies; otherwise `iterations` midpoint
+    /// probes keep `lo` certifying and `hi` not, and the last certifying
+    /// probe — the origin when none did — is the result.
+    fn bisect(
         &self,
-        max_err: f32,
-        mut probe: impl FnMut(f32) -> Result<T>,
-        certified_rate: impl Fn(&T) -> f64,
-    ) -> Result<T> {
+        pool: &ApproximatorPool,
+        member_profiles: &[Vec<DatasetProfile>],
+        mut probe: impl FnMut(f32) -> Result<ThresholdOutcome>,
+    ) -> Result<ThresholdOutcome> {
+        if check_member_profile_table(pool, member_profiles)? == 0 {
+            return Err(no_profiles());
+        }
+        let max_err = max_observed_error(member_profiles.iter().flatten());
         let origin = probe(0.0)?;
-        if certified_rate(&origin) < self.spec.success_rate {
-            return Err(MithraError::Uncertifiable {
-                quality_target: self.spec.max_quality_loss,
-                required_rate: self.spec.success_rate,
-                best_rate: certified_rate(&origin),
-            });
+        if origin.certified_rate < self.spec.success_rate {
+            return Err(self.uncertifiable(&origin));
         }
         let loosest = probe(max_err)?;
-        if certified_rate(&loosest) >= self.spec.success_rate {
+        if loosest.certified_rate >= self.spec.success_rate {
             return Ok(loosest);
         }
         let (mut lo, mut hi) = (0.0f32, max_err);
@@ -434,7 +348,7 @@ impl ThresholdOptimizer {
         for _ in 0..self.iterations {
             let mid = 0.5 * (lo + hi);
             let outcome = probe(mid)?;
-            if certified_rate(&outcome) >= self.spec.success_rate {
+            if outcome.certified_rate >= self.spec.success_rate {
                 best = outcome;
                 lo = mid;
             } else {
@@ -446,34 +360,32 @@ impl ThresholdOptimizer {
 
     /// The paper's literal Algorithm 1: delta-stepping from an initial
     /// threshold, loosening while certification holds and tightening while
-    /// it fails, terminating at the boundary crossing.
+    /// it fails, terminating at the boundary crossing. Every step runs the
+    /// same probe as [`optimize_routed`](Self::optimize_routed).
     ///
-    /// Provided for fidelity and cross-validation against [`optimize`];
-    /// bisection reaches the same boundary in fewer probes.
-    ///
-    /// [`optimize`]: Self::optimize
+    /// Kept as the test reference for the bisection, which reaches the
+    /// same boundary in fewer probes.
     ///
     /// # Errors
     ///
-    /// Same as [`optimize`](Self::optimize).
+    /// Same as [`optimize_routed`](Self::optimize_routed).
     pub fn optimize_stepping(
         &self,
-        function: &AcceleratedFunction,
-        profiles: &[DatasetProfile],
+        pool: &ApproximatorPool,
+        member_profiles: &[Vec<DatasetProfile>],
         initial: f32,
         delta: f32,
         max_steps: u32,
     ) -> Result<ThresholdOutcome> {
-        if profiles.is_empty() {
+        if check_member_profile_table(pool, member_profiles)? == 0 {
             return Err(no_profiles());
         }
         let mut th = initial.max(0.0);
-        let mut last_pass: Option<(f32, u64, f64, f64)> = None;
+        let mut last_pass = None;
         for _ in 0..max_steps {
-            let (s, bound, inv) = self.certify(function, profiles, th)?;
-            let pass = bound >= self.spec.success_rate;
-            if pass {
-                last_pass = Some((th, s, bound, inv));
+            let outcome = self.certify_routed(pool, member_profiles, th)?;
+            if outcome.certified_rate >= self.spec.success_rate {
+                last_pass = Some(outcome);
                 // Success: loosen the knob (step 5: increase threshold).
                 th += delta;
             } else {
@@ -483,40 +395,26 @@ impl ThresholdOptimizer {
                     break;
                 }
                 // Failure: tighten the knob (step 5: decrease threshold).
-                th -= delta;
-                if th < 0.0 {
-                    th = 0.0;
-                }
+                th = (th - delta).max(0.0);
             }
         }
-        match last_pass {
-            Some((threshold, successes, certified_rate, mean_invocation_rate)) => {
-                Ok(ThresholdOutcome {
-                    threshold,
-                    successes,
-                    trials: profiles.len() as u64,
-                    certified_rate,
-                    mean_invocation_rate,
-                })
-            }
-            None => {
-                let (s, bound, inv) = self.certify(function, profiles, 0.0)?;
-                if bound >= self.spec.success_rate {
-                    Ok(ThresholdOutcome {
-                        threshold: 0.0,
-                        successes: s,
-                        trials: profiles.len() as u64,
-                        certified_rate: bound,
-                        mean_invocation_rate: inv,
-                    })
-                } else {
-                    Err(MithraError::Uncertifiable {
-                        quality_target: self.spec.max_quality_loss,
-                        required_rate: self.spec.success_rate,
-                        best_rate: bound,
-                    })
-                }
-            }
+        if let Some(outcome) = last_pass {
+            return Ok(outcome);
+        }
+        let origin = self.certify_routed(pool, member_profiles, 0.0)?;
+        if origin.certified_rate >= self.spec.success_rate {
+            Ok(origin)
+        } else {
+            Err(self.uncertifiable(&origin))
+        }
+    }
+
+    /// The error for a spec whose all-precise origin does not certify.
+    fn uncertifiable(&self, origin: &ThresholdOutcome) -> MithraError {
+        MithraError::Uncertifiable {
+            quality_target: self.spec.max_quality_loss,
+            required_rate: self.spec.success_rate,
+            best_rate: origin.certified_rate,
         }
     }
 }
@@ -569,18 +467,18 @@ fn check_member_profile_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::NpuTrainConfig;
+    use crate::function::{AcceleratedFunction, NpuTrainConfig};
     use mithra_axbench::benchmark::Benchmark;
     use mithra_axbench::dataset::{Dataset, DatasetScale};
     use mithra_axbench::suite;
     use std::sync::Arc;
 
-    fn setup(name: &str, n_profiles: u64) -> (AcceleratedFunction, Vec<DatasetProfile>) {
+    fn train(name: &str) -> AcceleratedFunction {
         let bench: Arc<dyn Benchmark> = suite::by_name(name).unwrap().into();
         let train: Vec<Dataset> = (0..2)
             .map(|s| bench.dataset(s, DatasetScale::Smoke))
             .collect();
-        let f = AcceleratedFunction::train(
+        AcceleratedFunction::train(
             bench,
             &train,
             &NpuTrainConfig {
@@ -589,11 +487,17 @@ mod tests {
                 seed: 7,
             },
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// The binary design as the pool of one, with `n_profiles` compile
+    /// profiles in its one-member profile table.
+    fn pool_of_one(name: &str, n_profiles: u64) -> (ApproximatorPool, Vec<Vec<DatasetProfile>>) {
+        let f = train(name);
         let profiles: Vec<DatasetProfile> = (100..100 + n_profiles)
             .map(|s| DatasetProfile::collect(&f, f.dataset(s, DatasetScale::Smoke)))
             .collect();
-        (f, profiles)
+        (ApproximatorPool::single(f), vec![profiles])
     }
 
     #[test]
@@ -610,25 +514,35 @@ mod tests {
     fn optimizer_certifies_loose_targets() {
         // With a generous quality target and modest success rate the
         // optimizer must find a positive threshold.
-        let (f, profiles) = setup("sobel", 30);
+        let (pool, profiles) = pool_of_one("sobel", 30);
         let spec = QualitySpec::new(0.30, 0.9, 0.5).unwrap();
         let outcome = ThresholdOptimizer::new(spec)
-            .optimize(&f, &profiles)
+            .optimize_routed(&pool, &profiles)
             .unwrap();
         assert!(outcome.threshold > 0.0);
         assert!(outcome.certified_rate >= 0.5);
         assert!(outcome.mean_invocation_rate > 0.0);
         assert_eq!(outcome.trials, 30);
+        // One member: its slot carries the whole mixture, bit for bit.
+        assert_eq!(
+            outcome.member_invocation_rates[0].to_bits(),
+            outcome.mean_invocation_rate.to_bits()
+        );
+        assert_eq!(outcome.member_violations.len(), 1);
+        assert_eq!(
+            outcome.successes + outcome.member_violations[0],
+            outcome.trials
+        );
     }
 
     #[test]
     fn stricter_targets_give_tighter_thresholds() {
-        let (f, profiles) = setup("sobel", 30);
+        let (pool, profiles) = pool_of_one("sobel", 30);
         let loose = ThresholdOptimizer::new(QualitySpec::new(0.30, 0.9, 0.5).unwrap())
-            .optimize(&f, &profiles)
+            .optimize_routed(&pool, &profiles)
             .unwrap();
         let tight = ThresholdOptimizer::new(QualitySpec::new(0.02, 0.9, 0.5).unwrap())
-            .optimize(&f, &profiles)
+            .optimize_routed(&pool, &profiles)
             .unwrap();
         assert!(tight.threshold <= loose.threshold);
         assert!(tight.mean_invocation_rate <= loose.mean_invocation_rate + 1e-9);
@@ -637,32 +551,37 @@ mod tests {
     #[test]
     fn impossible_success_rate_errors() {
         // 5 datasets cannot certify 99% at 95% confidence.
-        let (f, profiles) = setup("sobel", 5);
+        let (pool, profiles) = pool_of_one("sobel", 5);
         let spec = QualitySpec::new(0.05, 0.95, 0.99).unwrap();
         let err = ThresholdOptimizer::new(spec)
-            .optimize(&f, &profiles)
+            .optimize_routed(&pool, &profiles)
             .unwrap_err();
         assert!(matches!(err, MithraError::Uncertifiable { .. }));
     }
 
     #[test]
     fn empty_profiles_error() {
-        let (f, _) = setup("sobel", 1);
+        let (pool, _) = pool_of_one("sobel", 1);
         let spec = QualitySpec::paper_default(0.05).unwrap();
+        let opt = ThresholdOptimizer::new(spec);
         assert!(matches!(
-            ThresholdOptimizer::new(spec).optimize(&f, &[]),
+            opt.optimize_routed(&pool, &[Vec::new()]),
+            Err(MithraError::InsufficientData { .. })
+        ));
+        assert!(matches!(
+            opt.optimize_stepping(&pool, &[Vec::new()], 0.05, 0.01, 10),
             Err(MithraError::InsufficientData { .. })
         ));
     }
 
     #[test]
     fn stepping_agrees_with_bisection() {
-        let (f, profiles) = setup("sobel", 20);
+        let (pool, profiles) = pool_of_one("sobel", 20);
         let spec = QualitySpec::new(0.20, 0.9, 0.5).unwrap();
         let opt = ThresholdOptimizer::new(spec);
-        let bisect = opt.optimize(&f, &profiles).unwrap();
+        let bisect = opt.optimize_routed(&pool, &profiles).unwrap();
         let stepped = opt
-            .optimize_stepping(&f, &profiles, 0.05, 0.01, 200)
+            .optimize_stepping(&pool, &profiles, 0.05, 0.01, 200)
             .unwrap();
         // Same boundary to within the step size.
         assert!(
@@ -674,40 +593,8 @@ mod tests {
     }
 
     #[test]
-    fn routed_pool_of_one_matches_binary_bit_for_bit() {
-        let (f, profiles) = setup("sobel", 25);
-        let spec = QualitySpec::new(0.30, 0.9, 0.5).unwrap();
-        let opt = ThresholdOptimizer::new(spec);
-        let binary = opt.optimize(&f, &profiles).unwrap();
-        let pool =
-            ApproximatorPool::from_members(vec![f.clone()], vec![f.benchmark().npu_topology()]);
-        let routed = opt
-            .optimize_routed(&pool, std::slice::from_ref(&profiles))
-            .unwrap();
-        assert_eq!(binary.threshold.to_bits(), routed.threshold.to_bits());
-        assert_eq!(binary.successes, routed.successes);
-        assert_eq!(binary.trials, routed.trials);
-        assert_eq!(
-            binary.certified_rate.to_bits(),
-            routed.certified_rate.to_bits()
-        );
-        assert_eq!(
-            binary.mean_invocation_rate.to_bits(),
-            routed.mean_invocation_rate.to_bits()
-        );
-        assert_eq!(
-            routed.member_invocation_rates[0].to_bits(),
-            routed.mean_invocation_rate.to_bits()
-        );
-        assert_eq!(
-            routed.successes + routed.member_violations.iter().sum::<u64>(),
-            routed.trials
-        );
-    }
-
-    #[test]
     fn routed_pool_accounting_is_conserved() {
-        let (f, profiles) = setup("sobel", 20);
+        let f = train("sobel");
         let bench = f.benchmark();
         let spec = QualitySpec::new(0.20, 0.9, 0.5).unwrap();
         let cheap = crate::route::PoolSpec::tiered(&bench.npu_topology());
@@ -736,7 +623,6 @@ mod tests {
                     .collect()
             })
             .collect();
-        let _ = profiles;
         let routed = ThresholdOptimizer::new(spec)
             .optimize_routed(&pool, &member_profiles)
             .unwrap();
@@ -752,10 +638,10 @@ mod tests {
 
     #[test]
     fn certified_rate_is_conservative() {
-        let (f, profiles) = setup("inversek2j", 25);
+        let (pool, profiles) = pool_of_one("inversek2j", 25);
         let spec = QualitySpec::new(0.25, 0.9, 0.5).unwrap();
         let outcome = ThresholdOptimizer::new(spec)
-            .optimize(&f, &profiles)
+            .optimize_routed(&pool, &profiles)
             .unwrap();
         // The certified (lower-bound) rate never exceeds the empirical one.
         let empirical = outcome.successes as f64 / outcome.trials as f64;

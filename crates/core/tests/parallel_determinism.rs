@@ -16,7 +16,8 @@ use mithra_axbench::suite;
 use mithra_core::neural::NeuralClassifier;
 use mithra_core::pipeline::{compile, compile_routed, quantizer_from_profiles, CompileConfig};
 use mithra_core::route::{
-    generate_route_training_data, PoolSpec, RouteClassifier, RouterKind, RouterTrainer,
+    generate_route_training_data, ApproximatorPool, PoolSpec, RouteClassifier, RouterKind,
+    RouterTrainer,
 };
 use mithra_core::table::TableClassifier;
 use mithra_core::threshold::ThresholdOptimizer;
@@ -82,37 +83,33 @@ fn parallel_sweeps_are_bit_identical_across_thread_counts() {
     }
 
     // Certification replay: per-profile replays run on workers; success
-    // counts and the invocation-rate sum fold in profile order.
+    // counts and the invocation-rate sums fold in profile order. The
+    // binary function certifies as the pool of one.
+    let pool = ApproximatorPool::single(compiled.function.clone());
+    let profiles = std::slice::from_ref(&compiled.profiles);
     let baseline_outcome = ThresholdOptimizer::new(config.spec)
         .with_threads(Some(1))
-        .optimize(&compiled.function, &compiled.profiles)
+        .optimize_routed(&pool, profiles)
+        .unwrap();
+    assert_eq!(baseline_outcome, compiled.threshold);
+    let baseline_probe = ThresholdOptimizer::new(config.spec)
+        .with_threads(Some(1))
+        .certify_routed(&pool, profiles, baseline_outcome.threshold)
         .unwrap();
     for threads in THREADS {
         let outcome = ThresholdOptimizer::new(config.spec)
             .with_threads(threads)
-            .optimize(&compiled.function, &compiled.profiles)
+            .optimize_routed(&pool, profiles)
             .unwrap();
         assert_eq!(
             outcome, baseline_outcome,
             "certified threshold diverged at threads={threads:?}"
         );
-        let (successes, bound, rate) = ThresholdOptimizer::new(config.spec)
+        let probe = ThresholdOptimizer::new(config.spec)
             .with_threads(threads)
-            .certify(
-                &compiled.function,
-                &compiled.profiles,
-                baseline_outcome.threshold,
-            )
+            .certify_routed(&pool, profiles, baseline_outcome.threshold)
             .unwrap();
-        let (s0, b0, r0) = ThresholdOptimizer::new(config.spec)
-            .with_threads(Some(1))
-            .certify(
-                &compiled.function,
-                &compiled.profiles,
-                baseline_outcome.threshold,
-            )
-            .unwrap();
-        assert_eq!((successes, bound, rate), (s0, b0, r0));
+        assert_eq!(probe, baseline_probe);
     }
 }
 

@@ -25,7 +25,7 @@ use crate::error::Result;
 use crate::predict::{apply_mutation, rank_ascending, PredictorMutation, ProbeSet};
 use crate::space::{Candidate, DesignSpace};
 use mithra_axbench::benchmark::Benchmark;
-use mithra_conform::{validate_routed, ValidatorConfig, Verdict};
+use mithra_conform::{validate, ValidatorConfig, Verdict};
 use mithra_core::pipeline::{compile_routed_with_report, CompileConfig};
 use mithra_core::profile::DatasetProfile;
 use mithra_core::route::{PoolSpec, RoutedCompiled};
@@ -341,7 +341,7 @@ pub fn explore(
                 compile_invocations += validation_report.invocations;
                 let (speedup, energy, rate, loss, shares) =
                     validation_fold(&routed, &pool_profiles, config.validation_datasets)?;
-                let conform = validate_routed(&routed, spec_q, &vconfig)?;
+                let conform = validate(&routed, spec_q, &vconfig)?;
                 point.certified = true;
                 point.threshold = routed.threshold.threshold;
                 point.certified_rate = routed.threshold.certified_rate;

@@ -19,7 +19,7 @@
 
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, OutputBuffer};
-use mithra_core::cache::{fingerprint, ArtifactCache, TrainedNpuArtifact, CACHE_FORMAT_VERSION};
+use mithra_core::cache::{ArtifactCache, TrainedNpuArtifact, CACHE_FORMAT_VERSION};
 use mithra_core::function::{AcceleratedFunction, NpuTrainConfig};
 use mithra_core::parallel::par_map_indexed;
 use mithra_core::pipeline::CompileConfig;
@@ -137,17 +137,15 @@ impl ProbeSet {
         let results = par_map_indexed(topologies.len(), compile.threads, |i| {
             let topology = &topologies[i];
             let member_key = probe_member_key(benchmark.name(), compile, probe_epochs, topology);
-            let profiles_key =
-                fingerprint(&format!("{member_key}/probe_datasets={probe_datasets}"));
+            let profiles_key = format!("{member_key}/probe_datasets={probe_datasets}");
             if let Some(c) = &cache {
-                if let Some(profiles) = c.load_profiles(PROBE_STAGE, profiles_key) {
+                if let Some(profiles) = c.load_profiles(PROBE_STAGE, &profiles_key) {
                     return Ok(profiles);
                 }
             }
-            let member_key = fingerprint(&member_key);
             let function = match cache
                 .as_ref()
-                .and_then(|c| c.load::<TrainedNpuArtifact>(PROBE_STAGE, member_key))
+                .and_then(|c| c.load::<TrainedNpuArtifact>(PROBE_STAGE, &member_key))
             {
                 Some(artifact) => artifact
                     .into_function(Arc::clone(benchmark))
@@ -161,7 +159,7 @@ impl ProbeSet {
                         compile.kernel,
                     )?;
                     if let Some(c) = &cache {
-                        c.store(PROBE_STAGE, member_key, &TrainedNpuArtifact::of(&function));
+                        c.store(PROBE_STAGE, &member_key, &TrainedNpuArtifact::of(&function));
                     }
                     function
                 }
@@ -176,7 +174,7 @@ impl ProbeSet {
                 Some(1),
             );
             if let Some(c) = &cache {
-                let _ = c.store_profiles(PROBE_STAGE, profiles_key, &profiles);
+                let _ = c.store_profiles(PROBE_STAGE, &profiles_key, &profiles);
             }
             Ok(profiles)
         });

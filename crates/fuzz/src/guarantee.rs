@@ -6,7 +6,7 @@
 //! [`QualitySpec`] — and checks:
 //!
 //! * the clean judgement passes its own bit-exact audit
-//!   ([`audit_routed`] returns no findings);
+//!   ([`audit`] returns no findings);
 //! * violation counts conserve: `successes + violations == trials` and
 //!   the per-member `route_violations` sum back to `violations`;
 //! * the judgement is **stable under representation-preserving input
@@ -15,7 +15,7 @@
 //! * Clopper–Pearson bounds at the fuzzed `(k, n)` bracket the point
 //!   estimate and are monotone in `k`;
 //! * the library's own mutation self-check
-//!   ([`self_check_routed`]) detects all five of its planted defects.
+//!   ([`self_check`]) detects all five of its planted defects.
 //!
 //! The mutation pass plants `mithra_conform::Mutation`'s five defects
 //! directly into the judging path and requires the independent audit to
@@ -24,7 +24,7 @@
 
 use crate::gen::{rng_for, scale_size};
 use crate::harness::{CaseOutcome, OracleFamily};
-use mithra_conform::selfcheck::{audit_routed, judge_routed, self_check_routed, Mutation};
+use mithra_conform::selfcheck::{audit, judge, self_check, Mutation};
 use mithra_core::threshold::QualitySpec;
 use mithra_stats::clopper_pearson::{lower_bound, upper_bound};
 use rand::seq::SliceRandom;
@@ -99,8 +99,8 @@ impl OracleFamily for GuaranteeFamily {
             // Plant the library's own mutation into the judging path;
             // the independent audit must flag it.
             let mutated = Mutation::ALL[mi];
-            match judge_routed(&losses, &routes, n_routes, &spec, Some(mutated), EPSILON) {
-                Ok(judgement) => match audit_routed(&judgement, &losses, &routes, &spec) {
+            match judge(&losses, &routes, n_routes, &spec, Some(mutated), EPSILON) {
+                Ok(judgement) => match audit(&judgement, &losses, &routes, &spec) {
                     Ok(findings) => {
                         for f in findings {
                             outcome.diverge(format!("audit finding: {}", f.check));
@@ -113,16 +113,16 @@ impl OracleFamily for GuaranteeFamily {
             return outcome;
         }
 
-        let judgement = match judge_routed(&losses, &routes, n_routes, &spec, None, EPSILON) {
+        let judgement = match judge(&losses, &routes, n_routes, &spec, None, EPSILON) {
             Ok(j) => j,
             Err(e) => {
-                outcome.diverge(format!("judge_routed failed: {e}"));
+                outcome.diverge(format!("judge failed: {e}"));
                 return outcome;
             }
         };
 
         // 1. The clean judgement must pass its own bit-exact audit.
-        match audit_routed(&judgement, &losses, &routes, &spec) {
+        match audit(&judgement, &losses, &routes, &spec) {
             Ok(findings) => {
                 for f in findings {
                     outcome.diverge(format!("clean judgement failed audit: {}", f.check));
@@ -151,7 +151,7 @@ impl OracleFamily for GuaranteeFamily {
             losses.iter().copied().zip(routes.iter().copied()).collect();
         pairs.shuffle(&mut rng);
         let (p_losses, p_routes): (Vec<f64>, Vec<usize>) = pairs.into_iter().unzip();
-        match judge_routed(&p_losses, &p_routes, n_routes, &spec, None, EPSILON) {
+        match judge(&p_losses, &p_routes, n_routes, &spec, None, EPSILON) {
             Ok(permuted) => {
                 if permuted != judgement {
                     outcome.diverge("judgement changed under input permutation".to_string());
@@ -196,16 +196,16 @@ impl OracleFamily for GuaranteeFamily {
 
         // 5. The library's own planted-mutation discipline must hold on
         // this fuzzed instance.
-        match self_check_routed(&losses, &routes, n_routes, &spec, EPSILON, TEST_ALPHA) {
+        match self_check(&losses, &routes, n_routes, &spec, EPSILON, TEST_ALPHA) {
             Ok(report) => {
                 if !report.all_detected() {
-                    outcome.diverge("self_check_routed missed a mutation".to_string());
+                    outcome.diverge("self_check missed a mutation".to_string());
                 }
                 if !report.clean_findings.is_empty() {
-                    outcome.diverge("self_check_routed flagged the clean judgement".to_string());
+                    outcome.diverge("self_check flagged the clean judgement".to_string());
                 }
             }
-            Err(e) => outcome.diverge(format!("self_check_routed failed: {e}")),
+            Err(e) => outcome.diverge(format!("self_check failed: {e}")),
         }
         outcome
     }

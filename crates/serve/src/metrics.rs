@@ -372,8 +372,8 @@ impl EndpointMetrics {
     }
 }
 
-/// The whole registry, frozen for export; serializes to the JSON shape
-/// `BENCH_serve.json` embeds.
+/// The whole registry, frozen for export; serializes to JSON for
+/// machine-readable reports.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     /// Per-endpoint metrics, in endpoint registration order.

@@ -2,6 +2,7 @@
 //! success rate is a *conservative* floor for unseen-dataset behaviour.
 
 use mithra::prelude::*;
+use mithra_core::route::ApproximatorPool;
 use mithra_core::threshold::ThresholdOptimizer;
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
 use std::sync::Arc;
@@ -46,13 +47,17 @@ fn certification_is_monotone_in_threshold() {
     let config = CompileConfig::smoke();
     let compiled = compile(bench, &config).unwrap();
     let optimizer = ThresholdOptimizer::new(config.spec);
+    // The binary function's probe is the mixture probe of its pool of one.
+    let pool = ApproximatorPool::single(compiled.function.clone());
+    let profiles = std::slice::from_ref(&compiled.profiles);
 
     let mut prev_successes = u64::MAX;
     for step in 0..5 {
         let th = compiled.threshold.threshold * (1.0 + step as f32 * 0.5);
-        let (s, _, _) = optimizer
-            .certify(&compiled.function, &compiled.profiles, th)
-            .unwrap();
+        let s = optimizer
+            .certify_routed(&pool, profiles, th)
+            .unwrap()
+            .successes;
         assert!(
             s <= prev_successes,
             "successes increased as the threshold loosened"
