@@ -23,7 +23,7 @@
 //! `--threads`, `--cache-dir` flags work like every other figure binary;
 //! the sweep is bit-identical at any `--threads` setting.
 
-use mithra_bench::runner::VALIDATION_SEED_BASE;
+use mithra_bench::runner::{ArgError, BenchFlags, VALIDATION_SEED_BASE};
 use mithra_bench::{ExperimentConfig, TextTable};
 use mithra_conform::CONFORM_SEED_BASE;
 use mithra_explore::{
@@ -79,57 +79,35 @@ impl Default for BenchArgs {
 
 /// Pulls the bench-specific flags out of `args`, leaving the shared
 /// experiment flags for [`ExperimentConfig::from_arg_list`].
-fn extract_bench_args(args: &mut Vec<String>) -> BenchArgs {
-    let mut bench = BenchArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].clone();
-        let mut take_value = || -> String {
-            if i + 1 >= args.len() {
-                eprintln!("missing value for {flag}");
-                std::process::exit(2);
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            value
-        };
-        let parse = |flag: &str, value: &str| -> f64 {
-            value.trim().parse().unwrap_or_else(|_| {
-                eprintln!("malformed value `{value}` for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--budget" => bench.budget = parse(&flag, &take_value()) as usize,
-            "--probe-datasets" => bench.probe_datasets = parse(&flag, &take_value()) as usize,
-            "--probe-epochs" => bench.probe_epochs = parse(&flag, &take_value()) as usize,
-            "--trials" => bench.trials = parse(&flag, &take_value()) as usize,
-            "--test-confidence" => bench.test_confidence = parse(&flag, &take_value()),
-            "--space" => bench.space = take_value(),
-            "--mutate" => {
-                bench.mutation = Some(match take_value().as_str() {
-                    "inverted-cost" => PredictorMutation::InvertedCost,
-                    "off-by-one-quality" => PredictorMutation::OffByOneQualityRank,
-                    other => {
-                        eprintln!("unknown --mutate `{other}`");
-                        std::process::exit(2);
-                    }
-                });
-            }
-            "--out" => bench.out = PathBuf::from(take_value()),
-            _ => i += 1,
-        }
-    }
+fn bench_args(flags: &mut BenchFlags) -> Result<BenchArgs, ArgError> {
+    let d = BenchArgs::default();
+    let mutation = match flags.value::<String>("--mutate")?.as_deref() {
+        None => d.mutation,
+        Some("inverted-cost") => Some(PredictorMutation::InvertedCost),
+        Some("off-by-one-quality") => Some(PredictorMutation::OffByOneQualityRank),
+        Some(other) => return Err(ArgError::new(format!("unknown --mutate `{other}`"))),
+    };
+    let bench = BenchArgs {
+        budget: flags.value("--budget")?.unwrap_or(d.budget),
+        probe_datasets: flags.value("--probe-datasets")?.unwrap_or(d.probe_datasets),
+        probe_epochs: flags.value("--probe-epochs")?.unwrap_or(d.probe_epochs),
+        trials: flags.value("--trials")?.unwrap_or(d.trials),
+        test_confidence: flags
+            .value("--test-confidence")?
+            .unwrap_or(d.test_confidence),
+        space: flags.value("--space")?.unwrap_or(d.space),
+        mutation,
+        out: flags.value("--out")?.unwrap_or(d.out),
+    };
     if bench.space != "full" && bench.space != "smoke" {
-        eprintln!("--space must be `full` or `smoke`");
-        std::process::exit(2);
+        return Err(ArgError::new("--space must be `full` or `smoke`"));
     }
-    bench
+    Ok(bench)
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_args = extract_bench_args(&mut args);
+    let bench_args = BenchFlags::read_or_exit(&mut args, bench_args);
     let cfg = match ExperimentConfig::from_arg_list(&args) {
         Ok(cfg) => cfg,
         Err(e) => {

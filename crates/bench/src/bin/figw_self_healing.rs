@@ -32,6 +32,7 @@
 //! [`run_session`]: mithra_sim::system::run_session
 
 use mithra_axbench::dataset::DriftSpec;
+use mithra_bench::runner::{ArgError, BenchFlags};
 use mithra_bench::{ExperimentConfig, TextTable};
 use mithra_conform::{validate_profiles, GuaranteeReport, ValidatorConfig};
 use mithra_core::profile::DatasetProfile;
@@ -132,46 +133,27 @@ impl Default for BenchArgs {
 
 /// Pulls the bench-specific flags out of `args`, leaving the shared
 /// experiment flags for [`ExperimentConfig::from_arg_list`].
-fn extract_bench_args(args: &mut Vec<String>) -> BenchArgs {
-    let mut bench = BenchArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].clone();
-        let mut take_value = || -> String {
-            if i + 1 >= args.len() {
-                eprintln!("missing value for {flag}");
-                std::process::exit(2);
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            value
-        };
-        let parse = |flag: &str, value: &str| -> f64 {
-            value.trim().parse().unwrap_or_else(|_| {
-                eprintln!("malformed value `{value}` for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--session-datasets" => bench.session_datasets = parse(&flag, &take_value()) as usize,
-            "--drift-at" => bench.drift_at = parse(&flag, &take_value()) as usize,
-            "--drift-scale" => bench.drift_scale = parse(&flag, &take_value()),
-            "--drift-offset" => bench.drift_offset = parse(&flag, &take_value()),
-            "--drift-noise" => bench.drift_noise = Some(parse(&flag, &take_value())),
-            "--select-after" => bench.select_after = parse(&flag, &take_value()) as usize,
-            "--certify-trials" => bench.certify_trials = parse(&flag, &take_value()) as u64,
-            "--conform-trials" => bench.conform_trials = parse(&flag, &take_value()) as usize,
-            "--scenarios" => {
-                bench.scenarios = take_value()
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
-            "--out" => bench.out = PathBuf::from(take_value()),
-            _ => i += 1,
-        }
-    }
-    bench
+fn bench_args(flags: &mut BenchFlags) -> Result<BenchArgs, ArgError> {
+    let d = BenchArgs::default();
+    let scenarios = flags.value::<String>("--scenarios")?.map(|list| {
+        list.split(',')
+            .map(|s| s.trim().to_string())
+            .collect::<Vec<_>>()
+    });
+    Ok(BenchArgs {
+        session_datasets: flags
+            .value("--session-datasets")?
+            .unwrap_or(d.session_datasets),
+        drift_at: flags.value("--drift-at")?.unwrap_or(d.drift_at),
+        drift_scale: flags.value("--drift-scale")?.unwrap_or(d.drift_scale),
+        drift_offset: flags.value("--drift-offset")?.unwrap_or(d.drift_offset),
+        drift_noise: flags.value("--drift-noise")?.or(d.drift_noise),
+        select_after: flags.value("--select-after")?.unwrap_or(d.select_after),
+        certify_trials: flags.value("--certify-trials")?.unwrap_or(d.certify_trials),
+        conform_trials: flags.value("--conform-trials")?.unwrap_or(d.conform_trials),
+        scenarios: scenarios.unwrap_or(d.scenarios),
+        out: flags.value("--out")?.unwrap_or(d.out),
+    })
 }
 
 /// Default input-noise severity per benchmark, as a fraction of each
@@ -409,7 +391,7 @@ fn record_from(
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_args = extract_bench_args(&mut args);
+    let bench_args = BenchFlags::read_or_exit(&mut args, bench_args);
     let cfg = match ExperimentConfig::from_arg_list(&args) {
         Ok(cfg) => cfg,
         Err(e) => {

@@ -21,6 +21,7 @@
 //! `--threads`, `--cache-dir` flags work like every other figure binary;
 //! trial fan-out is bit-identical at any `--threads` setting.
 
+use mithra_bench::runner::{ArgError, BenchFlags};
 use mithra_bench::{ExperimentConfig, TextTable};
 use mithra_conform::selfcheck::{self_check, SelfCheckReport};
 use mithra_conform::{
@@ -72,35 +73,16 @@ impl Default for BenchArgs {
 
 /// Pulls the bench-specific flags out of `args`, leaving the shared
 /// experiment flags for [`ExperimentConfig::from_arg_list`].
-fn extract_bench_args(args: &mut Vec<String>) -> BenchArgs {
-    let mut bench = BenchArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].clone();
-        let mut take_value = || -> String {
-            if i + 1 >= args.len() {
-                eprintln!("missing value for {flag}");
-                std::process::exit(2);
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            value
-        };
-        let parse = |flag: &str, value: &str| -> f64 {
-            value.trim().parse().unwrap_or_else(|_| {
-                eprintln!("malformed value `{value}` for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--trials" => bench.trials = parse(&flag, &take_value()) as usize,
-            "--epsilon" => bench.epsilon = parse(&flag, &take_value()),
-            "--test-confidence" => bench.test_confidence = parse(&flag, &take_value()),
-            "--out" => bench.out = PathBuf::from(take_value()),
-            _ => i += 1,
-        }
-    }
-    bench
+fn bench_args(flags: &mut BenchFlags) -> std::result::Result<BenchArgs, ArgError> {
+    let d = BenchArgs::default();
+    Ok(BenchArgs {
+        trials: flags.value("--trials")?.unwrap_or(d.trials),
+        epsilon: flags.value("--epsilon")?.unwrap_or(d.epsilon),
+        test_confidence: flags
+            .value("--test-confidence")?
+            .unwrap_or(d.test_confidence),
+        out: flags.value("--out")?.unwrap_or(d.out),
+    })
 }
 
 /// Compiles one benchmark (cache-backed: a warm artifact cache makes
@@ -163,7 +145,7 @@ fn validate_benchmark(
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_args = extract_bench_args(&mut args);
+    let bench_args = BenchFlags::read_or_exit(&mut args, bench_args);
     let cfg = match ExperimentConfig::from_arg_list(&args) {
         Ok(cfg) => cfg,
         Err(e) => {

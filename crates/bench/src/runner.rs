@@ -51,7 +51,8 @@ pub struct ArgError {
 }
 
 impl ArgError {
-    fn new(message: impl Into<String>) -> Self {
+    /// An error carrying `message`.
+    pub fn new(message: impl Into<String>) -> Self {
         Self {
             message: message.into(),
         }
@@ -60,6 +61,69 @@ impl ArgError {
     /// The problem, without the usage banner.
     pub fn message(&self) -> &str {
         &self.message
+    }
+}
+
+/// A binary's own flags, pulled out of the argument list ahead of
+/// [`ExperimentConfig::from_arg_list`], which rejects flags it does not
+/// know. Every flag not asked for stays in place for the shared parser.
+#[derive(Debug)]
+pub struct BenchFlags<'a> {
+    args: &'a mut Vec<String>,
+}
+
+impl<'a> BenchFlags<'a> {
+    /// Wraps the argument list the flags are taken from.
+    pub fn new(args: &'a mut Vec<String>) -> Self {
+        Self { args }
+    }
+
+    /// Removes every `flag VALUE` pair and returns the last value,
+    /// parsed as `T` (leading and trailing whitespace ignored); `None`
+    /// when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError`] when the flag is last with no value, or a value does
+    /// not parse as `T`.
+    pub fn value<T: std::str::FromStr>(
+        &mut self,
+        flag: &str,
+    ) -> std::result::Result<Option<T>, ArgError> {
+        let mut last = None;
+        while let Some(i) = self.args.iter().position(|a| a == flag) {
+            if i + 1 >= self.args.len() {
+                return Err(ArgError::new(format!("missing value for {flag}")));
+            }
+            let value = self.args.remove(i + 1);
+            self.args.remove(i);
+            let parsed = value
+                .trim()
+                .parse()
+                .map_err(|_| ArgError::new(format!("malformed value `{value}` for {flag}")))?;
+            last = Some(parsed);
+        }
+        Ok(last)
+    }
+
+    /// Removes every occurrence of the switch `flag`, returning whether
+    /// it was given.
+    pub fn switch(&mut self, flag: &str) -> bool {
+        let before = self.args.len();
+        self.args.retain(|a| a != flag);
+        self.args.len() != before
+    }
+
+    /// Runs `read` over the flags of `args`; on an error prints the
+    /// problem and exits with status 2 — the binary-boundary wrapper.
+    pub fn read_or_exit<T>(
+        args: &'a mut Vec<String>,
+        read: impl FnOnce(&mut Self) -> std::result::Result<T, ArgError>,
+    ) -> T {
+        read(&mut Self::new(args)).unwrap_or_else(|e| {
+            eprintln!("{}", e.message());
+            std::process::exit(2);
+        })
     }
 }
 
@@ -713,5 +777,80 @@ mod tests {
         assert_eq!(cc.npu_train_datasets, 15);
         assert_eq!(cc.scale, DatasetScale::Smoke);
         assert!(cc.cache.is_none());
+    }
+
+    fn arg_vec(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn bench_flag_value_is_taken_and_parsed_as_its_type() {
+        let mut args = arg_vec(&["--trials", "12", "--epsilon", " 0.25 ", "--trials", "7"]);
+        let mut flags = BenchFlags::new(&mut args);
+        assert_eq!(flags.value::<usize>("--trials"), Ok(Some(7)));
+        assert_eq!(flags.value::<f64>("--epsilon"), Ok(Some(0.25)));
+        assert_eq!(flags.value::<u64>("--absent"), Ok(None));
+        assert!(args.is_empty(), "{args:?}");
+    }
+
+    #[test]
+    fn bench_flag_switch_is_taken() {
+        let mut args = arg_vec(&["--pool-check", "--no-cache"]);
+        let mut flags = BenchFlags::new(&mut args);
+        assert!(flags.switch("--pool-check"));
+        assert!(!flags.switch("--pool-check"));
+        assert_eq!(args, arg_vec(&["--no-cache"]));
+    }
+
+    #[test]
+    fn bench_flag_missing_value_is_an_error() {
+        let mut args = arg_vec(&["--scale", "smoke", "--trials"]);
+        let err = BenchFlags::new(&mut args)
+            .value::<usize>("--trials")
+            .unwrap_err();
+        assert_eq!(err.message(), "missing value for --trials");
+    }
+
+    #[test]
+    fn bench_flag_malformed_value_is_an_error() {
+        for bad in ["2.5", "-3", "many"] {
+            let mut args = arg_vec(&["--trials", bad]);
+            let err = BenchFlags::new(&mut args)
+                .value::<usize>("--trials")
+                .unwrap_err();
+            assert_eq!(
+                err.message(),
+                format!("malformed value `{bad}` for --trials")
+            );
+        }
+        let mut args = arg_vec(&["--trials", "many", "--trials", "4"]);
+        assert!(BenchFlags::new(&mut args)
+            .value::<usize>("--trials")
+            .is_err());
+    }
+
+    #[test]
+    fn bench_flags_pass_the_shared_flags_through() {
+        let mut args = arg_vec(&[
+            "--scale",
+            "smoke",
+            "--trials",
+            "3",
+            "--bench",
+            "sobel",
+            "--pool-check",
+            "--no-cache",
+        ]);
+        let mut flags = BenchFlags::new(&mut args);
+        assert_eq!(flags.value::<usize>("--trials"), Ok(Some(3)));
+        assert!(flags.switch("--pool-check"));
+        assert_eq!(
+            args,
+            arg_vec(&["--scale", "smoke", "--bench", "sobel", "--no-cache"])
+        );
+        let cfg = ExperimentConfig::from_arg_list(&args).unwrap();
+        assert_eq!(cfg.scale, DatasetScale::Smoke);
+        assert_eq!(cfg.benchmarks, vec![String::from("sobel")]);
+        assert!(cfg.cache_dir.is_none());
     }
 }

@@ -7,6 +7,11 @@
 //! the fewest neurons". The classifier spends some of the acceleration
 //! gains (an extra network evaluation per invocation) to buy better
 //! filtering accuracy than the table design on high-dimensional inputs.
+//!
+//! The same network with one output neuron per class is the neural
+//! router over a pool of approximators: the binary classifier is its
+//! two-class case, so both train through one trainer and decide through
+//! one argmax.
 
 use crate::classifier::{Classifier, ClassifierOverhead, Decision};
 use crate::parallel::par_map_indexed;
@@ -55,7 +60,26 @@ struct DecideScratch {
     fwd: ForwardScratch,
 }
 
-/// The trained neural classifier.
+/// One labeled K-ary training tuple: an input vector and the class it
+/// maps to (for routing: class `m` = pool member `m`, class `K` =
+/// precise).
+#[derive(Debug, Clone, PartialEq)]
+pub struct KaryExample {
+    /// The raw input vector.
+    pub input: Vec<f32>,
+    /// The target class, `0..classes`.
+    pub class: usize,
+}
+
+/// The trained neural classifier: one sigmoid output neuron per class,
+/// the largest output wins, ties toward the lowest class index.
+///
+/// The paper's design is the two-class network (output 0 approximate,
+/// output 1 precise). The neural router is the K+1-class network over a
+/// pool of K approximators (class `m` = member `m`, the last class =
+/// precise), consulted once per invocation. Either way the last class is
+/// the precise fallback, and the class count is the network's output
+/// width.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct NeuralClassifier {
     mlp: Mlp,
@@ -98,62 +122,50 @@ impl NeuralClassifier {
         config: &NeuralTrainConfig,
         threads: Option<usize>,
     ) -> Result<Self> {
-        if examples.len() < 10 {
-            return Err(MithraError::InsufficientData {
-                stage: "neural classifier training",
-                available: examples.len(),
-                needed: 10,
-            });
-        }
-        let inputs: Vec<Vec<f32>> = examples.iter().map(|e| e.input.clone()).collect();
-        let input_norm = Normalizer::fit(&inputs, 0.0, 1.0);
-
-        let (train_set, val_set) =
-            split_examples(examples.to_vec(), config.validation_fraction, config.seed);
-        let to_pairs = |set: &[TrainingExample]| -> Vec<(Vec<f32>, Vec<f32>)> {
-            set.iter()
-                .map(|e| {
-                    let target = if e.reject {
-                        vec![0.0, 1.0] // output 1 = precise
-                    } else {
-                        vec![1.0, 0.0] // output 0 = approximate
-                    };
-                    (input_norm.forward(&e.input), target)
-                })
-                .collect()
-        };
+        let labeled = examples
+            .iter()
+            .map(|e| (e.input.as_slice(), usize::from(e.reject)))
+            .collect();
         // Rejects are the minority class (only a small fraction of
         // invocations cause large errors); oversample them so the MSE
         // objective does not learn to always answer "approximate" —
         // missed rejects are what breach the quality target.
-        let mut train_pairs = to_pairs(&train_set);
-        let reject_count = train_set.iter().filter(|e| e.reject).count();
-        if reject_count > 0 && reject_count * 4 < train_set.len() {
-            let replicas = ((train_set.len() - reject_count) / reject_count.max(1)).min(5);
-            let rejects: Vec<(Vec<f32>, Vec<f32>)> = train_set
-                .iter()
-                .zip(&train_pairs)
-                .filter(|(e, _)| e.reject)
-                .map(|(_, p)| p.clone())
-                .collect();
-            for _ in 1..replicas {
-                train_pairs.extend(rejects.iter().cloned());
-            }
-        }
-        let val_pairs = to_pairs(if val_set.is_empty() {
-            &train_set
-        } else {
-            &val_set
-        });
+        train_network(input_dim, labeled, 2, |_| 1, config, threads)
+    }
 
-        let (validation_accuracy, mlp) =
-            sweep_hidden_widths(input_dim, 2, &train_pairs, &val_pairs, config, threads)?;
-        Ok(Self {
-            mlp,
-            input_norm,
-            validation_accuracy,
-            scratch: DecideScratch::default(),
-        })
+    /// Trains a `classes`-class classifier — the neural router — with the
+    /// same topology search, spread across up to `threads` workers and
+    /// bit-identical at any thread count.
+    ///
+    /// The rarest class is oversampled the way the binary trainer
+    /// oversamples rejects, ties toward the highest class index (the
+    /// precise fallback, the costly one to miss).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MithraError::InsufficientData`] with fewer than 10
+    /// examples, [`MithraError::InvalidConfig`] for fewer than two
+    /// classes or an out-of-range label, and propagates NPU training
+    /// errors.
+    pub fn train_classes(
+        input_dim: usize,
+        examples: &[KaryExample],
+        classes: usize,
+        config: &NeuralTrainConfig,
+        threads: Option<usize>,
+    ) -> Result<Self> {
+        let labeled = examples
+            .iter()
+            .map(|e| (e.input.as_slice(), e.class))
+            .collect();
+        let rarest = |counts: &[usize]| {
+            (0..counts.len())
+                .rev()
+                .filter(|&c| counts[c] > 0)
+                .min_by_key(|&c| counts[c])
+                .unwrap_or(0)
+        };
+        train_network(input_dim, labeled, classes, rarest, config, threads)
     }
 
     /// Builds a classifier from a pre-trained network (loading a stored
@@ -170,6 +182,11 @@ impl NeuralClassifier {
     /// The selected network topology.
     pub fn topology(&self) -> &Topology {
         self.mlp.topology()
+    }
+
+    /// Number of classes: the network's output width.
+    pub fn classes(&self) -> usize {
+        self.mlp.topology().outputs()
     }
 
     /// The trained network itself (for configuration encoding).
@@ -194,184 +211,6 @@ impl NeuralClassifier {
         self.mlp.topology().parameter_bytes(2) as f64 / 1024.0
     }
 
-    /// The decision for one input vector.
-    pub fn decide(&mut self, input: &[f32]) -> Decision {
-        self.input_norm
-            .forward_into(input, &mut self.scratch.normalized);
-        let out = self
-            .mlp
-            .forward_into(&self.scratch.normalized, &mut self.scratch.fwd)
-            .expect("input width fixed at training time");
-        // Output neuron 0 votes approximate, neuron 1 votes precise; the
-        // larger value wins (paper §IV-B).
-        Decision::from_reject(out[1] > out[0])
-    }
-}
-
-/// One labeled K-ary training tuple: an input vector and the class it
-/// maps to (for routing: class `m` = pool member `m`, class `K` =
-/// precise).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KaryExample {
-    /// The raw input vector.
-    pub input: Vec<f32>,
-    /// The target class, `0..classes`.
-    pub class: usize,
-}
-
-/// The K-ary generalization of [`NeuralClassifier`] (§IV-B extended):
-/// the same three-layer MLP and topology search, but with one sigmoid
-/// output neuron per class instead of the approximate/precise pair. The
-/// largest output wins; ties break toward the lowest class index, so
-/// decisions are deterministic.
-///
-/// Used as the swept *neural router* axis of the design-space explorer —
-/// a single K+1-class network consulted once per invocation, against the
-/// table cascade's one-stage-per-member walk. With `classes == 2` the
-/// decision rule degenerates to the binary classifier's
-/// (`out[1] > out[0]` = reject).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct KaryNeuralClassifier {
-    mlp: Mlp,
-    input_norm: Normalizer,
-    classes: usize,
-    validation_accuracy: f64,
-    #[serde(skip)]
-    scratch: DecideScratch,
-}
-
-impl KaryNeuralClassifier {
-    /// Trains the K-class classifier with the paper's topology search,
-    /// spread across up to `threads` workers. Candidates train from
-    /// their own seeded RNGs and the winner is selected by a sequential
-    /// fold in candidate order, so the result is bit-identical at any
-    /// thread count.
-    ///
-    /// The rarest class is oversampled the same way the binary trainer
-    /// oversamples rejects: under an MSE objective the majority route
-    /// would otherwise drown out the precise fallback, and missed
-    /// fallbacks are what breach the quality target.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MithraError::InsufficientData`] with fewer than 10
-    /// examples, [`MithraError::InvalidConfig`] for fewer than two
-    /// classes or an out-of-range label, and propagates NPU training
-    /// errors.
-    pub fn train_with_threads(
-        input_dim: usize,
-        examples: &[KaryExample],
-        classes: usize,
-        config: &NeuralTrainConfig,
-        threads: Option<usize>,
-    ) -> Result<Self> {
-        if examples.len() < 10 {
-            return Err(MithraError::InsufficientData {
-                stage: "k-ary neural classifier training",
-                available: examples.len(),
-                needed: 10,
-            });
-        }
-        if classes < 2 {
-            return Err(MithraError::InvalidConfig {
-                parameter: "classes",
-                constraint: "at least two classes",
-            });
-        }
-        if examples.iter().any(|e| e.class >= classes) {
-            return Err(MithraError::InvalidConfig {
-                parameter: "examples",
-                constraint: "every class label below `classes`",
-            });
-        }
-        let inputs: Vec<Vec<f32>> = examples.iter().map(|e| e.input.clone()).collect();
-        let input_norm = Normalizer::fit(&inputs, 0.0, 1.0);
-
-        // Reuse the binary splitter by smuggling the class through a
-        // parallel vector: shuffle indices, not examples.
-        let index_examples: Vec<crate::training::TrainingExample> = examples
-            .iter()
-            .enumerate()
-            .map(|(i, _)| crate::training::TrainingExample {
-                input: vec![i as f32],
-                reject: false,
-            })
-            .collect();
-        let (train_idx, val_idx) =
-            split_examples(index_examples, config.validation_fraction, config.seed);
-        let to_pairs = |set: &[crate::training::TrainingExample]| -> Vec<(Vec<f32>, Vec<f32>)> {
-            set.iter()
-                .map(|ie| {
-                    let e = &examples[ie.input[0] as usize];
-                    let mut target = vec![0.0; classes];
-                    target[e.class] = 1.0;
-                    (input_norm.forward(&e.input), target)
-                })
-                .collect()
-        };
-        let mut train_pairs = to_pairs(&train_idx);
-
-        // Oversample the rarest class (ties break toward the highest
-        // class index — the precise fallback, the costly one to miss).
-        let mut counts = vec![0usize; classes];
-        for ie in &train_idx {
-            counts[examples[ie.input[0] as usize].class] += 1;
-        }
-        let rare = (0..classes)
-            .rev()
-            .filter(|&c| counts[c] > 0)
-            .min_by_key(|&c| counts[c])
-            .unwrap_or(0);
-        if counts[rare] > 0 && counts[rare] * 4 < train_idx.len() {
-            let replicas = ((train_idx.len() - counts[rare]) / counts[rare].max(1)).min(5);
-            let rares: Vec<(Vec<f32>, Vec<f32>)> = train_idx
-                .iter()
-                .zip(&train_pairs)
-                .filter(|(ie, _)| examples[ie.input[0] as usize].class == rare)
-                .map(|(_, p)| p.clone())
-                .collect();
-            for _ in 1..replicas {
-                train_pairs.extend(rares.iter().cloned());
-            }
-        }
-        let val_pairs = to_pairs(if val_idx.is_empty() {
-            &train_idx
-        } else {
-            &val_idx
-        });
-
-        let (validation_accuracy, mlp) = sweep_hidden_widths(
-            input_dim,
-            classes,
-            &train_pairs,
-            &val_pairs,
-            config,
-            threads,
-        )?;
-        Ok(Self {
-            mlp,
-            input_norm,
-            classes,
-            validation_accuracy,
-            scratch: DecideScratch::default(),
-        })
-    }
-
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// The selected network topology.
-    pub fn topology(&self) -> &Topology {
-        self.mlp.topology()
-    }
-
-    /// Held-out accuracy of the selected candidate.
-    pub fn validation_accuracy(&self) -> f64 {
-        self.validation_accuracy
-    }
-
     /// The class decision for one input vector: the largest output wins,
     /// ties toward the lowest class index.
     pub fn decide_class(&mut self, input: &[f32]) -> usize {
@@ -381,14 +220,115 @@ impl KaryNeuralClassifier {
             .mlp
             .forward_into(&self.scratch.normalized, &mut self.scratch.fwd)
             .expect("input width fixed at training time");
-        let mut best = 0usize;
-        for (c, v) in out.iter().enumerate() {
-            if *v > out[best] {
-                best = c;
+        argmax(out)
+    }
+
+    /// The decision for one input vector: precise exactly when the last
+    /// class wins. With two classes that is output neuron 1 beating
+    /// neuron 0 (paper §IV-B).
+    pub fn decide(&mut self, input: &[f32]) -> Decision {
+        Decision::from_reject(self.decide_class(input) + 1 == self.classes())
+    }
+}
+
+/// The one neural trainer: normalize the inputs, split train/validation
+/// from `config.seed`, oversample the class `oversample` picks from the
+/// training split's class counts, then run the hidden-width sweep.
+/// `labeled` borrows each example's input beside its class.
+fn train_network(
+    input_dim: usize,
+    labeled: Vec<(&[f32], usize)>,
+    classes: usize,
+    oversample: impl FnOnce(&[usize]) -> usize,
+    config: &NeuralTrainConfig,
+    threads: Option<usize>,
+) -> Result<NeuralClassifier> {
+    if labeled.len() < 10 {
+        return Err(MithraError::InsufficientData {
+            stage: "neural classifier training",
+            available: labeled.len(),
+            needed: 10,
+        });
+    }
+    if classes < 2 {
+        return Err(MithraError::InvalidConfig {
+            parameter: "classes",
+            constraint: "at least two classes",
+        });
+    }
+    if labeled.iter().any(|&(_, class)| class >= classes) {
+        return Err(MithraError::InvalidConfig {
+            parameter: "examples",
+            constraint: "every class label below `classes`",
+        });
+    }
+    let input_norm = {
+        let inputs: Vec<Vec<f32>> = labeled.iter().map(|(x, _)| x.to_vec()).collect();
+        Normalizer::fit(&inputs, 0.0, 1.0)
+    };
+
+    let (train_set, val_set) = split_examples(labeled, config.validation_fraction, config.seed);
+    let to_pairs = |set: &[(&[f32], usize)]| -> Vec<(Vec<f32>, Vec<f32>)> {
+        set.iter()
+            .map(|&(input, class)| {
+                let mut target = vec![0.0; classes];
+                target[class] = 1.0;
+                (input_norm.forward(input), target)
+            })
+            .collect()
+    };
+    let mut train_pairs = to_pairs(&train_set);
+    let mut counts = vec![0usize; classes];
+    for &(_, class) in &train_set {
+        counts[class] += 1;
+    }
+    let rare = oversample(&counts);
+    if counts[rare] > 0 && counts[rare] * 4 < train_set.len() {
+        let replicas = ((train_set.len() - counts[rare]) / counts[rare]).min(5);
+        let rares: Vec<usize> = (0..train_set.len())
+            .filter(|&k| train_set[k].1 == rare)
+            .collect();
+        train_pairs.reserve(rares.len() * replicas.saturating_sub(1));
+        for _ in 1..replicas {
+            for &k in &rares {
+                let pair = train_pairs[k].clone();
+                train_pairs.push(pair);
             }
         }
-        best
     }
+    let val_pairs = to_pairs(if val_set.is_empty() {
+        &train_set
+    } else {
+        &val_set
+    });
+
+    let (validation_accuracy, mlp) = sweep_hidden_widths(
+        input_dim,
+        classes,
+        &train_pairs,
+        &val_pairs,
+        config,
+        threads,
+    )?;
+    Ok(NeuralClassifier {
+        mlp,
+        input_norm,
+        validation_accuracy,
+        scratch: DecideScratch::default(),
+    })
+}
+
+/// The index of the largest value, ties toward the lowest index.
+/// Comparisons with NaN are false: a NaN never takes the lead, and a NaN
+/// in the lead keeps it.
+fn argmax(values: &[f32]) -> usize {
+    let mut best = 0usize;
+    for (c, v) in values.iter().enumerate() {
+        if *v > values[best] {
+            best = c;
+        }
+    }
+    best
 }
 
 /// Trains one `[input_dim, hidden, outputs]` sigmoid-output network per
@@ -463,15 +403,6 @@ fn argmax_accuracy(mlp: &Mlp, pairs: &[(Vec<f32>, Vec<f32>)]) -> f64 {
     if pairs.is_empty() {
         return 0.0;
     }
-    let argmax = |v: &[f32]| -> usize {
-        let mut best = 0usize;
-        for (c, x) in v.iter().enumerate() {
-            if *x > v[best] {
-                best = c;
-            }
-        }
-        best
-    };
     let mut scratch = ForwardScratch::new();
     let correct = pairs
         .iter()
@@ -682,8 +613,7 @@ mod tests {
     #[test]
     fn kary_learns_banded_classes() {
         let ex = banded_examples(300);
-        let mut c =
-            KaryNeuralClassifier::train_with_threads(2, &ex, 3, &quick_config(), Some(1)).unwrap();
+        let mut c = NeuralClassifier::train_classes(2, &ex, 3, &quick_config(), Some(1)).unwrap();
         assert_eq!(c.classes(), 3);
         assert_eq!(c.topology().outputs(), 3);
         assert_eq!(c.decide_class(&[0.1, 0.9]), 0);
@@ -700,8 +630,8 @@ mod tests {
             epochs: 60,
             ..NeuralTrainConfig::default()
         };
-        let a = KaryNeuralClassifier::train_with_threads(2, &ex, 3, &cfg, Some(1)).unwrap();
-        let b = KaryNeuralClassifier::train_with_threads(2, &ex, 3, &cfg, Some(4)).unwrap();
+        let a = NeuralClassifier::train_classes(2, &ex, 3, &cfg, Some(1)).unwrap();
+        let b = NeuralClassifier::train_classes(2, &ex, 3, &cfg, Some(4)).unwrap();
         assert_eq!(a.mlp.to_parameters(), b.mlp.to_parameters());
     }
 
@@ -709,16 +639,58 @@ mod tests {
     fn kary_rejects_bad_configs() {
         let ex = banded_examples(100);
         assert!(matches!(
-            KaryNeuralClassifier::train_with_threads(2, &ex, 1, &quick_config(), Some(1)),
+            NeuralClassifier::train_classes(2, &ex, 1, &quick_config(), Some(1)),
             Err(MithraError::InvalidConfig { .. })
         ));
         assert!(matches!(
-            KaryNeuralClassifier::train_with_threads(2, &ex, 2, &quick_config(), Some(1)),
+            NeuralClassifier::train_classes(2, &ex, 2, &quick_config(), Some(1)),
             Err(MithraError::InvalidConfig { .. })
         ));
         assert!(matches!(
-            KaryNeuralClassifier::train_with_threads(2, &ex[..5], 3, &quick_config(), Some(1)),
+            NeuralClassifier::train_classes(2, &ex[..5], 3, &quick_config(), Some(1)),
             Err(MithraError::InsufficientData { .. })
         ));
+    }
+
+    /// A `[1, 1, classes]` network whose outputs are exactly `outputs`
+    /// for every input: zero output weights, the outputs as biases, and a
+    /// linear output layer.
+    fn fixed_output(outputs: &[f32]) -> NeuralClassifier {
+        let topology = Topology::new(&[1, 1, outputs.len()]).unwrap();
+        let weights = vec![0.0; topology.weight_count()];
+        let mut biases = vec![0.0];
+        biases.extend_from_slice(outputs);
+        let mlp = Mlp::from_parameters(topology, &weights, &biases, Activation::Linear).unwrap();
+        NeuralClassifier::from_parts(mlp, Normalizer::identity(1))
+    }
+
+    #[test]
+    fn decide_is_last_class_wins_for_two_and_three_classes() {
+        let nan = f32::NAN;
+        let cases: [(&[f32], usize); 11] = [
+            (&[0.2, 0.7], 1),
+            (&[0.7, 0.2], 0),
+            (&[0.5, 0.5], 0),
+            (&[nan, 0.3], 0),
+            (&[0.3, nan], 0),
+            (&[nan, nan], 0),
+            (&[0.1, 0.2, 0.9], 2),
+            (&[0.9, 0.1, 0.9], 0),
+            (&[0.1, 0.9, 0.9], 1),
+            (&[nan, nan, 0.5], 0),
+            (&[0.2, nan, 0.5], 2),
+        ];
+        for (outputs, class) in cases {
+            let mut c = fixed_output(outputs);
+            assert_eq!(c.classes(), outputs.len());
+            assert_eq!(c.decide_class(&[0.5]), class, "{outputs:?}");
+            let last_wins = class + 1 == outputs.len();
+            assert_eq!(c.decide(&[0.5]), Decision::from_reject(last_wins));
+            if outputs.len() == 2 {
+                // The paper's rule: neuron 1 beats neuron 0.
+                let paper = outputs[1] > outputs[0];
+                assert_eq!(c.decide(&[0.5]), Decision::from_reject(paper));
+            }
+        }
     }
 }

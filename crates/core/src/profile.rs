@@ -22,19 +22,6 @@ use mithra_axbench::dataset::{Dataset, OutputBuffer};
 /// small enough that the staging buffers stay cache-resident.
 const PROFILE_BLOCK: usize = 64;
 
-/// Where one invocation's output came from when a run is scored after the
-/// fact — the generalization of [`Decision`] the fault model needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// The precise function produced this output.
-    Precise,
-    /// The accelerator produced this output.
-    Approx,
-    /// A FIFO drop left the core reading a *stale* accelerator output:
-    /// the consumer dequeued what invocation `0..i` had left behind.
-    ApproxFrom(usize),
-}
-
 /// Cached profile of one dataset: inputs, both output streams, and the
 /// per-invocation accelerator error.
 ///
@@ -226,40 +213,6 @@ impl DatasetProfile {
         .expect("a profile's own outputs always score")
     }
 
-    /// Replays the dataset with a per-invocation [`Route`], scoring final
-    /// quality without panicking — the fault model's scoring path, where a
-    /// FIFO drop can route a *stale* accelerator output
-    /// ([`Route::ApproxFrom`]) into the output stream.
-    ///
-    /// With routes of only [`Route::Precise`]/[`Route::Approx`] this is
-    /// numerically identical to [`DatasetProfile::replay_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `routes` does not cover every invocation or if
-    /// the final outputs cannot be scored.
-    pub fn try_replay_routed(
-        &self,
-        function: &AcceleratedFunction,
-        routes: &[Route],
-    ) -> Result<ReplayOutcome> {
-        let n = self.invocation_count();
-        if routes.len() != n {
-            return Err(crate::MithraError::InsufficientData {
-                stage: "routed replay",
-                available: routes.len(),
-                needed: n,
-            });
-        }
-        replay_mixture(function.benchmark().as_ref(), &[self], |i| {
-            match routes[i] {
-                Route::Precise => None,
-                Route::Approx => Some((0, i)),
-                Route::ApproxFrom(j) => Some((0, j)),
-            }
-        })
-    }
-
     /// Replays the dataset driving a [`Classifier`], optionally applying
     /// online updates every `online_update_period` invocations (0 = no
     /// updates) using the measured error at `threshold` — the paper's
@@ -330,8 +283,8 @@ pub fn common_invocation_count(members: &[&DatasetProfile]) -> Result<usize> {
 /// index order, names where invocation `i`'s output comes from: `None` is
 /// the precise output, `Some((m, j))` member `m`'s cached accelerator
 /// output of invocation `j` — `j == i` when the member served it, an
-/// earlier index for the stale read a FIFO drop leaves behind
-/// ([`Route::ApproxFrom`]). `invoked` counts the `Some`s.
+/// earlier index for the stale read a FIFO drop leaves behind (the
+/// simulator's fault path). `invoked` counts the `Some`s.
 ///
 /// # Errors
 ///
@@ -499,12 +452,9 @@ mod tests {
     fn routed_replay_matches_replay_with_on_clean_routes() {
         let (f, p) = profile_for("sobel");
         let th = 0.08;
-        let routes: Vec<Route> = p
-            .oracle_rejects(th)
-            .iter()
-            .map(|&r| if r { Route::Precise } else { Route::Approx })
-            .collect();
-        let routed = p.try_replay_routed(&f, &routes).unwrap();
+        let rejects = p.oracle_rejects(th);
+        let bench = f.benchmark().as_ref();
+        let routed = replay_mixture(bench, &[&p], |i| (!rejects[i]).then_some((0, i))).unwrap();
         let direct = p.replay_with_threshold(&f, th);
         assert_eq!(routed.quality_loss, direct.quality_loss);
         assert_eq!(routed.invoked, direct.invoked);
@@ -513,25 +463,18 @@ mod tests {
     #[test]
     fn stale_route_degrades_quality() {
         let (f, p) = profile_for("sobel");
-        // All approx, but every invocation reads invocation 0's output.
-        let stale: Vec<Route> = (0..p.invocation_count())
-            .map(|_| Route::ApproxFrom(0))
-            .collect();
-        let fresh: Vec<Route> = (0..p.invocation_count()).map(|_| Route::Approx).collect();
-        let s = p.try_replay_routed(&f, &stale).unwrap();
-        let fr = p.try_replay_routed(&f, &fresh).unwrap();
+        let bench = f.benchmark().as_ref();
+        // All approx, but every invocation reads invocation 0's output —
+        // the stale read a FIFO drop leaves behind.
+        let s = replay_mixture(bench, &[&p], |_| Some((0, 0))).unwrap();
+        let fr = replay_mixture(bench, &[&p], |i| Some((0, i))).unwrap();
+        assert_eq!(s.invoked, fr.invoked);
         assert!(
             s.quality_loss > fr.quality_loss,
             "stale {} vs fresh {}",
             s.quality_loss,
             fr.quality_loss
         );
-    }
-
-    #[test]
-    fn routed_replay_rejects_short_routes() {
-        let (f, p) = profile_for("sobel");
-        assert!(p.try_replay_routed(&f, &[Route::Precise]).is_err());
     }
 
     #[test]

@@ -47,13 +47,12 @@
 use crate::function::AcceleratedFunction;
 use crate::pipeline::quantizer_from_profiles;
 use crate::profile::DatasetProfile;
-use crate::route::{ApproximatorPool, PoolSpec, RouteClassifier, RouterKind, RouterTrainer};
 use crate::table::{TableClassifier, TableDesign};
-use crate::threshold::{QualitySpec, ThresholdOutcome};
+use crate::threshold::QualitySpec;
 use crate::training::generate_training_data;
 use crate::watchdog::{self, WatchdogConfig};
 use crate::{MithraError, Result};
-use mithra_stats::clopper_pearson::{lower_bound, Confidence};
+use mithra_stats::clopper_pearson::Confidence;
 use mithra_stats::sequential::SequentialBinomial;
 
 /// Seed-stream splitting constant (same mixer as the fault layer).
@@ -556,78 +555,10 @@ impl RecertEngine {
     }
 }
 
-/// Selects a re-certified **routed** operating point on a calibration
-/// window: re-runs the deployed-in-the-loop routed bisection
-/// ([`ThresholdOptimizer::optimize_routed_deployed`]) against a
-/// window-relaxed success rate (the strictest rate a window of this size
-/// can certify — all datasets passing) and a margin-tightened quality
-/// target, then retrains the K-ary cascade at the winning threshold. One
-/// [`RouterTrainer`] (an unmargined table cascade) is prepared for the
-/// window and relabeled at every probe and for the final retrain.
-///
-/// The returned pair is a *candidate*: like the binary engine's frozen
-/// pair it must still earn its live certificate from the sequential test
-/// on fresh data before being swapped in.
-///
-/// [`ThresholdOptimizer::optimize_routed_deployed`]:
-///     crate::threshold::ThresholdOptimizer::optimize_routed_deployed
-///
-/// # Errors
-///
-/// Returns [`MithraError::InsufficientData`] for an empty window,
-/// [`MithraError::Uncertifiable`] when even all-precise routing misses the
-/// tightened target, and propagates router-training failures.
-pub fn select_routed_candidate(
-    pool: &ApproximatorPool,
-    member_window: &[Vec<DatasetProfile>],
-    spec: &QualitySpec,
-    config: &RecertConfig,
-) -> Result<(ThresholdOutcome, RouteClassifier)> {
-    config.validate()?;
-    let trials = member_window.first().map_or(0, Vec::len);
-    if trials == 0 {
-        return Err(MithraError::InsufficientData {
-            stage: "routed re-certification window",
-            available: 0,
-            needed: 1,
-        });
-    }
-    // The strictest success rate a window of `trials` datasets can
-    // certify at β is the all-successes Clopper–Pearson bound; shave a
-    // hair so exactly all-successes clears it.
-    let all_pass = lower_bound(trials as u64, trials as u64, spec.confidence)?;
-    let window_spec = QualitySpec::new(
-        spec.max_quality_loss * config.selection_margin,
-        spec.confidence.level(),
-        (all_pass * 0.999).max(f64::MIN_POSITIVE),
-    )?;
-    let optimizer =
-        crate::threshold::ThresholdOptimizer::new(window_spec).with_threads(config.threads);
-    let router_spec = PoolSpec {
-        topologies: pool.topologies().to_vec(),
-        router: RouterKind::TableCascade,
-        margins: Vec::new(),
-    };
-    let trainer = RouterTrainer::new(
-        &router_spec,
-        member_window,
-        &config.table_design,
-        config.train_samples,
-        config.seed,
-        config.threads,
-    )?;
-    let outcome = optimizer
-        .optimize_routed_deployed(pool, member_window, |threshold| trainer.train(threshold))?;
-    let router = trainer.train(outcome.threshold)?;
-    Ok((outcome, router))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{compile, CompileConfig};
-    use crate::route::PoolSpec;
-    use crate::threshold::ThresholdOptimizer;
     use mithra_axbench::dataset::{DatasetScale, DriftSpec};
     use mithra_axbench::suite;
     use std::sync::Arc;
@@ -786,58 +717,6 @@ mod tests {
                 assert_eq!(engine.test.trials(), fed_after_select);
             }
         }
-    }
-
-    #[test]
-    fn routed_candidate_certifies_its_window() {
-        // Pool-of-one smoke: the routed selection must produce a cascade
-        // whose deployed replay certifies the window-relaxed spec.
-        let compiled = compiled_sobel();
-        let bench = compiled.function.benchmark().clone();
-        let datasets: Vec<_> = (0..3)
-            .map(|s| compiled.function.dataset(s, DatasetScale::Smoke))
-            .collect();
-        let pool = ApproximatorPool::train(
-            &bench,
-            &datasets,
-            &crate::pipeline::CompileConfig::smoke().npu,
-            &PoolSpec::sized(&bench.npu_topology(), 1),
-            Some(1),
-            Some(&compiled.function),
-        )
-        .unwrap();
-        let drift = mild_drift();
-        let window: Vec<DatasetProfile> = (0..8u64)
-            .map(|s| {
-                let ds = compiled
-                    .function
-                    .dataset(9_500_000 + s, DatasetScale::Smoke)
-                    .drifted(&drift);
-                DatasetProfile::collect(&compiled.function, ds)
-            })
-            .collect();
-        let member_window = vec![window];
-        let spec = QualitySpec::new(0.1, 0.9, 0.8).unwrap();
-        let mut cfg = RecertConfig::paper_default();
-        cfg.train_samples = 800;
-        let (outcome, router) =
-            select_routed_candidate(&pool, &member_window, &spec, &cfg).unwrap();
-        assert_eq!(router.len(), 1);
-        assert_eq!(outcome.trials, 8);
-        // The deployed probe at the returned threshold reproduces the
-        // outcome's success count.
-        let optimizer = ThresholdOptimizer::new(
-            QualitySpec::new(
-                spec.max_quality_loss * cfg.selection_margin,
-                spec.confidence.level(),
-                0.5,
-            )
-            .unwrap(),
-        );
-        let recheck = optimizer
-            .certify_routed_deployed(&pool, &member_window, &router, outcome.threshold)
-            .unwrap();
-        assert_eq!(recheck.successes, outcome.successes);
     }
 
     #[test]

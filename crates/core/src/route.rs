@@ -21,6 +21,7 @@
 
 use crate::classifier::{Classifier, ClassifierOverhead, Decision};
 use crate::function::{AcceleratedFunction, NpuTrainConfig};
+use crate::neural::{KaryExample, NeuralClassifier};
 use crate::parallel::par_map_indexed;
 use crate::pipeline::quantizer_from_profiles;
 use crate::profile::{common_invocation_count, replay_mixture, DatasetProfile};
@@ -29,7 +30,7 @@ use crate::threshold::ThresholdOutcome;
 use crate::training::sample_invocations;
 use crate::{MithraError, Result};
 use mithra_axbench::benchmark::Benchmark;
-use mithra_axbench::dataset::{Dataset, DatasetScale};
+use mithra_axbench::dataset::Dataset;
 use mithra_npu::kernel::KernelBackend;
 use mithra_npu::topology::Topology;
 use serde::{Deserialize, Serialize};
@@ -424,26 +425,6 @@ impl ApproximatorPool {
         self.members[0].benchmark()
     }
 
-    /// Profiles `count` seeded datasets through **every** member:
-    /// `result[m][i]` is member `m`'s profile of dataset `seed_base + i`.
-    /// Each member profiles the same seeded datasets the binary profiler
-    /// would, so member profiles of the default topology are bit-identical
-    /// to the binary pipeline's.
-    pub fn profile_members(
-        &self,
-        seed_base: u64,
-        count: usize,
-        scale: DatasetScale,
-        threads: Option<usize>,
-    ) -> Vec<Vec<DatasetProfile>> {
-        self.members
-            .iter()
-            .map(|member| {
-                crate::profile::collect_profiles_parallel(member, seed_base, count, scale, threads)
-            })
-            .collect()
-    }
-
     /// Replays one dataset under the **oracle router at `threshold`**:
     /// invocation `i` is served by the first (cheapest) member whose
     /// profiled error is within the threshold, falling back to precise.
@@ -573,7 +554,7 @@ pub fn generate_route_training_data(
     spec: &PoolSpec,
     max_samples: usize,
     seed: u64,
-) -> Vec<crate::neural::KaryExample> {
+) -> Vec<KaryExample> {
     let base = &member_profiles[0];
     let k = member_profiles.len();
     sample_invocations(base, max_samples, seed)
@@ -584,7 +565,7 @@ pub fn generate_route_training_data(
                 RouteChoice::Member(m) => m,
                 RouteChoice::Precise => k,
             };
-            crate::neural::KaryExample {
+            KaryExample {
                 input: base[d].dataset().input(i).to_vec(),
                 class,
             }
@@ -605,7 +586,7 @@ pub struct RouteClassifier {
     /// table-cascade router, so cascade artifacts — including all cached
     /// ones written before this field existed — serialize byte-identically
     /// and deserialize via the hand-written impls below.
-    neural: Option<crate::neural::KaryNeuralClassifier>,
+    neural: Option<NeuralClassifier>,
 }
 
 // Hand-written (de)serialization: the `neural` field is emitted only when
@@ -682,12 +663,12 @@ impl RouteClassifier {
     }
 
     /// The K-ary neural network, when this router is the neural kind.
-    pub fn neural(&self) -> Option<&crate::neural::KaryNeuralClassifier> {
+    pub fn neural(&self) -> Option<&NeuralClassifier> {
         self.neural.as_ref()
     }
 
     /// Number of routable pool members: cascade stages, or the neural
-    /// network's classes minus the precise fallback.
+    /// network's output classes minus the precise fallback.
     pub fn len(&self) -> usize {
         match &self.neural {
             Some(n) => n.classes().saturating_sub(1),
@@ -747,12 +728,6 @@ impl RouteClassifier {
             RouteChoice::Precise => self.len(),
         };
         sum_overheads(self.stages[..consulted].iter().map(|s| s.overhead()))
-    }
-
-    /// The worst-case overhead (every stage consulted) — what sizes the
-    /// one-time table decompression at program load.
-    pub fn max_overhead(&self) -> ClassifierOverhead {
-        self.overhead_for(RouteChoice::Precise)
     }
 }
 
@@ -849,7 +824,7 @@ impl<'a> RouterTrainer<'a> {
                 self.seed,
             );
             let input_dim = self.member_profiles[0][0].dataset().input_dim();
-            let neural = crate::neural::KaryNeuralClassifier::train_with_threads(
+            let neural = NeuralClassifier::train_classes(
                 input_dim,
                 &examples,
                 self.member_profiles.len() + 1,
@@ -1059,5 +1034,65 @@ mod tests {
         assert_eq!(spec.margin_for(0), 0.75);
         assert_eq!(spec.margin_for(1), 1.0);
         assert_eq!(spec.margin_for(7), 1.0);
+    }
+
+    /// A trained neural router over two members plus the precise
+    /// fallback: three bands of one input axis.
+    fn banded_neural_router() -> RouteClassifier {
+        let examples: Vec<KaryExample> = (0..120)
+            .map(|i| {
+                let x = i as f32 / 119.0;
+                KaryExample {
+                    input: vec![x, 1.0 - x],
+                    class: ((x * 3.0) as usize).min(2),
+                }
+            })
+            .collect();
+        let config = crate::neural::NeuralTrainConfig {
+            hidden_candidates: vec![4],
+            epochs: 20,
+            ..crate::neural::NeuralTrainConfig::default()
+        };
+        let neural = NeuralClassifier::train_classes(2, &examples, 3, &config, Some(1)).unwrap();
+        RouteClassifier {
+            stages: Vec::new(),
+            neural: Some(neural),
+        }
+    }
+
+    #[test]
+    fn neural_router_serde_round_trip_takes_len_from_the_network() {
+        let mut router = banded_neural_router();
+        let json = serde_json::to_string(&router).unwrap();
+        assert!(!json.contains("\"classes\""), "{json}");
+        let mut back: RouteClassifier = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back.route_bits(), 2);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        for i in 0..50 {
+            let x = i as f32 / 49.0;
+            let input = [x, 1.0 - x];
+            assert_eq!(
+                back.classify_route(i, &input),
+                router.classify_route(i, &input)
+            );
+        }
+    }
+
+    #[test]
+    fn neural_router_json_with_the_old_classes_field_loads() {
+        let router = banded_neural_router();
+        let json = serde_json::to_string(&router).unwrap();
+        // Neural routers once stored their class count beside the
+        // network, just before the held-out accuracy.
+        let old = json.replacen(
+            "\"validation_accuracy\"",
+            "\"classes\":3,\"validation_accuracy\"",
+            1,
+        );
+        assert_ne!(old, json);
+        let back: RouteClassifier = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 }

@@ -1026,23 +1026,17 @@ impl CompileSession<Classifiers> {
 /// the same caching and instrumentation as the in-session stages. This
 /// is the harness path for **validation** datasets, which sit outside
 /// the compile pipeline proper (they must stay unseen by it) but share
-/// its trained function, cache and reporting.
+/// its trained function, cache and reporting. It is
+/// [`profile_pool_validation`] over the pool of one.
 pub fn profile_validation(
     function: &AcceleratedFunction,
     config: &CompileConfig,
     seed_base: u64,
     count: usize,
 ) -> (Vec<DatasetProfile>, StageReport) {
-    let started = Instant::now();
-    let name = function.benchmark().name();
-    let cache = config.cache.as_ref().map(|c| ArtifactCache::open(c, name));
-    let key = validation_key(name, config, None, seed_base, count);
-    let stage = Stage::ValidationProfiling;
-    let (profiles, invocations, outcome) = cached_profiles(cache.as_ref(), stage, &key, || {
-        collect_profiles_parallel(function, seed_base, count, config.scale, config.threads)
-    });
-    let report = stage_report(stage, started, invocations, &[outcome]);
-    (profiles, report)
+    let pool = ApproximatorPool::single(function.clone());
+    let (mut member_profiles, report) = profile_pool_validation(&pool, config, seed_base, count);
+    (member_profiles.swap_remove(0), report)
 }
 
 /// Profiles `count` validation datasets seeded from `seed_base` through

@@ -70,13 +70,14 @@ pub(crate) fn sample_invocations(
 /// Splits examples into train/validation partitions (deterministic).
 ///
 /// `validation_fraction` of the examples (at least one if possible) go to
-/// the second returned vector. Used by the neural classifier's topology
-/// search.
-pub fn split_examples(
-    mut examples: Vec<TrainingExample>,
+/// the second returned vector. The shuffle depends only on the count and
+/// `seed`, never on the element type. Used by the neural classifier's
+/// topology search.
+pub fn split_examples<T>(
+    mut examples: Vec<T>,
     validation_fraction: f64,
     seed: u64,
-) -> (Vec<TrainingExample>, Vec<TrainingExample>) {
+) -> (Vec<T>, Vec<T>) {
     let mut rng = StdRng::seed_from_u64(seed);
     examples.shuffle(&mut rng);
     let val_len = ((examples.len() as f64 * validation_fraction) as usize)
@@ -114,5 +115,25 @@ mod tests {
         let examples = vec![fake_example(1.0, false), fake_example(2.0, true)];
         let (train, _val) = split_examples(examples, 0.99, 1);
         assert!(!train.is_empty());
+    }
+
+    #[test]
+    fn generic_split_matches_the_index_shuffle() {
+        // The neural trainer once shuffled examples by index, each index
+        // carried as an `f32` input; splitting the labeled items directly
+        // must give the same train/validation partition.
+        let labels: Vec<(u32, usize)> = (0..257).map(|i| (i, (i as usize * 7) % 3)).collect();
+        let index_examples: Vec<TrainingExample> = (0..labels.len())
+            .map(|i| fake_example(i as f32, false))
+            .collect();
+        for (fraction, seed) in [(0.2, 0x4E45_5552), (0.35, 9), (0.99, 1)] {
+            let (train_idx, val_idx) = split_examples(index_examples.clone(), fraction, seed);
+            let by_index = |set: &[TrainingExample]| -> Vec<(u32, usize)> {
+                set.iter().map(|e| labels[e.input[0] as usize]).collect()
+            };
+            let (train, val) = split_examples(labels.clone(), fraction, seed);
+            assert_eq!(train, by_index(&train_idx), "fraction {fraction}");
+            assert_eq!(val, by_index(&val_idx), "fraction {fraction}");
+        }
     }
 }

@@ -18,12 +18,12 @@
 //! self-check, mirroring the conform mutation discipline).
 
 use mithra_axbench::benchmark::Benchmark;
-use mithra_axbench::dataset::{Dataset, OutputBuffer};
+use mithra_axbench::dataset::Dataset;
 use mithra_core::cache::{ArtifactCache, TrainedNpuArtifact, CACHE_FORMAT_VERSION};
 use mithra_core::function::{AcceleratedFunction, NpuTrainConfig};
 use mithra_core::parallel::par_map_indexed;
 use mithra_core::pipeline::CompileConfig;
-use mithra_core::profile::{collect_profiles_parallel, DatasetProfile};
+use mithra_core::profile::{collect_profiles_parallel, replay_mixture, DatasetProfile};
 use mithra_core::route::{oracle_route_margined, PoolSpec, RouteChoice, RouterKind};
 use mithra_core::{MithraError, Result};
 use mithra_npu::cost::NpuCostModel;
@@ -304,27 +304,21 @@ impl ProbeSet {
                 .iter()
                 .map(|&t| &self.profiles[t][d])
                 .collect();
-            let base = members[0];
-            let n = base.invocation_count();
-            let mut mixed = OutputBuffer::with_capacity(bench.output_dim(), n);
-            for i in 0..n {
-                match oracle_route_margined(&members, i, threshold, spec) {
-                    RouteChoice::Member(m) => {
-                        cost += route_cycles(m + 1) + member_cycles[m];
-                        mixed.push(members[m].approx_output(i));
+            let replay =
+                replay_mixture(bench.as_ref(), &members, |i| {
+                    match oracle_route_margined(&members, i, threshold, spec) {
+                        RouteChoice::Member(m) => {
+                            cost += route_cycles(m + 1) + member_cycles[m];
+                            Some((m, i))
+                        }
+                        RouteChoice::Precise => {
+                            cost += route_cycles(k) + kernel_cycles;
+                            None
+                        }
                     }
-                    RouteChoice::Precise => {
-                        cost += route_cycles(k) + kernel_cycles;
-                        mixed.push(base.precise_output(i));
-                    }
-                }
-            }
-            invocations += n;
-            let final_mixed = bench.run_application(base.dataset(), &mixed);
-            let loss = bench
-                .quality_metric()
-                .try_quality_loss(base.final_precise(), &final_mixed)?;
-            if loss <= quality_target {
+                })?;
+            invocations += replay.total;
+            if replay.quality_loss <= quality_target {
                 successes += 1;
             }
         }

@@ -27,7 +27,7 @@ use crate::gen::{rng_for, scale_size, uniform_vec};
 use crate::harness::{CaseOutcome, OracleFamily};
 use mithra_core::classifier::Decision;
 use mithra_core::misr::InputQuantizer;
-use mithra_core::neural::{KaryExample, KaryNeuralClassifier, NeuralTrainConfig};
+use mithra_core::neural::{KaryExample, NeuralClassifier, NeuralTrainConfig};
 use mithra_core::oracle::OracleClassifier;
 use mithra_core::table::{TableClassifier, TableDesign};
 use mithra_core::training::TrainingExample;
@@ -232,14 +232,13 @@ impl OracleFamily for DecisionFamily {
             accuracy_tolerance: 0.01,
             seed,
         };
-        let mut neural =
-            match KaryNeuralClassifier::train_with_threads(dim, &kary, 2, &config, Some(1)) {
-                Ok(c) => c,
-                Err(e) => {
-                    outcome.diverge(format!("neural training failed: {e}"));
-                    return outcome;
-                }
-            };
+        let mut neural = match NeuralClassifier::train_classes(dim, &kary, 2, &config, Some(1)) {
+            Ok(c) => c,
+            Err(e) => {
+                outcome.diverge(format!("neural training failed: {e}"));
+                return outcome;
+            }
+        };
         let neural_stream: Vec<bool> = inputs.iter().map(|x| neural.decide_class(x) == 1).collect();
 
         // Single-pass tallies, the way the serving path accounts.

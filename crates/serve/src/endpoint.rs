@@ -3,25 +3,28 @@
 //! An [`EndpointSpec`] binds a compiled artifact to the dataset profile it
 //! serves; the engine lowers it into an [`EndpointState`] carrying the
 //! pool it serves from (a binary endpoint is the pool of one), the
-//! precomputed per-route [`RoutedInvocationModel`], the oracle ground
-//! truth, each member's NPU configuration image, the calibrated watchdog
-//! prototype each worker forks, and the slot table collecting
-//! per-invocation results. Slots are keyed by invocation index, so
-//! however requests interleave across workers, the finished endpoint
-//! folds its charges in index order — the ordering that makes the
-//! aggregate bit-identical to sequential simulation.
+//! precomputed per-route [`RoutedInvocationModel`], each member's NPU
+//! configuration image, the calibrated watchdog prototype each worker
+//! forks, and the slot table collecting per-invocation results. Slots
+//! are keyed by invocation index, so however requests interleave across
+//! workers, the finished endpoint folds its charges in index order — the
+//! ordering that makes the aggregate bit-identical to sequential
+//! simulation.
 
 use crate::error::ServeError;
 use crate::metrics::EndpointCounters;
 use mithra_core::classifier::Classifier;
 use mithra_core::function::AcceleratedFunction;
 use mithra_core::pipeline::Compiled;
-use mithra_core::profile::{replay_mixture, DatasetProfile};
-use mithra_core::route::{oracle_route, RouteChoice, RouteClassifier, RoutedCompiled};
+use mithra_core::profile::DatasetProfile;
+use mithra_core::route::{RouteChoice, RouteClassifier, RoutedCompiled};
 use mithra_core::table::TableClassifier;
 use mithra_core::watchdog::{QualityWatchdog, WatchdogConfig};
 use mithra_core::MithraError;
-use mithra_sim::system::{InvocationModel, RoutedInvocationModel, RunResult, SimOptions};
+use mithra_sim::fault::FifoEvent;
+use mithra_sim::system::{
+    Charge, InvocationModel, RoutedInvocationModel, RunFold, RunResult, SimOptions,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -89,10 +92,8 @@ pub(crate) struct ServedInvocation {
     /// The pool member that served the invocation, or the precise
     /// fallback.
     pub route: RouteChoice,
-    /// Simulated core-visible cycles charged.
-    pub cycles: f64,
-    /// Simulated energy charged (nJ).
-    pub energy: f64,
+    /// Simulated cycles and energy charged.
+    pub charge: Charge,
 }
 
 /// The per-invocation result slots of one endpoint.
@@ -116,9 +117,6 @@ pub(crate) struct EndpointState {
     pub member_profiles: Vec<DatasetProfile>,
     /// Per-route cost constants.
     pub model: RoutedInvocationModel,
-    /// Whether the routing oracle at the certified threshold runs each
-    /// invocation precise, for false-positive accounting.
-    pub oracle_precise: Vec<bool>,
     /// Each member's NPU configuration image (weights and biases as raw
     /// bit words), streamed through the config FIFO under the burst rule.
     pub member_config_words: Vec<Vec<u32>>,
@@ -147,10 +145,10 @@ fn pool_members<'a>(
 }
 
 impl EndpointState {
-    /// Lowers a spec: precomputes the per-route models and ground truth
-    /// and encodes each member's config image. `watchdog` is the
-    /// endpoint's calibrated guard tuning (`None` when unguarded); workers
-    /// fork the prototype built from it instead of re-running calibration.
+    /// Lowers a spec: precomputes the per-route models and encodes each
+    /// member's config image. `watchdog` is the endpoint's calibrated
+    /// guard tuning (`None` when unguarded); workers fork the prototype
+    /// built from it instead of re-running calibration.
     ///
     /// # Errors
     ///
@@ -198,10 +196,6 @@ impl EndpointState {
             }
         };
         let threshold = model.threshold();
-        let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
-        let oracle_precise = (0..n)
-            .map(|i| oracle_route(&refs, i, threshold).is_precise())
-            .collect();
         let member_config_words = pool_members(&compiled, routed.as_deref())
             .iter()
             .map(|member| {
@@ -225,7 +219,6 @@ impl EndpointState {
             routed,
             member_profiles,
             model,
-            oracle_precise,
             member_config_words,
             op: Mutex::new(op),
             trigger: AtomicU64::new(TRIGGER_CLEAR),
@@ -306,10 +299,9 @@ impl EndpointState {
         op.epoch
     }
 
-    /// Folds the filled slot table into a [`RunResult`], in invocation
-    /// order — the same initial charges, the same accumulation order, the
-    /// same false-decision rule and the same mixing replay as
-    /// `mithra_sim::system::run_routed` (and so `run` for a pool of one),
+    /// Folds the filled slot table into a [`RunResult`] through
+    /// `mithra_sim`'s [`RunFold`], in invocation order — the fold
+    /// `run_routed` (and so `run` for a pool of one) feeds as it decides,
     /// which is what pins batched serving to the sequential simulator
     /// bit-for-bit (watchdog off). Returns `None` while any invocation is
     /// still unserved.
@@ -319,53 +311,19 @@ impl EndpointState {
     /// Propagates quality-scoring failures from the mixing replay.
     pub fn finish(&self) -> Result<Option<RunResult>, ServeError> {
         let table = self.slots.lock().expect("slot lock poisoned");
-        let n = table.slots.len();
-        if table.filled < n {
+        if table.filled < table.slots.len() {
             return Ok(None);
         }
-        let baseline = self.model.baseline(n);
-        let startup = self.model.startup(n);
-        let mut cycles = startup.cycles;
-        let mut energy = startup.energy;
-        let threshold = self.model.threshold();
-        let mut routes: Vec<RouteChoice> = Vec::with_capacity(n);
-        let mut invoked = 0usize;
-        let (mut false_positives, mut false_negatives) = (0usize, 0usize);
-        for (i, slot) in table.slots.iter().enumerate() {
+        let refs: Vec<&DatasetProfile> = self.member_profiles.iter().collect();
+        let mut fold = RunFold::new(&self.model, &refs).map_err(ServeError::Core)?;
+        for slot in &table.slots {
             let s = slot.expect("filled table has no holes");
-            cycles += s.cycles;
-            energy += s.energy;
-            match s.route {
-                RouteChoice::Member(m) => {
-                    invoked += 1;
-                    if self.member_profiles[m].max_error(i) > threshold {
-                        false_negatives += 1;
-                    }
-                }
-                RouteChoice::Precise => {
-                    if !self.oracle_precise[i] {
-                        false_positives += 1;
-                    }
-                }
-            }
-            routes.push(s.route);
+            fold.push(s.route, FifoEvent::None, s.charge);
         }
         drop(table);
-        let refs: Vec<&DatasetProfile> = self.member_profiles.iter().collect();
         let bench = self.compiled.function.benchmark().as_ref();
-        let replay = replay_mixture(bench, &refs, |i| routes[i].member().map(|m| (m, i)))
-            .map_err(ServeError::Core)?;
-        Ok(Some(RunResult {
-            baseline_cycles: baseline.cycles,
-            accelerated_cycles: cycles,
-            baseline_energy_nj: baseline.energy,
-            accelerated_energy_nj: energy,
-            quality_loss: replay.quality_loss,
-            invoked,
-            total: n,
-            false_positives,
-            false_negatives,
-        }))
+        let result = fold.finish(bench).map_err(ServeError::Core)?;
+        Ok(Some(result.run))
     }
 
     /// Records a sub-batch of served invocations under one slot-table

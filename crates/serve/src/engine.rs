@@ -766,11 +766,9 @@ fn serve_sub_batch(
         .iter()
         .zip(&ctx.routes)
         .map(|(request, &(route, shadow))| {
-            let charge = state.model.charge_route(route, FifoEvent::None, shadow);
             let served = ServedInvocation {
                 route,
-                cycles: charge.cycles,
-                energy: charge.energy,
+                charge: state.model.charge_route(route, FifoEvent::None, shadow),
             };
             (request.invocation, served)
         })
@@ -791,7 +789,7 @@ fn serve_sub_batch(
             }
             RouteChoice::Precise => delta.fallback += 1,
         }
-        delta.latency.record(served.cycles);
+        delta.latency.record(served.charge.cycles);
     }
     // The whole sub-batch ran under one operating point, so its served
     // count is attributed to that epoch wholesale.

@@ -28,7 +28,7 @@ use crate::cpu::IsaCosts;
 use crate::energy::EnergyModel;
 use crate::error::SimError;
 use crate::fault::{DriftSchedule, FifoEvent};
-use mithra_axbench::benchmark::WorkloadProfile;
+use mithra_axbench::benchmark::{Benchmark, WorkloadProfile};
 use mithra_axbench::dataset::DatasetScale;
 use mithra_core::classifier::{Classifier, ClassifierOverhead, Decision};
 use mithra_core::function::AcceleratedFunction;
@@ -602,14 +602,9 @@ pub fn run_routed(
 
 /// The one runtime decision loop behind [`run`] and [`run_routed`]:
 /// decide, watchdog admit, FIFO event, shadow sample, charge the route
-/// through `models`, then score the mixture with [`replay_mixture`]. The
-/// shadow sample judges the *raw* member's error, since that is the
-/// decision the watchdog is guarding.
-///
-/// False decisions are judged against the routing oracle at the models'
-/// threshold: a false positive runs precise although some member's error
-/// was within the threshold; a false negative is served by a member whose
-/// error exceeded it.
+/// through `models`, then fold it into a [`RunFold`]. The shadow sample
+/// judges the *raw* member's error, since that is the decision the
+/// watchdog is guarding.
 fn run_pool(
     models: &RoutedInvocationModel,
     function: &AcceleratedFunction,
@@ -617,25 +612,9 @@ fn run_pool(
     hooks: RunHooks<'_>,
     mut decide: impl FnMut(usize, &[f32]) -> RouteChoice,
 ) -> Result<RoutedRunResult, SimError> {
-    let n = common_invocation_count(members)?;
+    let mut fold = RunFold::new(models, members)?;
     let threshold = models.threshold();
-
-    // Baseline: the whole application on the precise core.
-    let baseline = models.baseline(n);
-    // Non-kernel portion plus one-time table decompression at load.
-    let startup = models.startup(n);
-    let mut cycles = startup.cycles;
-    let mut energy = startup.energy;
-
     let mut watchdog = hooks.watchdog.map(|hook| (hook.period(), hook.dog));
-    let mut sources: Vec<Option<(usize, usize)>> = Vec::with_capacity(n);
-    let mut member_invocations = vec![0usize; members.len()];
-    let mut invoked = 0usize;
-    let (mut false_positives, mut false_negatives) = (0usize, 0usize);
-    let (mut worst_member, mut worst_err) = (0usize, f32::NEG_INFINITY);
-    // The last (member, invocation) whose accelerator output actually
-    // reached the output FIFO — what a Drop leaves for the consumer.
-    let mut last_good = (0usize, 0usize);
 
     for (i, input) in members[0].dataset().iter().enumerate() {
         let raw = decide(i, input);
@@ -643,35 +622,10 @@ fn run_pool(
             Some((_, w)) => w.admit_route(raw),
             None => raw,
         };
-
-        let mut event = FifoEvent::None;
-        match route {
-            RouteChoice::Member(m) => {
-                invoked += 1;
-                member_invocations[m] += 1;
-                let err = members[m].max_error(i);
-                if err > threshold {
-                    false_negatives += 1;
-                }
-                if err > worst_err {
-                    worst_err = err;
-                    worst_member = m;
-                }
-                event = hooks.fifo_events.get(i).copied().unwrap_or(FifoEvent::None);
-                // A dropped result never reached the output FIFO; the
-                // consumer dequeues the stale last-good output.
-                if event != FifoEvent::Drop {
-                    last_good = (m, i);
-                }
-                sources.push(Some(last_good));
-            }
-            RouteChoice::Precise => {
-                if !oracle_route(members, i, threshold).is_precise() {
-                    false_positives += 1;
-                }
-                sources.push(None);
-            }
-        }
+        let event = match route {
+            RouteChoice::Member(_) => hooks.fifo_events.get(i).copied().unwrap_or(FifoEvent::None),
+            RouteChoice::Precise => FifoEvent::None,
+        };
 
         // Sporadic watchdog quality sampling: compare accelerator and
         // precise outputs for this invocation and charge the shadow
@@ -684,28 +638,141 @@ fn run_pool(
             }
         }
 
-        let inv = models.charge_route(route, event, shadow);
-        cycles += inv.cycles;
-        energy += inv.energy;
+        fold.push(route, event, models.charge_route(route, event, shadow));
+    }
+    Ok(fold.finish(function.benchmark().as_ref())?)
+}
+
+/// The one accounting fold of a simulated or served run over one
+/// dataset. In order it takes the startup charge, then each invocation's
+/// executed route and charge in index order — the routing-oracle
+/// false-decision rule, the member tallies and the output the consumer
+/// read — and finally scores the mixed output with [`replay_mixture`].
+///
+/// [`run`] and [`run_routed`] feed it one invocation at a time as they
+/// decide; the serving runtime feeds it from its slot table once every
+/// invocation is served, which is what pins batched serving to the
+/// sequential simulator bit for bit.
+///
+/// False decisions are judged against the routing oracle at the models'
+/// threshold: a false positive runs precise although some member's error
+/// was within the threshold; a false negative is served by a member whose
+/// error exceeded it.
+#[derive(Debug)]
+pub struct RunFold<'a> {
+    members: &'a [&'a DatasetProfile],
+    threshold: f32,
+    baseline: Charge,
+    charged: Charge,
+    /// Where each folded invocation's output came from, for the replay.
+    sources: Vec<Option<(usize, usize)>>,
+    member_invocations: Vec<usize>,
+    invoked: usize,
+    false_positives: usize,
+    false_negatives: usize,
+    worst_member: usize,
+    worst_err: f32,
+    /// The last (member, invocation) whose accelerator output actually
+    /// reached the output FIFO — what a Drop leaves for the consumer.
+    last_good: (usize, usize),
+}
+
+impl<'a> RunFold<'a> {
+    /// Starts a fold over `members` (pool member `m`'s profile of the
+    /// dataset at `m`) priced by `models`: the baseline and the startup
+    /// charge are taken here.
+    ///
+    /// # Errors
+    ///
+    /// [`MithraError::InsufficientData`] for an empty member slice or
+    /// members that disagree on the invocation count.
+    pub fn new(
+        models: &RoutedInvocationModel,
+        members: &'a [&'a DatasetProfile],
+    ) -> Result<Self, MithraError> {
+        let n = common_invocation_count(members)?;
+        Ok(Self {
+            members,
+            threshold: models.threshold(),
+            baseline: models.baseline(n),
+            charged: models.startup(n),
+            sources: Vec::with_capacity(n),
+            member_invocations: vec![0; members.len()],
+            invoked: 0,
+            false_positives: 0,
+            false_negatives: 0,
+            worst_member: 0,
+            worst_err: f32::NEG_INFINITY,
+            last_good: (0, 0),
+        })
     }
 
-    let replay = replay_mixture(function.benchmark().as_ref(), members, |i| sources[i])?;
+    /// Folds the next invocation in index order: its executed `route`,
+    /// the FIFO `event` of an accelerated invocation (a
+    /// [`FifoEvent::Drop`] leaves the consumer reading the last good
+    /// output), and its `charge`.
+    pub fn push(&mut self, route: RouteChoice, event: FifoEvent, charge: Charge) {
+        let i = self.sources.len();
+        match route {
+            RouteChoice::Member(m) => {
+                self.invoked += 1;
+                self.member_invocations[m] += 1;
+                let err = self.members[m].max_error(i);
+                if err > self.threshold {
+                    self.false_negatives += 1;
+                }
+                if err > self.worst_err {
+                    self.worst_err = err;
+                    self.worst_member = m;
+                }
+                if event != FifoEvent::Drop {
+                    self.last_good = (m, i);
+                }
+                self.sources.push(Some(self.last_good));
+            }
+            RouteChoice::Precise => {
+                if !oracle_route(self.members, i, self.threshold).is_precise() {
+                    self.false_positives += 1;
+                }
+                self.sources.push(None);
+            }
+        }
+        self.charged.add(charge);
+    }
 
-    Ok(RoutedRunResult {
-        run: RunResult {
-            baseline_cycles: baseline.cycles,
-            accelerated_cycles: cycles,
-            baseline_energy_nj: baseline.energy,
-            accelerated_energy_nj: energy,
-            quality_loss: replay.quality_loss,
-            invoked,
-            total: n,
-            false_positives,
-            false_negatives,
-        },
-        member_invocations,
-        worst_member,
-    })
+    /// Scores the mixed output stream and returns the run's result.
+    ///
+    /// # Errors
+    ///
+    /// Propagates quality-scoring failures from [`replay_mixture`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every invocation was folded.
+    pub fn finish(self, bench: &dyn Benchmark) -> Result<RoutedRunResult, MithraError> {
+        let n = self.sources.len();
+        assert_eq!(
+            n,
+            self.members[0].invocation_count(),
+            "every invocation is folded before the replay"
+        );
+        let replay = replay_mixture(bench, self.members, |i| self.sources[i])?;
+        Ok(RoutedRunResult {
+            run: RunResult {
+                baseline_cycles: self.baseline.cycles,
+                accelerated_cycles: self.charged.cycles,
+                baseline_energy_nj: self.baseline.energy,
+                accelerated_energy_nj: self.charged.energy,
+                quality_loss: replay.quality_loss,
+                invoked: self.invoked,
+                total: n,
+                false_positives: self.false_positives,
+                false_negatives: self.false_negatives,
+            },
+            member_invocations: self.member_invocations,
+            worst_member: self.worst_member,
+        })
+    }
 }
 
 /// Configuration of a closed-loop serving session: the per-run options,
@@ -793,24 +860,6 @@ pub struct SessionResult {
     pub recert_charge: Charge,
     /// The hot-swaps performed, in order.
     pub swaps: Vec<SwapRecord>,
-}
-
-impl SessionResult {
-    /// Mean speedup over the session's datasets.
-    pub fn mean_speedup(&self) -> f64 {
-        if self.datasets.is_empty() {
-            return 0.0;
-        }
-        self.datasets.iter().map(|d| d.run.speedup()).sum::<f64>() / self.datasets.len() as f64
-    }
-
-    /// Datasets whose quality loss stayed within `q`.
-    pub fn quality_passes(&self, max_quality_loss: f64) -> usize {
-        self.datasets
-            .iter()
-            .filter(|d| d.run.quality_loss <= max_quality_loss)
-            .count()
-    }
 }
 
 /// Runs a closed-loop serving session: one persistent watchdog and one

@@ -13,103 +13,65 @@ OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT
 BENCHES="inversek2j,sobel"
 
+# pin FILE BENCHES [FLAGS...]: runs the binary FILE names (a trailing
+# `_extended` is the same binary on the grown suite) with FLAGS and
+# `--bench BENCHES`, then compares each benchmark's rows against the
+# committed results/FILE.txt.
 pin() {
-  name=$1
-  cargo run --locked --release -q -p mithra-bench --bin "$name" -- \
-    --bench "$BENCHES" > "$OUT/$name.txt" 2> "$OUT/$name.log"
-  for b in ${BENCHES//,/ }; do
-    grep "^$b" "$R/$name.txt" | tr -s ' ' > "$OUT/$name.$b.expected"
-    grep "^$b" "$OUT/$name.txt" | tr -s ' ' > "$OUT/$name.$b.actual"
-    if ! cmp -s "$OUT/$name.$b.expected" "$OUT/$name.$b.actual"; then
-      echo "GOLDEN PIN FAILED: $name/$b diverged from committed $R/$name.txt" >&2
-      diff -u "$OUT/$name.$b.expected" "$OUT/$name.$b.actual" >&2 || true
+  file=$1 benches=$2
+  shift 2
+  cargo run --locked --release -q -p mithra-bench --bin "${file%_extended}" -- \
+    "$@" --bench "$benches" > "$OUT/$file.txt" 2> "$OUT/$file.log"
+  for b in ${benches//,/ }; do
+    grep "^$b" "$R/$file.txt" | tr -s ' ' > "$OUT/$file.$b.expected"
+    grep "^$b" "$OUT/$file.txt" | tr -s ' ' > "$OUT/$file.$b.actual"
+    if ! cmp -s "$OUT/$file.$b.expected" "$OUT/$file.$b.actual"; then
+      echo "GOLDEN PIN FAILED: $file/$b diverged from committed $R/$file.txt" >&2
+      diff -u "$OUT/$file.$b.expected" "$OUT/$file.$b.actual" >&2 || true
       exit 1
     fi
-    echo "pinned: $name/$b ($(wc -l < "$OUT/$name.$b.actual") lines byte-identical)"
+    echo "pinned: $file/$b ($(wc -l < "$OUT/$file.$b.actual") lines byte-identical)"
   done
 }
 
-pin table1_benchmarks
-pin fig01_error_cdf
+pin table1_benchmarks "$BENCHES"
+pin fig01_error_cdf "$BENCHES"
 # fig08's oracle, table and neural rows come from sim::simulate over every
 # validation dataset, so this slice pins the runtime decision loop.
-pin fig08_per_benchmark
+pin fig08_per_benchmark "$BENCHES"
+# Table II's neural topology and size columns: run from a cold cache (as
+# in CI) this retrains the paper's neural classifier for each benchmark.
+pin table2_classifier_sizes "$BENCHES"
 
 # Extended-workload slice: the kmeans rows of the *_extended Table I and
 # Figure 1 files (run_all.sh regenerates those with --bench
 # kmeans,raytrace; rows are per-benchmark independent, so a kmeans-only
 # re-run compares byte-exactly after space collapsing, same as above).
-b=kmeans
-for name in table1_benchmarks fig01_error_cdf; do
-  cargo run --locked --release -q -p mithra-bench --bin "$name" -- \
-    --bench "$b" > "$OUT/${name}_extended.txt" 2> "$OUT/${name}_extended.log"
-  grep "^$b" "$R/${name}_extended.txt" | tr -s ' ' > "$OUT/${name}_extended.$b.expected"
-  grep "^$b" "$OUT/${name}_extended.txt" | tr -s ' ' > "$OUT/${name}_extended.$b.actual"
-  if ! cmp -s "$OUT/${name}_extended.$b.expected" "$OUT/${name}_extended.$b.actual"; then
-    echo "GOLDEN PIN FAILED: ${name}_extended/$b diverged from committed $R/${name}_extended.txt" >&2
-    diff -u "$OUT/${name}_extended.$b.expected" "$OUT/${name}_extended.$b.actual" >&2 || true
-    exit 1
-  fi
-  echo "pinned: ${name}_extended/$b ($(wc -l < "$OUT/${name}_extended.$b.actual") lines byte-identical)"
-done
+pin table1_benchmarks_extended kmeans
+pin fig01_error_cdf_extended kmeans
 
-# One figz slice: the routed-frontier rows for inversek2j, re-run with
-# exactly the flags run_all.sh uses (the figz defaults differ) and
-# byte-compared the same way. --pool-check doubles as a parity assert:
-# the binary exits non-zero if the pool-of-one conformance report
+# The slices below re-run inversek2j with exactly the flags run_all.sh
+# uses (their defaults differ).
+#
+# figz: the routed-frontier rows. --pool-check doubles as a parity
+# assert: the binary exits non-zero if the pool-of-one conformance report
 # diverges from the binary baseline's.
-name=figz_multi_approximator
-b=inversek2j
-cargo run --locked --release -q -p mithra-bench --bin "$name" -- \
+pin figz_multi_approximator inversek2j \
   --scale full --quality 5 --cache-dir target/mithra-cache \
-  --pool 3 --pool-check --out "$OUT/BENCH_route_pin.json" \
-  --bench "$b" > "$OUT/$name.txt" 2> "$OUT/$name.log"
-grep "^$b" "$R/$name.txt" | tr -s ' ' > "$OUT/$name.$b.expected"
-grep "^$b" "$OUT/$name.txt" | tr -s ' ' > "$OUT/$name.$b.actual"
-if ! cmp -s "$OUT/$name.$b.expected" "$OUT/$name.$b.actual"; then
-  echo "GOLDEN PIN FAILED: $name/$b diverged from committed $R/$name.txt" >&2
-  diff -u "$OUT/$name.$b.expected" "$OUT/$name.$b.actual" >&2 || true
-  exit 1
-fi
-echo "pinned: $name/$b ($(wc -l < "$OUT/$name.$b.actual") lines byte-identical)"
+  --pool 3 --pool-check --out "$OUT/BENCH_route_pin.json"
 
-# One figw slice: the closed-loop self-healing rows for inversek2j
-# (step + ramp + transient at the per-benchmark default drift severity),
-# re-run with exactly the flags run_all.sh uses and byte-compared the
-# same way — pins the whole watchdog → recert → hot-swap → conformance
-# chain, swap epoch and trial counts included.
-name=figw_self_healing
-b=inversek2j
-cargo run --locked --release -q -p mithra-bench --bin "$name" -- \
+# figw: the closed-loop self-healing rows (step + ramp + transient at the
+# per-benchmark default drift severity) — pins the whole watchdog →
+# recert → hot-swap → conformance chain, swap epoch and trial counts
+# included.
+pin figw_self_healing inversek2j \
   --scale full --quality 5 --cache-dir target/mithra-cache \
-  --out "$OUT/BENCH_recert_pin.json" \
-  --bench "$b" > "$OUT/$name.txt" 2> "$OUT/$name.log"
-grep "^$b" "$R/$name.txt" | tr -s ' ' > "$OUT/$name.$b.expected"
-grep "^$b" "$OUT/$name.txt" | tr -s ' ' > "$OUT/$name.$b.actual"
-if ! cmp -s "$OUT/$name.$b.expected" "$OUT/$name.$b.actual"; then
-  echo "GOLDEN PIN FAILED: $name/$b diverged from committed $R/$name.txt" >&2
-  diff -u "$OUT/$name.$b.expected" "$OUT/$name.$b.actual" >&2 || true
-  exit 1
-fi
-echo "pinned: $name/$b ($(wc -l < "$OUT/$name.$b.actual") lines byte-identical)"
+  --out "$OUT/BENCH_recert_pin.json"
 
-# One figv slice: the design-space exploration rows for inversek2j
-# (frontier lines + table row), re-run with exactly the flags
-# run_all.sh uses and byte-compared the same way — pins the probe
-# predictors, the prune/budget selection, every fully-evaluated
-# certificate and the emitted frontier.
-name=figv_design_space
-b=inversek2j
-cargo run --locked --release -q -p mithra-bench --bin "$name" -- \
+# figv: the design-space exploration rows (frontier lines + table row) —
+# pins the probe predictors, the prune/budget selection, every
+# fully-evaluated certificate and the emitted frontier.
+pin figv_design_space inversek2j \
   --scale full --quality 5 --cache-dir target/mithra-cache \
-  --out "$OUT/BENCH_explore_pin.json" \
-  --bench "$b" > "$OUT/$name.txt" 2> "$OUT/$name.log"
-grep "^$b" "$R/$name.txt" | tr -s ' ' > "$OUT/$name.$b.expected"
-grep "^$b" "$OUT/$name.txt" | tr -s ' ' > "$OUT/$name.$b.actual"
-if ! cmp -s "$OUT/$name.$b.expected" "$OUT/$name.$b.actual"; then
-  echo "GOLDEN PIN FAILED: $name/$b diverged from committed $R/$name.txt" >&2
-  diff -u "$OUT/$name.$b.expected" "$OUT/$name.$b.actual" >&2 || true
-  exit 1
-fi
-echo "pinned: $name/$b ($(wc -l < "$OUT/$name.$b.actual") lines byte-identical)"
+  --out "$OUT/BENCH_explore_pin.json"
 echo "golden pin OK"
