@@ -31,24 +31,14 @@ use mithra_conform::selfcheck::{self_check, SelfCheckReport};
 use mithra_conform::{
     validate, validate_profiles, GuaranteeReport, ValidatorConfig, Verdict, CONFORM_SEED_BASE,
 };
-use mithra_core::pipeline::{compile_routed_with_report, compile_with_report, Compiled};
-use mithra_core::profile::DatasetProfile;
-use mithra_core::route::{PoolSpec, RoutedCompiled};
+use mithra_core::pipeline::{compile_routed_with_report, compile_with_report};
+use mithra_core::route::PoolSpec;
 use mithra_core::session::{profile_pool_validation, profile_validation};
 use mithra_core::Result;
-use mithra_sim::system::{run_routed, simulate, SimOptions};
+use mithra_sim::system::{frontier_means, FrontierMeans, SimOptions};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Mean frontier metrics of one decision path over the validation sets.
-#[derive(Debug, Clone, Copy, Serialize)]
-struct FrontierSummary {
-    speedup: f64,
-    energy_reduction: f64,
-    invocation_rate: f64,
-    mean_quality_loss: f64,
-}
 
 /// One benchmark's full comparison in `BENCH_route.json`.
 #[derive(Debug, Serialize)]
@@ -56,8 +46,8 @@ struct BenchmarkRecord {
     name: String,
     pool_size: usize,
     topologies: Vec<String>,
-    binary_frontier: FrontierSummary,
-    routed_frontier: FrontierSummary,
+    binary_frontier: FrontierMeans,
+    routed_frontier: FrontierMeans,
     /// Fraction of all invocations served per pool member (cheapest
     /// first) on the frontier arm; sums to `routed_frontier
     /// .invocation_rate`.
@@ -129,74 +119,6 @@ fn bench_args(flags: &mut BenchFlags) -> std::result::Result<BenchArgs, ArgError
     Ok(bench)
 }
 
-/// Simulates the binary path over every validation profile (in seed
-/// order) and folds the frontier means.
-fn binary_frontier(compiled: &Compiled, validation: &[DatasetProfile]) -> FrontierSummary {
-    let options = SimOptions::default();
-    let mut speedup = 0.0;
-    let mut energy = 0.0;
-    let mut rate = 0.0;
-    let mut loss = 0.0;
-    for profile in validation {
-        let mut classifier = compiled.table.clone();
-        let r = simulate(compiled, profile, &mut classifier, &options);
-        speedup += r.speedup();
-        energy += r.energy_reduction();
-        rate += r.invocation_rate();
-        loss += r.quality_loss;
-    }
-    let n = validation.len() as f64;
-    FrontierSummary {
-        speedup: speedup / n,
-        energy_reduction: energy / n,
-        invocation_rate: rate / n,
-        mean_quality_loss: loss / n,
-    }
-}
-
-/// Simulates the routed path over the same validation datasets
-/// (`pool_profiles[m][i]` = member `m`'s profile of dataset `i`) and
-/// folds the frontier means plus the per-member serving shares.
-fn routed_frontier(
-    routed: &RoutedCompiled,
-    pool_profiles: &[Vec<DatasetProfile>],
-    datasets: usize,
-) -> (FrontierSummary, Vec<f64>) {
-    let options = SimOptions::default();
-    let mut speedup = 0.0;
-    let mut energy = 0.0;
-    let mut rate = 0.0;
-    let mut loss = 0.0;
-    let mut member_served = vec![0usize; routed.pool.len()];
-    let mut total = 0usize;
-    for i in 0..datasets {
-        let refs: Vec<&DatasetProfile> = pool_profiles.iter().map(|m| &m[i]).collect();
-        let mut router = routed.router.clone();
-        let r = run_routed(routed, &refs, &mut router, &options)
-            .unwrap_or_else(|e| panic!("routed frontier simulation failed: {e}"));
-        speedup += r.run.speedup();
-        energy += r.run.energy_reduction();
-        rate += r.run.invocation_rate();
-        loss += r.run.quality_loss;
-        total += r.run.total;
-        for (m, served) in r.member_invocations.iter().enumerate() {
-            member_served[m] += served;
-        }
-    }
-    let n = datasets as f64;
-    let summary = FrontierSummary {
-        speedup: speedup / n,
-        energy_reduction: energy / n,
-        invocation_rate: rate / n,
-        mean_quality_loss: loss / n,
-    };
-    let shares = member_served
-        .iter()
-        .map(|&s| s as f64 / total.max(1) as f64)
-        .collect();
-    (summary, shares)
-}
-
 /// Compiles, simulates and validates both decision paths for one
 /// benchmark.
 fn run_benchmark(
@@ -233,7 +155,9 @@ fn run_benchmark(
     );
     report.stages.push(conform_report);
     eprint!("{report}");
-    let binary = binary_frontier(&compiled, &validation);
+    let options = SimOptions::default();
+    let (binary, _) = frontier_means(&compiled, std::slice::from_ref(&validation), &options)
+        .unwrap_or_else(|e| panic!("{name}: binary frontier simulation failed: {e}"));
     let binary_report = validate_profiles(
         &compiled,
         &spec,
@@ -254,8 +178,8 @@ fn run_benchmark(
     );
     rreport.stages.push(pool_validation_report);
     eprint!("{rreport}");
-    let (routed_front, member_share) =
-        routed_frontier(&routed, &pool_profiles, cfg.validation_datasets);
+    let (routed_front, member_share) = frontier_means(&routed, &pool_profiles, &options)
+        .unwrap_or_else(|e| panic!("{name}: routed frontier simulation failed: {e}"));
     let routed_report = validate(&routed, &spec, &vconfig)
         .unwrap_or_else(|e| panic!("{name}: routed conformance validation failed: {e}"));
     let losses: Vec<f64> = routed_report

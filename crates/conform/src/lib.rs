@@ -7,12 +7,14 @@
 //! re-proves the claim empirically, every time it runs:
 //!
 //! 1. take a compiled artifact (typically out of the `core::session`
-//!    artifact cache): a [`Compiled`] binary artifact, validated as its
-//!    pool of one, or a [`RoutedCompiled`] mixture — one [`Mixture`];
+//!    artifact cache): a [`Compiled`] binary artifact or a
+//!    [`RoutedCompiled`] pool, both seen through core's one [`Mixture`]
+//!    view (a binary artifact is its pool of one);
 //! 2. draw `M` fresh datasets from a seed space disjoint from every seed
 //!    the compiler, profiler, or serving load generator has ever seen
 //!    ([`CONFORM_SEED_BASE`]);
-//! 3. run each through the system simulator under the mixture's deployed
+//! 3. run each through the system simulator's one routed loop
+//!    ([`mithra_sim::system::run_routed`]) under the mixture's deployed
 //!    router and score final application quality;
 //! 4. compare the observed success fraction against the certified
 //!    `(success-rate, confidence)` pair with an exact one-sided binomial
@@ -40,6 +42,7 @@
 //!
 //! [`Compiled`]: mithra_core::pipeline::Compiled
 //! [`RoutedCompiled`]: mithra_core::route::RoutedCompiled
+//! [`Mixture`]: mithra_core::route::Mixture
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -50,7 +53,7 @@ pub mod validator;
 
 pub use report::{GuaranteeReport, TrialRecord, Verdict};
 pub use selfcheck::{Mutation, SelfCheckOutcome, SelfCheckReport};
-pub use validator::{validate, validate_profiles, Mixture, ValidatorConfig};
+pub use validator::{validate, validate_profiles, ValidatorConfig};
 
 use std::fmt;
 

@@ -9,66 +9,11 @@ use crate::report::{GuaranteeReport, TrialRecord};
 use crate::selfcheck::{judge, verdict_for};
 use crate::{ConformError, Result, CONFORM_SEED_BASE};
 use mithra_axbench::dataset::DatasetScale;
-use mithra_core::function::AcceleratedFunction;
 use mithra_core::parallel::par_map_indexed;
-use mithra_core::pipeline::Compiled;
 use mithra_core::profile::DatasetProfile;
-use mithra_core::route::RoutedCompiled;
-use mithra_core::threshold::{QualitySpec, ThresholdOutcome};
-use mithra_sim::system::{run, run_routed, RunHooks, RunResult, SimOptions};
-use std::sync::Arc;
-
-/// The system a conformance run validates: an ordered pool of
-/// approximators behind its deployed router. A binary artifact is the
-/// pool of one, whose router is its table classifier.
-#[derive(Debug, Clone, Copy)]
-pub enum Mixture<'a> {
-    /// A binary artifact, validated as its pool of one.
-    Binary(&'a Compiled),
-    /// A routed artifact behind its router cascade.
-    Routed(&'a RoutedCompiled),
-}
-
-impl<'a> From<&'a Compiled> for Mixture<'a> {
-    fn from(compiled: &'a Compiled) -> Self {
-        Mixture::Binary(compiled)
-    }
-}
-
-impl<'a> From<&'a RoutedCompiled> for Mixture<'a> {
-    fn from(routed: &'a RoutedCompiled) -> Self {
-        Mixture::Routed(routed)
-    }
-}
-
-/// A shared artifact, such as the `Arc<Compiled>` a serving engine holds,
-/// validates as the artifact it points to.
-impl<'a, T> From<&'a Arc<T>> for Mixture<'a>
-where
-    &'a T: Into<Mixture<'a>>,
-{
-    fn from(shared: &'a Arc<T>) -> Self {
-        shared.as_ref().into()
-    }
-}
-
-impl<'a> Mixture<'a> {
-    /// The pool members, cheapest first; the last is the most accurate.
-    fn members(self) -> &'a [AcceleratedFunction] {
-        match self {
-            Mixture::Binary(compiled) => std::slice::from_ref(&compiled.function),
-            Mixture::Routed(routed) => routed.pool.members(),
-        }
-    }
-
-    /// The compile-time certificate under test.
-    fn threshold(self) -> &'a ThresholdOutcome {
-        match self {
-            Mixture::Binary(compiled) => &compiled.threshold,
-            Mixture::Routed(routed) => &routed.threshold,
-        }
-    }
-}
+use mithra_core::route::Mixture;
+use mithra_core::threshold::QualitySpec;
+use mithra_sim::system::{run_routed, RunResult, SimOptions};
 
 /// Configuration for one conformance run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -209,24 +154,11 @@ pub fn validate_profiles<'a>(
 type TrialResult = std::result::Result<(u64, RunResult, usize), mithra_sim::SimError>;
 
 /// One trial: simulate a dataset, given every member's profile of it,
-/// under a fresh clone of the deployed router (per-trial clones keep
-/// online updates from leaking state across datasets — and across
-/// threads). The binary pool of one charges every violation to member 0.
+/// under the mixture's deployed router. The binary pool of one charges
+/// every violation to member 0.
 fn trial(mixture: Mixture<'_>, members: &[&DatasetProfile]) -> TrialResult {
-    let options = SimOptions::default();
-    let (result, worst_member) = match mixture {
-        Mixture::Binary(compiled) => {
-            let mut table = compiled.table.clone();
-            let result = run(compiled, members[0], &mut table, &options, RunHooks::none())?;
-            (result, 0)
-        }
-        Mixture::Routed(routed) => {
-            let mut router = routed.router.clone();
-            let result = run_routed(routed, members, &mut router, &options)?;
-            (result.run, result.worst_member)
-        }
-    };
-    Ok((members[0].dataset().seed(), result, worst_member))
+    let result = run_routed(mixture, members, &SimOptions::default())?;
+    Ok((members[0].dataset().seed(), result.run, result.worst_member))
 }
 
 /// Folds per-trial results (in trial-index order) into the report.

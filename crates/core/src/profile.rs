@@ -65,7 +65,7 @@ impl DatasetProfile {
     ///
     /// The accelerator side runs through
     /// [`AcceleratedFunction::approx_batch_with`] in blocks of
-    /// [`PROFILE_BLOCK`] invocations, amortizing one weight traversal per
+    /// 64 invocations, amortizing one weight traversal per
     /// block on the SIMD backend; per-invocation results are
     /// bit-identical to the one-at-a-time loop on whichever backend the
     /// function carries, so the scalar default reproduces every pinned

@@ -23,7 +23,7 @@ use crate::classifier::{Classifier, ClassifierOverhead, Decision};
 use crate::function::{AcceleratedFunction, NpuTrainConfig};
 use crate::neural::{KaryExample, NeuralClassifier};
 use crate::parallel::par_map_indexed;
-use crate::pipeline::quantizer_from_profiles;
+use crate::pipeline::{quantizer_from_profiles, Compiled};
 use crate::profile::{common_invocation_count, replay_mixture, DatasetProfile};
 use crate::table::{PreparedTableSet, TableClassifier, TableDesign};
 use crate::threshold::ThresholdOutcome;
@@ -60,6 +60,17 @@ impl RouteChoice {
         match self {
             RouteChoice::Member(m) => Some(*m),
             RouteChoice::Precise => None,
+        }
+    }
+}
+
+/// A binary decision is a route of the pool of one: accept serves member
+/// 0, reject runs precise.
+impl From<Decision> for RouteChoice {
+    fn from(decision: Decision) -> Self {
+        match decision {
+            Decision::Approximate => RouteChoice::Member(0),
+            Decision::Precise => RouteChoice::Precise,
         }
     }
 }
@@ -546,8 +557,9 @@ pub fn oracle_route_margined(
 
 /// Labels routed K-ary training tuples for the neural router: sampled
 /// invocations (the same deterministic shuffle-and-truncate scheme as the
-/// binary [`generate_training_data`]) labeled with the margined oracle
-/// route — class `m` = pool member `m`, class `K` = precise.
+/// binary [`crate::training::generate_training_data`]) labeled with the
+/// margined oracle route — class `m` = pool member `m`, class `K` =
+/// precise.
 pub fn generate_route_training_data(
     member_profiles: &[Vec<DatasetProfile>],
     threshold: f32,
@@ -690,6 +702,9 @@ impl RouteClassifier {
     /// and the first accepting stage wins; the neural kind consults its
     /// single network once and takes the argmax class (the last class is
     /// the precise fallback).
+    // Inlined across crates: the simulator, serving and watchdog
+    // calibration loops call this once per invocation.
+    #[inline]
     pub fn classify_route(&mut self, index: usize, input: &[f32]) -> RouteChoice {
         if let Some(neural) = &mut self.neural {
             let class = neural.decide_class(input);
@@ -887,6 +902,100 @@ pub struct RoutedCompiled {
     pub threshold: ThresholdOutcome,
     /// The deployed K-ary router.
     pub router: RouteClassifier,
+}
+
+/// A deployed system as an ordered pool of approximators behind its
+/// router: the one view the simulator, the serving engine and the
+/// conformance harness run. A binary artifact is the pool of one: member
+/// 0 is its compiled function on the benchmark's default topology, its
+/// table classifier is the router's single stage, and its compile
+/// profiles are member 0's.
+#[derive(Debug, Clone, Copy)]
+pub enum Mixture<'a> {
+    /// A binary artifact, viewed as its pool of one.
+    Binary(&'a Compiled),
+    /// A routed artifact behind its router.
+    Routed(&'a RoutedCompiled),
+}
+
+impl<'a> From<&'a Compiled> for Mixture<'a> {
+    fn from(compiled: &'a Compiled) -> Self {
+        Mixture::Binary(compiled)
+    }
+}
+
+impl<'a> From<&'a RoutedCompiled> for Mixture<'a> {
+    fn from(routed: &'a RoutedCompiled) -> Self {
+        Mixture::Routed(routed)
+    }
+}
+
+/// A shared artifact, such as the `Arc<Compiled>` a serving engine holds,
+/// is the mixture of the artifact it points to.
+impl<'a, T> From<&'a Arc<T>> for Mixture<'a>
+where
+    &'a T: Into<Mixture<'a>>,
+{
+    fn from(shared: &'a Arc<T>) -> Self {
+        shared.as_ref().into()
+    }
+}
+
+impl<'a> Mixture<'a> {
+    /// The pool members, cheapest first; the last is the most accurate.
+    pub fn members(self) -> &'a [AcceleratedFunction] {
+        match self {
+            Mixture::Binary(compiled) => std::slice::from_ref(&compiled.function),
+            Mixture::Routed(routed) => routed.pool.members(),
+        }
+    }
+
+    /// The NPU topology member `m` is priced on.
+    pub fn topology(self, m: usize) -> Topology {
+        match self {
+            Mixture::Binary(compiled) => compiled.function.benchmark().npu_topology(),
+            Mixture::Routed(routed) => routed.pool.topologies()[m].clone(),
+        }
+    }
+
+    /// The compile-time certificate.
+    pub fn threshold(self) -> &'a ThresholdOutcome {
+        match self {
+            Mixture::Binary(compiled) => &compiled.threshold,
+            Mixture::Routed(routed) => &routed.threshold,
+        }
+    }
+
+    /// A fresh copy of the deployed router.
+    pub fn router(self) -> RouteClassifier {
+        match self {
+            Mixture::Binary(compiled) => RouteClassifier::from_stages(vec![compiled.table.clone()]),
+            Mixture::Routed(routed) => routed.router.clone(),
+        }
+    }
+
+    /// The classifier overhead the router incurs on `route` (see
+    /// [`RouteClassifier::overhead_for`]).
+    pub fn overhead_for(self, route: RouteChoice) -> ClassifierOverhead {
+        match self {
+            Mixture::Binary(compiled) => compiled.table.overhead(),
+            Mixture::Routed(routed) => routed.router.overhead_for(route),
+        }
+    }
+
+    /// The compile-time profiles: `[m][i]` is member `m`'s profile of
+    /// compile dataset `i`.
+    pub fn compile_profiles(self) -> &'a [Vec<DatasetProfile>] {
+        match self {
+            Mixture::Binary(compiled) => std::slice::from_ref(&compiled.profiles),
+            Mixture::Routed(routed) => &routed.member_profiles,
+        }
+    }
+
+    /// Whether both views are of the same artifact in memory.
+    pub fn same_artifact(self, other: Mixture<'_>) -> bool {
+        std::ptr::eq(self.threshold(), other.threshold())
+    }
 }
 
 #[cfg(test)]

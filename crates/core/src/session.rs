@@ -873,11 +873,6 @@ impl CompileSession<PooledProfiles> {
 }
 
 impl CompileSession<RoutedCertified> {
-    /// The threshold certified over the routed mixture.
-    pub fn routed_threshold(&self) -> &ThresholdOutcome {
-        &self.state.threshold
-    }
-
     /// Routing branch, stage 5′: trains the K-ary route classifier — one
     /// table stage per pool member, labeled against that member's
     /// profiled errors at the shared certified threshold (or loads the

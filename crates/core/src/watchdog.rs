@@ -36,7 +36,7 @@
 //! Everything is deterministic: the same sample stream produces the same
 //! transitions, which the robustness property tests rely on.
 
-use crate::classifier::{Classifier, Decision};
+use crate::classifier::Classifier;
 use crate::profile::DatasetProfile;
 use crate::route::RouteChoice;
 use crate::Result;
@@ -136,16 +136,6 @@ pub struct StateResidence {
 }
 
 impl StateResidence {
-    /// Samples spent in `state`.
-    pub fn in_state(&self, state: GuardState) -> u64 {
-        match state {
-            GuardState::Monitoring => self.monitoring,
-            GuardState::Throttled => self.throttled,
-            GuardState::Fallback => self.fallback,
-            GuardState::Probing => self.probing,
-        }
-    }
-
     /// Total samples across all states.
     pub fn total(&self) -> u64 {
         self.monitoring + self.throttled + self.fallback + self.probing
@@ -206,9 +196,9 @@ pub struct WatchdogReport {
     pub transitions_dropped: u64,
 }
 
-/// The runtime quality watchdog. Feed it with [`QualityWatchdog::admit`]
-/// on every decision and [`QualityWatchdog::record`] on every shadow
-/// sample.
+/// The runtime quality watchdog. Feed it with
+/// [`QualityWatchdog::admit_route`] on every decision and
+/// [`QualityWatchdog::record`] on every shadow sample.
 #[derive(Debug, Clone)]
 pub struct QualityWatchdog {
     config: WatchdogConfig,
@@ -268,39 +258,27 @@ impl QualityWatchdog {
         &self.config
     }
 
-    /// Gates one classifier decision through the current state. Call this
-    /// on *every* invocation; it is a counter bump and a match — no
-    /// statistics.
-    pub fn admit(&mut self, decision: Decision) -> Decision {
-        if decision == Decision::Precise {
-            return Decision::Precise;
+    /// Gates one routed decision through the current state: a pool
+    /// member's route is admitted or overridden to the precise fallback; a
+    /// precise route passes through untouched. Call this on *every*
+    /// invocation; it is a counter bump and a match — no statistics.
+    pub fn admit_route(&mut self, route: RouteChoice) -> RouteChoice {
+        if route.is_precise() {
+            return route;
         }
-        match self.state {
-            GuardState::Monitoring => Decision::Approximate,
-            GuardState::Fallback => Decision::Precise,
+        let admitted = match self.state {
+            GuardState::Monitoring => true,
+            GuardState::Fallback => false,
             GuardState::Throttled | GuardState::Probing => {
                 self.admissions_seen += 1;
-                if self
-                    .admissions_seen
+                self.admissions_seen
                     .is_multiple_of(self.config.throttle_factor)
-                {
-                    Decision::Approximate
-                } else {
-                    Decision::Precise
-                }
             }
-        }
-    }
-
-    /// [`admit`](Self::admit) for a routed decision: a pool member's route
-    /// is admitted or overridden to the precise fallback; a precise route
-    /// passes through untouched.
-    pub fn admit_route(&mut self, route: RouteChoice) -> RouteChoice {
-        match route {
-            RouteChoice::Member(_) if self.admit(Decision::Approximate) == Decision::Precise => {
-                RouteChoice::Precise
-            }
-            _ => route,
+        };
+        if admitted {
+            route
+        } else {
+            RouteChoice::Precise
         }
     }
 
@@ -475,8 +453,9 @@ impl QualityWatchdog {
 /// below the limit (the no-false-alarm property), while the fault modes
 /// this crate models push the rate past it quickly.
 ///
-/// This is [`calibration_counts`] over every profile fed into
-/// [`limit_config`]; callers that split the profiles across threads sum
+/// This is the classifier as the router of a pool of one:
+/// [`calibration_counts`] per profile, summed and fed into
+/// [`limit_config`]. Callers that split the profiles across threads sum
 /// the counts instead and get the same configuration.
 ///
 /// # Errors
@@ -489,30 +468,34 @@ pub fn calibrate(
     threshold: f32,
     confidence: Confidence,
 ) -> Result<WatchdogConfig> {
-    let (admitted, violations) = calibration_counts(classifier, profiles, threshold);
+    let (admitted, violations) = profiles.iter().fold((0, 0), |(a, v), profile| {
+        let (pa, pv) = calibration_counts(&[profile], threshold, &mut |i, input| {
+            classifier.classify(i, input).into()
+        });
+        (a + pa, v + pv)
+    });
     Ok(limit_config(admitted, violations, confidence))
 }
 
-/// The counting pass of [`calibrate`]: `(admitted, violations)` — how
-/// many invocations of `profiles` the classifier sends to the
-/// accelerator, and how many of those exceed `threshold`. Counts over
-/// disjoint slices of a profile list add up to the counts over the whole
-/// list for any classifier whose decisions do not depend on call history
-/// (the table classifier's do not).
+/// The counting pass of a calibration over one dataset: `(admitted,
+/// violations)` — how many of its invocations `route` sends to a pool
+/// member, and how many of those exceed `threshold` on the serving
+/// member's profile (`members[m]` is member `m`'s profile of the
+/// dataset). Counts over disjoint datasets add up to the counts over all
+/// of them for any router whose decisions do not depend on call history
+/// (table cascades and neural routers do not).
 pub fn calibration_counts(
-    classifier: &mut dyn Classifier,
-    profiles: &[DatasetProfile],
+    members: &[&DatasetProfile],
     threshold: f32,
+    route: &mut dyn FnMut(usize, &[f32]) -> RouteChoice,
 ) -> (u64, u64) {
     let mut admitted = 0u64;
     let mut violations = 0u64;
-    for profile in profiles {
-        for (i, input) in profile.dataset().iter().enumerate() {
-            if classifier.classify(i, input) == Decision::Approximate {
-                admitted += 1;
-                if profile.max_error(i) > threshold {
-                    violations += 1;
-                }
+    for (i, input) in members[0].dataset().iter().enumerate() {
+        if let RouteChoice::Member(m) = route(i, input) {
+            admitted += 1;
+            if members[m].max_error(i) > threshold {
+                violations += 1;
             }
         }
     }
@@ -539,6 +522,7 @@ pub fn limit_config(admitted: u64, violations: u64, confidence: Confidence) -> W
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::Decision;
 
     fn dog() -> QualityWatchdog {
         QualityWatchdog::new(WatchdogConfig::default())
@@ -628,18 +612,36 @@ mod tests {
 
     #[test]
     fn admission_gating_per_state() {
+        use RouteChoice::{Member, Precise};
         let mut w = dog();
-        assert_eq!(w.admit(Decision::Approximate), Decision::Approximate);
-        assert_eq!(w.admit(Decision::Precise), Decision::Precise);
+        assert_eq!(w.admit_route(Member(0)), Member(0));
+        assert_eq!(w.admit_route(Member(2)), Member(2), "the member survives");
+        assert_eq!(w.admit_route(Precise), Precise);
 
         w.state = GuardState::Fallback;
-        assert_eq!(w.admit(Decision::Approximate), Decision::Precise);
+        assert_eq!(w.admit_route(Member(1)), Precise);
+        assert_eq!(w.admit_route(Precise), Precise);
 
         w.state = GuardState::Throttled;
-        let admitted = (0..16)
-            .filter(|_| w.admit(Decision::Approximate) == Decision::Approximate)
-            .count();
-        assert_eq!(admitted, 4, "1 in 4 admissions under default throttle");
+        let admitted: Vec<RouteChoice> = (0..16)
+            .map(|k| w.admit_route(Member(k % 3)))
+            .filter(|r| !r.is_precise())
+            .collect();
+        assert_eq!(
+            admitted.len(),
+            4,
+            "1 in 4 admissions under default throttle"
+        );
+        assert_eq!(admitted, [Member(0), Member(1), Member(2), Member(0)]);
+        // Precise routes pass untouched and do not advance the trickle.
+        let mut twin = w.clone();
+        assert_eq!(w.admit_route(Precise), Precise);
+        for k in 0..8 {
+            assert_eq!(
+                w.admit_route(Member(k % 3)),
+                twin.admit_route(Member(k % 3))
+            );
+        }
     }
 
     #[test]
@@ -806,6 +808,14 @@ mod tests {
         )
     }
 
+    /// Summed per-dataset counts of `Cutoff` over `profiles`, in order.
+    fn cutoff_counts(profiles: &[DatasetProfile]) -> (u64, u64) {
+        profiles.iter().fold((0, 0), |(a, v), p| {
+            let (pa, pv) = calibration_counts(&[p], 0.1, &mut |i, x| Cutoff.classify(i, x).into());
+            (a + pa, v + pv)
+        })
+    }
+
     #[test]
     fn calibration_counts_add_up_over_any_partition() {
         use rand::{Rng, SeedableRng};
@@ -817,7 +827,7 @@ mod tests {
             let profiles: Vec<DatasetProfile> = (0..len as u64)
                 .map(|seed| random_profile(&mut rng, seed))
                 .collect();
-            let whole = calibration_counts(&mut Cutoff, &profiles, 0.1);
+            let whole = cutoff_counts(&profiles);
             violating_cases += usize::from(whole.1 > 0);
 
             // Deal the profiles into a random number of parts in random
@@ -828,7 +838,7 @@ mod tests {
                 parts[rng.gen_range(0..k)].push(p.clone());
             }
             let summed = parts.iter().fold((0, 0), |(a, v), part| {
-                let (pa, pv) = calibration_counts(&mut Cutoff, part, 0.1);
+                let (pa, pv) = cutoff_counts(part);
                 (a + pa, v + pv)
             });
             assert_eq!(summed, whole, "case {case}: {k} parts of {len}");
@@ -837,6 +847,39 @@ mod tests {
             assert_eq!(config, limit_config(whole.0, whole.1, confidence));
         }
         assert!(violating_cases > 30, "the cases must exercise violations");
+    }
+
+    #[test]
+    fn routed_counts_judge_the_serving_member() {
+        use mithra_axbench::dataset::{Dataset, OutputBuffer};
+        let profile = |errors: Vec<f32>| {
+            let n = errors.len();
+            DatasetProfile::from_parts(
+                Dataset::from_flat(0, 1, (0..n).map(|i| i as f32).collect()),
+                OutputBuffer::from_flat(1, vec![0.0; n]),
+                OutputBuffer::from_flat(1, vec![0.0; n]),
+                errors,
+                vec![0.0; n],
+            )
+        };
+        let cheap = profile(vec![0.5, 0.0, 0.5, 0.0]);
+        let accurate = profile(vec![0.0, 0.5, 0.5, 0.0]);
+        // Invocation i: 0 → cheap (violates), 1 → accurate (violates),
+        // 2 → precise (not counted), 3 → accurate (clean).
+        let routes = [
+            RouteChoice::Member(0),
+            RouteChoice::Member(1),
+            RouteChoice::Precise,
+            RouteChoice::Member(1),
+        ];
+        let counts = calibration_counts(&[&cheap, &accurate], 0.1, &mut |i, _| routes[i]);
+        assert_eq!(counts, (3, 2));
+        // Judging every admission against member 0 would miscount.
+        let as_one = calibration_counts(&[&cheap], 0.1, &mut |i, _| match routes[i] {
+            RouteChoice::Member(_) => RouteChoice::Member(0),
+            RouteChoice::Precise => RouteChoice::Precise,
+        });
+        assert_ne!(as_one, counts);
     }
 
     #[test]

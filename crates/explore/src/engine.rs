@@ -27,12 +27,11 @@ use crate::space::{Candidate, DesignSpace};
 use mithra_axbench::benchmark::Benchmark;
 use mithra_conform::{validate, ValidatorConfig, Verdict};
 use mithra_core::pipeline::{compile_routed_with_report, CompileConfig};
-use mithra_core::profile::DatasetProfile;
-use mithra_core::route::{PoolSpec, RoutedCompiled};
+use mithra_core::route::PoolSpec;
 use mithra_core::session::profile_pool_validation;
 use mithra_core::MithraError;
 use mithra_npu::topology::Topology;
-use mithra_sim::system::{run_routed, SimOptions};
+use mithra_sim::system::{frontier_means, SimOptions};
 use mithra_stats::pareto::{dominates, nondominated_indices};
 use serde::Serialize;
 use std::sync::Arc;
@@ -163,42 +162,6 @@ pub struct BenchmarkExploration {
     pub cache_misses: u32,
     /// Function invocations across every full-evaluation session.
     pub compile_invocations: u64,
-}
-
-/// Mean frontier metrics of one routed point over the validation sets
-/// (the figure-Z fold, duplicated here so `mithra-explore` does not
-/// depend on the bench harness).
-fn validation_fold(
-    routed: &RoutedCompiled,
-    pool_profiles: &[Vec<DatasetProfile>],
-    datasets: usize,
-) -> Result<(f64, f64, f64, f64, Vec<f64>)> {
-    let options = SimOptions::default();
-    let mut speedup = 0.0;
-    let mut energy = 0.0;
-    let mut rate = 0.0;
-    let mut loss = 0.0;
-    let mut member_served = vec![0usize; routed.pool.len()];
-    let mut total = 0usize;
-    for i in 0..datasets {
-        let refs: Vec<&DatasetProfile> = pool_profiles.iter().map(|m| &m[i]).collect();
-        let mut router = routed.router.clone();
-        let r = run_routed(routed, &refs, &mut router, &options)?;
-        speedup += r.run.speedup();
-        energy += r.run.energy_reduction();
-        rate += r.run.invocation_rate();
-        loss += r.run.quality_loss;
-        total += r.run.total;
-        for (m, served) in r.member_invocations.iter().enumerate() {
-            member_served[m] += served;
-        }
-    }
-    let n = datasets.max(1) as f64;
-    let shares = member_served
-        .iter()
-        .map(|&s| s as f64 / total.max(1) as f64)
-        .collect();
-    Ok((speedup / n, energy / n, rate / n, loss / n, shares))
 }
 
 fn point_skeleton(
@@ -339,16 +302,16 @@ pub fn explore(
                 cache_hits += validation_report.cache_hits;
                 cache_misses += validation_report.cache_misses;
                 compile_invocations += validation_report.invocations;
-                let (speedup, energy, rate, loss, shares) =
-                    validation_fold(&routed, &pool_profiles, config.validation_datasets)?;
+                let (means, shares) =
+                    frontier_means(&routed, &pool_profiles, &SimOptions::default())?;
                 let conform = validate(&routed, spec_q, &vconfig)?;
                 point.certified = true;
                 point.threshold = routed.threshold.threshold;
                 point.certified_rate = routed.threshold.certified_rate;
-                point.speedup = speedup;
-                point.energy_reduction = energy;
-                point.invocation_rate = rate;
-                point.mean_quality_loss = loss;
+                point.speedup = means.speedup;
+                point.energy_reduction = means.energy_reduction;
+                point.invocation_rate = means.invocation_rate;
+                point.mean_quality_loss = means.mean_quality_loss;
                 point.member_share = shares;
                 point.verdict = conform.verdict.label().to_lowercase();
                 point.holds = conform.verdict == Verdict::Holds;

@@ -17,7 +17,7 @@
 //!   *decisions* may err (counted allowance) but whose *accounting*
 //!   must not.
 //!
-//! A [`DecisionLedger`] tallies the streams the way the serving path
+//! A decision ledger tallies the streams the way the serving path
 //! would (one pass, incremental counters); an independent audit recounts
 //! everything from the recorded streams. The planted mutations corrupt
 //! the ledger — an undercounted tally, a flipped recorded decision, a

@@ -11,7 +11,7 @@
 //!   the per-member `route_violations` sum back to `violations`;
 //! * the judgement is **stable under representation-preserving input
 //!   permutations**: shuffling the `(loss, route)` pairs must reproduce
-//!   the identical [`Judgement`] (every field derives from counts);
+//!   the identical [`Judgement`](mithra_conform::selfcheck::Judgement) (every field derives from counts);
 //! * Clopper–Pearson bounds at the fuzzed `(k, n)` bracket the point
 //!   estimate and are monotone in `k`;
 //! * the library's own mutation self-check

@@ -8,7 +8,7 @@
 //! catches each defect deliberately injected into one side of the
 //! comparison.
 //!
-//! Four [`OracleFamily`](harness::OracleFamily) implementations cover
+//! Four [`OracleFamily`] implementations cover
 //! the layers the certified pipeline rests on:
 //!
 //! | family      | comparison                                               |

@@ -51,16 +51,6 @@ impl NpuCostModel {
         }
     }
 
-    /// Cost model over a custom PE array.
-    pub fn with_pe_array(pe: PeArray) -> Self {
-        Self { pe }
-    }
-
-    /// The underlying PE array parameters.
-    pub fn pe_array(&self) -> &PeArray {
-        &self.pe
-    }
-
     /// Full cost of one invocation of a network with this `topology`.
     ///
     /// # Example

@@ -166,22 +166,6 @@ impl FixedScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Creates a scratch presized for `fixed`, so no buffer ever
-    /// reallocates once construction returns.
-    pub fn for_network(fixed: &FixedMlp) -> Self {
-        let widest = fixed
-            .layers
-            .iter()
-            .map(|l| l.biases.len())
-            .chain([fixed.inputs])
-            .max()
-            .unwrap_or(0);
-        Self {
-            cur: Vec::with_capacity(widest),
-            next: Vec::with_capacity(widest),
-        }
-    }
 }
 
 impl FixedMlp {

@@ -341,9 +341,9 @@ impl Mlp {
 
     /// Backend-dispatched [`forward_into`]: `Scalar` runs the bit-exact
     /// reference path; `Simd` runs the single-lane kernel
-    /// ([`kernel::layer_forward_lane`]), which replicates a tile lane's
+    /// (`kernel::layer_forward_lane`), which replicates a tile lane's
     /// exact operation sequence and is therefore bit-identical to the
-    /// same sample inside a full [`forward_batch_into_with`] tile
+    /// same sample inside a full [`Mlp::forward_batch_into_with`] tile
     /// (per-lane independence — see [`crate::kernel`]) without paying
     /// for seven padding lanes. Both paths leave the full activation
     /// trace in `scratch`.

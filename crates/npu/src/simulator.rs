@@ -71,11 +71,6 @@ impl CycleSimulator {
         }
     }
 
-    /// An engine over a custom PE array.
-    pub fn with_pe_array(pe: PeArray) -> Self {
-        Self { pe }
-    }
-
     /// Executes one invocation: drains `input.len()` elements from a
     /// freshly filled input FIFO, steps the network, pushes outputs to
     /// the output FIFO, and returns the outputs with the trace.

@@ -13,8 +13,8 @@ use std::time::Duration;
 /// Escalating wait strategy for retry loops.
 ///
 /// The schedule is deterministic: `SPINS` spin-loop hints, then `YIELDS`
-/// scheduler yields, then parks starting at [`Backoff::BASE_PARK`] and
-/// doubling to at most [`Backoff::MAX_PARK`]. Call
+/// scheduler yields, then parks starting at `BASE_PARK` (10 µs) and
+/// doubling to at most `MAX_PARK` (1 ms). Call
 /// [`reset`](Backoff::reset) after a successful operation so the next
 /// contention episode starts cheap again.
 #[derive(Debug, Clone, Default)]

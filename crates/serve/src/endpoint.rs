@@ -1,8 +1,8 @@
 //! Endpoints: one compiled benchmark, served as an addressable unit.
 //!
 //! An [`EndpointSpec`] binds a compiled artifact to the dataset profile it
-//! serves; the engine lowers it into an [`EndpointState`] carrying the
-//! pool it serves from (a binary endpoint is the pool of one), the
+//! serves; the engine lowers it into its internal endpoint state carrying
+//! the [`Mixture`] it serves (a binary endpoint is the pool of one), the
 //! precomputed per-route [`RoutedInvocationModel`], each member's NPU
 //! configuration image, the calibrated watchdog prototype each worker
 //! forks, and the slot table collecting per-invocation results. Slots
@@ -13,18 +13,14 @@
 
 use crate::error::ServeError;
 use crate::metrics::EndpointCounters;
-use mithra_core::classifier::Classifier;
 use mithra_core::function::AcceleratedFunction;
 use mithra_core::pipeline::Compiled;
 use mithra_core::profile::DatasetProfile;
-use mithra_core::route::{RouteChoice, RouteClassifier, RoutedCompiled};
-use mithra_core::table::TableClassifier;
+use mithra_core::route::{Mixture, RouteChoice, RouteClassifier, RoutedCompiled};
 use mithra_core::watchdog::{QualityWatchdog, WatchdogConfig};
 use mithra_core::MithraError;
 use mithra_sim::fault::FifoEvent;
-use mithra_sim::system::{
-    Charge, InvocationModel, RoutedInvocationModel, RunFold, RunResult, SimOptions,
-};
+use mithra_sim::system::{Charge, RoutedInvocationModel, RunFold, RunResult, SimOptions};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -132,15 +128,15 @@ pub(crate) struct EndpointState {
     pub counters: Mutex<EndpointCounters>,
 }
 
-/// The pool serving an endpoint, cheapest first: the routed pool, or the
-/// binary endpoint's compiled function as the pool of one.
-fn pool_members<'a>(
-    compiled: &'a Compiled,
-    routed: Option<&'a RoutedCompiled>,
-) -> &'a [AcceleratedFunction] {
-    match routed {
-        Some(routed) => routed.pool.members(),
-        None => std::slice::from_ref(&compiled.function),
+impl EndpointSpec {
+    /// The mixture this endpoint serves: the routed attachment's pool, or
+    /// the compiled artifact as its pool of one.
+    pub(crate) fn mixture(&self) -> Mixture<'_> {
+        self.routed
+            .as_ref()
+            .map_or(Mixture::Binary(&self.compiled), |r| {
+                Mixture::Routed(&r.routed)
+            })
     }
 }
 
@@ -159,44 +155,12 @@ impl EndpointState {
         options: &SimOptions,
         watchdog: Option<WatchdogConfig>,
     ) -> Result<Self, ServeError> {
-        let EndpointSpec {
-            name,
-            compiled,
-            profile,
-            routed,
-        } = spec;
-        let n = profile.invocation_count();
-        let (routed, member_profiles, model, router) = match routed {
-            None => {
-                let model = InvocationModel::new(&compiled, &compiled.table.overhead(), options);
-                let router = RouteClassifier::from_stages(vec![compiled.table.clone()]);
-                let model = RoutedInvocationModel::pool_of_one(model);
-                (None, vec![profile], model, router)
-            }
-            Some(RoutedServeSpec {
-                routed,
-                member_profiles,
-            }) => {
-                let insufficient = |available, needed| {
-                    ServeError::Core(MithraError::InsufficientData {
-                        stage: "routed endpoint build",
-                        available,
-                        needed,
-                    })
-                };
-                if member_profiles.len() != routed.pool.len() {
-                    return Err(insufficient(member_profiles.len(), routed.pool.len()));
-                }
-                if let Some(p) = member_profiles.iter().find(|p| p.invocation_count() != n) {
-                    return Err(insufficient(p.invocation_count(), n));
-                }
-                let model = RoutedInvocationModel::new(&routed, options);
-                let router = routed.router.clone();
-                (Some(routed), member_profiles, model, router)
-            }
-        };
-        let threshold = model.threshold();
-        let member_config_words = pool_members(&compiled, routed.as_deref())
+        let mixture = spec.mixture();
+        let model = RoutedInvocationModel::new(mixture, options);
+        let router = mixture.router();
+        let pool = mixture.members().len();
+        let member_config_words = mixture
+            .members()
             .iter()
             .map(|member| {
                 let (weights, biases) = member.npu().to_parameters();
@@ -207,9 +171,33 @@ impl EndpointState {
                     .collect()
             })
             .collect();
+        let EndpointSpec {
+            name,
+            compiled,
+            profile,
+            routed,
+        } = spec;
+        let n = profile.invocation_count();
+        let (routed, member_profiles) = match routed {
+            Some(r) => (Some(r.routed), r.member_profiles),
+            None => (None, vec![profile]),
+        };
+        let insufficient = |available, needed| {
+            ServeError::Core(MithraError::InsufficientData {
+                stage: "routed endpoint build",
+                available,
+                needed,
+            })
+        };
+        if member_profiles.len() != pool {
+            return Err(insufficient(member_profiles.len(), pool));
+        }
+        if let Some(p) = member_profiles.iter().find(|p| p.invocation_count() != n) {
+            return Err(insufficient(p.invocation_count(), n));
+        }
         let op = Arc::new(OperatingPoint {
             epoch: 0,
-            threshold,
+            threshold: model.threshold(),
             router,
             watchdog_proto: watchdog.map(QualityWatchdog::new),
         });
@@ -230,14 +218,13 @@ impl EndpointState {
         })
     }
 
-    /// The pool members serving this endpoint, cheapest first.
+    /// The members of the mixture this endpoint serves, cheapest first.
     pub fn members(&self) -> &[AcceleratedFunction] {
-        pool_members(&self.compiled, self.routed.as_deref())
-    }
-
-    /// Whether a routed attachment serves this endpoint.
-    pub fn is_routed(&self) -> bool {
-        self.routed.is_some()
+        let mixture = self
+            .routed
+            .as_ref()
+            .map_or(Mixture::Binary(&self.compiled), |r| Mixture::Routed(r));
+        mixture.members()
     }
 
     /// The profile of the served dataset (member 0's).
@@ -277,7 +264,7 @@ impl EndpointState {
     pub(crate) fn install(
         &self,
         threshold: f32,
-        table: TableClassifier,
+        router: RouteClassifier,
         watchdog: Option<WatchdogConfig>,
     ) -> u64 {
         let mut op = self.op.lock().expect("operating-point lock poisoned");
@@ -288,7 +275,7 @@ impl EndpointState {
         let next = Arc::new(OperatingPoint {
             epoch: op.epoch + 1,
             threshold,
-            router: RouteClassifier::from_stages(vec![table]),
+            router,
             watchdog_proto,
         });
         *op = next;

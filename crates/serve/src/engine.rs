@@ -15,11 +15,18 @@
 //! Cost accounting goes through the same per-route [`InvocationModel`]
 //! constants the sequential simulator uses, and per-invocation results
 //! land in index-keyed slots, so a finished endpoint's [`RunResult`] is
-//! **bit-identical** to `sim::system::simulate` (binary) or
-//! `sim::system::run_routed` (routed) regardless of worker count, batch
-//! size, or arrival order (watchdog off; with the watchdog on, admission
-//! becomes shard-local state and the engine trades that identity for
-//! per-shard guarding).
+//! **bit-identical** to `sim::system::run_routed` over the endpoint's
+//! [`Mixture`] (for a binary endpoint, `sim::system::simulate` under its
+//! table) regardless of worker count, batch size, or arrival order
+//! (watchdog off; with the watchdog on, admission becomes shard-local
+//! state and the engine trades that identity for per-shard guarding).
+//!
+//! The guard is the same for every endpoint. Bring-up calibrates one
+//! watchdog tuning per distinct artifact by routing its compile profiles
+//! through its router, each admission judged on the member that served
+//! it; shards gate routes with `QualityWatchdog::admit_route`; and
+//! [`ServeEngine::swap_operating_point`] installs a new threshold and
+//! router through the epoch path, binary and routed alike.
 //!
 //! [`InvocationModel`]: mithra_sim::system::InvocationModel
 
@@ -31,10 +38,8 @@ use crate::metrics::{
 use crate::queue::{BoundedQueue, PushError};
 use mithra_core::function::InvokeScratch;
 use mithra_core::parallel::par_map_indexed;
-use mithra_core::pipeline::Compiled;
 use mithra_core::profile::{default_threads, DatasetProfile};
-use mithra_core::route::{RouteChoice, RouteClassifier};
-use mithra_core::table::TableClassifier;
+use mithra_core::route::{Mixture, RouteChoice, RouteClassifier};
 use mithra_core::watchdog::{self, GuardState, QualityWatchdog, WatchdogConfig};
 use mithra_npu::fifo::QueueInterface;
 use mithra_sim::fault::FifoEvent;
@@ -179,43 +184,45 @@ fn fold_watchdog(dog: &QualityWatchdog, counters: &Mutex<EndpointCounters>) {
 /// Confidence of the guarded endpoints' sequential watchdog tests.
 const WATCHDOG_CONFIDENCE: f64 = 0.95;
 
-/// Each spec's watchdog tuning, calibrated once per distinct compiled
-/// artifact (`Arc` identity) rather than once per endpoint.
+/// Each spec's watchdog tuning, calibrated once per distinct artifact
+/// (the binary `Compiled` or the routed pool it serves, by identity)
+/// rather than once per endpoint.
 ///
-/// The counting pass fans out over every `(artifact, profile)` pair on
-/// `threads` workers, each item on its own clone of the artifact's table,
-/// so one expensive artifact no longer runs on a single core. The table
-/// classifier's decisions do not depend on call history and the per-item
-/// counts are integers, so summing them per artifact gives exactly the
-/// counts — and the configuration — of a sequential
-/// [`watchdog::calibrate`] over the artifact's profiles.
+/// The counting pass fans out over every `(artifact, compile dataset)`
+/// pair on `threads` workers, each item routing the dataset through its
+/// own copy of the artifact's router and judging every admission against
+/// the serving member's compile profile. Router decisions do not depend
+/// on call history and the per-item counts are integers, so summing them
+/// per artifact gives exactly the counts — and the configuration — of a
+/// sequential count over the artifact's compile profiles; for a binary
+/// artifact that is [`watchdog::calibrate`] with its table.
 fn calibrate_watchdogs(specs: &[EndpointSpec], threads: usize) -> Vec<WatchdogConfig> {
-    let mut artifacts: Vec<&Arc<Compiled>> = Vec::new();
+    let mut artifacts: Vec<Mixture> = Vec::new();
     let artifact_of: Vec<usize> = specs
         .iter()
         .map(|spec| {
-            let known = artifacts
-                .iter()
-                .position(|a| Arc::ptr_eq(a, &spec.compiled));
+            let mixture = spec.mixture();
+            let known = artifacts.iter().position(|a| a.same_artifact(mixture));
             known.unwrap_or_else(|| {
-                artifacts.push(&spec.compiled);
+                artifacts.push(mixture);
                 artifacts.len() - 1
             })
         })
         .collect();
-    let items: Vec<(usize, &DatasetProfile)> = artifacts
+    let items: Vec<(usize, usize)> = artifacts
         .iter()
         .enumerate()
-        .flat_map(|(a, compiled)| compiled.profiles.iter().map(move |p| (a, p)))
+        .flat_map(|(a, mixture)| (0..mixture.compile_profiles()[0].len()).map(move |d| (a, d)))
         .collect();
     let counts = par_map_indexed(items.len(), Some(threads), |k| {
-        let (a, profile) = items[k];
-        let compiled = artifacts[a];
-        watchdog::calibration_counts(
-            &mut compiled.table.clone(),
-            std::slice::from_ref(profile),
-            compiled.threshold.threshold,
-        )
+        let (a, d) = items[k];
+        let mixture = artifacts[a];
+        let members: Vec<&DatasetProfile> =
+            mixture.compile_profiles().iter().map(|m| &m[d]).collect();
+        let mut router = mixture.router();
+        watchdog::calibration_counts(&members, mixture.threshold().threshold, &mut |i, input| {
+            router.classify_route(i, input)
+        })
     });
     let mut totals = vec![(0u64, 0u64); artifacts.len()];
     for (&(a, _), (admitted, violations)) in items.iter().zip(counts) {
@@ -255,10 +262,8 @@ impl ServeEngine {
     /// [`ServeError::UnsupportedOptions`] when
     /// `options.online_update_period != 0` (online table updates mutate
     /// classifier state, which would make decisions depend on request
-    /// interleaving) or when `watchdog_period > 0` alongside a routed
-    /// endpoint (binary admission cannot attribute to routes);
-    /// [`ServeError::Core`] when a routed attachment's member profiles
-    /// mismatch the served dataset.
+    /// interleaving); [`ServeError::Core`] when a routed attachment's
+    /// member profiles mismatch the served dataset.
     pub fn start(specs: Vec<EndpointSpec>, config: &ServeConfig) -> Result<Self, ServeError> {
         if config.options.online_update_period != 0 {
             return Err(ServeError::UnsupportedOptions(
@@ -268,14 +273,6 @@ impl ServeEngine {
         }
         if specs.is_empty() {
             return Err(ServeError::NoEndpoints);
-        }
-        if config.watchdog_period > 0 && specs.iter().any(|s| s.routed.is_some()) {
-            return Err(ServeError::UnsupportedOptions(
-                "watchdog_period must be 0 with routed endpoints: the \
-                 watchdog's binary admission ladder has no per-route \
-                 attribution, so guarding would silently degrade the \
-                 routed mixture's accounting",
-            ));
         }
         let worker_count = if config.workers == 0 {
             default_threads()
@@ -313,11 +310,6 @@ impl ServeEngine {
         Ok(Self { shared, workers })
     }
 
-    /// Number of registered endpoints.
-    pub fn endpoint_count(&self) -> usize {
-        self.shared.endpoints.len()
-    }
-
     /// A live metrics snapshot — the scrape payload while the engine is
     /// still serving. Shard-local watchdog statistics (samples,
     /// time-in-state, the transition log) fold in only when a shard
@@ -347,8 +339,9 @@ impl ServeEngine {
 
     /// The epoch whose watchdog shards raised the endpoint's shared
     /// re-certification trigger, or `None` when the trigger is clear.
-    /// The trigger latches until [`swap_operating_point`]
-    /// (Self::swap_operating_point) clears it — polling is race-free.
+    /// The trigger latches until
+    /// [`swap_operating_point`](Self::swap_operating_point) clears it —
+    /// polling is race-free.
     ///
     /// # Errors
     ///
@@ -366,10 +359,12 @@ impl ServeEngine {
     /// path of the closed re-certification loop. Bumps the endpoint's
     /// epoch and returns it; workers finish their in-flight sub-batches
     /// on the old epoch and route every subsequent sub-batch through the
-    /// new classifier, threshold, and a fresh `Monitoring` watchdog
+    /// new router, threshold, and a fresh `Monitoring` watchdog
     /// (configured by `watchdog`, or inheriting the previous epoch's
-    /// configuration when `None`). The shared re-certification trigger is
-    /// cleared, so a breach of the *new* pair can raise it again.
+    /// configuration when `None`). A binary endpoint takes its new table
+    /// as a one-stage router (`RouteClassifier::from_stages`). The shared
+    /// re-certification trigger is cleared, so a breach of the *new*
+    /// pair can raise it again.
     ///
     /// Serving never pauses: this is one pointer swap under the
     /// endpoint's operating-point lock, which workers touch only between
@@ -378,13 +373,13 @@ impl ServeEngine {
     /// # Errors
     ///
     /// [`ServeError::UnknownEndpoint`] for an unregistered endpoint id;
-    /// [`ServeError::UnsupportedOptions`] for a routed endpoint (the
-    /// binary watchdog/recert ladder has no per-route attribution).
+    /// [`ServeError::RouterMismatch`] when the router does not route
+    /// over exactly the endpoint's pool members.
     pub fn swap_operating_point(
         &self,
         endpoint: usize,
         threshold: f32,
-        table: TableClassifier,
+        router: RouteClassifier,
         watchdog: Option<WatchdogConfig>,
     ) -> Result<u64, ServeError> {
         let state = self
@@ -392,14 +387,14 @@ impl ServeEngine {
             .endpoints
             .get(endpoint)
             .ok_or(ServeError::UnknownEndpoint(endpoint))?;
-        if state.is_routed() {
-            return Err(ServeError::UnsupportedOptions(
-                "operating-point swaps target binary endpoints: routed \
-                 pools re-certify through the routed compile path, not a \
-                 single table/threshold pair",
-            ));
+        let pool = state.members().len();
+        if router.len() != pool {
+            return Err(ServeError::RouterMismatch {
+                routes: router.len(),
+                pool,
+            });
         }
-        let epoch = state.install(threshold, table, watchdog);
+        let epoch = state.install(threshold, router, watchdog);
         state.counters.lock().expect("metrics lock poisoned").swaps += 1;
         Ok(epoch)
     }
@@ -828,6 +823,9 @@ fn config_bursts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mithra_axbench::dataset::DatasetScale;
+    use mithra_core::pipeline::Compiled;
+    use mithra_core::route::{PoolSpec, RoutedCompiled};
 
     #[test]
     fn empty_endpoint_list_is_rejected() {
@@ -950,6 +948,127 @@ mod tests {
                 assert_eq!(got, want, "endpoint {i} at {workers} workers");
             }
             engine.join().unwrap();
+        }
+    }
+
+    /// The routed counting pass run sequentially: one router copy over
+    /// compile datasets `datasets`, in order, judged per serving member.
+    fn sequential_routed_calibration(
+        routed: &RoutedCompiled,
+        datasets: &[usize],
+        judged_member: Option<usize>,
+    ) -> WatchdogConfig {
+        let mut router = routed.router.clone();
+        let (mut admitted, mut violations) = (0, 0);
+        for &d in datasets {
+            let members: Vec<&DatasetProfile> =
+                routed.member_profiles.iter().map(|m| &m[d]).collect();
+            let (a, v) = watchdog::calibration_counts(
+                &members,
+                routed.threshold.threshold,
+                &mut |i, input| match (router.classify_route(i, input), judged_member) {
+                    (RouteChoice::Member(_), Some(m)) => RouteChoice::Member(m),
+                    (route, _) => route,
+                },
+            );
+            admitted += a;
+            violations += v;
+        }
+        let confidence = Confidence::new(WATCHDOG_CONFIDENCE).unwrap();
+        watchdog::limit_config(admitted, violations, confidence)
+    }
+
+    #[test]
+    fn guarded_routed_bring_up_matches_sequential_routed_calibration() {
+        let bench: std::sync::Arc<dyn mithra_axbench::benchmark::Benchmark> =
+            mithra_axbench::suite::by_name("inversek2j").unwrap().into();
+        let spec = PoolSpec::sized(&bench.npu_topology(), 3);
+        let routed = Arc::new(
+            mithra_core::pipeline::compile_routed(
+                bench,
+                &mithra_core::pipeline::CompileConfig::smoke(),
+                &spec,
+            )
+            .unwrap(),
+        );
+        assert!(routed.pool.len() >= 2, "{:?}", routed.pool.topologies());
+        let compiled = smoke_compiled("inversek2j");
+        let datasets: Vec<usize> = (0..routed.member_profiles[0].len()).collect();
+        let expected = sequential_routed_calibration(&routed, &datasets, None);
+        // The pin must notice a dropped or doubled dataset, and admissions
+        // judged against one member instead of the one that served.
+        assert_ne!(
+            sequential_routed_calibration(&routed, &datasets[1..], None),
+            expected
+        );
+        let mut doubled = datasets.clone();
+        doubled.push(0);
+        assert_ne!(
+            sequential_routed_calibration(&routed, &doubled, None),
+            expected
+        );
+        assert_ne!(
+            sequential_routed_calibration(&routed, &datasets, Some(0)),
+            expected
+        );
+        let binary = sequential_calibration(&compiled, &compiled.profiles);
+
+        let clean: Vec<DatasetProfile> = routed
+            .pool
+            .members()
+            .iter()
+            .map(|m| {
+                let ds = m.dataset(mithra_core::seeds::SERVE_SEED_BASE + 7, DatasetScale::Smoke);
+                DatasetProfile::collect(m, ds)
+            })
+            .collect();
+        let n = clean[0].invocation_count();
+        let routed_spec = |name: &str| EndpointSpec {
+            name: name.into(),
+            compiled: Arc::clone(&compiled),
+            profile: clean[0].clone(),
+            routed: Some(crate::endpoint::RoutedServeSpec {
+                routed: Arc::clone(&routed),
+                member_profiles: clean.clone(),
+            }),
+        };
+        for workers in [1, 2, 4] {
+            let specs = vec![
+                routed_spec("routed-a"),
+                EndpointSpec {
+                    name: "binary".into(),
+                    compiled: Arc::clone(&compiled),
+                    profile: compiled.profiles[0].clone(),
+                    routed: None,
+                },
+                routed_spec("routed-b"),
+            ];
+            let config = ServeConfig {
+                workers,
+                watchdog_period: 4,
+                ..ServeConfig::default()
+            };
+            let engine = ServeEngine::start(specs, &config).unwrap();
+            for (i, want) in [&expected, &binary, &expected].into_iter().enumerate() {
+                let op = engine.shared.endpoints[i].operating_point();
+                let got = op
+                    .watchdog_proto
+                    .as_ref()
+                    .expect("guarded endpoint")
+                    .config();
+                assert_eq!(got, want, "endpoint {i} at {workers} workers");
+            }
+            for invocation in 0..n {
+                engine.submit_or_wait(0, invocation).unwrap();
+            }
+            let report = engine.finish().unwrap();
+            let guard = &report.endpoints[0].counters.watchdog;
+            assert!(guard.samples > 0, "{workers} workers: shadow sampling runs");
+            assert_eq!(
+                guard.breaches, 0,
+                "{workers} workers: clean traffic must not trip the guard"
+            );
+            assert!(report.endpoints[0].result.is_some());
         }
     }
 }

@@ -17,6 +17,14 @@ pub enum ServeError {
     /// A control-plane call (swap, trigger query) named an unregistered
     /// endpoint.
     UnknownEndpoint(usize),
+    /// An operating-point swap offered a router over `routes` pool
+    /// members to an endpoint serving a pool of `pool`.
+    RouterMismatch {
+        /// Pool members the offered router routes over.
+        routes: usize,
+        /// Pool members the endpoint serves.
+        pool: usize,
+    },
     /// A core-layer failure (calibration, quality scoring).
     Core(MithraError),
 }
@@ -32,6 +40,10 @@ impl fmt::Display for ServeError {
             ServeError::UnknownEndpoint(id) => {
                 write!(f, "endpoint {id} is not registered")
             }
+            ServeError::RouterMismatch { routes, pool } => write!(
+                f,
+                "a router over {routes} members cannot serve a pool of {pool}"
+            ),
             ServeError::Core(e) => write!(f, "core error: {e}"),
         }
     }

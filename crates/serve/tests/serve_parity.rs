@@ -12,7 +12,7 @@ use mithra_core::profile::DatasetProfile;
 use mithra_core::route::{PoolSpec, RouteChoice, RoutedCompiled};
 use mithra_npu::fifo::QueueInterface;
 use mithra_serve::{
-    EndpointReport, EndpointSpec, Request, RoutedServeSpec, ServeConfig, ServeEngine, ServeError,
+    EndpointReport, EndpointSpec, Request, RoutedServeSpec, ServeConfig, ServeEngine,
 };
 use mithra_sim::system::{run_routed, simulate, RunResult, SimOptions};
 use std::sync::{Arc, OnceLock};
@@ -350,8 +350,7 @@ fn routed_serving_is_bit_identical_to_routed_simulate() {
     for seed in [41u64, 4242] {
         let member_profiles = member_profiles_for(&routed, seed);
         let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
-        let mut router = routed.router.clone();
-        let expected = run_routed(&routed, &refs, &mut router, &SimOptions::default()).unwrap();
+        let expected = run_routed(&routed, &refs, &SimOptions::default()).unwrap();
         for (workers, batch) in [(1, 1), (3, 4)] {
             let (got, route_served) =
                 serve_routed_once(&compiled, &routed, &member_profiles, workers, batch);
@@ -374,8 +373,7 @@ fn routed_serving_is_bit_identical_to_routed_simulate() {
     // leave the result bit-identical to `run_routed`.
     let member_profiles = member_profiles_for(&routed, 41);
     let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
-    let mut router = routed.router.clone();
-    let expected = run_routed(&routed, &refs, &mut router, &SimOptions::default()).unwrap();
+    let expected = run_routed(&routed, &refs, &SimOptions::default()).unwrap();
     let dataset = member_profiles[0].dataset();
     let mut router = routed.router.clone();
     let routes: Vec<RouteChoice> = dataset
@@ -480,28 +478,4 @@ fn routed_pool_of_one_serving_matches_binary_serving() {
             assert_eq!(p.route_served, vec![p.approx], "{at}");
         }
     }
-}
-
-#[test]
-fn watchdog_rejects_routed_endpoints() {
-    let compiled = compiled_for("sobel");
-    let routed = routed_for("sobel", 2);
-    let member_profiles = member_profiles_for(&routed, 616);
-    let err = ServeEngine::start(
-        vec![EndpointSpec {
-            name: "routed".into(),
-            compiled: Arc::clone(&compiled),
-            profile: member_profiles.last().unwrap().clone(),
-            routed: Some(RoutedServeSpec {
-                routed: Arc::clone(&routed),
-                member_profiles,
-            }),
-        }],
-        &ServeConfig {
-            watchdog_period: 4,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap_err();
-    assert!(matches!(err, ServeError::UnsupportedOptions(_)));
 }

@@ -35,11 +35,12 @@ use mithra_core::function::AcceleratedFunction;
 use mithra_core::pipeline::Compiled;
 use mithra_core::profile::{common_invocation_count, replay_mixture, DatasetProfile};
 use mithra_core::recert::{RecertConfig, RecertEngine, RecertPhase, RecertReport};
-use mithra_core::route::{oracle_route, RouteChoice, RouteClassifier, RoutedCompiled};
+use mithra_core::route::{oracle_route, Mixture, RouteChoice};
 use mithra_core::threshold::QualitySpec;
 use mithra_core::watchdog::{GuardState, QualityWatchdog, WatchdogConfig, WatchdogReport};
 use mithra_core::MithraError;
 use mithra_npu::cost::NpuCostModel;
+use serde::Serialize;
 use std::num::NonZeroUsize;
 
 /// Simulation options.
@@ -291,32 +292,31 @@ impl RoutedInvocationModel {
         }
     }
 
-    /// Builds the per-route models for one routed compile product.
-    pub fn new(routed: &RoutedCompiled, options: &SimOptions) -> Self {
-        let threshold = routed.threshold.threshold;
-        let members = (0..routed.pool.len())
-            .map(|m| {
-                InvocationModel::for_function(
-                    routed.pool.member(m),
-                    &routed.pool.topologies()[m],
-                    threshold,
-                    &routed.router.overhead_for(RouteChoice::Member(m)),
-                    options,
-                )
-            })
-            .collect();
-        let precise = InvocationModel::for_function(
-            routed.pool.accurate(),
-            routed
-                .pool
-                .topologies()
-                .last()
-                .expect("pools are non-empty"),
-            threshold,
-            &routed.router.overhead_for(RouteChoice::Precise),
-            options,
-        );
-        Self { members, precise }
+    /// Builds the per-route models of a deployed mixture: member `m` on
+    /// its own topology, charged the router stages its route consults,
+    /// and the precise fallback on the accurate member, charged every
+    /// stage. For a binary artifact (the pool of one) both models are the
+    /// binary [`InvocationModel::new`] under its table's overhead, so
+    /// this is [`pool_of_one`](Self::pool_of_one) of it, bit for bit.
+    pub fn new<'a>(mixture: impl Into<Mixture<'a>>, options: &SimOptions) -> Self {
+        let mixture = mixture.into();
+        let threshold = mixture.threshold().threshold;
+        let members = mixture.members();
+        let price = |m: usize, route: RouteChoice| {
+            InvocationModel::for_function(
+                &members[m],
+                &mixture.topology(m),
+                threshold,
+                &mixture.overhead_for(route),
+                options,
+            )
+        };
+        Self {
+            members: (0..members.len())
+                .map(|m| price(m, RouteChoice::Member(m)))
+                .collect(),
+            precise: price(members.len() - 1, RouteChoice::Precise),
+        }
     }
 
     /// The certified routed threshold the models were built against.
@@ -527,10 +527,7 @@ pub fn run(
         if period > 0 && i.is_multiple_of(period) {
             classifier.observe(i, input, profile.max_error(i) > threshold);
         }
-        match decision {
-            Decision::Approximate => RouteChoice::Member(0),
-            Decision::Precise => RouteChoice::Precise,
-        }
+        decision.into()
     };
     let models = RoutedInvocationModel::pool_of_one(model);
     run_pool(&models, &compiled.function, &[profile], hooks, decide).map(|r| r.run)
@@ -551,18 +548,19 @@ pub struct RoutedRunResult {
     pub worst_member: usize,
 }
 
-/// Simulates one dataset through a routed system: per invocation the
-/// deployed [`RouteClassifier`] picks a pool member (or the precise
-/// fallback), the invocation is charged that route's cost — consulted
-/// router stages plus the member's own NPU footprint — and quality is
-/// scored from the mixed output stream of the members that actually
-/// served.
+/// Simulates one dataset through a deployed mixture: per invocation a
+/// fresh copy of the mixture's router picks a pool member (or the
+/// precise fallback), the invocation is charged that route's cost —
+/// consulted router stages plus the member's own NPU footprint — and
+/// quality is scored from the mixed output stream of the members that
+/// actually served.
 ///
+/// `mixture` is a `&RoutedCompiled` or a `&Compiled` (its pool of one).
 /// `member_profiles[m]` must be pool member `m`'s profile of the **same**
 /// dataset. This is the decision loop [`run`] runs, without hooks; for a
-/// pool of one it is [`run`] with [`RunHooks::none`], bit for bit: same
-/// decisions (the single router stage is the binary table), same
-/// charges, same replay.
+/// binary artifact it is [`run`] under a clone of its table with
+/// [`RunHooks::none`], bit for bit: same decisions (the single router
+/// stage is the binary table), same charges, same replay.
 ///
 /// # Errors
 ///
@@ -571,33 +569,100 @@ pub struct RoutedRunResult {
 /// update path); member profiles that do not cover the pool or disagree
 /// on the invocation count, and routed-replay scoring failures, propagate
 /// as [`SimError`].
-pub fn run_routed(
-    routed: &RoutedCompiled,
+pub fn run_routed<'a>(
+    mixture: impl Into<Mixture<'a>>,
     member_profiles: &[&DatasetProfile],
-    router: &mut RouteClassifier,
     options: &SimOptions,
 ) -> Result<RoutedRunResult, SimError> {
+    let mixture = mixture.into();
     if options.online_update_period != 0 {
         return Err(SimError::Core(MithraError::InvalidConfig {
             parameter: "online_update_period",
             constraint: "0 for routed runs: the router has no online update path",
         }));
     }
-    if member_profiles.len() != routed.pool.len() {
+    let members = mixture.members();
+    if member_profiles.len() != members.len() {
         return Err(SimError::Core(MithraError::InsufficientData {
             stage: "routed simulation",
             available: member_profiles.len(),
-            needed: routed.pool.len(),
+            needed: members.len(),
         }));
     }
-    let models = RoutedInvocationModel::new(routed, options);
+    let models = RoutedInvocationModel::new(mixture, options);
+    let mut router = mixture.router();
     run_pool(
         &models,
-        routed.pool.member(0),
+        &members[0],
         member_profiles,
         RunHooks::none(),
         |i, input| router.classify_route(i, input),
     )
+}
+
+/// Mean metrics of a mixture over a set of unseen datasets — one
+/// frontier point.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct FrontierMeans {
+    /// Mean application speedup.
+    pub speedup: f64,
+    /// Mean energy reduction.
+    pub energy_reduction: f64,
+    /// Mean accelerator invocation rate.
+    pub invocation_rate: f64,
+    /// Mean final-output quality loss.
+    pub mean_quality_loss: f64,
+}
+
+/// Simulates every dataset of `member_profiles` (`[m][i]` = member `m`'s
+/// profile of dataset `i`) through [`run_routed`] in dataset order and
+/// folds the frontier means, plus the share of all invocations each pool
+/// member served (cheapest first; the shares sum to the pooled invocation
+/// rate). A binary artifact passes its one-member table,
+/// `std::slice::from_ref(&profiles)`.
+///
+/// # Errors
+///
+/// Propagates [`run_routed`] failures.
+pub fn frontier_means<'a>(
+    mixture: impl Into<Mixture<'a>>,
+    member_profiles: &[Vec<DatasetProfile>],
+    options: &SimOptions,
+) -> Result<(FrontierMeans, Vec<f64>), SimError> {
+    let mixture = mixture.into();
+    let datasets = member_profiles.first().map_or(0, Vec::len);
+    let mut sum = FrontierMeans {
+        speedup: 0.0,
+        energy_reduction: 0.0,
+        invocation_rate: 0.0,
+        mean_quality_loss: 0.0,
+    };
+    let mut member_served = vec![0usize; mixture.members().len()];
+    let mut total = 0usize;
+    for i in 0..datasets {
+        let refs: Vec<&DatasetProfile> = member_profiles.iter().map(|m| &m[i]).collect();
+        let r = run_routed(mixture, &refs, options)?;
+        sum.speedup += r.run.speedup();
+        sum.energy_reduction += r.run.energy_reduction();
+        sum.invocation_rate += r.run.invocation_rate();
+        sum.mean_quality_loss += r.run.quality_loss;
+        total += r.run.total;
+        for (served, m) in member_served.iter_mut().zip(&r.member_invocations) {
+            *served += m;
+        }
+    }
+    let n = datasets.max(1) as f64;
+    let means = FrontierMeans {
+        speedup: sum.speedup / n,
+        energy_reduction: sum.energy_reduction / n,
+        invocation_rate: sum.invocation_rate / n,
+        mean_quality_loss: sum.mean_quality_loss / n,
+    };
+    let shares = member_served
+        .iter()
+        .map(|&s| s as f64 / total.max(1) as f64)
+        .collect();
+    Ok((means, shares))
 }
 
 /// The one runtime decision loop behind [`run`] and [`run_routed`]:
@@ -1390,12 +1455,71 @@ mod tests {
         let mut table = compiled.table.clone();
         let binary = simulate(&compiled, &profile, &mut table, &opts);
 
-        let mut router = routed.router.clone();
         let member_profiles = [&profile];
-        let mixed = run_routed(&routed, &member_profiles, &mut router, &opts).unwrap();
+        let mixed = run_routed(&routed, &member_profiles, &opts).unwrap();
 
         assert_eq!(binary, mixed.run);
         assert_eq!(mixed.member_invocations[0], binary.invoked);
+
+        // The binary artifact itself is the same pool of one.
+        let pool_of_one = RoutedInvocationModel::pool_of_one(InvocationModel::new(
+            &compiled,
+            &compiled.table.overhead(),
+            &opts,
+        ));
+        assert_eq!(RoutedInvocationModel::new(&compiled, &opts), pool_of_one);
+        assert_eq!(
+            run_routed(&compiled, &member_profiles, &opts).unwrap(),
+            mixed
+        );
+    }
+
+    #[test]
+    fn frontier_means_fold_runs_in_dataset_order() {
+        let compiled = compiled_for("sobel");
+        let opts = SimOptions::default();
+        let profiles: Vec<DatasetProfile> = [5, 6, 7]
+            .into_iter()
+            .map(|seed| fresh_profile(&compiled, seed))
+            .collect();
+        let (means, shares) =
+            frontier_means(&compiled, std::slice::from_ref(&profiles), &opts).unwrap();
+        let runs: Vec<RunResult> = profiles
+            .iter()
+            .map(|p| simulate(&compiled, p, &mut compiled.table.clone(), &opts))
+            .collect();
+        let mean = |f: fn(&RunResult) -> f64| runs.iter().map(f).fold(0.0, |a, x| a + x) / 3.0;
+        assert_eq!(means.speedup, mean(RunResult::speedup));
+        assert_eq!(means.energy_reduction, mean(RunResult::energy_reduction));
+        assert_eq!(means.invocation_rate, mean(RunResult::invocation_rate));
+        assert_eq!(means.mean_quality_loss, mean(|r| r.quality_loss));
+        let invoked: usize = runs.iter().map(|r| r.invoked).sum();
+        let total: usize = runs.iter().map(|r| r.total).sum();
+        assert_eq!(shares, vec![invoked as f64 / total as f64]);
+
+        let routed = routed_for("inversek2j", 3);
+        let pool_profiles: Vec<Vec<DatasetProfile>> = routed
+            .pool
+            .members()
+            .iter()
+            .map(|m| {
+                [8, 9]
+                    .into_iter()
+                    .map(|seed| DatasetProfile::collect(m, m.dataset(seed, DatasetScale::Smoke)))
+                    .collect()
+            })
+            .collect();
+        let (means, shares) = frontier_means(&routed, &pool_profiles, &opts).unwrap();
+        assert_eq!(shares.len(), routed.pool.len());
+        let pooled: f64 = shares.iter().sum();
+        assert!(
+            (pooled - means.invocation_rate).abs() < 1e-12,
+            "{pooled} vs {means:?}"
+        );
+        // No datasets folds to zeros, not NaN.
+        let empty = vec![Vec::new(); routed.pool.len()];
+        let (means, _) = frontier_means(&routed, &empty, &opts).unwrap();
+        assert_eq!(means.speedup, 0.0);
     }
 
     #[test]
@@ -1407,8 +1531,7 @@ mod tests {
             online_update_period: 4,
             ..SimOptions::default()
         };
-        let mut router = routed.router.clone();
-        let err = run_routed(&routed, &[&profile], &mut router, &options).unwrap_err();
+        let err = run_routed(&routed, &[&profile], &options).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1420,8 +1543,7 @@ mod tests {
             "{err:?}"
         );
         // The same run without online updates goes through.
-        let mut router = routed.router.clone();
-        run_routed(&routed, &[&profile], &mut router, &SimOptions::default()).unwrap();
+        run_routed(&routed, &[&profile], &SimOptions::default()).unwrap();
     }
 
     #[test]
@@ -1436,8 +1558,7 @@ mod tests {
             .map(|m| DatasetProfile::collect(m, ds.clone()))
             .collect();
         let refs: Vec<&DatasetProfile> = member_profiles.iter().collect();
-        let mut router = routed.router.clone();
-        let result = run_routed(&routed, &refs, &mut router, &SimOptions::default()).unwrap();
+        let result = run_routed(&routed, &refs, &SimOptions::default()).unwrap();
         assert_eq!(
             result.member_invocations.iter().sum::<usize>(),
             result.run.invoked

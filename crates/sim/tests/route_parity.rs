@@ -92,9 +92,7 @@ fn pool_of_one_is_bit_identical_to_binary_on_every_benchmark() {
             let profile = DatasetProfile::collect(&compiled.function, dataset);
             let mut table = compiled.table.clone();
             let binary_run = simulate(&compiled, &profile, &mut table, &SimOptions::default());
-            let mut router = routed.router.clone();
-            let routed_run =
-                run_routed(&routed, &[&profile], &mut router, &SimOptions::default()).unwrap();
+            let routed_run = run_routed(&routed, &[&profile], &SimOptions::default()).unwrap();
             assert_eq!(binary_run, routed_run.run, "{tag}: end-to-end run");
             assert_eq!(
                 routed_run.member_invocations,
