@@ -5,8 +5,9 @@ use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::DatasetScale;
 use mithra_axbench::suite;
 use mithra_core::function::{AcceleratedFunction, NpuTrainConfig};
+use mithra_core::pipeline::{compile_routed, CompileConfig};
 use mithra_core::profile::DatasetProfile;
-use mithra_core::route::ApproximatorPool;
+use mithra_core::route::{ApproximatorPool, PoolSpec, RouterTrainer};
 use mithra_core::threshold::{QualitySpec, ThresholdOptimizer};
 use std::sync::Arc;
 
@@ -61,6 +62,31 @@ fn bench_threshold_machinery(c: &mut Criterion) {
     });
     group.bench_function("optimize_bisection_20_datasets", |b| {
         b.iter(|| optimizer.optimize_routed(&pool, black_box(table)).unwrap())
+    });
+
+    // The routed session's certification: a router trainer prepared for
+    // the tiered pool, then the deployed bisection over it.
+    let bench: Arc<dyn Benchmark> = suite::by_name("sobel").unwrap().into();
+    let config = CompileConfig::smoke();
+    let tiered = PoolSpec::tiered(&bench.npu_topology());
+    let routed = compile_routed(bench, &config, &tiered).unwrap();
+    let deployed = ThresholdOptimizer::new(config.spec).with_threads(config.threads);
+    group.bench_function("optimize_routed_deployed_tiered", |b| {
+        b.iter(|| {
+            let profiles = black_box(&routed.member_profiles);
+            let mut trainer = RouterTrainer::new(
+                &tiered,
+                profiles,
+                &config.table_design,
+                config.classifier_train_samples,
+                config.seed_base ^ 0x7261_696E,
+                config.threads,
+            )
+            .unwrap();
+            deployed
+                .optimize_routed_deployed(&routed.pool, profiles, |t| trainer.train(t))
+                .unwrap()
+        })
     });
     group.finish();
 }

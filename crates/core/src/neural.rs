@@ -80,6 +80,10 @@ pub struct KaryExample {
 /// precise), consulted once per invocation. Either way the last class is
 /// the precise fallback, and the class count is the network's output
 /// width.
+///
+/// Equality covers the trained state only; the decision scratch is not
+/// compared, and the held-out accuracy compares by bits, so a loaded
+/// classifier (whose accuracy is NaN) equals itself.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct NeuralClassifier {
     mlp: Mlp,
@@ -87,6 +91,14 @@ pub struct NeuralClassifier {
     validation_accuracy: f64,
     #[serde(skip)]
     scratch: DecideScratch,
+}
+
+impl PartialEq for NeuralClassifier {
+    fn eq(&self, other: &Self) -> bool {
+        self.mlp == other.mlp
+            && self.input_norm == other.input_norm
+            && self.validation_accuracy.to_bits() == other.validation_accuracy.to_bits()
+    }
 }
 
 impl NeuralClassifier {

@@ -21,7 +21,7 @@
 
 use crate::classifier::{Classifier, ClassifierOverhead, Decision};
 use crate::function::{AcceleratedFunction, NpuTrainConfig};
-use crate::neural::{KaryExample, NeuralClassifier};
+use crate::neural::{KaryExample, NeuralClassifier, NeuralTrainConfig};
 use crate::parallel::par_map_indexed;
 use crate::pipeline::{quantizer_from_profiles, Compiled};
 use crate::profile::{common_invocation_count, replay_mixture, DatasetProfile};
@@ -34,6 +34,7 @@ use mithra_axbench::dataset::Dataset;
 use mithra_npu::kernel::KernelBackend;
 use mithra_npu::topology::Topology;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Where one invocation is served in a multi-approximator system: a pool
@@ -99,8 +100,8 @@ pub enum RouterKind {
 impl RouterKind {
     /// The neural router axis with a compact default configuration: a
     /// narrow candidate set and a short epoch budget, because the
-    /// deployed-in-the-loop certifier retrains the router at every
-    /// bisection probe.
+    /// deployed-in-the-loop certifier trains a router for every distinct
+    /// labeling its bisection probes.
     pub fn kary_neural_default() -> Self {
         RouterKind::KaryNeural(crate::neural::NeuralTrainConfig {
             hidden_candidates: vec![8],
@@ -555,6 +556,27 @@ pub fn oracle_route_margined(
     RouteChoice::Precise
 }
 
+/// A cascade stage's labels at `stage_threshold`: `rejects[j]` when error
+/// `j` exceeds it (so NaN never rejects).
+///
+/// Over one error sequence the reject sets are nested in the threshold,
+/// so two thresholds that reject equally many errors label every one the
+/// same: the count is the labeling's key.
+pub fn stage_rejects(errors: impl IntoIterator<Item = f32>, stage_threshold: f32) -> Vec<bool> {
+    errors.into_iter().map(|e| e > stage_threshold).collect()
+}
+
+/// How many `errors` the oracle route accepts at `threshold`: those
+/// within it (so NaN never counts).
+///
+/// The accept sets are nested in the threshold, so equal counts for every
+/// member mean every member accepts the same invocations, and the oracle
+/// route ([`oracle_route_margined`]) chooses the same for each: the
+/// per-member counts are the routing's key.
+pub fn accepted_count(errors: impl IntoIterator<Item = f32>, threshold: f32) -> usize {
+    errors.into_iter().filter(|&e| e <= threshold).count()
+}
+
 /// Labels routed K-ary training tuples for the neural router: sampled
 /// invocations (the same deterministic shuffle-and-truncate scheme as the
 /// binary [`crate::training::generate_training_data`]) labeled with the
@@ -567,18 +589,29 @@ pub fn generate_route_training_data(
     max_samples: usize,
     seed: u64,
 ) -> Vec<KaryExample> {
-    let base = &member_profiles[0];
+    let sample = sample_invocations(&member_profiles[0], max_samples, seed);
+    label_routes(member_profiles, &sample, threshold, spec)
+}
+
+/// Labels the sampled `(dataset, invocation)` pairs with the margined
+/// oracle route (class `K` = precise).
+fn label_routes(
+    member_profiles: &[Vec<DatasetProfile>],
+    sample: &[(usize, usize)],
+    threshold: f32,
+    spec: &PoolSpec,
+) -> Vec<KaryExample> {
     let k = member_profiles.len();
-    sample_invocations(base, max_samples, seed)
-        .into_iter()
-        .map(|(d, i)| {
+    sample
+        .iter()
+        .map(|&(d, i)| {
             let members: Vec<&DatasetProfile> = member_profiles.iter().map(|m| &m[d]).collect();
             let class = match oracle_route_margined(&members, i, threshold, spec) {
                 RouteChoice::Member(m) => m,
                 RouteChoice::Precise => k,
             };
             KaryExample {
-                input: base[d].dataset().input(i).to_vec(),
+                input: member_profiles[0][d].dataset().input(i).to_vec(),
                 class,
             }
         })
@@ -590,7 +623,9 @@ pub fn generate_route_training_data(
 /// acceptable for this input?"; the first accepting stage wins, and an
 /// invocation every stage rejects runs precise. The output is therefore a
 /// ⌈log₂(K+1)⌉-bit route rather than the binary design's single bit.
-#[derive(Debug, Clone)]
+///
+/// Equality covers the trained state only, as for the stages.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteClassifier {
     stages: Vec<TableClassifier>,
     /// The neural router variant: a single K+1-class network replacing
@@ -748,28 +783,44 @@ impl RouteClassifier {
 
 /// A router trainer prepared once for a fixed pool, profile table and
 /// training configuration, then trained at any number of thresholds — the
-/// deployed routed certifier retrains the router at every bisection probe.
+/// deployed routed certifier asks for a router at every bisection probe.
 ///
 /// For a table cascade, everything but the labels is threshold-invariant
 /// and is built once per stage: the shuffled, truncated `(dataset,
 /// invocation)` sample (the one
 /// [`crate::training::generate_training_data`] labels), the quantizer
 /// fitted to the member's profiles, and the sample's inputs quantized
-/// and MISR-hashed at every candidate table granularity.
-/// [`train`](Self::train) then only labels the sample and runs the table
-/// candidate grid, and is bit-identical to a cold
-/// [`RouteClassifier::train_for_spec`] at the same threshold. The K-ary
-/// neural kind keeps its arguments and trains from scratch each time.
+/// and MISR-hashed at every candidate table granularity. The K-ary neural
+/// kind keeps its sample the same way.
+///
+/// A probe's labels change only when the threshold crosses a sampled
+/// error. [`train`](Self::train) therefore keys each trained classifier on
+/// its labeling's counts (see [`stage_rejects`] and [`accepted_count`]),
+/// and a threshold that labels the sample as an earlier one did gets the
+/// classifier trained then instead of a fresh run of the table candidate
+/// grid or the network search. Every router is bit-identical to a cold
+/// [`RouteClassifier::train_for_spec`] at the same threshold.
 #[derive(Debug)]
 pub struct RouterTrainer<'a> {
     spec: &'a PoolSpec,
     member_profiles: &'a [Vec<DatasetProfile>],
-    max_samples: usize,
-    seed: u64,
     threads: Option<usize>,
-    /// One prepared stage per member for a table cascade; empty for the
-    /// neural kind.
-    stages: Vec<CascadeStage>,
+    prepared: Prepared,
+}
+
+/// The threshold-invariant training state of a router kind.
+#[derive(Debug)]
+enum Prepared {
+    /// One stage per member.
+    Cascade(Vec<CascadeStage>),
+    /// The neural router's sample, and the routers trained so far keyed
+    /// on each member's count of sampled invocations accepted at its
+    /// margined threshold.
+    Neural {
+        config: NeuralTrainConfig,
+        sample: Vec<(usize, usize)>,
+        trained: HashMap<Vec<usize>, NeuralClassifier>,
+    },
 }
 
 /// One table-cascade stage's threshold-invariant training state.
@@ -779,6 +830,9 @@ struct CascadeStage {
     /// order.
     sample: Vec<(usize, usize)>,
     tables: PreparedTableSet,
+    /// The classifiers trained so far, keyed on how many sampled
+    /// invocations they were trained to reject.
+    trained: HashMap<usize, TableClassifier>,
 }
 
 impl<'a> RouterTrainer<'a> {
@@ -797,79 +851,106 @@ impl<'a> RouterTrainer<'a> {
         seed: u64,
         threads: Option<usize>,
     ) -> Result<Self> {
-        let stages = match spec.router {
-            RouterKind::TableCascade => member_profiles
-                .iter()
-                .enumerate()
-                .map(|(m, profiles)| {
-                    let sample = sample_invocations(profiles, max_samples, seed ^ m as u64);
-                    let inputs: Vec<&[f32]> = sample
-                        .iter()
-                        .map(|&(d, i)| profiles[d].dataset().input(i))
-                        .collect();
-                    let quantizer = quantizer_from_profiles(profiles);
-                    let tables = PreparedTableSet::new(*design, quantizer, &inputs, threads)?;
-                    Ok(CascadeStage { sample, tables })
-                })
-                .collect::<Result<Vec<_>>>()?,
-            RouterKind::KaryNeural(_) => Vec::new(),
+        let prepared = match &spec.router {
+            RouterKind::TableCascade => Prepared::Cascade(
+                member_profiles
+                    .iter()
+                    .enumerate()
+                    .map(|(m, profiles)| {
+                        let sample = sample_invocations(profiles, max_samples, seed ^ m as u64);
+                        let inputs: Vec<&[f32]> = sample
+                            .iter()
+                            .map(|&(d, i)| profiles[d].dataset().input(i))
+                            .collect();
+                        let quantizer = quantizer_from_profiles(profiles);
+                        let tables = PreparedTableSet::new(*design, quantizer, &inputs, threads)?;
+                        Ok(CascadeStage {
+                            sample,
+                            tables,
+                            trained: HashMap::new(),
+                        })
+                    })
+                    .collect::<Result<Vec<_>>>()?,
+            ),
+            RouterKind::KaryNeural(config) => Prepared::Neural {
+                config: config.clone(),
+                sample: sample_invocations(&member_profiles[0], max_samples, seed),
+                trained: HashMap::new(),
+            },
         };
         Ok(Self {
             spec,
             member_profiles,
-            max_samples,
-            seed,
             threads,
-            stages,
+            prepared,
         })
     }
 
-    /// Trains the router at `threshold`.
+    /// Trains the router at `threshold`, reusing every classifier an
+    /// earlier call trained for the same labels.
     ///
     /// # Errors
     ///
     /// Propagates neural-training failures.
-    pub fn train(&self, threshold: f32) -> Result<RouteClassifier> {
-        if let RouterKind::KaryNeural(config) = &self.spec.router {
-            let examples = generate_route_training_data(
-                self.member_profiles,
-                threshold,
-                self.spec,
-                self.max_samples,
-                self.seed,
-            );
-            let input_dim = self.member_profiles[0][0].dataset().input_dim();
-            let neural = NeuralClassifier::train_classes(
-                input_dim,
-                &examples,
-                self.member_profiles.len() + 1,
-                config,
-                self.threads,
-            )?;
-            return Ok(RouteClassifier {
-                stages: Vec::new(),
-                neural: Some(neural),
-            });
-        }
-        let stages = self
-            .stages
-            .iter()
-            .zip(self.member_profiles)
-            .enumerate()
-            .map(|(m, (stage, profiles))| {
-                let stage_threshold = threshold * self.spec.margin_for(m) as f32;
-                let rejects: Vec<bool> = stage
-                    .sample
-                    .iter()
-                    .map(|&(d, i)| profiles[d].max_error(i) > stage_threshold)
+    pub fn train(&mut self, threshold: f32) -> Result<RouteClassifier> {
+        let (spec, member_profiles, threads) = (self.spec, self.member_profiles, self.threads);
+        match &mut self.prepared {
+            Prepared::Cascade(stages) => {
+                let stages = stages
+                    .iter_mut()
+                    .zip(member_profiles)
+                    .enumerate()
+                    .map(|(m, (stage, profiles))| {
+                        let stage_threshold = threshold * spec.margin_for(m) as f32;
+                        let errors = stage.sample.iter().map(|&(d, i)| profiles[d].max_error(i));
+                        let rejects = stage_rejects(errors, stage_threshold);
+                        let key = rejects.iter().filter(|&&r| r).count();
+                        stage
+                            .trained
+                            .entry(key)
+                            .or_insert_with(|| stage.tables.train(&rejects, threads))
+                            .clone()
+                    })
                     .collect();
-                stage.tables.train(&rejects, self.threads)
-            })
-            .collect();
-        Ok(RouteClassifier {
-            stages,
-            neural: None,
-        })
+                Ok(RouteClassifier {
+                    stages,
+                    neural: None,
+                })
+            }
+            Prepared::Neural {
+                config,
+                sample,
+                trained,
+            } => {
+                let key: Vec<usize> = member_profiles
+                    .iter()
+                    .enumerate()
+                    .map(|(m, profiles)| {
+                        let errors = sample.iter().map(|&(d, i)| profiles[d].max_error(i));
+                        accepted_count(errors, threshold * spec.margin_for(m) as f32)
+                    })
+                    .collect();
+                let neural = match trained.entry(key) {
+                    Entry::Occupied(known) => known.get().clone(),
+                    Entry::Vacant(new) => {
+                        let examples = label_routes(member_profiles, sample, threshold, spec);
+                        let input_dim = member_profiles[0][0].dataset().input_dim();
+                        let neural = NeuralClassifier::train_classes(
+                            input_dim,
+                            &examples,
+                            member_profiles.len() + 1,
+                            config,
+                            threads,
+                        )?;
+                        new.insert(neural).clone()
+                    }
+                };
+                Ok(RouteClassifier {
+                    stages: Vec::new(),
+                    neural: Some(neural),
+                })
+            }
+        }
     }
 }
 
@@ -1126,14 +1207,17 @@ mod tests {
             Some(1),
         )
         .unwrap();
-        let sample = &trainer.stages[0].sample;
+        let Prepared::Cascade(stages) = &trainer.prepared else {
+            panic!("a table-cascade spec prepares a cascade");
+        };
+        let sample = &stages[0].sample;
         assert_eq!(sample.len(), max_samples);
         assert!(
             sample.capacity() <= max_samples,
             "capacity {}",
             sample.capacity()
         );
-        assert_eq!(trainer.stages[0].tables.rows(), max_samples);
+        assert_eq!(stages[0].tables.rows(), max_samples);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::pipeline::{quantizer_from_profiles, CompileConfig, Compiled};
 use crate::profile::{collect_profiles_parallel, DatasetProfile};
 use crate::route::{ApproximatorPool, PoolSpec, RouteClassifier, RoutedCompiled, RouterTrainer};
 use crate::table::TableClassifier;
-use crate::threshold::{ThresholdOptimizer, ThresholdOutcome};
+use crate::threshold::{Bisection, ThresholdOptimizer, ThresholdOutcome};
 use crate::training::{generate_training_data, TrainingExample};
 use crate::Result;
 use mithra_axbench::benchmark::Benchmark;
@@ -128,6 +128,12 @@ pub struct StageReport {
     /// recomputed and re-stored those artifacts). Zero when no cache is
     /// configured: disabled lookups are neither hits nor misses.
     pub cache_misses: u32,
+    /// Threshold probes a certification stage ran (0 on a cache hit and
+    /// for every other stage).
+    pub probes: u32,
+    /// Of those probes, how many labeled the compile invocations as an
+    /// earlier probe did and reused its certificate.
+    pub reused_probes: u32,
 }
 
 impl StageReport {
@@ -162,6 +168,8 @@ fn stage_report(
         cache,
         cache_hits,
         cache_misses,
+        probes: 0,
+        reused_probes: 0,
     }
 }
 
@@ -243,9 +251,15 @@ impl fmt::Display for SessionReport {
                     r.cache_misses
                 ),
             };
+            let probes = match r.stage {
+                Stage::Certification | Stage::RoutedCertification => {
+                    format!("  probes {} ({} reused)", r.probes, r.reused_probes)
+                }
+                _ => String::new(),
+            };
             writeln!(
                 f,
-                "  {:<22} {:>10.2?}  {:>10} invocations  [{cache}]",
+                "  {:<22} {:>10.2?}  {:>10} invocations  [{cache}]{probes}",
                 r.stage.label(),
                 r.wall,
                 r.invocations,
@@ -383,8 +397,9 @@ impl<S> CompileSession<S> {
     /// decisions, because per-stage false-accepts compound across a
     /// cascade and an oracle-only certificate would not survive
     /// deployment. The router trainer is prepared once, before the
-    /// bisection, so a probe only relabels the sample and runs the table
-    /// candidate grid.
+    /// bisection, and trains each distinct labeling of its sample once.
+    /// The report counts the probes and those that reused an earlier
+    /// probe's certificate.
     fn certify_pool(
         &self,
         stage: Stage,
@@ -394,16 +409,22 @@ impl<S> CompileSession<S> {
         member_profiles: &[Vec<DatasetProfile>],
     ) -> Result<(ThresholdOutcome, StageReport)> {
         let started = Instant::now();
-        let (threshold, invocations, cache) = match self.load_cached::<ThresholdOutcome>(stage, key)
-        {
-            Some(threshold) => (threshold, 0, CacheOutcome::Hit),
+        let (search, invocations, cache) = match self.load_cached::<ThresholdOutcome>(stage, key) {
+            Some(outcome) => {
+                let search = Bisection {
+                    outcome,
+                    probes: Vec::new(),
+                    reused: 0,
+                };
+                (search, 0, CacheOutcome::Hit)
+            }
             None => {
                 let optimizer =
                     ThresholdOptimizer::new(self.config.spec).with_threads(self.config.threads);
-                let threshold = if pool.len() <= 1 {
-                    optimizer.optimize_routed(pool, member_profiles)?
+                let search = if pool.len() <= 1 {
+                    optimizer.bisect_routed(pool, member_profiles)?
                 } else {
-                    let trainer = RouterTrainer::new(
+                    let mut trainer = RouterTrainer::new(
                         spec,
                         member_profiles,
                         &self.config.table_design,
@@ -411,16 +432,17 @@ impl<S> CompileSession<S> {
                         self.config.seed_base ^ 0x7261_696E,
                         self.config.threads,
                     )?;
-                    optimizer
-                        .optimize_routed_deployed(pool, member_profiles, |t| trainer.train(t))?
+                    optimizer.bisect_routed_deployed(pool, member_profiles, |t| trainer.train(t))?
                 };
-                self.store_cached(stage, key, &threshold);
-                let trials = threshold.trials;
-                (threshold, trials, self.miss_outcome())
+                self.store_cached(stage, key, &search.outcome);
+                let trials = search.outcome.trials;
+                (search, trials, self.miss_outcome())
             }
         };
-        let report = stage_report(stage, started, invocations, &[cache]);
-        Ok((threshold, report))
+        let mut report = stage_report(stage, started, invocations, &[cache]);
+        report.probes = search.probes.len() as u32;
+        report.reused_probes = search.reused as u32;
+        Ok((search.outcome, report))
     }
 
     fn miss_outcome(&self) -> CacheOutcome {
@@ -1164,6 +1186,20 @@ mod tests {
             "second run should hit every stage: {warm_report}"
         );
         assert_eq!(warm_report.total_invocations(), 0);
+        // Certification counts its probes cold and none on a hit.
+        let cold_cert = cold_report.stage(Stage::Certification).unwrap();
+        assert!(cold_cert.probes > 2, "{cold_report}");
+        assert!(cold_cert.reused_probes < cold_cert.probes);
+        let line = format!(
+            "probes {} ({} reused)",
+            cold_cert.probes, cold_cert.reused_probes
+        );
+        assert!(cold_report.to_string().contains(&line), "{cold_report}");
+        let warm_cert = warm_report.stage(Stage::Certification).unwrap();
+        assert_eq!((warm_cert.probes, warm_cert.reused_probes), (0, 0));
+        assert!(warm_report.to_string().contains("probes 0 (0 reused)"));
+        let npu = cold_report.stage(Stage::NpuTraining).unwrap();
+        assert_eq!((npu.probes, npu.reused_probes), (0, 0));
         // The lookup counters tell the same story from committed output.
         assert_eq!(cold_report.cache_hits(), 0);
         assert_eq!(cold_report.cache_misses(), 4);

@@ -15,7 +15,7 @@
 
 use crate::parallel::par_map_indexed;
 use crate::profile::DatasetProfile;
-use crate::route::{ApproximatorPool, RouteChoice, RouteClassifier, RoutedReplay};
+use crate::route::{accepted_count, ApproximatorPool, RouteChoice, RouteClassifier, RoutedReplay};
 use crate::{MithraError, Result};
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
 
@@ -100,6 +100,19 @@ pub struct ThresholdOutcome {
     pub member_invocation_rates: Vec<f64>,
     /// Violating datasets attributed to each member (cheapest first).
     pub member_violations: Vec<u64>,
+}
+
+/// A finished threshold search: the certified outcome and the probes that
+/// found it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Bisection {
+    /// The certified outcome the search returns.
+    pub outcome: ThresholdOutcome,
+    /// Every probe's outcome, in probe order.
+    pub probes: Vec<ThresholdOutcome>,
+    /// Probes that labeled the compile invocations as an earlier probe did
+    /// and so reused its certificate instead of replaying the datasets.
+    pub reused: usize,
 }
 
 /// Searches for the optimal threshold over a set of dataset profiles.
@@ -264,11 +277,14 @@ impl ThresholdOptimizer {
     /// ([`certify_routed_deployed`](Self::certify_routed_deployed)).
     ///
     /// `train_router` runs once per probe (threshold 0, the largest
-    /// observed error, then each midpoint), so it dominates the search.
-    /// Callers pass a [`RouterTrainer`](crate::route::RouterTrainer)
-    /// prepared once for these profiles — `|t| trainer.train(t)` — which
-    /// keeps the sample, quantizers and table hash rows across probes and
-    /// per probe only relabels the sample and trains the table grid.
+    /// observed error, then each midpoint). A probe whose router equals
+    /// an earlier probe's reuses that probe's certificate under its own
+    /// threshold instead of replaying every dataset, because the deployed
+    /// probe depends on the threshold only through the router. Callers
+    /// pass a [`RouterTrainer`](crate::route::RouterTrainer) prepared once
+    /// for these profiles — `|t| trainer.train(t)` — which keeps the
+    /// sample, quantizers and table hash rows across probes and trains
+    /// each distinct labeling of the sample once.
     ///
     /// Unlike the oracle probe, the deployed probe is not monotone in the
     /// threshold — each candidate retrains the cascade — so, like the
@@ -286,14 +302,32 @@ impl ThresholdOptimizer {
         &self,
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
-        mut train_router: F,
+        train_router: F,
     ) -> Result<ThresholdOutcome>
     where
         F: FnMut(f32) -> Result<RouteClassifier>,
     {
-        self.bisect(pool, member_profiles, |threshold| {
-            let router = train_router(threshold)?;
-            self.certify_routed_deployed(pool, member_profiles, &router, threshold)
+        self.bisect_routed_deployed(pool, member_profiles, train_router)
+            .map(|search| search.outcome)
+    }
+
+    /// [`optimize_routed_deployed`](Self::optimize_routed_deployed) with
+    /// its probe log.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`optimize_routed_deployed`](Self::optimize_routed_deployed).
+    pub fn bisect_routed_deployed<F>(
+        &self,
+        pool: &ApproximatorPool,
+        member_profiles: &[Vec<DatasetProfile>],
+        train_router: F,
+    ) -> Result<Bisection>
+    where
+        F: FnMut(f32) -> Result<RouteClassifier>,
+    {
+        self.bisect(pool, member_profiles, train_router, |router, threshold| {
+            self.certify_routed_deployed(pool, member_profiles, router, threshold)
         })
     }
 
@@ -302,6 +336,11 @@ impl ThresholdOptimizer {
     /// The search range spans every member's observed errors. The binary
     /// compile certifies its trained function this way, as the pool of
     /// one.
+    ///
+    /// A probe at which every member accepts as many invocations as at an
+    /// earlier probe routes every invocation the same (the accept sets
+    /// are nested in the threshold; see [`accepted_count`]), so it reuses
+    /// that probe's certificate under its own threshold.
     ///
     /// # Errors
     ///
@@ -313,27 +352,76 @@ impl ThresholdOptimizer {
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
     ) -> Result<ThresholdOutcome> {
-        self.bisect(pool, member_profiles, |threshold| {
+        self.bisect_routed(pool, member_profiles)
+            .map(|search| search.outcome)
+    }
+
+    /// [`optimize_routed`](Self::optimize_routed) with its probe log.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`optimize_routed`](Self::optimize_routed).
+    pub fn bisect_routed(
+        &self,
+        pool: &ApproximatorPool,
+        member_profiles: &[Vec<DatasetProfile>],
+    ) -> Result<Bisection> {
+        let accepted = |threshold: f32| -> Result<Vec<usize>> {
+            let count = |profiles: &Vec<DatasetProfile>| {
+                let errors = profiles.iter().flat_map(|p| p.errors().iter().copied());
+                accepted_count(errors, threshold)
+            };
+            Ok(member_profiles.iter().map(count).collect())
+        };
+        self.bisect(pool, member_profiles, accepted, |_, threshold| {
             self.certify_routed(pool, member_profiles, threshold)
         })
     }
 
-    /// Algorithm 1's bisection, shared by every optimizer. `probe`
+    /// Algorithm 1's bisection, shared by every optimizer. A probe
     /// certifies one candidate threshold. The all-precise origin
     /// (threshold 0) must certify, else the spec is uncertifiable; the
     /// loosest threshold — the largest error any member observed — is
     /// taken outright when it certifies; otherwise `iterations` midpoint
     /// probes keep `lo` certifying and `hi` not, and the last certifying
     /// probe — the origin when none did — is the result.
-    fn bisect(
+    ///
+    /// `labels` keys a threshold on what its probe certifies, and
+    /// `certify` certifies a key at a threshold. A probe whose key equals
+    /// an earlier probe's takes that probe's outcome with its own
+    /// threshold, so the probe sequence and every outcome are those of
+    /// certifying each probe afresh.
+    fn bisect<K: PartialEq>(
         &self,
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
-        mut probe: impl FnMut(f32) -> Result<ThresholdOutcome>,
-    ) -> Result<ThresholdOutcome> {
+        mut labels: impl FnMut(f32) -> Result<K>,
+        mut certify: impl FnMut(&K, f32) -> Result<ThresholdOutcome>,
+    ) -> Result<Bisection> {
         if check_member_profile_table(pool, member_profiles)? == 0 {
             return Err(no_profiles());
         }
+        let mut certified: Vec<(K, ThresholdOutcome)> = Vec::new();
+        let (mut probes, mut reused) = (Vec::new(), 0);
+        let mut probe = |threshold: f32| -> Result<ThresholdOutcome> {
+            let key = labels(threshold)?;
+            let outcome = match certified.iter().find(|(seen, _)| *seen == key) {
+                Some((_, earlier)) => {
+                    reused += 1;
+                    ThresholdOutcome {
+                        threshold,
+                        ..earlier.clone()
+                    }
+                }
+                None => {
+                    let outcome = certify(&key, threshold)?;
+                    certified.push((key, outcome.clone()));
+                    outcome
+                }
+            };
+            probes.push(outcome.clone());
+            Ok(outcome)
+        };
         let max_err = max_observed_error(member_profiles.iter().flatten());
         let origin = probe(0.0)?;
         if origin.certified_rate < self.spec.success_rate {
@@ -341,7 +429,11 @@ impl ThresholdOptimizer {
         }
         let loosest = probe(max_err)?;
         if loosest.certified_rate >= self.spec.success_rate {
-            return Ok(loosest);
+            return Ok(Bisection {
+                outcome: loosest,
+                probes,
+                reused,
+            });
         }
         let (mut lo, mut hi) = (0.0f32, max_err);
         let mut best = origin;
@@ -355,7 +447,11 @@ impl ThresholdOptimizer {
                 hi = mid;
             }
         }
-        Ok(best)
+        Ok(Bisection {
+            outcome: best,
+            probes,
+            reused,
+        })
     }
 
     /// The paper's literal Algorithm 1: delta-stepping from an initial

@@ -161,7 +161,7 @@ fn routed_artifacts_are_bit_identical_across_thread_counts() {
         // profiles at this thread count, with one prepared trainer
         // relabeled at every probe.
         let config = CompileConfig::smoke();
-        let trainer = RouterTrainer::new(
+        let mut trainer = RouterTrainer::new(
             &spec,
             &baseline.member_profiles,
             &config.table_design,

@@ -55,7 +55,8 @@ fn prepared_trainer_matches_cold_builds_at_every_probe() {
     let samples = config.classifier_train_samples;
 
     // The probe thresholds of the session's own deployed bisection.
-    let trainer = RouterTrainer::new(&tiered, profiles, &design, samples, SEED, Some(2)).unwrap();
+    let mut trainer =
+        RouterTrainer::new(&tiered, profiles, &design, samples, SEED, Some(2)).unwrap();
     let mut probes = Vec::new();
     let outcome = ThresholdOptimizer::new(config.spec)
         .optimize_routed_deployed(&routed.pool, profiles, |t| {
@@ -69,7 +70,7 @@ fn prepared_trainer_matches_cold_builds_at_every_probe() {
 
     let margined = tiered.clone().with_margins(vec![0.75, 0.9, 1.0]);
     for (spec, max_samples) in [(&tiered, samples), (&margined, samples), (&margined, 5)] {
-        let trainer =
+        let mut trainer =
             RouterTrainer::new(spec, profiles, &design, max_samples, SEED, Some(2)).unwrap();
         for &t in &probes {
             let prepared = serde_json::to_string(&trainer.train(t).unwrap()).unwrap();

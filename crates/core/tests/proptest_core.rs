@@ -1,9 +1,13 @@
 //! Property-based tests on MITHRA's core data structures and invariants.
 
+use mithra_axbench::dataset::{Dataset, OutputBuffer};
 use mithra_core::classifier::{Classifier, Decision};
 use mithra_core::misr::{InputQuantizer, Misr, MisrConfig, MisrKernel, QuantizedGrid};
+use mithra_core::profile::DatasetProfile;
+use mithra_core::route::{accepted_count, oracle_route_margined, stage_rejects, PoolSpec};
 use mithra_core::table::{TableClassifier, TableDesign};
 use mithra_core::training::TrainingExample;
+use mithra_npu::topology::Topology;
 use proptest::prelude::*;
 
 proptest! {
@@ -370,6 +374,114 @@ proptest! {
             prop_assert_eq!(per_cfg.len(), inputs.len());
             for (input, &h) in inputs.iter().zip(per_cfg) {
                 prop_assert_eq!(h as usize, Misr::hash(*cfg, width, &quantizer.quantize(input)));
+            }
+        }
+    }
+}
+
+/// A profiled error drawn to hit the edges the labeling keys must
+/// survive: signed zeros, NaN, both infinities, subnormals and repeated
+/// values (ties), else `x`.
+fn edge_error(pick: usize, x: f32) -> f32 {
+    const EDGES: [f32; 10] = [
+        0.0,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+        f32::MIN_POSITIVE,
+        0.25,
+        0.5,
+        1.0,
+    ];
+    EDGES.get(pick).copied().unwrap_or(x)
+}
+
+/// A candidate threshold: an edge value (never NaN — a bisection's
+/// thresholds are 0, the largest error and midpoints), one of `errors`
+/// exactly, the float just above it, or `x`.
+fn edge_threshold(pick: usize, x: f32, errors: &[f32]) -> f32 {
+    let tie = errors[(x * 1e4) as usize % errors.len()];
+    match pick {
+        0..=9 if !edge_error(pick, x).is_nan() => edge_error(pick, x),
+        10 | 11 if !tie.is_nan() => tie,
+        12 if tie.is_finite() => tie.next_up(),
+        _ => x,
+    }
+}
+
+/// A one-dataset profile whose invocation errors are `errors`.
+fn error_profile(errors: &[f32]) -> DatasetProfile {
+    let n = errors.len();
+    DatasetProfile::from_parts(
+        Dataset::from_flat(0, 1, vec![0.0; n]),
+        OutputBuffer::from_flat(1, vec![0.0; n]),
+        OutputBuffer::from_flat(1, vec![0.0; n]),
+        errors.to_vec(),
+        Vec::new(),
+    )
+}
+
+proptest! {
+    /// The nesting argument the probe memo relies on: over fixed errors,
+    /// equal per-member accept counts, and equal per-member reject
+    /// counts, each hold exactly when two thresholds give the same
+    /// margined oracle routes and the same cascade-stage labels.
+    #[test]
+    fn labeling_keys_match_exactly_when_labels_do(
+        members in 1usize..=3,
+        cells in prop::collection::vec((0usize..16, 0.0f32..2.0), 3..90),
+        margin_picks in prop::collection::vec((0usize..4, 0.05f32..2.0), 3),
+        threshold_picks in prop::collection::vec((0usize..16, 0.0f32..2.0), 2..8),
+    ) {
+        let n = cells.len() / members;
+        let errors: Vec<Vec<f32>> = cells
+            .chunks_exact(n)
+            .take(members)
+            .map(|c| c.iter().map(|&(pick, x)| edge_error(pick, x)).collect())
+            .collect();
+        let margins: Vec<f64> = margin_picks
+            .iter()
+            .map(|&(pick, x)| [1.0, 0.75, 0.9].get(pick).copied().unwrap_or(f64::from(x)))
+            .collect();
+        let spec = PoolSpec::single(Topology::new(&[1, 2, 1]).unwrap()).with_margins(margins);
+        let profiles: Vec<DatasetProfile> = errors.iter().map(|e| error_profile(e)).collect();
+        let views: Vec<&DatasetProfile> = profiles.iter().collect();
+        let flat: Vec<f32> = errors.concat();
+        let thresholds: Vec<f32> = threshold_picks
+            .iter()
+            .map(|&(pick, x)| edge_threshold(pick, x, &flat))
+            .collect();
+
+        let stage_threshold = |t: f32, m: usize| t * spec.margin_for(m) as f32;
+        let accepts = |t: f32| -> Vec<usize> {
+            (0..members)
+                .map(|m| accepted_count(errors[m].iter().copied(), stage_threshold(t, m)))
+                .collect()
+        };
+        let rejects = |t: f32| -> Vec<Vec<bool>> {
+            (0..members)
+                .map(|m| stage_rejects(errors[m].iter().copied(), stage_threshold(t, m)))
+                .collect()
+        };
+        let reject_counts = |t: f32| -> Vec<usize> {
+            rejects(t).iter().map(|r| r.iter().filter(|&&b| b).count()).collect()
+        };
+        let routes = |t: f32| -> Vec<_> {
+            (0..n).map(|i| oracle_route_margined(&views, i, t, &spec)).collect()
+        };
+        for &a in &thresholds {
+            for &b in &thresholds {
+                let same_labels = routes(a) == routes(b) && rejects(a) == rejects(b);
+                prop_assert_eq!(accepts(a) == accepts(b), same_labels, "thresholds {} {}", a, b);
+                prop_assert_eq!(
+                    reject_counts(a) == reject_counts(b),
+                    same_labels,
+                    "thresholds {} {}",
+                    a,
+                    b
+                );
             }
         }
     }

@@ -220,6 +220,8 @@ mod tests {
                     cache: CacheOutcome::Hit,
                     cache_hits: 1,
                     cache_misses: 0,
+                    probes: 0,
+                    reused_probes: 0,
                 },
                 StageReport {
                     stage: Stage::Profiling,
@@ -228,6 +230,8 @@ mod tests {
                     cache: CacheOutcome::Miss,
                     cache_hits: 0,
                     cache_misses: 1,
+                    probes: 0,
+                    reused_probes: 0,
                 },
             ],
         };
