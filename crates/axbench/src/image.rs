@@ -110,15 +110,20 @@ impl GrayImage {
         let fy: f32 = rng.gen_range(0.05..0.4);
         let amp: f32 = rng.gen_range(2.0..15.0);
 
+        // The texture factors depend on one coordinate each; hoisting
+        // them keeps the `(amp * sin) * cos` evaluation order, so every
+        // pixel is bit-identical to evaluating them in place.
+        let column_texture: Vec<f32> = (0..width).map(|x| amp * (fx * x as f32).sin()).collect();
         for y in 0..height {
-            for x in 0..width {
+            let row_texture = (fy * y as f32).cos();
+            for (x, &texture) in column_texture.iter().enumerate() {
                 let mut v = base + gx * x as f32 + gy * y as f32;
                 for &(bx, by, sigma, a) in &blobs {
                     let dx = x as f32 - bx;
                     let dy = y as f32 - by;
                     v += a * (-(dx * dx + dy * dy) / (2.0 * sigma * sigma)).exp();
                 }
-                v += amp * (fx * x as f32).sin() * (fy * y as f32).cos();
+                v += texture * row_texture;
                 img.set(x, y, v.clamp(0.0, 255.0));
             }
         }

@@ -7,21 +7,44 @@ use mithra_axbench::jmeint::tri_tri_intersect;
 use mithra_axbench::jpeg::{decode_block, encode_block};
 use mithra_axbench::sobel::gradient_magnitude;
 use mithra_bdi::{compress, decompress, CompressedTable};
-use mithra_core::misr::{MisrConfig, MisrKernel};
-use mithra_npu::mlp::{Activation, Mlp};
+use mithra_core::misr::{InputQuantizer, MisrConfig, MisrKernel};
+use mithra_npu::kernel::KernelBackend;
+use mithra_npu::mlp::{Activation, BatchScratch, Mlp};
 use mithra_npu::topology::Topology;
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
+
+/// Classifier input widths of inversek2j, sobel, jmeint and jpeg.
+const MISR_DIMS: [usize; 4] = [2, 9, 18, 64];
 
 fn bench_misr(c: &mut Criterion) {
     // The paper's ensemble: 8 tables of 4096 entries, one kernel lane each.
     let configs = &MisrConfig::pool()[..8];
     let mut group = c.benchmark_group("misr_hash");
-    for dims in [2usize, 9, 18, 64] {
+    // The vendored harness times one batch of `sample_size` calls; a
+    // call takes nanoseconds, so the batch must be long.
+    group.sample_size(1 << 20);
+    for dims in MISR_DIMS {
         let elements: Vec<u8> = (0..dims).map(|i| (i * 37) as u8).collect();
         let kernel = MisrKernel::new(configs, 12, 256, dims);
         let mut out = [0u32; 8];
         group.bench_function(format!("{dims}_elements_8_tables"), |b| {
             b.iter(|| kernel.hash_into(black_box(&elements), black_box(&mut out)))
+        });
+    }
+    group.finish();
+}
+
+/// The other half of a table decide: quantizing the raw input before
+/// [`bench_misr`]'s hash.
+fn bench_quantize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("quantize");
+    group.sample_size(1 << 20);
+    for dims in MISR_DIMS {
+        let quantizer = InputQuantizer::new(vec![-1.0; dims], vec![1.0; dims]);
+        let input: Vec<f32> = (0..dims).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut out = Vec::with_capacity(dims);
+        group.bench_function(format!("{dims}_elements"), |b| {
+            b.iter(|| quantizer.quantize_into(black_box(&input), black_box(&mut out)))
         });
     }
     group.finish();
@@ -33,22 +56,55 @@ fn mlp_for(topology: &Topology) -> Mlp {
     Mlp::from_parameters(topology.clone(), &w, &biases, Activation::Linear).unwrap()
 }
 
+/// The NPU topologies of the paper's Table I.
+const TABLE1_TOPOLOGIES: [&str; 6] = [
+    "6->8->8->1",
+    "1->4->4->2",
+    "2->8->2",
+    "18->32->8->2",
+    "64->16->64",
+    "9->8->1",
+];
+
 fn bench_mlp_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("npu_forward");
-    for shape in [
-        "6->8->8->1",
-        "1->4->4->2",
-        "2->8->2",
-        "18->32->8->2",
-        "64->16->64",
-        "9->8->1",
-    ] {
+    for shape in TABLE1_TOPOLOGIES {
         let topology: Topology = shape.parse().unwrap();
         let mlp = mlp_for(&topology);
         let input = vec![0.5f32; topology.inputs()];
         let mut out = Vec::new();
         group.bench_function(shape, |b| {
             b.iter(|| mlp.run_into(black_box(&input), &mut out).unwrap())
+        });
+    }
+    group.finish();
+}
+
+/// The batched forward that profiling and serve's sub-batches run: 64
+/// samples through the scalar backend's tiles.
+fn bench_mlp_forward_batch(c: &mut Criterion) {
+    const SAMPLES: usize = 64;
+    let mut group = c.benchmark_group("npu_forward_batch");
+    group.sample_size(1 << 14);
+    for shape in TABLE1_TOPOLOGIES {
+        let topology: Topology = shape.parse().unwrap();
+        let mlp = mlp_for(&topology);
+        let inputs: Vec<f32> = (0..SAMPLES * topology.inputs())
+            .map(|i| (i as f32 * 0.37).sin())
+            .collect();
+        let mut outputs = Vec::new();
+        let mut scratch = BatchScratch::for_topology(&topology);
+        group.bench_function(shape, |b| {
+            b.iter(|| {
+                mlp.forward_batch_into_with(
+                    KernelBackend::Scalar,
+                    black_box(&inputs),
+                    SAMPLES,
+                    &mut outputs,
+                    &mut scratch,
+                )
+                .unwrap()
+            })
         });
     }
     group.finish();
@@ -130,7 +186,9 @@ fn bench_fft_application(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_misr,
+    bench_quantize,
     bench_mlp_forward,
+    bench_mlp_forward_batch,
     bench_bdi,
     bench_clopper_pearson,
     bench_precise_kernels,

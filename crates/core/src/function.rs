@@ -335,9 +335,9 @@ impl AcceleratedFunction {
     /// Batched form of [`AcceleratedFunction::approx_with`]: `inputs`
     /// holds `count` raw-space input vectors concatenated sample-major;
     /// `outputs` receives the `count` raw-space output vectors in the
-    /// same layout. One network weight traversal is amortized across the
-    /// whole block on the SIMD backend; on either backend every sample's
-    /// result is bit-identical to the per-invocation
+    /// same layout. The block runs eight samples to a lane-parallel tile
+    /// on either backend, and every sample's result is bit-identical to
+    /// the per-invocation
     /// [`approx_with`](AcceleratedFunction::approx_with) call (pinned by
     /// `mithra-npu/tests/kernel_parity.rs`).
     ///

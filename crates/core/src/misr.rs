@@ -254,6 +254,12 @@ impl MisrKernel {
     /// Hashes `elements` from reset under every configuration:
     /// `out[lane]` becomes [`Misr::hash`] of the lane's configuration.
     ///
+    /// The lane counts in use — the paper's 8 tables and the 16-entry
+    /// pool the table grid hashes under — fold into a fixed-width
+    /// accumulator the compiler keeps in vector registers; other counts
+    /// take the same fold over a runtime-length slice. XOR is exact, so
+    /// every path yields the same bits.
+    ///
     /// # Panics
     ///
     /// Panics if `out` does not hold one slot per lane, if `elements` is
@@ -265,15 +271,43 @@ impl MisrKernel {
             elements.len() <= self.distances,
             "input longer than the tabulated distances"
         );
-        out.fill(0);
-        for (k, &e) in elements.iter().rev().enumerate() {
-            let v = usize::from(e);
-            assert!(v < self.levels, "element above the tabulated levels");
-            let at = (k * self.levels + v) * self.lanes;
-            for (h, &t) in out.iter_mut().zip(&self.terms[at..at + self.lanes]) {
+        match out.len() {
+            8 => out.copy_from_slice(&self.fold::<8>(elements)),
+            16 => out.copy_from_slice(&self.fold::<16>(elements)),
+            _ => {
+                out.fill(0);
+                for row in self.term_rows(elements) {
+                    for (h, &t) in out.iter_mut().zip(row) {
+                        *h ^= t;
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`MisrKernel::hash_into`]'s fold for exactly `N` lanes.
+    #[inline(always)]
+    fn fold<const N: usize>(&self, elements: &[u8]) -> [u32; N] {
+        let mut acc = [0u32; N];
+        for row in self.term_rows(elements) {
+            let row: &[u32; N] = row.try_into().expect("a term row holds one entry per lane");
+            for (h, &t) in acc.iter_mut().zip(row) {
                 *h ^= t;
             }
         }
+        acc
+    }
+
+    /// Each element's term row, one entry per lane: the element `v` at
+    /// distance `k` from the end reads row `[k][v]`.
+    #[inline(always)]
+    fn term_rows<'a>(&'a self, elements: &'a [u8]) -> impl Iterator<Item = &'a [u32]> + 'a {
+        elements.iter().rev().enumerate().map(move |(k, &e)| {
+            let v = usize::from(e);
+            assert!(v < self.levels, "element above the tabulated levels");
+            let at = (k * self.levels + v) * self.lanes;
+            &self.terms[at..at + self.lanes]
+        })
     }
 }
 

@@ -65,11 +65,10 @@ impl DatasetProfile {
     ///
     /// The accelerator side runs through
     /// [`AcceleratedFunction::approx_batch_with`] in blocks of
-    /// 64 invocations, amortizing one weight traversal per
-    /// block on the SIMD backend; per-invocation results are
-    /// bit-identical to the one-at-a-time loop on whichever backend the
-    /// function carries, so the scalar default reproduces every pinned
-    /// number.
+    /// 64 invocations, eight to a lane-parallel tile on either backend;
+    /// per-invocation results are bit-identical to the one-at-a-time
+    /// loop on whichever backend the function carries, so the scalar
+    /// default reproduces every pinned number.
     pub fn collect(function: &AcceleratedFunction, dataset: Dataset) -> Self {
         let bench = function.benchmark();
         let n = dataset.invocation_count();

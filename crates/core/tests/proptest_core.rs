@@ -290,6 +290,24 @@ fn fold_decide(c: &TableClassifier, input: &[f32]) -> Decision {
 }
 
 proptest! {
+    /// Every lane count the kernel folds — pool prefixes of 1..=16
+    /// configurations, so the specialized 8- and 16-lane folds and the
+    /// generic fold for every other count — hashes like the shift
+    /// register, for inputs of up to 64 elements tabulated to exactly
+    /// their length.
+    #[test]
+    fn misr_kernel_matches_for_every_lane_count(
+        elements in prop::collection::vec(any::<u8>(), 0..=64),
+        width in 1u32..=24,
+    ) {
+        let pool = MisrConfig::pool();
+        for lanes in 1..=pool.len() {
+            let configs = &pool[..lanes];
+            let kernel = MisrKernel::new(configs, width, 256, elements.len());
+            assert_kernel_matches(&kernel, configs, width, &elements);
+        }
+    }
+
     #[test]
     fn misr_kernel_matches_for_any_input(
         elements in prop::collection::vec(any::<u8>(), 0..=64),

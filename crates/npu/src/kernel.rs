@@ -2,14 +2,21 @@
 //!
 //! Every arithmetic path in this crate has a **scalar reference**
 //! implementation whose floating-point operation order is fixed and
-//! bit-reproducible ([`crate::mlp::Mlp::run_into`], the trainer's
+//! bit-reproducible ([`crate::mlp::Mlp::forward_into`], the trainer's
 //! `sgd_step`). That path is the default: all committed results and
 //! byte-identity pins are produced by it. This module adds an opt-in
 //! **SIMD** backend that keeps eight samples in flight per vector
 //! instruction in a lane-per-sample tile layout and relaxes the
 //! arithmetic: fused multiply-adds, a polynomial sigmoid and per-lane
-//! gradient sums. (The scalar trainer tiles samples the same way but
-//! keeps the reference arithmetic.)
+//! gradient sums.
+//!
+//! The scalar backend tiles samples the same way but keeps the reference
+//! arithmetic: `layer_forward_tile_exact` runs each lane's exact
+//! sequence of separate `*` and `+`, so the compiler vectorizes it across
+//! lanes without changing a bit. The trainer's forward pass and the
+//! scalar batched inference ([`crate::mlp::Mlp::forward_batch_into_with`])
+//! both run it; batched inference on either backend is therefore
+//! bit-identical to that backend's per-sample forward.
 //!
 //! # Tile layout
 //!
@@ -22,8 +29,8 @@
 //! `lane`'s inputs — there is no cross-lane arithmetic — so a sample
 //! computed in a partially filled tile is bit-identical to the same
 //! sample inside a full tile. That per-lane independence is what makes
-//! the batched forward bit-identical to the per-invocation SIMD forward
-//! by construction (pinned in `tests/kernel_parity.rs`).
+//! the batched forward bit-identical to the per-invocation forward of the
+//! same backend by construction (pinned in `tests/kernel_parity.rs`).
 //!
 //! # Dispatch policy
 //!
@@ -47,7 +54,7 @@
 //! touching flags), and a SIMD request on a host without AVX2+FMA
 //! degrades to scalar rather than running a software-FMA slow path.
 
-use crate::mlp::Activation;
+use crate::mlp::{Activation, Layer};
 use std::str::FromStr;
 use std::sync::OnceLock;
 
@@ -55,12 +62,13 @@ use std::sync::OnceLock;
 /// logical vector width on every architecture.
 pub const LANES: usize = 8;
 
-/// Largest remainder-group size the batched SIMD forward routes through
-/// the single-lane kernel instead of a zero-padded tile. A padded tile
-/// costs a full eight lanes of work however few are live; per-sample
-/// single-lane evaluation costs one lane each, so below this occupancy
-/// the lane path is cheaper (and above it, amortization wins). Both
-/// paths are bit-identical per sample, so the cutoff moves cost only.
+/// Largest group size the batched forward routes, on either backend,
+/// through the single-sample kernel instead of a zero-padded tile. A
+/// padded tile costs a full eight lanes of work however few are live;
+/// per-sample evaluation costs one lane each, so below this occupancy
+/// the single-sample path is cheaper (and above it, amortization wins).
+/// Both paths are bit-identical per sample, so the cutoff moves cost
+/// only.
 pub const LANE_REMAINDER_CUTOFF: usize = 4;
 
 /// Which arithmetic path the NPU hot loops run.
@@ -447,6 +455,45 @@ fn grad_accum_tile_body(
                 g[l] = d[l].mul_add(x[l], g[l]);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Scalar-exact tile kernel: the reference backend's tile form. Every lane
+// performs one sample's reference operation sequence with plain `*` and
+// `+` (Rust never contracts them into a fused multiply-add), so
+// vectorizing across lanes changes no bit. Training and batched inference
+// share it.
+// ---------------------------------------------------------------------------
+
+/// Forward-evaluates `layer` on a tile:
+/// `out[n * LANES + lane] = act(b[n] + w[n][0] * x[0] + w[n][1] * x[1] + …)`,
+/// accumulated left to right — per lane exactly the scalar reference's
+/// single-sample forward. The activation (libm `exp` for sigmoid) runs
+/// on the first `lanes` lanes only; padding lanes keep their
+/// pre-activations, which nothing reads.
+pub(crate) fn layer_forward_tile_exact(
+    layer: &Layer,
+    lanes: usize,
+    input: &[f32],
+    out: &mut [f32],
+) {
+    for ((row, &b), out_tile) in layer
+        .weights
+        .chunks_exact(layer.fan_in)
+        .zip(&layer.biases)
+        .zip(out.chunks_exact_mut(LANES))
+    {
+        let mut acc = [b; LANES];
+        for (&w, x) in row.iter().zip(input.chunks_exact(LANES)) {
+            for lane in 0..LANES {
+                acc[lane] += w * x[lane];
+            }
+        }
+        for (o, &a) in out_tile.iter_mut().zip(&acc).take(lanes) {
+            *o = layer.activation.apply(a);
+        }
+        out_tile[lanes..].copy_from_slice(&acc[lanes..]);
     }
 }
 

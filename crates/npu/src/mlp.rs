@@ -49,8 +49,9 @@ pub(crate) struct Layer {
 }
 
 impl Layer {
-    fn forward_into(&self, input: &[f32], out: &mut Vec<f32>) {
-        out.clear();
+    /// One sample through this layer on the scalar reference path:
+    /// `out[n] = act(b[n] + w[n][0] * x[0] + w[n][1] * x[1] + …)`.
+    fn forward_exact(&self, input: &[f32], out: &mut [f32]) {
         // Four neurons share one pass over the input. Their accumulator
         // chains are independent and each keeps the exact per-neuron
         // operation order (bias, then `+= w * x` in ascending input
@@ -59,7 +60,8 @@ impl Layer {
         // changing a single bit of the result.
         let mut rows = self.weights.chunks_exact(4 * self.fan_in);
         let mut biases = self.biases.chunks_exact(4);
-        for (quad, b) in rows.by_ref().zip(biases.by_ref()) {
+        let mut outs = out.chunks_exact_mut(4);
+        for ((quad, b), o) in rows.by_ref().zip(biases.by_ref()).zip(outs.by_ref()) {
             let (r0, rest) = quad.split_at(self.fan_in);
             let (r1, rest) = rest.split_at(self.fan_in);
             let (r2, r3) = rest.split_at(self.fan_in);
@@ -70,21 +72,54 @@ impl Layer {
                 a2 += w2 * x;
                 a3 += w3 * x;
             }
-            out.push(self.activation.apply(a0));
-            out.push(self.activation.apply(a1));
-            out.push(self.activation.apply(a2));
-            out.push(self.activation.apply(a3));
+            o[0] = self.activation.apply(a0);
+            o[1] = self.activation.apply(a1);
+            o[2] = self.activation.apply(a2);
+            o[3] = self.activation.apply(a3);
         }
-        for (row, &b) in rows
+        for ((row, &b), o) in rows
             .remainder()
             .chunks_exact(self.fan_in)
             .zip(biases.remainder())
+            .zip(outs.into_remainder())
         {
             let mut acc = b;
             for (&w, &x) in row.iter().zip(input) {
                 acc += w * x;
             }
-            out.push(self.activation.apply(acc));
+            *o = self.activation.apply(acc);
+        }
+    }
+
+    /// One sample through this layer on `backend`'s single-sample kernel.
+    fn forward_sample(&self, backend: KernelBackend, input: &[f32], out: &mut [f32]) {
+        match backend {
+            KernelBackend::Scalar => self.forward_exact(input, out),
+            KernelBackend::Simd => kernel::layer_forward_lane(
+                &self.weights,
+                &self.biases,
+                self.fan_in,
+                self.activation,
+                input,
+                out,
+            ),
+        }
+    }
+
+    /// A tile through this layer on `backend`'s tile kernel; only its
+    /// first `lanes` lanes are live. Each live lane is bit-identical to
+    /// [`Layer::forward_sample`] on the same backend.
+    fn forward_tile(&self, backend: KernelBackend, lanes: usize, input: &[f32], out: &mut [f32]) {
+        match backend {
+            KernelBackend::Scalar => kernel::layer_forward_tile_exact(self, lanes, input, out),
+            KernelBackend::Simd => kernel::layer_forward_tile(
+                &self.weights,
+                &self.biases,
+                self.fan_in,
+                self.activation,
+                input,
+                out,
+            ),
         }
     }
 }
@@ -122,15 +157,13 @@ impl ForwardScratch {
 }
 
 /// Reusable buffers for the batched forward pass
-/// ([`Mlp::forward_batch_into`]): two tile ping-pong buffers for the
-/// SIMD backend and two per-sample layer buffers for the scalar
-/// reference. [`BatchScratch::for_topology`] presizes everything.
+/// ([`Mlp::forward_batch_into_with`]): two tile ping-pong buffers, which
+/// both backends' tile and single-sample kernels run through.
+/// [`BatchScratch::for_topology`] presizes them.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     tile_a: Vec<f32>,
     tile_b: Vec<f32>,
-    cur: Vec<f32>,
-    next: Vec<f32>,
 }
 
 impl BatchScratch {
@@ -146,8 +179,6 @@ impl BatchScratch {
         Self {
             tile_a: vec![0.0; widest * LANES],
             tile_b: vec![0.0; widest * LANES],
-            cur: Vec::with_capacity(widest),
-            next: Vec::with_capacity(widest),
         }
     }
 
@@ -274,40 +305,26 @@ impl Mlp {
         Ok(out)
     }
 
-    /// Runs one forward pass into a caller-provided buffer, avoiding
-    /// allocation on hot paths (profiling runs millions of invocations).
+    /// Runs one forward pass into a caller-provided buffer, allocating
+    /// the per-layer activations; hot paths use
+    /// [`forward_into`](Self::forward_into) with a reused scratch.
     ///
     /// # Errors
     ///
     /// Returns [`NpuError::DimensionMismatch`] if `input` does not match
     /// the input layer width.
     pub fn run_into(&self, input: &[f32], output: &mut Vec<f32>) -> Result<()> {
-        if input.len() != self.topology.inputs() {
-            return Err(NpuError::DimensionMismatch {
-                expected: self.topology.inputs(),
-                actual: input.len(),
-            });
-        }
-        let mut current: Vec<f32> = input.to_vec();
-        let mut next: Vec<f32> = Vec::new();
-        for layer in &self.layers {
-            layer.forward_into(&current, &mut next);
-            std::mem::swap(&mut current, &mut next);
-        }
+        let mut scratch = ForwardScratch::new();
+        let out = self.forward_into(input, &mut scratch)?;
         output.clear();
-        output.extend_from_slice(&current);
+        output.extend_from_slice(out);
         Ok(())
     }
 
-    /// Runs one forward pass through caller-owned scratch buffers — the
-    /// hot-path entry point, performing no allocation once the scratch has
-    /// warmed up. Returns the output activations borrowed from the
-    /// scratch.
-    ///
-    /// The per-neuron arithmetic is identical to [`run_into`] — same
-    /// dot-product order — so the two entry points are bit-equal.
-    ///
-    /// [`run_into`]: Self::run_into
+    /// Runs one forward pass on the scalar reference path through
+    /// caller-owned scratch buffers — the hot-path entry point,
+    /// performing no allocation once the scratch has warmed up. Returns
+    /// the output activations borrowed from the scratch.
     ///
     /// # Errors
     ///
@@ -315,6 +332,31 @@ impl Mlp {
     /// the input layer width.
     pub fn forward_into<'s>(
         &self,
+        input: &[f32],
+        scratch: &'s mut ForwardScratch,
+    ) -> Result<&'s [f32]> {
+        self.forward_into_with(KernelBackend::Scalar, input, scratch)
+    }
+
+    /// Backend-dispatched [`forward_into`]: `Scalar` runs the bit-exact
+    /// reference path; `Simd` runs the single-lane kernel
+    /// (`kernel::layer_forward_lane`), which replicates a SIMD tile
+    /// lane's exact operation sequence. On either backend the result is
+    /// bit-identical to the same sample inside a
+    /// [`forward_batch_into_with`] tile (per-lane independence — see
+    /// [`crate::kernel`]). Both paths leave the full activation trace in
+    /// `scratch`.
+    ///
+    /// [`forward_into`]: Self::forward_into
+    /// [`forward_batch_into_with`]: Self::forward_batch_into_with
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NpuError::DimensionMismatch`] if `input` does not match
+    /// the input layer width.
+    pub fn forward_into_with<'s>(
+        &self,
+        backend: KernelBackend,
         input: &[f32],
         scratch: &'s mut ForwardScratch,
     ) -> Result<&'s [f32]> {
@@ -331,7 +373,9 @@ impl Mlp {
         scratch.activations[0].extend_from_slice(input);
         for (l, layer) in self.layers.iter().enumerate() {
             let (prev, next) = scratch.activations.split_at_mut(l + 1);
-            layer.forward_into(&prev[l], &mut next[0]);
+            // Every slot is overwritten, so only the length matters.
+            next[0].resize(layer.biases.len(), 0.0);
+            layer.forward_sample(backend, &prev[l], &mut next[0]);
         }
         Ok(scratch
             .activations
@@ -339,111 +383,15 @@ impl Mlp {
             .expect("seeded with the input above"))
     }
 
-    /// Backend-dispatched [`forward_into`]: `Scalar` runs the bit-exact
-    /// reference path; `Simd` runs the single-lane kernel
-    /// (`kernel::layer_forward_lane`), which replicates a tile lane's
-    /// exact operation sequence and is therefore bit-identical to the
-    /// same sample inside a full [`Mlp::forward_batch_into_with`] tile
-    /// (per-lane independence — see [`crate::kernel`]) without paying
-    /// for seven padding lanes. Both paths leave the full activation
-    /// trace in `scratch`.
+    /// Batched matrix–matrix forward: `inputs` holds `count` samples
+    /// concatenated sample-major, and `outputs` receives the `count`
+    /// output vectors in the same layout. Samples run [`LANES`] per tile
+    /// through the backend's tile kernel, which amortizes one weight
+    /// traversal across them; a group of at most
+    /// [`LANE_REMAINDER_CUTOFF`](kernel::LANE_REMAINDER_CUTOFF) samples
+    /// runs the single-sample kernel instead. Each sample's result is
+    /// bit-identical to [`forward_into_with`] on the same backend.
     ///
-    /// [`forward_into`]: Self::forward_into
-    /// [`forward_batch_into`]: Self::forward_batch_into
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NpuError::DimensionMismatch`] if `input` does not match
-    /// the input layer width.
-    pub fn forward_into_with<'s>(
-        &self,
-        backend: KernelBackend,
-        input: &[f32],
-        scratch: &'s mut ForwardScratch,
-    ) -> Result<&'s [f32]> {
-        match backend {
-            KernelBackend::Scalar => self.forward_into(input, scratch),
-            KernelBackend::Simd => {
-                if input.len() != self.topology.inputs() {
-                    return Err(NpuError::DimensionMismatch {
-                        expected: self.topology.inputs(),
-                        actual: input.len(),
-                    });
-                }
-                scratch
-                    .activations
-                    .resize_with(self.layers.len() + 1, Vec::new);
-                scratch.activations[0].clear();
-                scratch.activations[0].extend_from_slice(input);
-                for (l, layer) in self.layers.iter().enumerate() {
-                    let fan_out = layer.biases.len();
-                    let (prev, next) = scratch.activations.split_at_mut(l + 1);
-                    next[0].clear();
-                    next[0].resize(fan_out, 0.0);
-                    kernel::layer_forward_lane(
-                        &layer.weights,
-                        &layer.biases,
-                        layer.fan_in,
-                        layer.activation,
-                        &prev[l],
-                        &mut next[0],
-                    );
-                }
-                Ok(scratch
-                    .activations
-                    .last()
-                    .expect("seeded with the input above"))
-            }
-        }
-    }
-
-    /// Batched matrix–matrix forward on the **scalar reference** path:
-    /// `inputs` holds `count` samples concatenated sample-major, and
-    /// `outputs` receives the `count` output vectors in the same layout.
-    /// Arithmetic is exactly a per-invocation [`run_into`] loop — same
-    /// operation order per sample, bit-identical — with the per-layer
-    /// buffers reused from `scratch` instead of reallocated.
-    ///
-    /// [`run_into`]: Self::run_into
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NpuError::DimensionMismatch`] if `inputs` is not
-    /// `count` input-layer widths long.
-    pub fn forward_batch_into(
-        &self,
-        inputs: &[f32],
-        count: usize,
-        outputs: &mut Vec<f32>,
-        scratch: &mut BatchScratch,
-    ) -> Result<()> {
-        let in_dim = self.topology.inputs();
-        if inputs.len() != count * in_dim {
-            return Err(NpuError::DimensionMismatch {
-                expected: count * in_dim,
-                actual: inputs.len(),
-            });
-        }
-        outputs.clear();
-        for input in inputs.chunks_exact(in_dim.max(1)).take(count) {
-            scratch.cur.clear();
-            scratch.cur.extend_from_slice(input);
-            for layer in &self.layers {
-                layer.forward_into(&scratch.cur, &mut scratch.next);
-                std::mem::swap(&mut scratch.cur, &mut scratch.next);
-            }
-            outputs.extend_from_slice(&scratch.cur);
-        }
-        Ok(())
-    }
-
-    /// Backend-dispatched [`forward_batch_into`]. The `Simd` backend
-    /// packs [`LANES`] samples per tile (the last tile zero-padded) and
-    /// amortizes one weight traversal across all of them; each sample's
-    /// result is bit-identical to [`forward_into_with`] on the same
-    /// backend.
-    ///
-    /// [`forward_batch_into`]: Self::forward_batch_into
     /// [`forward_into_with`]: Self::forward_into_with
     ///
     /// # Errors
@@ -458,79 +406,65 @@ impl Mlp {
         outputs: &mut Vec<f32>,
         scratch: &mut BatchScratch,
     ) -> Result<()> {
-        match backend {
-            KernelBackend::Scalar => self.forward_batch_into(inputs, count, outputs, scratch),
-            KernelBackend::Simd => {
-                let in_dim = self.topology.inputs();
-                let out_dim = self.topology.outputs();
-                if inputs.len() != count * in_dim {
-                    return Err(NpuError::DimensionMismatch {
-                        expected: count * in_dim,
-                        actual: inputs.len(),
-                    });
-                }
-                scratch.ensure(self.widest());
-                outputs.clear();
-                outputs.resize(count * out_dim, 0.0);
-                for group in 0..count.div_ceil(LANES) {
-                    let base = group * LANES;
-                    let lanes = LANES.min(count - base);
-                    if lanes <= kernel::LANE_REMAINDER_CUTOFF {
-                        // A thin remainder group: a padded tile would
-                        // spend most of its lanes on zeros, so each
-                        // sample runs the single-lane kernel instead —
-                        // bit-identical to its lane in a padded tile.
-                        for l in 0..lanes {
-                            let sample = &inputs[(base + l) * in_dim..(base + l + 1) * in_dim];
-                            scratch.tile_a[..in_dim].copy_from_slice(sample);
-                            for layer in &self.layers {
-                                let fan_out = layer.biases.len();
-                                kernel::layer_forward_lane(
-                                    &layer.weights,
-                                    &layer.biases,
-                                    layer.fan_in,
-                                    layer.activation,
-                                    &scratch.tile_a[..layer.fan_in],
-                                    &mut scratch.tile_b[..fan_out],
-                                );
-                                std::mem::swap(&mut scratch.tile_a, &mut scratch.tile_b);
-                            }
-                            outputs[(base + l) * out_dim..(base + l + 1) * out_dim]
-                                .copy_from_slice(&scratch.tile_a[..out_dim]);
-                        }
-                        continue;
-                    }
-                    for i in 0..in_dim {
-                        let tile = &mut scratch.tile_a[i * LANES..(i + 1) * LANES];
-                        for (l, t) in tile.iter_mut().enumerate() {
-                            *t = if l < lanes {
-                                inputs[(base + l) * in_dim + i]
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
+        let in_dim = self.topology.inputs();
+        let out_dim = self.topology.outputs();
+        if inputs.len() != count * in_dim {
+            return Err(NpuError::DimensionMismatch {
+                expected: count * in_dim,
+                actual: inputs.len(),
+            });
+        }
+        scratch.ensure(self.widest());
+        outputs.clear();
+        outputs.resize(count * out_dim, 0.0);
+        for group in 0..count.div_ceil(LANES) {
+            let base = group * LANES;
+            let lanes = LANES.min(count - base);
+            if lanes <= kernel::LANE_REMAINDER_CUTOFF {
+                // A thin group: a tile would spend most of its lanes on
+                // padding, so each sample runs the single-sample kernel
+                // instead — bit-identical to its lane in a tile.
+                for s in base..base + lanes {
+                    scratch.tile_a[..in_dim].copy_from_slice(&inputs[s * in_dim..(s + 1) * in_dim]);
                     for layer in &self.layers {
-                        let fan_out = layer.biases.len();
-                        kernel::layer_forward_tile(
-                            &layer.weights,
-                            &layer.biases,
-                            layer.fan_in,
-                            layer.activation,
-                            &scratch.tile_a[..layer.fan_in * LANES],
-                            &mut scratch.tile_b[..fan_out * LANES],
+                        layer.forward_sample(
+                            backend,
+                            &scratch.tile_a[..layer.fan_in],
+                            &mut scratch.tile_b[..layer.biases.len()],
                         );
                         std::mem::swap(&mut scratch.tile_a, &mut scratch.tile_b);
                     }
-                    for n in 0..out_dim {
-                        for l in 0..lanes {
-                            outputs[(base + l) * out_dim + n] = scratch.tile_a[n * LANES + l];
-                        }
-                    }
+                    outputs[s * out_dim..(s + 1) * out_dim]
+                        .copy_from_slice(&scratch.tile_a[..out_dim]);
                 }
-                Ok(())
+                continue;
+            }
+            for i in 0..in_dim {
+                let tile = &mut scratch.tile_a[i * LANES..(i + 1) * LANES];
+                for (l, t) in tile.iter_mut().enumerate() {
+                    *t = if l < lanes {
+                        inputs[(base + l) * in_dim + i]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            for layer in &self.layers {
+                layer.forward_tile(
+                    backend,
+                    lanes,
+                    &scratch.tile_a[..layer.fan_in * LANES],
+                    &mut scratch.tile_b[..layer.biases.len() * LANES],
+                );
+                std::mem::swap(&mut scratch.tile_a, &mut scratch.tile_b);
+            }
+            for n in 0..out_dim {
+                for l in 0..lanes {
+                    outputs[(base + l) * out_dim + n] = scratch.tile_a[n * LANES + l];
+                }
             }
         }
+        Ok(())
     }
 
     /// Width of the widest level (input, hidden or output).

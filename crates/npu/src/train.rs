@@ -8,7 +8,7 @@
 //! NPU compiler applies so sigmoid layers see well-scaled values.
 
 use crate::kernel::{self, KernelBackend, LANES};
-use crate::mlp::{Activation, Layer, Mlp};
+use crate::mlp::{Activation, Mlp};
 use crate::topology::Topology;
 use crate::{NpuError, Result};
 use rand::rngs::StdRng;
@@ -473,7 +473,7 @@ impl Trainer {
             load_input_tile(samples, group, self.topology.inputs(), &mut scratch.act8[0]);
             for (l, layer) in mlp.layers().iter().enumerate() {
                 let (prev, next) = scratch.act8.split_at_mut(l + 1);
-                layer_forward_tile_exact(layer, lanes, &prev[l], &mut next[0]);
+                kernel::layer_forward_tile_exact(layer, lanes, &prev[l], &mut next[0]);
             }
 
             // Output deltas in sample order, so the f64 error sum folds
@@ -690,35 +690,11 @@ fn load_input_tile(
 }
 
 // ---------------------------------------------------------------------------
-// Scalar-exact tile kernels. Every lane performs one sample's reference
-// operation sequence with plain `*` and `+` (Rust never contracts them
-// into a fused multiply-add), so vectorizing across lanes changes no bit.
+// Scalar-exact backward kernels (the forward one, shared with inference,
+// is `kernel::layer_forward_tile_exact`). Every lane performs one
+// sample's reference operation sequence with plain `*` and `+`, so
+// vectorizing across lanes changes no bit.
 // ---------------------------------------------------------------------------
-
-/// Forward-evaluates `layer` on a tile:
-/// `out[n * LANES + lane] = act(b[n] + w[n][0] * x[0] + w[n][1] * x[1] + …)`,
-/// accumulated left to right. The activation (libm `exp` for sigmoid)
-/// runs on the first `lanes` lanes only; padding lanes keep their
-/// finite pre-activations, which nothing reads.
-fn layer_forward_tile_exact(layer: &Layer, lanes: usize, input: &[f32], out: &mut [f32]) {
-    for ((row, &b), out_tile) in layer
-        .weights
-        .chunks_exact(layer.fan_in)
-        .zip(&layer.biases)
-        .zip(out.chunks_exact_mut(LANES))
-    {
-        let mut acc = [b; LANES];
-        for (&w, x) in row.iter().zip(input.chunks_exact(LANES)) {
-            for lane in 0..LANES {
-                acc[lane] += w * x[lane];
-            }
-        }
-        for (o, &a) in out_tile.iter_mut().zip(&acc).take(lanes) {
-            *o = layer.activation.apply(a);
-        }
-        out_tile[lanes..].copy_from_slice(&acc[lanes..]);
-    }
-}
 
 /// Propagates error terms one layer down on a tile:
 /// `prev_delta[i * LANES + lane] = (0 + d[0] * wt[i][0] + d[1] * wt[i][1] + …)

@@ -17,7 +17,7 @@
 //! change reorders an accumulation, these tests fail on the first
 //! differing weight.
 
-use mithra_npu::kernel::{KernelBackend, LANES};
+use mithra_npu::kernel::{KernelBackend, LANES, LANE_REMAINDER_CUTOFF};
 use mithra_npu::mlp::{Activation, BatchScratch, ForwardScratch, Mlp};
 use mithra_npu::topology::Topology;
 use mithra_npu::train::Trainer;
@@ -388,10 +388,17 @@ fn simd_topologies() -> impl Strategy<Value = Vec<usize>> {
 }
 
 fn random_mlp(shape: &[usize], seed: u64, out_act: Activation) -> Mlp {
+    scaled_random_mlp(shape, seed, out_act, 1.0)
+}
+
+/// [`random_mlp`] with every weight multiplied by `scale` (exact at
+/// 1.0). At 1e38 the dot products overflow to ±∞; at `f32::MAX` some
+/// weights are themselves infinite, and ∞ − ∞ yields NaN.
+fn scaled_random_mlp(shape: &[usize], seed: u64, out_act: Activation, scale: f32) -> Mlp {
     let topology = Topology::new(shape).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let weights: Vec<f32> = (0..topology.weight_count())
-        .map(|_| rng.gen_range(-2.0f32..2.0))
+        .map(|_| rng.gen_range(-2.0f32..2.0) * scale)
         .collect();
     let biases: Vec<f32> = (0..topology.bias_count())
         .map(|_| rng.gen_range(-1.0f32..1.0))
@@ -437,45 +444,116 @@ proptest! {
     }
 
     /// The batched entry point is bit-identical to the per-invocation
-    /// entry point of the *same* backend, for batch counts on and off
-    /// the tile boundary. This is the contract that lets the profiler
-    /// and the serve engine batch without changing any result.
+    /// entry point of the *same* backend — compared by bits, so ±0
+    /// counts and a NaN must meet a NaN — for linear and sigmoid output
+    /// layers, every count the single-sample path serves
+    /// (1..=`LANE_REMAINDER_CUTOFF`) plus one on or off the tile
+    /// boundary, and weights scaled until outputs go non-finite. This is
+    /// the contract that lets the profiler and the serve engine batch
+    /// without changing any result.
     #[test]
     fn batched_forward_is_bit_identical_per_backend(
         shape in simd_topologies(),
         count in 1usize..=2 * LANES + 3,
         seed in any::<u64>(),
+        scale in any::<usize>().prop_map(|k| [1.0, 1e38, f32::MAX][k % 3]),
     ) {
-        let mlp = random_mlp(&shape, seed, Activation::Linear);
-        let in_dim = shape[0];
-        let out_dim = *shape.last().unwrap();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
-        let inputs: Vec<f32> = (0..count * in_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut backends = vec![KernelBackend::Scalar];
-        if KernelBackend::simd_available() {
-            backends.push(KernelBackend::Simd);
-        }
-        for backend in backends {
-            let mut batch_scratch = BatchScratch::new();
-            let mut outputs = Vec::new();
-            mlp.forward_batch_into_with(backend, &inputs, count, &mut outputs, &mut batch_scratch)
-                .unwrap();
-            prop_assert_eq!(outputs.len(), count * out_dim);
-            let mut fwd = ForwardScratch::new();
-            for s in 0..count {
-                let want = mlp
-                    .forward_into_with(backend, &inputs[s * in_dim..(s + 1) * in_dim], &mut fwd)
-                    .unwrap();
-                prop_assert_eq!(
-                    &outputs[s * out_dim..(s + 1) * out_dim],
-                    want,
-                    "backend {:?}, sample {}/{}",
-                    backend,
-                    s,
-                    count
-                );
+        for out_act in [Activation::Linear, Activation::Sigmoid] {
+            let mlp = scaled_random_mlp(&shape, seed, out_act, scale);
+            for count in (1..=LANE_REMAINDER_CUTOFF).chain([count]) {
+                assert_batched_matches_per_sample(&mlp, count, seed)?;
             }
         }
+    }
+}
+
+/// `v`'s bits, with every NaN mapped to one canonical NaN. Rust leaves
+/// the sign and payload of an arithmetic NaN unspecified: when two NaNs
+/// of opposite sign meet in a `+`, which one survives depends on the
+/// operand order the compiler picks, and the vectorized tile kernel and
+/// the per-sample kernel may pick differently. Whether a value is NaN
+/// is exact; which NaN it is is not part of the contract.
+fn value_bits(v: f32) -> u32 {
+    if v.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// Every available backend: one batched forward over `count` random
+/// inputs equals, bit for bit, each sample's `forward_into_with` on the
+/// same backend. Returns the batched outputs of the last backend.
+fn assert_batched_matches_per_sample(
+    mlp: &Mlp,
+    count: usize,
+    seed: u64,
+) -> Result<Vec<f32>, TestCaseError> {
+    let in_dim = mlp.topology().inputs();
+    let out_dim = mlp.topology().outputs();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
+    let inputs: Vec<f32> = (0..count * in_dim)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    let mut backends = vec![KernelBackend::Scalar];
+    if KernelBackend::simd_available() {
+        backends.push(KernelBackend::Simd);
+    }
+    let mut outputs = Vec::new();
+    for backend in backends {
+        let mut batch_scratch = BatchScratch::new();
+        mlp.forward_batch_into_with(backend, &inputs, count, &mut outputs, &mut batch_scratch)
+            .unwrap();
+        prop_assert_eq!(outputs.len(), count * out_dim);
+        let mut fwd = ForwardScratch::new();
+        for s in 0..count {
+            let want = mlp
+                .forward_into_with(backend, &inputs[s * in_dim..(s + 1) * in_dim], &mut fwd)
+                .unwrap();
+            let got = &outputs[s * out_dim..(s + 1) * out_dim];
+            prop_assert_eq!(
+                got.iter().copied().map(value_bits).collect::<Vec<_>>(),
+                want.iter().copied().map(value_bits).collect::<Vec<_>>(),
+                "backend {:?}, sample {}/{}",
+                backend,
+                s,
+                count
+            );
+        }
+    }
+    Ok(outputs)
+}
+
+/// The scaled weights of the bit-identity property really reach the
+/// non-finite cases it claims to cover. At 1e38 the weights stay finite
+/// but the dot products overflow: a linear output layer yields both
+/// infinities, and a sigmoid one saturates to exactly 1 and to within
+/// 1e-30 of 0 (the SIMD sigmoid's exponent clamp stops short of 0). At
+/// `f32::MAX` some weights are themselves infinite, and ∞ − ∞ yields NaN.
+#[test]
+fn overflowing_weights_drive_batched_outputs_non_finite() {
+    let count = 2 * LANES + 3;
+    let batched = |act, scale| {
+        let mut out = Vec::new();
+        for seed in 0..4 {
+            let mlp = scaled_random_mlp(&[4, 9, 3], seed, act, scale);
+            out.extend(assert_batched_matches_per_sample(&mlp, count, seed).unwrap());
+        }
+        out
+    };
+    let out = batched(Activation::Linear, 1e38);
+    assert!(
+        out.contains(&f32::INFINITY) && out.contains(&f32::NEG_INFINITY),
+        "{out:?}"
+    );
+    let out = batched(Activation::Sigmoid, 1e38);
+    assert!(
+        out.contains(&1.0) && out.iter().any(|&v| v < 1e-30),
+        "{out:?}"
+    );
+    for act in [Activation::Linear, Activation::Sigmoid] {
+        let out = batched(act, f32::MAX);
+        assert!(out.iter().any(|v| v.is_nan()), "{out:?}");
     }
 }
 

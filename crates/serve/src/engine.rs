@@ -716,10 +716,10 @@ fn serve_sub_batch(
         ctx.routes.push((route, shadow));
     }
 
-    // Pass 2 — one batched accelerator run per served member. Per-sample
-    // results are bit-identical to the per-invocation path on whichever
-    // backend the member carries; on the SIMD backend this is where the
-    // lane-parallel tiles earn their keep.
+    // Pass 2 — one batched accelerator run per served member, through
+    // lane-parallel tiles on either backend. Per-sample results are
+    // bit-identical to the per-invocation path on whichever backend the
+    // member carries.
     delta.config_bursts += config_bursts(
         &mut ctx.queues,
         &state.member_config_words,
