@@ -38,7 +38,7 @@ use mithra_conform::{validate_profiles, GuaranteeReport, ValidatorConfig};
 use mithra_core::profile::DatasetProfile;
 use mithra_core::recert::RecertConfig;
 use mithra_core::session::CompileSession;
-use mithra_core::watchdog::{self, GuardState};
+use mithra_core::watchdog::GuardState;
 use mithra_sim::fault::DriftSchedule;
 use mithra_sim::system::{run_session, SessionConfig, SessionResult, SimOptions};
 use serde::Serialize;
@@ -246,13 +246,7 @@ fn run_scenario(
     let config = SessionConfig {
         options: SimOptions::default(),
         spec,
-        watchdog: watchdog::calibrate(
-            &mut compiled.table.clone(),
-            &compiled.profiles,
-            compiled.threshold.threshold,
-            spec.confidence,
-        )
-        .map_err(|e| err(&e))?,
+        watchdog: compiled.calibration.config(spec.confidence),
         watchdog_period: cfg.watchdog_period.max(1),
         recert,
         scale: cfg.scale,

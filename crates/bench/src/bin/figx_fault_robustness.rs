@@ -12,7 +12,7 @@
 //! certified quality target that unguarded faulted runs violate.
 
 use mithra_bench::{ExperimentConfig, TextTable};
-use mithra_core::watchdog::{self, QualityWatchdog};
+use mithra_core::watchdog::QualityWatchdog;
 use mithra_sim::fault::FaultPlan;
 use mithra_sim::report::BenchmarkSummary;
 use mithra_sim::system::{run, RunHooks, RunResult, SimOptions};
@@ -130,19 +130,7 @@ fn main() {
             }
         };
         let threshold = prepared.compiled.threshold.threshold;
-        let mut calibration_cls = prepared.compiled.table.clone();
-        let wconfig = match watchdog::calibrate(
-            &mut calibration_cls,
-            &prepared.compiled.profiles,
-            threshold,
-            confidence,
-        ) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{name}: calibration failed: {e}");
-                continue;
-            }
-        };
+        let wconfig = prepared.compiled.calibration.config(confidence);
         let period = effective_period(
             &cfg,
             prepared

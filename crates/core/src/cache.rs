@@ -29,7 +29,9 @@
 use crate::function::AcceleratedFunction;
 use crate::neural::NeuralClassifier;
 use crate::profile::DatasetProfile;
+use crate::route::RouteClassifier;
 use crate::table::TableClassifier;
+use crate::watchdog::Calibration;
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, OutputBuffer};
 use mithra_npu::mlp::Mlp;
@@ -137,15 +139,28 @@ impl PoolArtifact {
 }
 
 /// The stored form of the classifier-training stage: both trained
-/// classifiers. The labeled training tuples are deliberately not stored —
-/// they are regenerated deterministically from the profiles, which is
-/// cheaper than deserializing them.
+/// classifiers and the table's watchdog calibration counts. The labeled
+/// training tuples are deliberately not stored — they are regenerated
+/// deterministically from the profiles, which is cheaper than
+/// deserializing them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClassifierArtifact {
     /// The trained MISR multi-table classifier.
     pub table: TableClassifier,
     /// The trained neural classifier.
     pub neural: NeuralClassifier,
+    /// The table's clean calibration counts over the compile profiles.
+    pub calibration: Calibration,
+}
+
+/// The stored form of the router-training stage: the deployed router and
+/// its watchdog calibration counts.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RouterArtifact {
+    /// The trained K-ary router.
+    pub router: RouteClassifier,
+    /// The router's clean calibration counts over the compile profiles.
+    pub calibration: Calibration,
 }
 
 /// A benchmark-scoped handle on the on-disk artifact store.

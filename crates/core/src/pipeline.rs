@@ -25,6 +25,7 @@ use crate::session::{CompileSession, SessionReport};
 use crate::table::{TableClassifier, TableDesign};
 use crate::threshold::{QualitySpec, ThresholdOutcome};
 use crate::training::TrainingExample;
+use crate::watchdog::Calibration;
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::DatasetScale;
 use mithra_npu::kernel::KernelBackend;
@@ -128,6 +129,9 @@ pub struct Compiled {
     pub profiles: Vec<DatasetProfile>,
     /// The labeled training tuples used for both classifiers.
     pub training_data: Vec<TrainingExample>,
+    /// The table's clean watchdog calibration counts over `profiles` at
+    /// the certified threshold, counted once when the table was trained.
+    pub calibration: Calibration,
 }
 
 impl Compiled {
@@ -141,7 +145,8 @@ impl Compiled {
     /// table classifier change; the accelerator and neural classifier are
     /// shared unchanged, and the compile-time profiles and training data
     /// (which describe the *original* compile, not the new pair) are not
-    /// carried over. The remaining [`crate::threshold::ThresholdOutcome`]
+    /// carried over, so neither are their calibration counts: the copy
+    /// counts nothing. The remaining [`crate::threshold::ThresholdOutcome`]
     /// statistics still describe the original certificate — the swapped
     /// pair's certificate lives with whoever performed the swap.
     pub fn with_operating_point(
@@ -159,6 +164,7 @@ impl Compiled {
             neural: self.neural.clone(),
             profiles: Vec::new(),
             training_data: Vec::new(),
+            calibration: Calibration::default(),
         }
     }
 }

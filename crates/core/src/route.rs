@@ -28,6 +28,7 @@ use crate::profile::{common_invocation_count, replay_mixture, DatasetProfile};
 use crate::table::{PreparedTableSet, TableClassifier, TableDesign};
 use crate::threshold::ThresholdOutcome;
 use crate::training::sample_invocations;
+use crate::watchdog::Calibration;
 use crate::{MithraError, Result};
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::Dataset;
@@ -983,6 +984,10 @@ pub struct RoutedCompiled {
     pub threshold: ThresholdOutcome,
     /// The deployed K-ary router.
     pub router: RouteClassifier,
+    /// The router's clean watchdog calibration counts over
+    /// `member_profiles` at the certified threshold, counted once when
+    /// the router was trained.
+    pub calibration: Calibration,
 }
 
 /// A deployed system as an ordered pool of approximators behind its
@@ -990,7 +995,10 @@ pub struct RoutedCompiled {
 /// conformance harness run. A binary artifact is the pool of one: member
 /// 0 is its compiled function on the benchmark's default topology, its
 /// table classifier is the router's single stage, and its compile
-/// profiles are member 0's.
+/// profiles are member 0's. Either artifact carries the clean watchdog
+/// calibration counts its compile session stored
+/// ([`Mixture::calibration`]), which is how a guarded serving engine reads
+/// its limits without routing the compile profiles again.
 #[derive(Debug, Clone, Copy)]
 pub enum Mixture<'a> {
     /// A binary artifact, viewed as its pool of one.
@@ -1064,18 +1072,15 @@ impl<'a> Mixture<'a> {
         }
     }
 
-    /// The compile-time profiles: `[m][i]` is member `m`'s profile of
-    /// compile dataset `i`.
-    pub fn compile_profiles(self) -> &'a [Vec<DatasetProfile>] {
+    /// The router's clean watchdog calibration counts over the compile
+    /// profiles, stored in the artifact by the compile stage that trained
+    /// the router (the table for a binary artifact). A guard's limit is
+    /// [`Calibration::config`] of these counts; nothing recounts them.
+    pub fn calibration(self) -> Calibration {
         match self {
-            Mixture::Binary(compiled) => std::slice::from_ref(&compiled.profiles),
-            Mixture::Routed(routed) => &routed.member_profiles,
+            Mixture::Binary(compiled) => compiled.calibration,
+            Mixture::Routed(routed) => routed.calibration,
         }
-    }
-
-    /// Whether both views are of the same artifact in memory.
-    pub fn same_artifact(self, other: Mixture<'_>) -> bool {
-        std::ptr::eq(self.threshold(), other.threshold())
     }
 }
 

@@ -27,7 +27,8 @@
 //! `prepare_base`/`certify_at` are all thin wrappers over this type.
 
 use crate::cache::{
-    ArtifactCache, ClassifierArtifact, PoolArtifact, TrainedNpuArtifact, CACHE_FORMAT_VERSION,
+    ArtifactCache, ClassifierArtifact, PoolArtifact, RouterArtifact, TrainedNpuArtifact,
+    CACHE_FORMAT_VERSION,
 };
 use crate::function::AcceleratedFunction;
 use crate::neural::NeuralClassifier;
@@ -37,6 +38,7 @@ use crate::route::{ApproximatorPool, PoolSpec, RouteClassifier, RoutedCompiled, 
 use crate::table::TableClassifier;
 use crate::threshold::{Bisection, ThresholdOptimizer, ThresholdOutcome};
 use crate::training::{generate_training_data, TrainingExample};
+use crate::watchdog::{calibrate_mixture, Calibration};
 use crate::Result;
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::Dataset;
@@ -134,6 +136,14 @@ pub struct StageReport {
     /// Of those probes, how many labeled the compile invocations as an
     /// earlier probe did and reused its certificate.
     pub reused_probes: u32,
+    /// Compile invocations the watchdog calibration pass routed — the
+    /// stages that train a deployed router count its clean admissions
+    /// and violations once (0 on a cache hit and for every other stage).
+    /// Router decisions, not function invocations, so `invocations`
+    /// leaves them out.
+    pub calibration_invocations: u64,
+    /// Wall time of that calibration pass, included in `wall`.
+    pub calibration_wall: Duration,
 }
 
 impl StageReport {
@@ -170,7 +180,26 @@ fn stage_report(
         cache_misses,
         probes: 0,
         reused_probes: 0,
+        calibration_invocations: 0,
+        calibration_wall: Duration::ZERO,
     }
+}
+
+/// The watchdog calibration pass of a stage that trained a deployed
+/// router: the router's clean counts over the compile profile table, and
+/// the `(invocations, wall)` the stage reports for it.
+fn calibrate_router(
+    router: &RouteClassifier,
+    member_profiles: &[Vec<DatasetProfile>],
+    threshold: f32,
+    threads: Option<usize>,
+) -> (Calibration, u64, Duration) {
+    let started = Instant::now();
+    let calibration = calibrate_mixture(router, member_profiles, threshold, threads);
+    let invocations = member_profiles.first().map_or(0, |datasets| {
+        datasets.iter().map(|p| p.invocation_count() as u64).sum()
+    });
+    (calibration, invocations, started.elapsed())
 }
 
 /// Loads `key`'s profiles from `cache`, or runs `collect` and stores its
@@ -251,15 +280,19 @@ impl fmt::Display for SessionReport {
                     r.cache_misses
                 ),
             };
-            let probes = match r.stage {
+            let detail = match r.stage {
                 Stage::Certification | Stage::RoutedCertification => {
                     format!("  probes {} ({} reused)", r.probes, r.reused_probes)
                 }
+                Stage::ClassifierTraining | Stage::RouterTraining => format!(
+                    "  calibration {:.2?} over {} invocations",
+                    r.calibration_wall, r.calibration_invocations
+                ),
                 _ => String::new(),
             };
             writeln!(
                 f,
-                "  {:<22} {:>10.2?}  {:>10} invocations  [{cache}]{probes}",
+                "  {:<22} {:>10.2?}  {:>10} invocations  [{cache}]{detail}",
                 r.stage.label(),
                 r.wall,
                 r.invocations,
@@ -305,6 +338,7 @@ pub struct Classifiers {
     table: TableClassifier,
     neural: NeuralClassifier,
     training_data: Vec<TrainingExample>,
+    calibration: Calibration,
 }
 
 /// State after pool training (routing branch): every member of the
@@ -337,6 +371,7 @@ pub struct RoutedClassifiers {
     member_profiles: Vec<Vec<DatasetProfile>>,
     threshold: ThresholdOutcome,
     router: RouteClassifier,
+    calibration: Calibration,
 }
 
 /// A compile-pipeline run in progress, parameterized by its stage.
@@ -491,9 +526,11 @@ fn threshold_key(benchmark: &str, config: &CompileConfig) -> String {
     format!("{}/spec={:?}", profiles_key(benchmark, config), config.spec)
 }
 
+/// The `calibrated` tag retires classifier and router artifacts stored
+/// before they carried their watchdog calibration counts.
 fn classifier_key(benchmark: &str, config: &CompileConfig) -> String {
     format!(
-        "{}/table={:?}/neural={:?}/train_samples={}",
+        "{}/table={:?}/neural={:?}/train_samples={}/calibrated",
         threshold_key(benchmark, config),
         config.table_design,
         config.neural,
@@ -557,7 +594,7 @@ fn routed_threshold_key(benchmark: &str, config: &CompileConfig, spec: &PoolSpec
 
 fn router_key(benchmark: &str, config: &CompileConfig, spec: &PoolSpec) -> String {
     format!(
-        "{}/table={:?}/train_samples={}",
+        "{}/table={:?}/train_samples={}/calibrated",
         routed_threshold_key(benchmark, config, spec),
         config.table_design,
         config.classifier_train_samples
@@ -904,15 +941,19 @@ impl CompileSession<RoutedCertified> {
     /// deterministic in the threshold, so this reproduces exactly the
     /// router whose decisions the deployed certification probe certified.
     ///
+    /// The stage then counts the router's clean watchdog calibration over
+    /// the compile profiles ([`calibrate_mixture`]) and stores the counts
+    /// with the router, so a warm load reads them instead of recounting.
+    ///
     /// # Errors
     ///
     /// Propagates classifier-training failures.
     pub fn train_router(self) -> Result<CompileSession<RoutedClassifiers>> {
         let started = Instant::now();
         let key = router_key(self.benchmark.name(), &self.config, &self.state.spec);
-        let (router, invocations, cache) =
-            match self.load_cached::<RouteClassifier>(Stage::RouterTraining, &key) {
-                Some(router) => (router, 0, CacheOutcome::Hit),
+        let (artifact, invocations, calibrated, cache) =
+            match self.load_cached::<RouterArtifact>(Stage::RouterTraining, &key) {
+                Some(artifact) => (artifact, 0, (0, Duration::ZERO), CacheOutcome::Hit),
                 None => {
                     // `threads` is deliberately not part of the cache key: the
                     // parallel table trainer is bit-identical at every thread
@@ -926,17 +967,30 @@ impl CompileSession<RoutedCertified> {
                         self.config.seed_base ^ 0x7261_696E,
                         self.config.threads,
                     )?;
-                    self.store_cached(Stage::RouterTraining, &key, &router);
-                    let invocations = (self.config.classifier_train_samples * router.len()) as u64;
-                    (router, invocations, self.miss_outcome())
+                    let (calibration, routed, wall) = calibrate_router(
+                        &router,
+                        &self.state.member_profiles,
+                        self.state.threshold.threshold,
+                        self.config.threads,
+                    );
+                    let artifact = RouterArtifact {
+                        router,
+                        calibration,
+                    };
+                    self.store_cached(Stage::RouterTraining, &key, &artifact);
+                    let invocations =
+                        (self.config.classifier_train_samples * artifact.router.len()) as u64;
+                    (artifact, invocations, (routed, wall), self.miss_outcome())
                 }
             };
-        let report = stage_report(Stage::RouterTraining, started, invocations, &[cache]);
+        let mut report = stage_report(Stage::RouterTraining, started, invocations, &[cache]);
+        (report.calibration_invocations, report.calibration_wall) = calibrated;
         Ok(self.advance(report, |s| RoutedClassifiers {
             pool: s.pool,
             member_profiles: s.member_profiles,
             threshold: s.threshold,
-            router,
+            router: artifact.router,
+            calibration: artifact.calibration,
         }))
     }
 }
@@ -951,6 +1005,7 @@ impl CompileSession<RoutedClassifiers> {
             member_profiles: self.state.member_profiles,
             threshold: self.state.threshold,
             router: self.state.router,
+            calibration: self.state.calibration,
         };
         (routed, report)
     }
@@ -970,7 +1025,11 @@ impl CompileSession<CertifiedThreshold> {
     /// deterministic (and cheap, invocation-free) function of the profiles
     /// already in memory, while serializing 30k of them costs more than
     /// relabeling. A hit therefore relabels and deserializes only the two
-    /// trained classifiers.
+    /// trained classifiers and the calibration counts.
+    ///
+    /// A miss ends by counting the table's clean watchdog calibration over
+    /// the compile profiles ([`calibrate_mixture`], the table as the
+    /// one-stage router of the pool of one), stored with the classifiers.
     ///
     /// # Errors
     ///
@@ -984,9 +1043,9 @@ impl CompileSession<CertifiedThreshold> {
             self.config.classifier_train_samples,
             self.config.seed_base ^ 0x7261_696E,
         );
-        let (artifact, invocations, cache) =
+        let (artifact, invocations, calibrated, cache) =
             match self.load_cached::<ClassifierArtifact>(Stage::ClassifierTraining, &key) {
-                Some(artifact) => (artifact, 0, CacheOutcome::Hit),
+                Some(artifact) => (artifact, 0, (0, Duration::ZERO), CacheOutcome::Hit),
                 None => {
                     let quantizer = quantizer_from_profiles(&self.state.profiles);
                     // `threads` is deliberately not part of any cache key:
@@ -1004,13 +1063,24 @@ impl CompileSession<CertifiedThreshold> {
                         &self.config.neural,
                         self.config.threads,
                     )?;
-                    let artifact = ClassifierArtifact { table, neural };
+                    let (calibration, routed, wall) = calibrate_router(
+                        &RouteClassifier::from_stages(vec![table.clone()]),
+                        std::slice::from_ref(&self.state.profiles),
+                        self.state.threshold.threshold,
+                        self.config.threads,
+                    );
+                    let artifact = ClassifierArtifact {
+                        table,
+                        neural,
+                        calibration,
+                    };
                     self.store_cached(Stage::ClassifierTraining, &key, &artifact);
                     let invocations = training_data.len() as u64;
-                    (artifact, invocations, self.miss_outcome())
+                    (artifact, invocations, (routed, wall), self.miss_outcome())
                 }
             };
-        let report = stage_report(Stage::ClassifierTraining, started, invocations, &[cache]);
+        let mut report = stage_report(Stage::ClassifierTraining, started, invocations, &[cache]);
+        (report.calibration_invocations, report.calibration_wall) = calibrated;
         Ok(self.advance(report, |s| Classifiers {
             function: s.function,
             profiles: s.profiles,
@@ -1018,6 +1088,7 @@ impl CompileSession<CertifiedThreshold> {
             table: artifact.table,
             neural: artifact.neural,
             training_data,
+            calibration: artifact.calibration,
         }))
     }
 }
@@ -1034,6 +1105,7 @@ impl CompileSession<Classifiers> {
             neural: self.state.neural,
             profiles: self.state.profiles,
             training_data: self.state.training_data,
+            calibration: self.state.calibration,
         };
         (compiled, report)
     }
@@ -1200,6 +1272,26 @@ mod tests {
         assert!(warm_report.to_string().contains("probes 0 (0 reused)"));
         let npu = cold_report.stage(Stage::NpuTraining).unwrap();
         assert_eq!((npu.probes, npu.reused_probes), (0, 0));
+        // Classifier training counts the table's calibration over every
+        // compile invocation cold, and reads the stored counts warm.
+        let compile_invocations: u64 = cold
+            .profiles
+            .iter()
+            .map(|p| p.invocation_count() as u64)
+            .sum();
+        let cold_train = cold_report.stage(Stage::ClassifierTraining).unwrap();
+        assert_eq!(cold_train.calibration_invocations, compile_invocations);
+        assert!(cold_train.calibration_wall <= cold_train.wall);
+        let line = format!(
+            "calibration {:.2?} over {compile_invocations} invocations",
+            cold_train.calibration_wall
+        );
+        assert!(cold_report.to_string().contains(&line), "{cold_report}");
+        let warm_train = warm_report.stage(Stage::ClassifierTraining).unwrap();
+        assert_eq!(warm_train.calibration_invocations, 0);
+        assert_eq!(warm_train.calibration_wall, Duration::ZERO);
+        assert_eq!(warm.calibration, cold.calibration);
+        assert!(cold.calibration.admitted > 0);
         // The lookup counters tell the same story from committed output.
         assert_eq!(cold_report.cache_hits(), 0);
         assert_eq!(cold_report.cache_misses(), 4);
@@ -1480,6 +1572,112 @@ mod tests {
         // The recomputed certificate was re-stored in the current shape.
         let reloaded: Option<ThresholdOutcome> = store.load(Stage::Certification.label(), &key);
         assert_eq!(reloaded, Some(cold));
+        let _ = std::fs::remove_dir_all(&cache.dir);
+    }
+
+    /// The cold binary and routed (sized-2 pool) sobel compiles over
+    /// `config`'s cache, with the keys their classifier and router
+    /// artifacts are stored under.
+    fn calibrated_artifacts(config: &CompileConfig) -> (Compiled, RoutedCompiled, String, String) {
+        let bench = sobel();
+        let spec = PoolSpec::sized(&bench.npu_topology(), 2);
+        let (compiled, _) =
+            crate::pipeline::compile_with_report(Arc::clone(&bench), config).unwrap();
+        let (routed, _) =
+            crate::pipeline::compile_routed_with_report(Arc::clone(&bench), config, &spec).unwrap();
+        let keys = (
+            classifier_key(bench.name(), config),
+            router_key(bench.name(), config, &spec),
+        );
+        (compiled, routed, keys.0, keys.1)
+    }
+
+    /// Recompiles both artifacts over `config`'s cache and checks that
+    /// the classifier and router stages missed, counted their calibration
+    /// again, and re-stored the counts `cold` and `cold_routed` carry.
+    fn check_recalibrated(
+        config: &CompileConfig,
+        cold: &Compiled,
+        cold_routed: &RoutedCompiled,
+        keys: (&str, &str),
+    ) {
+        let bench = sobel();
+        let spec = PoolSpec::sized(&bench.npu_topology(), 2);
+        let (compiled, report) =
+            crate::pipeline::compile_with_report(Arc::clone(&bench), config).unwrap();
+        let (routed, routed_report) =
+            crate::pipeline::compile_routed_with_report(Arc::clone(&bench), config, &spec).unwrap();
+        for (report, stage) in [
+            (&report, Stage::ClassifierTraining),
+            (&routed_report, Stage::RouterTraining),
+        ] {
+            let r = report.stage(stage).unwrap();
+            assert_eq!(r.cache, CacheOutcome::Miss, "{report}");
+            assert!(r.calibration_invocations > 0, "{report}");
+        }
+        assert_eq!(compiled.calibration, cold.calibration);
+        assert_eq!(routed.calibration, cold_routed.calibration);
+        assert_eq!(
+            serde_json::to_string(&compiled.table).unwrap(),
+            serde_json::to_string(&cold.table).unwrap()
+        );
+        let store = ArtifactCache::open(config.cache.as_ref().unwrap(), bench.name());
+        let stored: ClassifierArtifact = store
+            .load(Stage::ClassifierTraining.label(), keys.0)
+            .unwrap();
+        assert_eq!(stored.calibration, cold.calibration);
+        let stored: RouterArtifact = store.load(Stage::RouterTraining.label(), keys.1).unwrap();
+        assert_eq!(stored.calibration, cold_routed.calibration);
+    }
+
+    #[test]
+    fn uncalibrated_classifier_and_router_artifacts_recompute() {
+        // Classifier and router artifacts stored before they carried their
+        // calibration counts must miss and recompute, never serve a guard
+        // without counts: under their old keys (which lacked the
+        // `calibrated` tag) and, misfiled, under the current ones.
+        #[derive(serde::Serialize)]
+        struct OldClassifierArtifact {
+            table: TableClassifier,
+            neural: NeuralClassifier,
+        }
+        let cache = tmp_cache("uncalibrated");
+        let config = session_config(Some(cache.clone()));
+        let (cold, cold_routed, classifier, router) = calibrated_artifacts(&config);
+        let old_classifier = classifier.strip_suffix("/calibrated").unwrap();
+        let old_router = router.strip_suffix("/calibrated").unwrap();
+        assert!(old_classifier.starts_with("v2/") && old_router.starts_with("v2/"));
+
+        let store = ArtifactCache::open(&cache, "sobel");
+        let old = OldClassifierArtifact {
+            table: cold.table.clone(),
+            neural: cold.neural.clone(),
+        };
+        for key in [old_classifier, classifier.as_str()] {
+            assert!(store.store(Stage::ClassifierTraining.label(), key, &old));
+        }
+        for key in [old_router, router.as_str()] {
+            assert!(store.store(Stage::RouterTraining.label(), key, &cold_routed.router));
+        }
+        check_recalibrated(&config, &cold, &cold_routed, (&classifier, &router));
+        let _ = std::fs::remove_dir_all(&cache.dir);
+    }
+
+    #[test]
+    fn truncated_calibrated_artifacts_recompute() {
+        let cache = tmp_cache("truncated-calibrated");
+        let config = session_config(Some(cache.clone()));
+        let (cold, cold_routed, classifier, router) = calibrated_artifacts(&config);
+        let store = ArtifactCache::open(&cache, "sobel");
+        for (stage, key) in [
+            (Stage::ClassifierTraining, &classifier),
+            (Stage::RouterTraining, &router),
+        ] {
+            let path = store.path(stage.label(), key);
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        }
+        check_recalibrated(&config, &cold, &cold_routed, (&classifier, &router));
         let _ = std::fs::remove_dir_all(&cache.dir);
     }
 

@@ -37,10 +37,12 @@
 //! transitions, which the robustness property tests rely on.
 
 use crate::classifier::Classifier;
+use crate::parallel::par_map_indexed;
 use crate::profile::DatasetProfile;
-use crate::route::RouteChoice;
+use crate::route::{RouteChoice, RouteClassifier};
 use crate::Result;
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
+use serde::{Deserialize, Serialize};
 
 /// The watchdog's degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -455,8 +457,11 @@ impl QualityWatchdog {
 ///
 /// This is the classifier as the router of a pool of one:
 /// [`calibration_counts`] per profile, summed and fed into
-/// [`limit_config`]. Callers that split the profiles across threads sum
-/// the counts instead and get the same configuration.
+/// [`limit_config`]. A compiled artifact does not need it: its compile
+/// session ran [`calibrate_mixture`] over the compile profiles and stored
+/// the counts (see [`Calibration`]). It is for classifiers and profiles
+/// that no compile session produced, such as the re-certifier's fresh
+/// operating points.
 ///
 /// # Errors
 ///
@@ -500,6 +505,67 @@ pub fn calibration_counts(
         }
     }
     (admitted, violations)
+}
+
+/// The clean calibration counts of a deployed artifact: over every
+/// compile invocation, how many its router sent to a pool member
+/// (`admitted`), and how many of those exceeded the certified threshold on
+/// the serving member's compile profile (`violations`).
+///
+/// The watchdog limit depends only on the artifact's router, compile
+/// profiles and threshold, so the compile stage that produces the router
+/// counts once ([`calibrate_mixture`]) and stores the counts in the
+/// artifact; guarded bring-up applies [`Calibration::config`] to them. An
+/// artifact without compile profiles counts nothing, which
+/// [`limit_config`] reads as a clean rate of 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Calibration {
+    /// Compile invocations routed to a pool member.
+    pub admitted: u64,
+    /// Of those, invocations whose serving member exceeded the threshold.
+    pub violations: u64,
+}
+
+impl Calibration {
+    /// The watchdog tuning these counts calibrate ([`limit_config`]).
+    pub fn config(self, confidence: Confidence) -> WatchdogConfig {
+        limit_config(self.admitted, self.violations, confidence)
+    }
+}
+
+/// The mixture calibration pass: the clean counts of `router` over the
+/// compile profile table `member_profiles` (`[m][d]` is member `m`'s
+/// profile of compile dataset `d`) at the certified `threshold`.
+///
+/// The pass fans out over the compile datasets on up to `threads`
+/// workers. Each dataset is routed through its own copy of the router and
+/// every admission is judged against the serving member's profile
+/// ([`calibration_counts`]). Router decisions do not depend on call
+/// history and the per-dataset counts are integers, so the sum equals a
+/// sequential count over the datasets in order; for a pool of one behind
+/// its table that is [`calibrate`]'s count.
+pub fn calibrate_mixture(
+    router: &RouteClassifier,
+    member_profiles: &[Vec<DatasetProfile>],
+    threshold: f32,
+    threads: Option<usize>,
+) -> Calibration {
+    let datasets = member_profiles.first().map_or(0, Vec::len);
+    let counts = par_map_indexed(datasets, threads, |d| {
+        let members: Vec<&DatasetProfile> = member_profiles.iter().map(|m| &m[d]).collect();
+        let mut router = router.clone();
+        calibration_counts(&members, threshold, &mut |i, input| {
+            router.classify_route(i, input)
+        })
+    });
+    counts
+        .into_iter()
+        .fold(Calibration::default(), |total, (admitted, violations)| {
+            Calibration {
+                admitted: total.admitted + admitted,
+                violations: total.violations + violations,
+            }
+        })
 }
 
 /// The limit rule of [`calibrate`]: three times the clean violation rate

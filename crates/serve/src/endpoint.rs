@@ -142,9 +142,11 @@ impl EndpointSpec {
 
 impl EndpointState {
     /// Lowers a spec: precomputes the per-route models and encodes each
-    /// member's config image. `watchdog` is the endpoint's calibrated
-    /// guard tuning (`None` when unguarded); workers fork the prototype
-    /// built from it instead of re-running calibration.
+    /// member's config image. `watchdog` is the endpoint's guard tuning
+    /// (`None` when unguarded), the limit rule applied to the calibration
+    /// counts its artifact stored at compile time
+    /// ([`Mixture::calibration`]); workers fork the prototype built from
+    /// it.
     ///
     /// # Errors
     ///

@@ -21,14 +21,19 @@
 //! (watchdog off; with the watchdog on, admission becomes shard-local
 //! state and the engine trades that identity for per-shard guarding).
 //!
-//! The guard is the same for every endpoint. Bring-up calibrates one
-//! watchdog tuning per distinct artifact by routing its compile profiles
-//! through its router, each admission judged on the member that served
-//! it; shards gate routes with `QualityWatchdog::admit_route`; and
+//! The guard is the same for every endpoint. Its limit is a compile-time
+//! quantity: the compile stage that trained the endpoint's router counted
+//! its clean admissions and violations over the compile profiles and
+//! stored them in the artifact, so bring-up reads them through
+//! [`Mixture::calibration`] and applies the limit rule, one endpoint at a
+//! time, without routing anything. Shards gate routes with
+//! `QualityWatchdog::admit_route`, and
 //! [`ServeEngine::swap_operating_point`] installs a new threshold and
 //! router through the epoch path, binary and routed alike.
 //!
 //! [`InvocationModel`]: mithra_sim::system::InvocationModel
+//! [`Mixture`]: mithra_core::route::Mixture
+//! [`Mixture::calibration`]: mithra_core::route::Mixture::calibration
 
 use crate::endpoint::{EndpointSpec, EndpointState, OperatingPoint, ServedInvocation};
 use crate::error::{RejectReason, ServeError};
@@ -37,10 +42,9 @@ use crate::metrics::{
 };
 use crate::queue::{BoundedQueue, PushError};
 use mithra_core::function::InvokeScratch;
-use mithra_core::parallel::par_map_indexed;
-use mithra_core::profile::{default_threads, DatasetProfile};
-use mithra_core::route::{Mixture, RouteChoice, RouteClassifier};
-use mithra_core::watchdog::{self, GuardState, QualityWatchdog, WatchdogConfig};
+use mithra_core::profile::default_threads;
+use mithra_core::route::{RouteChoice, RouteClassifier};
+use mithra_core::watchdog::{GuardState, QualityWatchdog, WatchdogConfig};
 use mithra_npu::fifo::QueueInterface;
 use mithra_sim::fault::FifoEvent;
 use mithra_sim::system::{RunResult, SimOptions};
@@ -119,6 +123,10 @@ struct WorkerCtx {
     batch_in: Vec<f32>,
     /// Flat accelerator outputs for that share.
     batch_out: Vec<f32>,
+    /// The sub-batch's served invocations, keyed by invocation index.
+    pending: Vec<(usize, ServedInvocation)>,
+    /// The sub-batch's counter delta, reset and refilled per sub-batch.
+    delta: EndpointCounters,
 }
 
 impl WorkerCtx {
@@ -133,6 +141,8 @@ impl WorkerCtx {
             routes: Vec::new(),
             batch_in: Vec::new(),
             batch_out: Vec::new(),
+            pending: Vec::new(),
+            delta: EndpointCounters::default(),
             op,
         }
     }
@@ -184,58 +194,6 @@ fn fold_watchdog(dog: &QualityWatchdog, counters: &Mutex<EndpointCounters>) {
 /// Confidence of the guarded endpoints' sequential watchdog tests.
 const WATCHDOG_CONFIDENCE: f64 = 0.95;
 
-/// Each spec's watchdog tuning, calibrated once per distinct artifact
-/// (the binary `Compiled` or the routed pool it serves, by identity)
-/// rather than once per endpoint.
-///
-/// The counting pass fans out over every `(artifact, compile dataset)`
-/// pair on `threads` workers, each item routing the dataset through its
-/// own copy of the artifact's router and judging every admission against
-/// the serving member's compile profile. Router decisions do not depend
-/// on call history and the per-item counts are integers, so summing them
-/// per artifact gives exactly the counts — and the configuration — of a
-/// sequential count over the artifact's compile profiles; for a binary
-/// artifact that is [`watchdog::calibrate`] with its table.
-fn calibrate_watchdogs(specs: &[EndpointSpec], threads: usize) -> Vec<WatchdogConfig> {
-    let mut artifacts: Vec<Mixture> = Vec::new();
-    let artifact_of: Vec<usize> = specs
-        .iter()
-        .map(|spec| {
-            let mixture = spec.mixture();
-            let known = artifacts.iter().position(|a| a.same_artifact(mixture));
-            known.unwrap_or_else(|| {
-                artifacts.push(mixture);
-                artifacts.len() - 1
-            })
-        })
-        .collect();
-    let items: Vec<(usize, usize)> = artifacts
-        .iter()
-        .enumerate()
-        .flat_map(|(a, mixture)| (0..mixture.compile_profiles()[0].len()).map(move |d| (a, d)))
-        .collect();
-    let counts = par_map_indexed(items.len(), Some(threads), |k| {
-        let (a, d) = items[k];
-        let mixture = artifacts[a];
-        let members: Vec<&DatasetProfile> =
-            mixture.compile_profiles().iter().map(|m| &m[d]).collect();
-        let mut router = mixture.router();
-        watchdog::calibration_counts(&members, mixture.threshold().threshold, &mut |i, input| {
-            router.classify_route(i, input)
-        })
-    });
-    let mut totals = vec![(0u64, 0u64); artifacts.len()];
-    for (&(a, _), (admitted, violations)) in items.iter().zip(counts) {
-        totals[a].0 += admitted;
-        totals[a].1 += violations;
-    }
-    let confidence = Confidence::new(WATCHDOG_CONFIDENCE).expect("0.95 is a valid confidence");
-    artifact_of
-        .iter()
-        .map(|&a| watchdog::limit_config(totals[a].0, totals[a].1, confidence))
-        .collect()
-}
-
 /// The batched, sharded serving engine over a set of endpoints.
 pub struct ServeEngine {
     shared: Arc<Shared>,
@@ -279,18 +237,14 @@ impl ServeEngine {
         } else {
             config.workers
         };
-        let watchdogs = if config.watchdog_period > 0 {
-            calibrate_watchdogs(&specs, worker_count)
-                .into_iter()
-                .map(Some)
-                .collect()
-        } else {
-            vec![None; specs.len()]
-        };
+        let confidence = Confidence::new(WATCHDOG_CONFIDENCE).expect("0.95 is a valid confidence");
         let endpoints = specs
             .into_iter()
-            .zip(watchdogs)
-            .map(|(spec, watchdog)| EndpointState::build(spec, &config.options, watchdog))
+            .map(|spec| {
+                let watchdog = (config.watchdog_period > 0)
+                    .then(|| spec.mixture().calibration().config(confidence));
+                EndpointState::build(spec, &config.options, watchdog)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let shared = Arc::new(Shared {
             endpoints,
@@ -677,10 +631,9 @@ fn serve_sub_batch(
     watchdog_period: usize,
 ) {
     let members = state.members();
-    let mut delta = EndpointCounters {
-        route_served: vec![0; members.len()],
-        ..Default::default()
-    };
+    let delta = &mut ctx.delta;
+    delta.reset();
+    delta.route_served.resize(members.len(), 0);
     let dataset = state.profile().dataset();
 
     // Pass 1 — decide.
@@ -757,21 +710,23 @@ fn serve_sub_batch(
     }
 
     // Pass 3 — charge, in request (FIFO) order.
-    let pending: Vec<(usize, ServedInvocation)> = requests
-        .iter()
-        .zip(&ctx.routes)
-        .map(|(request, &(route, shadow))| {
-            let served = ServedInvocation {
-                route,
-                charge: state.model.charge_route(route, FifoEvent::None, shadow),
-            };
-            (request.invocation, served)
-        })
-        .collect();
+    ctx.pending.clear();
+    ctx.pending.extend(
+        requests
+            .iter()
+            .zip(&ctx.routes)
+            .map(|(request, &(route, shadow))| {
+                let served = ServedInvocation {
+                    route,
+                    charge: state.model.charge_route(route, FifoEvent::None, shadow),
+                };
+                (request.invocation, served)
+            }),
+    );
     // One slot-table lock for the whole sub-batch; duplicates surface as
     // `false` entries and are counted, never double-charged.
-    state.fill_slots(&pending, &mut ctx.fresh);
-    for (&(_, served), &fresh) in pending.iter().zip(ctx.fresh.iter()) {
+    state.fill_slots(&ctx.pending, &mut ctx.fresh);
+    for (&(_, served), &fresh) in ctx.pending.iter().zip(ctx.fresh.iter()) {
         if !fresh {
             delta.duplicates += 1;
             continue;
@@ -789,13 +744,13 @@ fn serve_sub_batch(
     // The whole sub-batch ran under one operating point, so its served
     // count is attributed to that epoch wholesale.
     let epoch = ctx.op.epoch as usize;
-    delta.epoch_served = vec![0; epoch + 1];
+    delta.epoch_served.resize(epoch + 1, 0);
     delta.epoch_served[epoch] = delta.served;
     state
         .counters
         .lock()
         .expect("metrics lock poisoned")
-        .absorb(&delta);
+        .absorb(delta);
 }
 
 /// The config-burst rule, one for every endpoint: walking a sub-batch's
@@ -825,7 +780,9 @@ mod tests {
     use super::*;
     use mithra_axbench::dataset::DatasetScale;
     use mithra_core::pipeline::Compiled;
+    use mithra_core::profile::DatasetProfile;
     use mithra_core::route::{PoolSpec, RoutedCompiled};
+    use mithra_core::watchdog;
 
     #[test]
     fn empty_endpoint_list_is_rejected() {

@@ -35,9 +35,10 @@
 //! throughput, never different numbers.
 //!
 //! The quality watchdog and the re-certification hot swap cover every
-//! endpoint, routed ones included: the guard is calibrated through the
-//! endpoint's router over its compile profiles, and
-//! [`ServeEngine::swap_operating_point`] installs a new router.
+//! endpoint, routed ones included: the guard's limit comes from the
+//! calibration counts the endpoint's compile session stored for its
+//! router, and [`ServeEngine::swap_operating_point`] installs a new
+//! router.
 //!
 //! [`Mixture`]: mithra_core::route::Mixture
 //! [`QualityWatchdog`]: mithra_core::watchdog::QualityWatchdog

@@ -301,6 +301,28 @@ impl EndpointCounters {
         self.guard_log_dropped += dropped;
     }
 
+    /// Zeroes every counter in place, keeping the buffers: vectors keep
+    /// their length (their entries read 0) and capacity, and the guard log
+    /// empties. A worker reuses one delta per endpoint across sub-batches
+    /// this way instead of allocating a fresh one each time.
+    pub fn reset(&mut self) {
+        self.served = 0;
+        self.approx = 0;
+        self.fallback = 0;
+        self.rejected_queue_full = 0;
+        self.rejected_invalid = 0;
+        self.duplicates = 0;
+        self.config_bursts = 0;
+        self.approx_wall_nanos = 0;
+        self.swaps = 0;
+        self.guard_log_dropped = 0;
+        self.route_served.fill(0);
+        self.epoch_served.fill(0);
+        self.guard_log.clear();
+        self.latency.counts.fill(0);
+        self.watchdog = WatchdogStats::default();
+    }
+
     /// Folds a worker's sub-batch delta into the registry entry — the
     /// single locked update a worker makes per sub-batch.
     pub fn absorb(&mut self, delta: &EndpointCounters) {
@@ -413,6 +435,57 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reset_zeroes_every_counter_and_keeps_the_buffers() {
+        // Every field set, with no `..Default::default()`: a field added
+        // later must be named here, and stays nonzero unless `reset`
+        // clears it too.
+        let mut c = EndpointCounters {
+            served: 1,
+            approx: 2,
+            fallback: 3,
+            rejected_queue_full: 4,
+            rejected_invalid: 5,
+            duplicates: 6,
+            config_bursts: 7,
+            approx_wall_nanos: 8,
+            route_served: vec![9, 10],
+            epoch_served: vec![11, 12, 13],
+            swaps: 14,
+            guard_log: vec![GuardLogEntry {
+                at_sample: 15,
+                from: "monitoring".into(),
+                to: "throttled".into(),
+            }],
+            guard_log_dropped: 16,
+            latency: LatencyHistogram {
+                counts: vec![17; LATENCY_BUCKET_BOUNDS.len() + 1],
+            },
+            watchdog: WatchdogStats {
+                samples: 18,
+                violations: 19,
+                breaches: 20,
+                recoveries: 21,
+                time_in_monitoring: 22,
+                time_in_throttled: 23,
+                time_in_fallback: 24,
+                time_in_probing: 25,
+                transitions: 26,
+                recert_triggers: 27,
+            },
+        };
+        let buffers = (c.route_served.as_ptr(), c.epoch_served.as_ptr());
+        c.reset();
+        let zeroed = EndpointCounters {
+            route_served: vec![0; 2],
+            epoch_served: vec![0; 3],
+            ..EndpointCounters::default()
+        };
+        assert_eq!(c, zeroed);
+        assert_eq!((c.route_served.as_ptr(), c.epoch_served.as_ptr()), buffers);
+        assert!(c.guard_log.capacity() > 0, "the guard log keeps its buffer");
+    }
 
     #[test]
     fn histogram_buckets_by_bound() {

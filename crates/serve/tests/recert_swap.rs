@@ -141,7 +141,7 @@ fn forked_watchdogs_share_one_recert_trigger() {
     let profile = drifted_profile(&compiled, 90_001, DatasetScale::Smoke);
     let n = profile.invocation_count();
     let engine = engine_for(&compiled, &profile, 4);
-    drive_until_trigger(&engine, n, 30);
+    let rounds = drive_until_trigger(&engine, n, 30);
     // The drift tripped at least one shard into Fallback, and the shared
     // trigger latched the epoch it happened under.
     assert_eq!(
@@ -149,6 +149,16 @@ fn forked_watchdogs_share_one_recert_trigger() {
         Some(0),
         "hard drift must raise the shared trigger for epoch 0"
     );
+    // A shard can reach Fallback on the last sample it takes. As many
+    // rounds again of the same drifted traffic give it about as many
+    // samples as the walk down took to spend there; the latched trigger
+    // must not fire again.
+    for _ in 0..rounds {
+        for i in 0..n {
+            engine.submit_or_wait(0, i).unwrap();
+        }
+    }
+    wait_drained(&engine, (2 * rounds * n) as u64);
     let report = engine.finish().unwrap();
     let counters = &report.endpoints[0].counters;
     assert!(

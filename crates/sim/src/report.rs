@@ -222,6 +222,8 @@ mod tests {
                     cache_misses: 0,
                     probes: 0,
                     reused_probes: 0,
+                    calibration_invocations: 0,
+                    calibration_wall: Duration::ZERO,
                 },
                 StageReport {
                     stage: Stage::Profiling,
@@ -232,6 +234,8 @@ mod tests {
                     cache_misses: 1,
                     probes: 0,
                     reused_probes: 0,
+                    calibration_invocations: 0,
+                    calibration_wall: Duration::ZERO,
                 },
             ],
         };

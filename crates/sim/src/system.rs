@@ -1095,19 +1095,13 @@ mod tests {
         recert.select_iterations = 8;
         recert.max_certify_trials = 80;
         // The production setup: the watchdog limit is calibrated against
-        // the clean certified behaviour, so clean serving sits below it
-        // and the drift scenarios push past it.
-        let watchdog = mithra_core::watchdog::calibrate(
-            &mut compiled.table.clone(),
-            &compiled.profiles,
-            compiled.threshold.threshold,
-            spec.confidence,
-        )
-        .unwrap();
+        // the clean certified behaviour the compile session counted, so
+        // clean serving sits below it and the drift scenarios push past
+        // it.
         SessionConfig {
             options: SimOptions::default(),
             spec,
-            watchdog,
+            watchdog: compiled.calibration.config(spec.confidence),
             watchdog_period: 2,
             recert,
             scale: DatasetScale::Smoke,
