@@ -11,6 +11,7 @@ use mithra_core::misr::{InputQuantizer, MisrConfig, MisrKernel};
 use mithra_npu::kernel::KernelBackend;
 use mithra_npu::mlp::{Activation, BatchScratch, Mlp};
 use mithra_npu::topology::Topology;
+use mithra_npu::train::{TrainScratch, Trainer};
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
 
 /// Classifier input widths of inversek2j, sobel, jmeint and jpeg.
@@ -110,6 +111,52 @@ fn bench_mlp_forward_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// One scalar SGD epoch over 4096 samples, at the widest neural
+/// classifier candidate (jmeint's `[18, 32, 2]`, sigmoid output,
+/// learning rate 0.5) and at fft's NPU (`[1, 4, 4, 2]`, linear output,
+/// learning rate 0.3), both in batches of 32 as the compile pipeline
+/// trains them. Each iteration also initializes the network and copies
+/// the samples into the trainer's matrices, a small fixed share.
+fn bench_train_epoch(c: &mut Criterion) {
+    const SAMPLES: usize = 4096;
+    let mut group = c.benchmark_group("train_epoch");
+    group.sample_size(20);
+    let cases = [
+        ("18->32->2", Activation::Sigmoid, 0.5),
+        ("1->4->4->2", Activation::Linear, 0.3),
+    ];
+    for (shape, output_activation, learning_rate) in cases {
+        let topology: Topology = shape.parse().unwrap();
+        let samples: Vec<(Vec<f32>, Vec<f32>)> = (0..SAMPLES)
+            .map(|s| {
+                let input = (0..topology.inputs())
+                    .map(|i| ((s * 31 + i * 7) as f32 * 0.37).sin().abs())
+                    .collect();
+                let target = (0..topology.outputs())
+                    .map(|o| ((s + o) % 2) as f32)
+                    .collect();
+                (input, target)
+            })
+            .collect();
+        let mut trainer = Trainer::new(topology.clone());
+        trainer
+            .epochs(1)
+            .batch_size(32)
+            .learning_rate(learning_rate)
+            .output_activation(output_activation)
+            .kernel(KernelBackend::Scalar);
+        let mut scratch = TrainScratch::for_topology(&topology);
+        group.bench_function(shape, |b| {
+            b.iter(|| {
+                trainer
+                    .train_with_scratch(black_box(&samples), &mut scratch)
+                    .unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_bdi(c: &mut Criterion) {
     let mut group = c.benchmark_group("bdi");
     let zero_line = [0u8; 64];
@@ -189,6 +236,7 @@ criterion_group!(
     bench_quantize,
     bench_mlp_forward,
     bench_mlp_forward_batch,
+    bench_train_epoch,
     bench_bdi,
     bench_clopper_pearson,
     bench_precise_kernels,

@@ -472,17 +472,49 @@ fn grad_accum_tile_body(
 /// single-sample forward. The activation (libm `exp` for sigmoid) runs
 /// on the first `lanes` lanes only; padding lanes keep their
 /// pre-activations, which nothing reads.
+///
+/// Four neurons share one pass over the tile, as in the single-sample
+/// `Layer::forward_exact`: their accumulator tiles are independent and
+/// each keeps its neuron's exact operation order, so the interleave
+/// hides the adder's latency without changing a bit.
 pub(crate) fn layer_forward_tile_exact(
     layer: &Layer,
     lanes: usize,
     input: &[f32],
     out: &mut [f32],
 ) {
-    for ((row, &b), out_tile) in layer
-        .weights
-        .chunks_exact(layer.fan_in)
-        .zip(&layer.biases)
-        .zip(out.chunks_exact_mut(LANES))
+    let fan_in = layer.fan_in;
+    let mut rows = layer.weights.chunks_exact(4 * fan_in);
+    let mut biases = layer.biases.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4 * LANES);
+    for ((quad, b), o) in rows.by_ref().zip(biases.by_ref()).zip(outs.by_ref()) {
+        let (r0, rest) = quad.split_at(fan_in);
+        let (r1, rest) = rest.split_at(fan_in);
+        let (r2, r3) = rest.split_at(fan_in);
+        let mut a0 = [b[0]; LANES];
+        let mut a1 = [b[1]; LANES];
+        let mut a2 = [b[2]; LANES];
+        let mut a3 = [b[3]; LANES];
+        for ((((x, &w0), &w1), &w2), &w3) in
+            input.chunks_exact(LANES).zip(r0).zip(r1).zip(r2).zip(r3)
+        {
+            let x: &[f32; LANES] = x.try_into().expect("chunks_exact yields whole tiles");
+            axpy_exact(&mut a0, w0, x);
+            axpy_exact(&mut a1, w1, x);
+            axpy_exact(&mut a2, w2, x);
+            axpy_exact(&mut a3, w3, x);
+        }
+        // By value: borrowing the accumulators here keeps them in memory
+        // through the loop above instead of in registers.
+        for (out_tile, a) in o.chunks_exact_mut(LANES).zip([a0, a1, a2, a3]) {
+            activate_tile(layer.activation, lanes, a, out_tile);
+        }
+    }
+    for ((row, &b), out_tile) in rows
+        .remainder()
+        .chunks_exact(fan_in)
+        .zip(biases.remainder())
+        .zip(outs.into_remainder().chunks_exact_mut(LANES))
     {
         let mut acc = [b; LANES];
         for (&w, x) in row.iter().zip(input.chunks_exact(LANES)) {
@@ -490,11 +522,26 @@ pub(crate) fn layer_forward_tile_exact(
                 acc[lane] += w * x[lane];
             }
         }
-        for (o, &a) in out_tile.iter_mut().zip(&acc).take(lanes) {
-            *o = layer.activation.apply(a);
-        }
-        out_tile[lanes..].copy_from_slice(&acc[lanes..]);
+        activate_tile(layer.activation, lanes, acc, out_tile);
     }
+}
+
+/// `acc[lane] += w * x[lane]` on every lane, a separate `*` and `+`.
+#[inline(always)]
+fn axpy_exact(acc: &mut [f32; LANES], w: f32, x: &[f32; LANES]) {
+    for lane in 0..LANES {
+        acc[lane] += w * x[lane];
+    }
+}
+
+/// Writes one neuron's accumulator tile out: the activation of its
+/// first `lanes` lanes, the raw pre-activations of the padding lanes.
+#[inline(always)]
+fn activate_tile(activation: Activation, lanes: usize, acc: [f32; LANES], out_tile: &mut [f32]) {
+    for (o, &a) in out_tile.iter_mut().zip(&acc).take(lanes) {
+        *o = activation.apply(a);
+    }
+    out_tile[lanes..].copy_from_slice(&acc[lanes..]);
 }
 
 // ---------------------------------------------------------------------------

@@ -119,10 +119,11 @@ impl Normalizer {
     }
 }
 
-/// Preallocated training buffers: lane-per-sample activation and
-/// error-term tiles, gradient accumulators, the transposed weight copies
-/// the backward pass streams, the sample-major staging copy the scalar
-/// gradient fold reads, and the SIMD backend's lane-resolved gradients.
+/// Preallocated training buffers: the training set as row-major sample
+/// matrices, lane-per-sample activation and error-term tiles, gradient
+/// accumulators, the transposed weight copies the backward pass streams,
+/// the sample-major staging copy the scalar gradient fold reads, and the
+/// SIMD backend's lane-resolved gradients.
 ///
 /// [`Trainer::train`] creates one per call via
 /// [`TrainScratch::for_topology`] and reuses it across every example,
@@ -132,6 +133,7 @@ impl Normalizer {
 /// [`Trainer::train_with_scratch`].
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
+    samples: SampleMatrix,
     w_grad: Vec<Vec<f32>>,
     b_grad: Vec<Vec<f32>>,
     /// Transposed (input-major) weight copies:
@@ -168,6 +170,7 @@ impl TrainScratch {
         let layer = |l: usize| (shape[l], shape[l + 1]);
         let per_layer = 0..shape.len() - 1;
         Self {
+            samples: SampleMatrix::default(),
             w_grad: per_layer
                 .clone()
                 .map(|l| vec![0.0; layer(l).0 * layer(l).1])
@@ -232,6 +235,91 @@ impl TrainScratch {
             }
         }
     }
+}
+
+/// The training set as two row-major matrices, copied once per
+/// [`Trainer::train`] call: sample `s`'s input is row `s` of `inputs`
+/// (`in_dim` wide) and its target row `s` of `targets` (`out_dim` wide).
+/// The tile loaders of both backends read these rows, so a sample costs
+/// one contiguous read instead of a pointer chase through its own `Vec`.
+#[derive(Debug, Clone, Default)]
+struct SampleMatrix {
+    inputs: Vec<f32>,
+    targets: Vec<f32>,
+    in_dim: usize,
+    out_dim: usize,
+}
+
+impl SampleMatrix {
+    /// Refills the matrices from validated `(input, target)` pairs,
+    /// reusing their capacity.
+    fn fill(&mut self, samples: &[(Vec<f32>, Vec<f32>)], in_dim: usize, out_dim: usize) {
+        self.in_dim = in_dim;
+        self.out_dim = out_dim;
+        self.inputs.clear();
+        self.targets.clear();
+        self.inputs.reserve(samples.len() * in_dim);
+        self.targets.reserve(samples.len() * out_dim);
+        for (x, y) in samples {
+            self.inputs.extend_from_slice(x);
+            self.targets.extend_from_slice(y);
+        }
+    }
+
+    fn input(&self, s: usize) -> &[f32] {
+        &self.inputs[s * self.in_dim..(s + 1) * self.in_dim]
+    }
+
+    fn target(&self, s: usize) -> &[f32] {
+        &self.targets[s * self.out_dim..(s + 1) * self.out_dim]
+    }
+
+    /// Packs the inputs of one sample group into a tile
+    /// (`tile[i * LANES + lane]`), zero-padding the lanes past the group.
+    fn load_tile(&self, group: &[usize], tile: &mut [f32]) {
+        for lane in 0..LANES {
+            match group.get(lane) {
+                Some(&s) => {
+                    for (column, &x) in tile.chunks_exact_mut(LANES).zip(self.input(s)) {
+                        column[lane] = x;
+                    }
+                }
+                None => {
+                    for column in tile.chunks_exact_mut(LANES) {
+                        column[lane] = 0.0;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asks the cache to start fetching the input rows of `batch`. A
+    /// hint only: it reads and changes nothing, so results do not depend
+    /// on whether the hardware honours it.
+    fn prefetch(&self, batch: &[usize]) {
+        for &s in batch {
+            prefetch_lines(self.input(s));
+        }
+    }
+}
+
+/// Prefetches each cache line `row` spans, once (a no-op off x86_64).
+#[inline(always)]
+fn prefetch_lines(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let start = row.as_ptr() as usize;
+        let end = start + std::mem::size_of_val(row);
+        for line in (start & !(LINE - 1)..end).step_by(LINE) {
+            // SAFETY: a prefetch is a hint that never faults, whatever
+            // the address.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line as *const i8) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
 }
 
 /// Offline backpropagation trainer (non-consuming builder).
@@ -394,17 +482,25 @@ impl Trainer {
 
         scratch.ensure(&self.topology);
         scratch.sync_weights(&mlp);
+        scratch
+            .samples
+            .fill(samples, self.topology.inputs(), self.topology.outputs());
         let mut order: Vec<usize> = (0..samples.len()).collect();
         for _epoch in 0..self.epochs {
             order.shuffle(&mut rng);
             let mut epoch_sse = 0.0f64;
-            for batch in order.chunks(self.batch_size) {
+            let mut batches = order.chunks(self.batch_size).peekable();
+            while let Some(batch) = batches.next() {
+                if let Some(next) = batches.peek() {
+                    scratch.samples.prefetch(next);
+                }
                 epoch_sse += match self.kernel {
                     KernelBackend::Scalar => {
-                        self.sgd_step(&mut mlp, samples, batch, &mut w_vel, &mut b_vel, scratch)
+                        self.sgd_step(&mut mlp, batch, &mut w_vel, &mut b_vel, scratch)
                     }
-                    KernelBackend::Simd => self
-                        .sgd_step_simd(&mut mlp, samples, batch, &mut w_vel, &mut b_vel, scratch),
+                    KernelBackend::Simd => {
+                        self.sgd_step_simd(&mut mlp, batch, &mut w_vel, &mut b_vel, scratch)
+                    }
                 };
             }
             let mse = epoch_sse / (samples.len() * self.topology.outputs()) as f64;
@@ -453,7 +549,6 @@ impl Trainer {
     fn sgd_step(
         &self,
         mlp: &mut Mlp,
-        samples: &[(Vec<f32>, Vec<f32>)],
         batch: &[usize],
         w_vel: &mut [Vec<f32>],
         b_vel: &mut [Vec<f32>],
@@ -470,7 +565,7 @@ impl Trainer {
 
         for group in batch.chunks(LANES) {
             let lanes = group.len();
-            load_input_tile(samples, group, self.topology.inputs(), &mut scratch.act8[0]);
+            scratch.samples.load_tile(group, &mut scratch.act8[0]);
             for (l, layer) in mlp.layers().iter().enumerate() {
                 let (prev, next) = scratch.act8.split_at_mut(l + 1);
                 kernel::layer_forward_tile_exact(layer, lanes, &prev[l], &mut next[0]);
@@ -483,7 +578,7 @@ impl Trainer {
             let out_delta = &mut scratch.delta8[n_layers - 1];
             out_delta.fill(0.0);
             for (lane, &idx) in group.iter().enumerate() {
-                for (n, &t) in samples[idx].1.iter().enumerate() {
+                for (n, &t) in scratch.samples.target(idx).iter().enumerate() {
                     let o = out_tile[n * LANES + lane];
                     let err = o - t;
                     sse += f64::from(err) * f64::from(err);
@@ -534,7 +629,6 @@ impl Trainer {
     fn sgd_step_simd(
         &self,
         mlp: &mut Mlp,
-        samples: &[(Vec<f32>, Vec<f32>)],
         batch: &[usize],
         w_vel: &mut [Vec<f32>],
         b_vel: &mut [Vec<f32>],
@@ -551,8 +645,7 @@ impl Trainer {
         let mut sse = 0.0f64;
 
         for group in batch.chunks(LANES) {
-            let lanes = group.len();
-            load_input_tile(samples, group, self.topology.inputs(), &mut scratch.act8[0]);
+            scratch.samples.load_tile(group, &mut scratch.act8[0]);
             for (l, layer) in mlp.layers().iter().enumerate() {
                 let (prev, next) = scratch.act8.split_at_mut(l + 1);
                 kernel::layer_forward_tile(
@@ -571,13 +664,14 @@ impl Trainer {
             for n in 0..out_dim {
                 for l in 0..LANES {
                     let idx = n * LANES + l;
-                    out_delta[idx] = if l < lanes {
-                        let o = out_tile[idx];
-                        let err = o - samples[group[l]].1[n];
-                        sse += f64::from(err) * f64::from(err);
-                        err * out_activation.derivative_from_output(o)
-                    } else {
-                        0.0
+                    out_delta[idx] = match group.get(l) {
+                        Some(&s) => {
+                            let o = out_tile[idx];
+                            let err = o - scratch.samples.target(s)[n];
+                            sse += f64::from(err) * f64::from(err);
+                            err * out_activation.derivative_from_output(o)
+                        }
+                        None => 0.0,
                     };
                 }
             }
@@ -674,21 +768,6 @@ impl Trainer {
     }
 }
 
-/// Packs the inputs of one sample group into a tile
-/// (`tile[i * LANES + lane]`), zero-padding the lanes past the group.
-fn load_input_tile(
-    samples: &[(Vec<f32>, Vec<f32>)],
-    group: &[usize],
-    in_dim: usize,
-    tile: &mut [f32],
-) {
-    for (i, column) in tile.chunks_exact_mut(LANES).take(in_dim).enumerate() {
-        for (lane, t) in column.iter_mut().enumerate() {
-            *t = group.get(lane).map_or(0.0, |&idx| samples[idx].0[i]);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scalar-exact backward kernels (the forward one, shared with inference,
 // is `kernel::layer_forward_tile_exact`). Every lane performs one
@@ -739,6 +818,12 @@ fn stage_sample_major(tile: &[f32], width: usize, lanes: usize, stage: &mut [f32
 /// sample after sample: `b_grad[n] += d` and `w_grad[n][i] += d * x[i]`
 /// for each live lane in ascending order, reading the layer input from
 /// its sample-major staging copy.
+///
+/// Each gradient row is held in registers in blocks of 32, then 8, then 1
+/// elements while every live lane adds its contribution, so a row is
+/// loaded and stored once per tile instead of once per lane. Elements are
+/// independent and each still receives its contributions in ascending
+/// lane order, so the blocking changes no bit.
 fn grad_fold_exact(
     delta: &[f32],
     fan_in: usize,
@@ -747,18 +832,50 @@ fn grad_fold_exact(
     w_grad: &mut [f32],
     b_grad: &mut [f32],
 ) {
+    let stage = &stage[..lanes * fan_in];
     for ((d, g_row), b) in delta
         .chunks_exact(LANES)
         .zip(w_grad.chunks_exact_mut(fan_in))
         .zip(b_grad.iter_mut())
     {
-        for (&dl, x) in d.iter().zip(stage.chunks_exact(fan_in)).take(lanes) {
+        let d = &d[..lanes];
+        for &dl in d {
             *b += dl;
-            for (g, &xi) in g_row.iter_mut().zip(x) {
-                *g += dl * xi;
+        }
+        let start = fold_blocks::<32>(g_row, 0, d, stage);
+        let start = fold_blocks::<8>(g_row, start, d, stage);
+        fold_blocks::<1>(g_row, start, d, stage);
+    }
+}
+
+/// [`grad_fold_exact`]'s inner loop for blocks of `W` elements of one
+/// gradient row, from `start` for as many whole blocks as fit; returns
+/// the index past the last block folded.
+#[inline(always)]
+fn fold_blocks<const W: usize>(
+    g_row: &mut [f32],
+    mut start: usize,
+    d: &[f32],
+    stage: &[f32],
+) -> usize {
+    let fan_in = g_row.len();
+    while start + W <= fan_in {
+        let g: &mut [f32; W] = (&mut g_row[start..start + W])
+            .try_into()
+            .expect("the range spans W elements");
+        let mut acc = *g;
+        for (&dl, x) in d.iter().zip(stage.chunks_exact(fan_in)) {
+            let x: &[f32; W] = x[start..start + W]
+                .try_into()
+                .expect("the range spans W elements");
+            for k in 0..W {
+                acc[k] += dl * x[k];
             }
         }
+        *g = acc;
+        start += W;
     }
+    start
 }
 
 #[cfg(test)]

@@ -162,7 +162,8 @@ fn training_allocations_are_epoch_independent() {
 /// nothing once [`TrainScratch::for_topology`] has sized every buffer,
 /// the sample-major staging copy included. Zero, one and six epochs cost
 /// exactly the same set-up allocations (network, velocities, shuffle
-/// order), and a presized scratch is not rebuilt, so it allocates less
+/// order, the per-call sample matrices), and a presized scratch is not
+/// rebuilt, so it allocates less
 /// than an empty one that `train_with_scratch` must size first.
 #[test]
 fn scalar_tile_step_is_allocation_free_after_presizing() {

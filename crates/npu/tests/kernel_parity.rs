@@ -170,10 +170,12 @@ fn topologies() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..=7, 2..=4)
 }
 
-/// Training topologies: 2–4 layers up to 40 neurons wide, so layers sit
-/// below, at and well past one tile of `LANES`.
+/// Training topologies: 2–4 layers up to 72 neurons wide, so layers sit
+/// below, at and well past one tile of `LANES`, and the gradient fold's
+/// register blocks all run: up to two 32-element blocks, an 8-element
+/// block and a scalar remainder per row.
 fn training_topologies() -> impl Strategy<Value = Vec<usize>> {
-    prop::collection::vec(1usize..=40, 2..=4)
+    prop::collection::vec(1usize..=72, 2..=4)
 }
 
 /// Random normalized inputs and unit-interval targets for `topology`.
@@ -325,6 +327,99 @@ proptest! {
     }
 }
 
+/// One-hot targets for a two-class classifier, class 1 with
+/// probability 0.2, and uniform unit-interval inputs.
+fn classifier_pairs(inputs: usize, n: usize, seed: u64) -> Vec<(Vec<f32>, Vec<f32>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let input: Vec<f32> = (0..inputs).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+            let target = if rng.gen_bool(0.2) {
+                vec![0.0, 1.0]
+            } else {
+                vec![1.0, 0.0]
+            };
+            (input, target)
+        })
+        .collect()
+}
+
+/// Fixed batch sizes around the tile width — a lone lane, a short tile,
+/// a tile plus one lane, four tiles plus one lane — each with a sample
+/// count whose final batch ends in a partial tile, on layers whose
+/// gradient rows take every fold block: 71 = 2 × 32 + 7 (two 32-blocks
+/// and a scalar remainder), 41 = 32 + 8 + 1 (every block width) and 9 = 8
+/// + 1 (an 8-block and a remainder).
+#[test]
+fn training_matches_naive_reference_at_tile_edge_batch_sizes() {
+    let topology = Topology::new(&[71, 41, 9, 2]).unwrap();
+    for (batch_size, n) in [(1, 5), (7, 17), (9, 22), (33, 70)] {
+        let last_batch = (n - 1) % batch_size + 1;
+        assert_ne!(last_batch % LANES, 0, "the final batch must end mid-tile");
+        for out_act in [Activation::Linear, Activation::Sigmoid] {
+            let samples = random_pairs(&topology, n, batch_size as u64);
+            let ((got_w, got_b), (want_w, want_b)) = trainer_and_reference(
+                &topology,
+                &samples,
+                2,
+                0.3,
+                0.9,
+                batch_size,
+                batch_size as u64,
+                out_act,
+            );
+            assert!(
+                same_bits(&got_w, &want_w) && same_bits(&got_b, &want_b),
+                "batch {batch_size}, {n} samples, {out_act:?} output"
+            );
+        }
+    }
+}
+
+/// jpeg's classifier shape `[64, 16, 2]` at the classifier's settings
+/// (batch 32, learning rate 0.5, momentum 0.9, sigmoid output): 64-wide
+/// gradient rows are exactly two 32-element blocks. 75 samples end in a
+/// batch of eleven, one full tile and three live lanes.
+#[test]
+fn training_matches_naive_reference_at_jpeg_classifier_shape() {
+    let topology = Topology::new(&[64, 16, 2]).unwrap();
+    let samples = classifier_pairs(64, 75, 0x4A50_4547);
+    let (got, want) = trainer_and_reference(
+        &topology,
+        &samples,
+        3,
+        0.5,
+        0.9,
+        32,
+        0x4A50_4547 ^ 16,
+        Activation::Sigmoid,
+    );
+    assert!(same_bits(&got.0, &want.0) && same_bits(&got.1, &want.1));
+}
+
+/// fft's NPU shape `[1, 4, 4, 2]` at the NPU settings (batch 32,
+/// learning rate 0.3, momentum 0.9, linear output): every fan-in is
+/// below one 8-element block, so the fold runs on its scalar remainder
+/// alone, and the two-neuron output layer takes the forward's
+/// single-neuron remainder — the narrow-network paths of the routed
+/// compile.
+#[test]
+fn training_matches_naive_reference_at_fft_npu_shape() {
+    let topology = Topology::new(&[1, 4, 4, 2]).unwrap();
+    let samples = random_pairs(&topology, 77, 0xFF7);
+    let (got, want) = trainer_and_reference(
+        &topology,
+        &samples,
+        4,
+        0.3,
+        0.9,
+        32,
+        0xFF7,
+        Activation::Linear,
+    );
+    assert!(same_bits(&got.0, &want.0) && same_bits(&got.1, &want.1));
+}
+
 /// The neural classifier's production settings — the widest sweep
 /// candidate `[18, 32, 2]` (jmeint's inputs), batch 32, learning rate 0.5,
 /// momentum 0.9, sigmoid output, one-hot targets — match the naive
@@ -333,18 +428,7 @@ proptest! {
 #[test]
 fn training_matches_naive_reference_at_production_settings() {
     let topology = Topology::new(&[18, 32, 2]).unwrap();
-    let mut rng = StdRng::seed_from_u64(0x4E45_5552);
-    let samples: Vec<(Vec<f32>, Vec<f32>)> = (0..100)
-        .map(|_| {
-            let input: Vec<f32> = (0..18).map(|_| rng.gen_range(0.0f32..1.0)).collect();
-            let target = if rng.gen_bool(0.2) {
-                vec![0.0, 1.0]
-            } else {
-                vec![1.0, 0.0]
-            };
-            (input, target)
-        })
-        .collect();
+    let samples = classifier_pairs(18, 100, 0x4E45_5552);
     let (got, want) = trainer_and_reference(
         &topology,
         &samples,
