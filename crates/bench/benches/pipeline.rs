@@ -61,7 +61,7 @@ fn bench_threshold_machinery(c: &mut Criterion) {
         })
     });
     group.bench_function("optimize_bisection_20_datasets", |b| {
-        b.iter(|| optimizer.optimize_routed(&pool, black_box(table)).unwrap())
+        b.iter(|| optimizer.bisect_routed(&pool, black_box(table)).unwrap())
     });
 
     // The routed session's certification: a router trainer prepared for

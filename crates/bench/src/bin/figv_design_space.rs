@@ -196,12 +196,15 @@ fn main() {
         // run-dependent cache counters live here and in the JSON.
         eprintln!(
             "explore [{name}]: {} probe members, {} full evaluations, \
-             cache {} hits / {} misses, {} invocations",
+             cache {} hits / {} misses, {} invocations, \
+             predictor probes {} ({} reused)",
             report.probe_members,
             report.evaluated,
             report.cache_hits,
             report.cache_misses,
             report.compile_invocations,
+            report.predictor_probes,
+            report.predictor_reused,
         );
 
         let holds = report.points.iter().filter(|p| p.holds).count();

@@ -13,12 +13,19 @@
 //! (invocations × per-invocation saving) and, one region at a time, finds
 //! the loosest threshold that keeps the joint certification passing while
 //! all not-yet-optimized regions stay fully precise.
+//!
+//! Each region's search is the one memoized [`MemoBisection`], keyed on
+//! how many of the region's invocations a threshold accepts: the other
+//! regions are fixed while it runs, so equal counts certify identically.
 
 use crate::function::AcceleratedFunction;
 use crate::profile::DatasetProfile;
-use crate::threshold::QualitySpec;
+use crate::threshold::{accepted_in, max_finite_error, MemoBisection, Probe, QualitySpec};
 use crate::{MithraError, Result};
 use mithra_stats::clopper_pearson::lower_bound;
+
+/// Midpoint probes of each region's bisection.
+const BISECTION_ITERATIONS: u32 = 20;
 
 /// One accelerated region of a multi-function application: its function
 /// and its per-dataset profiles (same dataset order across regions).
@@ -30,29 +37,22 @@ pub struct Region {
     pub profiles: Vec<DatasetProfile>,
     /// Relative weight of this region's output in the application's final
     /// quality (regions contribute `weight / Σ weights` of the score).
+    /// Must be finite and positive.
     pub weight: f64,
 }
 
 impl Region {
-    /// Per-dataset quality loss of this region when filtered at `th`.
-    fn quality_at(&self, th: f32) -> Vec<f64> {
-        self.profiles
-            .iter()
-            .map(|p| p.replay_with_threshold(&self.function, th).quality_loss)
-            .collect()
-    }
-
-    /// Mean invocation rate at `th`.
-    fn invocation_at(&self, th: f32) -> f64 {
-        let sum: f64 = self
+    /// Per-dataset quality loss and mean invocation rate of this region
+    /// when filtered at `th`.
+    fn replay_at(&self, th: f32) -> (Vec<f64>, f64) {
+        let replays: Vec<_> = self
             .profiles
             .iter()
-            .map(|p| {
-                p.replay_with_threshold(&self.function, th)
-                    .invocation_rate()
-            })
-            .sum();
-        sum / self.profiles.len().max(1) as f64
+            .map(|p| p.replay_with_threshold(&self.function, th))
+            .collect();
+        let rates: f64 = replays.iter().map(|r| r.invocation_rate()).sum();
+        let qualities = replays.iter().map(|r| r.quality_loss).collect();
+        (qualities, rates / self.profiles.len().max(1) as f64)
     }
 
     /// A proxy for the benefit of accelerating this region: invocations
@@ -65,15 +65,25 @@ impl Region {
             .map_or(0, DatasetProfile::invocation_count);
         per_ds as f64 * profile.kernel_cycles as f64
     }
+}
 
-    /// The largest observed accelerator error — the threshold search's
-    /// upper bound.
-    fn max_error(&self) -> f32 {
-        self.profiles
-            .iter()
-            .flat_map(|p| p.errors().iter().copied())
-            .fold(0.0f32, f32::max)
-            .max(1e-6)
+/// One probe of a region's search: the region replayed at `threshold` and
+/// the joint certificate with every other region at its current threshold.
+#[derive(Debug, Clone)]
+struct RegionProbe {
+    threshold: f32,
+    qualities: Vec<f64>,
+    invocation_rate: f64,
+    successes: u64,
+    certified_rate: f64,
+}
+
+impl Probe for RegionProbe {
+    fn at(&self, threshold: f32) -> Self {
+        Self {
+            threshold,
+            ..self.clone()
+        }
     }
 }
 
@@ -90,31 +100,33 @@ pub struct TupleOutcome {
     pub certified_rate: f64,
     /// Mean invocation rate per region at the chosen thresholds.
     pub invocation_rates: Vec<f64>,
+    /// Every region search's probe thresholds, in probe order.
+    pub probes: Vec<f32>,
+    /// Probes that accepted as many of their region's invocations as an
+    /// earlier probe of that region and so reused its replays.
+    pub reused: usize,
 }
 
 /// Greedy tuple-threshold optimizer over multiple regions.
 #[derive(Debug, Clone, Copy)]
 pub struct TupleOptimizer {
     spec: QualitySpec,
-    iterations: u32,
 }
 
 impl TupleOptimizer {
     /// Creates an optimizer for the given quality specification.
     pub fn new(spec: QualitySpec) -> Self {
-        Self {
-            spec,
-            iterations: 20,
-        }
+        Self { spec }
     }
 
-    /// Joint per-dataset quality: the weighted sum of regional losses
-    /// (the model of an application whose output concatenates the
-    /// regions' outputs with the given weights).
-    fn joint_quality(regions: &[Region], per_region: &[Vec<f64>]) -> Vec<f64> {
+    /// Certifies the joint per-dataset quality: the weighted sum of
+    /// regional losses (the model of an application whose output
+    /// concatenates the regions' outputs with the given weights).
+    /// Returns the joint successes and their Clopper–Pearson bound.
+    fn certify(&self, regions: &[Region], per_region: &[Vec<f64>]) -> Result<(u64, f64)> {
         let n = per_region.first().map_or(0, Vec::len);
         let total_weight: f64 = regions.iter().map(|r| r.weight).sum();
-        (0..n)
+        let successes = (0..n)
             .map(|d| {
                 regions
                     .iter()
@@ -123,15 +135,9 @@ impl TupleOptimizer {
                     .sum::<f64>()
                     / total_weight
             })
-            .collect()
-    }
-
-    fn certify(&self, joint: &[f64]) -> Result<(u64, f64)> {
-        let successes = joint
-            .iter()
-            .filter(|&&q| q <= self.spec.max_quality_loss)
+            .filter(|&q| q <= self.spec.max_quality_loss)
             .count() as u64;
-        let bound = lower_bound(successes, joint.len() as u64, self.spec.confidence)?;
+        let bound = lower_bound(successes, n as u64, self.spec.confidence)?;
         Ok((successes, bound))
     }
 
@@ -140,12 +146,15 @@ impl TupleOptimizer {
     /// Regions are processed in descending benefit order. For each region
     /// in turn, the loosest threshold passing the joint certification —
     /// with already-optimized regions at their chosen thresholds and
-    /// remaining regions fully precise — is found by bisection.
+    /// remaining regions fully precise — is found by bisection: the
+    /// largest finite error the region observed is taken outright when it
+    /// certifies, else the last certifying midpoint, else threshold 0.
     ///
     /// # Errors
     ///
     /// Returns [`MithraError::InsufficientData`] for empty inputs or
-    /// misaligned profile counts, and
+    /// misaligned profile counts, [`MithraError::InvalidConfig`] for a
+    /// weight that is not finite and positive, and
     /// [`MithraError::Uncertifiable`] if even the all-precise tuple fails
     /// certification.
     pub fn optimize(&self, regions: &[Region]) -> Result<TupleOutcome> {
@@ -154,6 +163,13 @@ impl TupleOptimizer {
                 stage: "tuple threshold optimization",
                 available: 0,
                 needed: 1,
+            });
+        }
+        let invalid = |r: &Region| !(r.weight.is_finite() && r.weight > 0.0);
+        if regions.iter().any(invalid) {
+            return Err(MithraError::InvalidConfig {
+                parameter: "weight",
+                constraint: "finite and > 0",
             });
         }
         let n_datasets = regions[0].profiles.len();
@@ -166,9 +182,8 @@ impl TupleOptimizer {
         }
 
         // All-precise baseline must certify.
-        let mut qualities: Vec<Vec<f64>> = regions.iter().map(|r| r.quality_at(-1.0)).collect();
-        let joint = Self::joint_quality(regions, &qualities);
-        let (_, bound0) = self.certify(&joint)?;
+        let mut qualities: Vec<Vec<f64>> = regions.iter().map(|r| r.replay_at(-1.0).0).collect();
+        let (_, bound0) = self.certify(regions, &qualities)?;
         if bound0 < self.spec.success_rate {
             return Err(MithraError::Uncertifiable {
                 quality_target: self.spec.max_quality_loss,
@@ -186,48 +201,58 @@ impl TupleOptimizer {
                 .expect("benefit proxies are finite")
         });
 
+        let passes = |p: &RegionProbe| p.certified_rate >= self.spec.success_rate;
         let mut thresholds = vec![0.0f32; regions.len()];
+        let mut invocation_rates = vec![0.0f64; regions.len()];
+        let (mut successes, mut certified_rate) = (0, bound0);
+        let (mut probes, mut reused) = (Vec::new(), 0);
         for &r in &order {
             let region = &regions[r];
-            let (mut lo, mut hi) = (0.0f32, region.max_error());
-            // Try the loosest end first.
-            qualities[r] = region.quality_at(hi);
-            let joint = Self::joint_quality(regions, &qualities);
-            let (_, bound) = self.certify(&joint)?;
-            if bound >= self.spec.success_rate {
-                thresholds[r] = hi;
-                continue;
-            }
-            let mut best = 0.0f32;
-            for _ in 0..self.iterations {
-                let mid = 0.5 * (lo + hi);
-                qualities[r] = region.quality_at(mid);
-                let joint = Self::joint_quality(regions, &qualities);
-                let (_, bound) = self.certify(&joint)?;
-                if bound >= self.spec.success_rate {
-                    best = mid;
-                    lo = mid;
-                } else {
-                    hi = mid;
+            let mut search = MemoBisection::new(
+                |t| Ok(accepted_in(&region.profiles, t)),
+                |_, threshold| {
+                    let (mine, invocation_rate) = region.replay_at(threshold);
+                    let mut joint = qualities.clone();
+                    joint[r] = mine;
+                    let (successes, certified_rate) = self.certify(regions, &joint)?;
+                    Ok(RegionProbe {
+                        threshold,
+                        qualities: std::mem::take(&mut joint[r]),
+                        invocation_rate,
+                        successes,
+                        certified_rate,
+                    })
+                },
+            );
+            let hi = max_finite_error(&region.profiles);
+            let loosest = search.probe(hi)?;
+            let chosen = if passes(&loosest) {
+                loosest
+            } else {
+                match search.bisect(0.0..hi, BISECTION_ITERATIONS, passes)? {
+                    Some(best) => best,
+                    None => search.probe(0.0)?,
                 }
-            }
-            thresholds[r] = best;
-            qualities[r] = region.quality_at(best);
+            };
+            let search = search.finish(chosen);
+            probes.extend(search.probes.iter().map(|p| p.threshold));
+            reused += search.reused;
+            let chosen = search.outcome;
+            thresholds[r] = chosen.threshold;
+            invocation_rates[r] = chosen.invocation_rate;
+            (successes, certified_rate) = (chosen.successes, chosen.certified_rate);
+            qualities[r] = chosen.qualities;
         }
 
-        let joint = Self::joint_quality(regions, &qualities);
-        let (successes, certified_rate) = self.certify(&joint)?;
-        let invocation_rates = regions
-            .iter()
-            .zip(&thresholds)
-            .map(|(r, &th)| r.invocation_at(th))
-            .collect();
+        // The last region's chosen probe certified the final tuple.
         Ok(TupleOutcome {
             thresholds,
             successes,
             trials: n_datasets as u64,
             certified_rate,
             invocation_rates,
+            probes,
+            reused,
         })
     }
 }
@@ -320,6 +345,28 @@ mod tests {
             TupleOptimizer::new(spec).optimize(&regions),
             Err(MithraError::InsufficientData { .. })
         ));
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_weights_rejected() {
+        let spec = QualitySpec::new(0.10, 0.9, 0.5).unwrap();
+        let mut regions = vec![
+            region_for("sobel", 1.0, 5),
+            region_for("inversek2j", 1.0, 5),
+        ];
+        for weight in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            regions[1].weight = weight;
+            assert!(
+                matches!(
+                    TupleOptimizer::new(spec).optimize(&regions),
+                    Err(MithraError::InvalidConfig {
+                        parameter: "weight",
+                        ..
+                    })
+                ),
+                "weight {weight}"
+            );
+        }
     }
 
     #[test]

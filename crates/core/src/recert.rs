@@ -98,7 +98,7 @@ pub struct RecertConfig {
     /// Kept well above one because a degradation ladder near its limit
     /// flaps — a single healthy checkpoint is not proof of recovery.
     pub abort_after_healthy: u64,
-    /// Bisection probes per selection (each retrains the classifier).
+    /// Quantile probes per selection (each retrains the classifier).
     pub select_iterations: u32,
     /// Seed for training-tuple sampling (attempt-salted).
     pub seed: u64,

@@ -9,7 +9,7 @@
 //! member whose profiled error is within the threshold, and falls back to
 //! the precise function when no member qualifies ([`RouteChoice`]). The
 //! Clopper–Pearson certificate is then taken over the *routed mixture*
-//! (`core::threshold::optimize_routed`), with dataset-level violations
+//! (`ThresholdOptimizer::bisect_routed`), with dataset-level violations
 //! attributed to whichever member served the worst invocation.
 //!
 //! A pool of size 1 whose only member is the benchmark's default topology

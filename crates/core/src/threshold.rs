@@ -18,6 +18,11 @@ use crate::profile::DatasetProfile;
 use crate::route::{accepted_count, ApproximatorPool, RouteChoice, RouteClassifier, RoutedReplay};
 use crate::{MithraError, Result};
 use mithra_stats::clopper_pearson::{lower_bound, Confidence};
+use std::ops::Range;
+
+/// Midpoint probes of [`ThresholdOptimizer`]'s bisection; 24 localize the
+/// threshold to ~1e-7 of its range.
+const BISECTION_ITERATIONS: u32 = 24;
 
 /// The programmer's quality requirement: target loss, confidence, and
 /// required success rate (paper: "5% quality loss, with 95% confidence and
@@ -102,25 +107,123 @@ pub struct ThresholdOutcome {
     pub member_violations: Vec<u64>,
 }
 
-/// A finished threshold search: the certified outcome and the probes that
+/// A finished threshold search: the outcome it returns and the probes that
 /// found it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Bisection {
-    /// The certified outcome the search returns.
-    pub outcome: ThresholdOutcome,
+pub struct Bisection<P = ThresholdOutcome> {
+    /// The outcome the search returns.
+    pub outcome: P,
     /// Every probe's outcome, in probe order.
-    pub probes: Vec<ThresholdOutcome>,
-    /// Probes that labeled the compile invocations as an earlier probe did
-    /// and so reused its certificate instead of replaying the datasets.
+    pub probes: Vec<P>,
+    /// Probes that keyed equal to an earlier probe and so reused its
+    /// outcome instead of replaying the datasets.
     pub reused: usize,
+}
+
+/// A probe outcome that a reused probe takes over under its own threshold.
+pub trait Probe: Clone {
+    /// This outcome, as probed at `threshold`.
+    fn at(&self, threshold: f32) -> Self;
+}
+
+impl Probe for ThresholdOutcome {
+    fn at(&self, threshold: f32) -> Self {
+        Self {
+            threshold,
+            ..self.clone()
+        }
+    }
+}
+
+/// Algorithm 1's bisection, memoized: the one threshold search behind
+/// [`ThresholdOptimizer`], [`crate::multi::TupleOptimizer`] and explore's
+/// predictor. Each caller makes its own edge probes through
+/// [`probe`](Self::probe) around the midpoints of [`bisect`](Self::bisect).
+///
+/// `key` names what a probe certifies at a threshold and `probe` scores a
+/// key there. A probe whose key equals an earlier probe's takes that
+/// outcome under its own threshold ([`Probe::at`]), so every probe is what
+/// probing afresh gives. Key and probe failures propagate.
+#[allow(missing_debug_implementations)] // holds the caller's closures
+pub struct MemoBisection<K, P, FK, FP> {
+    key: FK,
+    probe: FP,
+    seen: Vec<(K, P)>,
+    probes: Vec<P>,
+    reused: usize,
+}
+
+impl<K, P, FK, FP> MemoBisection<K, P, FK, FP>
+where
+    K: PartialEq,
+    P: Probe,
+    FK: FnMut(f32) -> Result<K>,
+    FP: FnMut(&K, f32) -> Result<P>,
+{
+    /// A search with an empty memo.
+    pub fn new(key: FK, probe: FP) -> Self {
+        Self {
+            key,
+            probe,
+            seen: Vec::new(),
+            probes: Vec::new(),
+            reused: 0,
+        }
+    }
+
+    /// Probes one threshold, reusing an earlier probe of an equal key.
+    pub fn probe(&mut self, threshold: f32) -> Result<P> {
+        let key = (self.key)(threshold)?;
+        let outcome = match self.seen.iter().find(|(seen, _)| *seen == key) {
+            Some((_, earlier)) => {
+                self.reused += 1;
+                earlier.at(threshold)
+            }
+            None => {
+                let outcome = (self.probe)(&key, threshold)?;
+                self.seen.push((key, outcome.clone()));
+                outcome
+            }
+        };
+        self.probes.push(outcome.clone());
+        Ok(outcome)
+    }
+
+    /// `iterations` midpoint probes of `range`, keeping its start passing
+    /// and its end failing; returns the last passing probe, if any.
+    pub fn bisect(
+        &mut self,
+        range: Range<f32>,
+        iterations: u32,
+        passes: impl Fn(&P) -> bool,
+    ) -> Result<Option<P>> {
+        let (mut lo, mut hi, mut best) = (range.start, range.end, None);
+        for _ in 0..iterations {
+            let mid = 0.5 * (lo + hi);
+            let outcome = self.probe(mid)?;
+            if passes(&outcome) {
+                (lo, best) = (mid, Some(outcome));
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(best)
+    }
+
+    /// The finished search returning `outcome`.
+    pub fn finish(self, outcome: P) -> Bisection<P> {
+        Bisection {
+            outcome,
+            probes: self.probes,
+            reused: self.reused,
+        }
+    }
 }
 
 /// Searches for the optimal threshold over a set of dataset profiles.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdOptimizer {
     spec: QualitySpec,
-    /// Bisection probes; 24 localizes the threshold to ~1e-7 of its range.
-    iterations: u32,
     /// Worker threads for per-profile replay during certification
     /// (`Some(1)` = sequential, `None`/`Some(0)` = available parallelism).
     threads: Option<usize>,
@@ -131,7 +234,6 @@ impl ThresholdOptimizer {
     pub fn new(spec: QualitySpec) -> Self {
         Self {
             spec,
-            iterations: 24,
             threads: Some(1),
         }
     }
@@ -269,35 +371,12 @@ impl ThresholdOptimizer {
         })
     }
 
-    /// Finds the loosest threshold whose **deployed** routed mixture
-    /// certifies: the same bisection as
-    /// [`optimize_routed`](Self::optimize_routed), but every probe trains
-    /// a router at the candidate threshold (via `train_router`) and
-    /// certifies the router's own routing decisions
-    /// ([`certify_routed_deployed`](Self::certify_routed_deployed)).
-    ///
-    /// `train_router` runs once per probe (threshold 0, the largest
-    /// observed error, then each midpoint). A probe whose router equals
-    /// an earlier probe's reuses that probe's certificate under its own
-    /// threshold instead of replaying every dataset, because the deployed
-    /// probe depends on the threshold only through the router. Callers
-    /// pass a [`RouterTrainer`](crate::route::RouterTrainer) prepared once
-    /// for these profiles — `|t| trainer.train(t)` — which keeps the
-    /// sample, quantizers and table hash rows across probes and trains
-    /// each distinct labeling of the sample once.
-    ///
-    /// Unlike the oracle probe, the deployed probe is not monotone in the
-    /// threshold — each candidate retrains the cascade — so, like the
-    /// paper's delta-stepping, the bisection converges to *a* boundary of
-    /// the certification region rather than a guaranteed-loosest point.
-    /// The returned outcome always certifies.
+    /// [`bisect_routed_deployed`](Self::bisect_routed_deployed)'s outcome
+    /// without its probe log.
     ///
     /// # Errors
     ///
-    /// Returns [`MithraError::InsufficientData`] with no profiles,
-    /// [`MithraError::Uncertifiable`] if even threshold 0 (where every
-    /// training label is "reject", so the cascade trains to all-precise)
-    /// cannot be certified, and propagates router-training failures.
+    /// Same as [`bisect_routed_deployed`](Self::bisect_routed_deployed).
     pub fn optimize_routed_deployed<F>(
         &self,
         pool: &ApproximatorPool,
@@ -311,12 +390,32 @@ impl ThresholdOptimizer {
             .map(|search| search.outcome)
     }
 
-    /// [`optimize_routed_deployed`](Self::optimize_routed_deployed) with
-    /// its probe log.
+    /// Finds the loosest threshold whose **deployed** routed mixture
+    /// certifies, with its probe log: the same bisection as
+    /// [`bisect_routed`](Self::bisect_routed), but every probe trains a
+    /// router at the candidate threshold (via `train_router`) and
+    /// certifies the router's own routing decisions
+    /// ([`certify_routed_deployed`](Self::certify_routed_deployed)).
+    ///
+    /// The probe keys on the router it certifies, because it depends on
+    /// the threshold only through that router. Callers pass a
+    /// [`RouterTrainer`](crate::route::RouterTrainer) prepared once for
+    /// these profiles — `|t| trainer.train(t)` — which keeps the sample,
+    /// quantizers and table hash rows across probes and trains each
+    /// distinct labeling of the sample once.
+    ///
+    /// Unlike the oracle probe, the deployed probe is not monotone in the
+    /// threshold — each candidate retrains the cascade — so, like the
+    /// paper's delta-stepping, the bisection converges to *a* boundary of
+    /// the certification region rather than a guaranteed-loosest point.
+    /// The returned outcome always certifies.
     ///
     /// # Errors
     ///
-    /// Same as [`optimize_routed_deployed`](Self::optimize_routed_deployed).
+    /// Returns [`MithraError::InsufficientData`] with no profiles,
+    /// [`MithraError::Uncertifiable`] if even threshold 0 (where every
+    /// training label is "reject", so the cascade trains to all-precise)
+    /// cannot be certified, and propagates router-training failures.
     pub fn bisect_routed_deployed<F>(
         &self,
         pool: &ApproximatorPool,
@@ -332,45 +431,27 @@ impl ThresholdOptimizer {
     }
 
     /// Finds the loosest certifiable threshold of a mixture by bisection
-    /// over the oracle probe ([`certify_routed`](Self::certify_routed)).
-    /// The search range spans every member's observed errors. The binary
-    /// compile certifies its trained function this way, as the pool of
-    /// one.
+    /// over the oracle probe ([`certify_routed`](Self::certify_routed)),
+    /// returning the certified outcome with its probe log. The search
+    /// range spans every member's observed errors. The binary compile
+    /// certifies its trained function this way, as the pool of one.
     ///
-    /// A probe at which every member accepts as many invocations as at an
-    /// earlier probe routes every invocation the same (the accept sets
-    /// are nested in the threshold; see [`accepted_count`]), so it reuses
-    /// that probe's certificate under its own threshold.
+    /// The probe keys on each member's accepted count ([`accepted_in`]):
+    /// the accept sets are nested in the threshold, so equal counts route
+    /// every invocation the same.
     ///
     /// # Errors
     ///
     /// Returns [`MithraError::InsufficientData`] with no profiles, and
     /// [`MithraError::Uncertifiable`] if even threshold 0 (all-precise)
     /// cannot be certified.
-    pub fn optimize_routed(
-        &self,
-        pool: &ApproximatorPool,
-        member_profiles: &[Vec<DatasetProfile>],
-    ) -> Result<ThresholdOutcome> {
-        self.bisect_routed(pool, member_profiles)
-            .map(|search| search.outcome)
-    }
-
-    /// [`optimize_routed`](Self::optimize_routed) with its probe log.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`optimize_routed`](Self::optimize_routed).
     pub fn bisect_routed(
         &self,
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
     ) -> Result<Bisection> {
         let accepted = |threshold: f32| -> Result<Vec<usize>> {
-            let count = |profiles: &Vec<DatasetProfile>| {
-                let errors = profiles.iter().flat_map(|p| p.errors().iter().copied());
-                accepted_count(errors, threshold)
-            };
+            let count = |profiles| accepted_in(profiles, threshold);
             Ok(member_profiles.iter().map(count).collect())
         };
         self.bisect(pool, member_profiles, accepted, |_, threshold| {
@@ -378,93 +459,48 @@ impl ThresholdOptimizer {
         })
     }
 
-    /// Algorithm 1's bisection, shared by every optimizer. A probe
-    /// certifies one candidate threshold. The all-precise origin
-    /// (threshold 0) must certify, else the spec is uncertifiable; the
-    /// loosest threshold — the largest error any member observed — is
-    /// taken outright when it certifies; otherwise `iterations` midpoint
-    /// probes keep `lo` certifying and `hi` not, and the last certifying
-    /// probe — the origin when none did — is the result.
-    ///
-    /// `labels` keys a threshold on what its probe certifies, and
-    /// `certify` certifies a key at a threshold. A probe whose key equals
-    /// an earlier probe's takes that probe's outcome with its own
-    /// threshold, so the probe sequence and every outcome are those of
-    /// certifying each probe afresh.
+    /// The optimizer's edge policy over [`MemoBisection`]: the
+    /// all-precise origin (threshold 0) must certify, else the spec is
+    /// uncertifiable; the loosest threshold — the largest finite error any
+    /// member observed — is taken outright when it certifies; otherwise
+    /// its midpoints run, and the last certifying probe — the origin when
+    /// none did — is the result.
     fn bisect<K: PartialEq>(
         &self,
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
-        mut labels: impl FnMut(f32) -> Result<K>,
-        mut certify: impl FnMut(&K, f32) -> Result<ThresholdOutcome>,
+        labels: impl FnMut(f32) -> Result<K>,
+        certify: impl FnMut(&K, f32) -> Result<ThresholdOutcome>,
     ) -> Result<Bisection> {
         if check_member_profile_table(pool, member_profiles)? == 0 {
             return Err(no_profiles());
         }
-        let mut certified: Vec<(K, ThresholdOutcome)> = Vec::new();
-        let (mut probes, mut reused) = (Vec::new(), 0);
-        let mut probe = |threshold: f32| -> Result<ThresholdOutcome> {
-            let key = labels(threshold)?;
-            let outcome = match certified.iter().find(|(seen, _)| *seen == key) {
-                Some((_, earlier)) => {
-                    reused += 1;
-                    ThresholdOutcome {
-                        threshold,
-                        ..earlier.clone()
-                    }
-                }
-                None => {
-                    let outcome = certify(&key, threshold)?;
-                    certified.push((key, outcome.clone()));
-                    outcome
-                }
-            };
-            probes.push(outcome.clone());
-            Ok(outcome)
-        };
-        let max_err = max_observed_error(member_profiles.iter().flatten());
-        let origin = probe(0.0)?;
-        if origin.certified_rate < self.spec.success_rate {
+        let passes = |o: &ThresholdOutcome| o.certified_rate >= self.spec.success_rate;
+        let mut search = MemoBisection::new(labels, certify);
+        let max_err = max_finite_error(member_profiles.iter().flatten());
+        let origin = search.probe(0.0)?;
+        if !passes(&origin) {
             return Err(self.uncertifiable(&origin));
         }
-        let loosest = probe(max_err)?;
-        if loosest.certified_rate >= self.spec.success_rate {
-            return Ok(Bisection {
-                outcome: loosest,
-                probes,
-                reused,
-            });
+        let loosest = search.probe(max_err)?;
+        if passes(&loosest) {
+            return Ok(search.finish(loosest));
         }
-        let (mut lo, mut hi) = (0.0f32, max_err);
-        let mut best = origin;
-        for _ in 0..self.iterations {
-            let mid = 0.5 * (lo + hi);
-            let outcome = probe(mid)?;
-            if outcome.certified_rate >= self.spec.success_rate {
-                best = outcome;
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(Bisection {
-            outcome: best,
-            probes,
-            reused,
-        })
+        let best = search.bisect(0.0..max_err, BISECTION_ITERATIONS, passes)?;
+        Ok(search.finish(best.unwrap_or(origin)))
     }
 
     /// The paper's literal Algorithm 1: delta-stepping from an initial
     /// threshold, loosening while certification holds and tightening while
     /// it fails, terminating at the boundary crossing. Every step runs the
-    /// same probe as [`optimize_routed`](Self::optimize_routed).
+    /// same probe as [`bisect_routed`](Self::bisect_routed).
     ///
     /// Kept as the test reference for the bisection, which reaches the
     /// same boundary in fewer probes.
     ///
     /// # Errors
     ///
-    /// Same as [`optimize_routed`](Self::optimize_routed).
+    /// Same as [`bisect_routed`](Self::bisect_routed).
     pub fn optimize_stepping(
         &self,
         pool: &ApproximatorPool,
@@ -524,12 +560,27 @@ fn no_profiles() -> MithraError {
     }
 }
 
-/// Upper end of the bisection range: the largest error any profile
-/// observed (at least `1e-6`, so the range is never empty).
-fn max_observed_error<'a>(profiles: impl IntoIterator<Item = &'a DatasetProfile>) -> f32 {
+/// How many invocations of `profiles` the oracle accepts at `threshold`
+/// ([`accepted_count`]): the key of every oracle probe's memo.
+pub fn accepted_in<'a>(
+    profiles: impl IntoIterator<Item = &'a DatasetProfile>,
+    threshold: f32,
+) -> usize {
+    let errors = profiles
+        .into_iter()
+        .flat_map(|p| p.errors().iter().copied());
+    accepted_count(errors, threshold)
+}
+
+/// Upper end of every threshold search's range: the largest finite error
+/// any profile observed (at least `1e-6`, so the range is never empty).
+/// A NaN output profiles as an infinite error, which no finite threshold
+/// accepts; counting it would make every midpoint infinite.
+pub fn max_finite_error<'a>(profiles: impl IntoIterator<Item = &'a DatasetProfile>) -> f32 {
     profiles
         .into_iter()
         .flat_map(|p| p.errors().iter().copied())
+        .filter(|e| e.is_finite())
         .fold(0.0f32, f32::max)
         .max(1e-6)
 }
@@ -565,7 +616,7 @@ mod tests {
     use super::*;
     use crate::function::{AcceleratedFunction, NpuTrainConfig};
     use mithra_axbench::benchmark::Benchmark;
-    use mithra_axbench::dataset::{Dataset, DatasetScale};
+    use mithra_axbench::dataset::{Dataset, DatasetScale, OutputBuffer};
     use mithra_axbench::suite;
     use std::sync::Arc;
 
@@ -613,8 +664,9 @@ mod tests {
         let (pool, profiles) = pool_of_one("sobel", 30);
         let spec = QualitySpec::new(0.30, 0.9, 0.5).unwrap();
         let outcome = ThresholdOptimizer::new(spec)
-            .optimize_routed(&pool, &profiles)
-            .unwrap();
+            .bisect_routed(&pool, &profiles)
+            .unwrap()
+            .outcome;
         assert!(outcome.threshold > 0.0);
         assert!(outcome.certified_rate >= 0.5);
         assert!(outcome.mean_invocation_rate > 0.0);
@@ -631,15 +683,61 @@ mod tests {
         );
     }
 
+    /// `profile` with invocation `i` served exactly (its accelerator
+    /// output is the precise one) and profiled at `error`.
+    fn exact_at(profile: &DatasetProfile, i: usize, error: f32) -> DatasetProfile {
+        let precise = profile.precise_outputs();
+        let mut approx = OutputBuffer::with_capacity(precise.dim(), precise.len());
+        for j in 0..precise.len() {
+            approx.push(if j == i {
+                precise.get(j)
+            } else {
+                profile.approx_output(j)
+            });
+        }
+        let mut errors = profile.errors().to_vec();
+        errors[i] = error;
+        DatasetProfile::from_parts(
+            profile.dataset().clone(),
+            precise.clone(),
+            approx,
+            errors,
+            profile.final_precise().to_vec(),
+        )
+    }
+
+    #[test]
+    fn an_infinite_error_does_not_widen_the_search_range() {
+        // A NaN output profiles as an infinite error. Served exactly, the
+        // invocation scores the same accepted or not, so the table holding
+        // it at +inf must certify what the table holding it at 0 does.
+        let (pool, profiles) = pool_of_one("sobel", 30);
+        let with = |error: f32| {
+            let mut table = profiles.clone();
+            table[0][0] = exact_at(&profiles[0][0], 0, error);
+            table
+        };
+        let opt = ThresholdOptimizer::new(QualitySpec::new(0.30, 0.9, 0.5).unwrap());
+        let finite = opt.bisect_routed(&pool, &with(0.0)).unwrap();
+        let infinite = opt.bisect_routed(&pool, &with(f32::INFINITY)).unwrap();
+        assert!(finite.outcome.threshold > 0.0);
+        let thresholds = |s: &Bisection| s.probes.iter().map(|o| o.threshold).collect::<Vec<_>>();
+        assert_eq!(thresholds(&infinite), thresholds(&finite));
+        assert_eq!(infinite.outcome.threshold, finite.outcome.threshold);
+        assert_eq!(infinite.outcome.successes, finite.outcome.successes);
+    }
+
     #[test]
     fn stricter_targets_give_tighter_thresholds() {
         let (pool, profiles) = pool_of_one("sobel", 30);
         let loose = ThresholdOptimizer::new(QualitySpec::new(0.30, 0.9, 0.5).unwrap())
-            .optimize_routed(&pool, &profiles)
-            .unwrap();
+            .bisect_routed(&pool, &profiles)
+            .unwrap()
+            .outcome;
         let tight = ThresholdOptimizer::new(QualitySpec::new(0.02, 0.9, 0.5).unwrap())
-            .optimize_routed(&pool, &profiles)
-            .unwrap();
+            .bisect_routed(&pool, &profiles)
+            .unwrap()
+            .outcome;
         assert!(tight.threshold <= loose.threshold);
         assert!(tight.mean_invocation_rate <= loose.mean_invocation_rate + 1e-9);
     }
@@ -650,7 +748,7 @@ mod tests {
         let (pool, profiles) = pool_of_one("sobel", 5);
         let spec = QualitySpec::new(0.05, 0.95, 0.99).unwrap();
         let err = ThresholdOptimizer::new(spec)
-            .optimize_routed(&pool, &profiles)
+            .bisect_routed(&pool, &profiles)
             .unwrap_err();
         assert!(matches!(err, MithraError::Uncertifiable { .. }));
     }
@@ -661,7 +759,7 @@ mod tests {
         let spec = QualitySpec::paper_default(0.05).unwrap();
         let opt = ThresholdOptimizer::new(spec);
         assert!(matches!(
-            opt.optimize_routed(&pool, &[Vec::new()]),
+            opt.bisect_routed(&pool, &[Vec::new()]),
             Err(MithraError::InsufficientData { .. })
         ));
         assert!(matches!(
@@ -675,7 +773,7 @@ mod tests {
         let (pool, profiles) = pool_of_one("sobel", 20);
         let spec = QualitySpec::new(0.20, 0.9, 0.5).unwrap();
         let opt = ThresholdOptimizer::new(spec);
-        let bisect = opt.optimize_routed(&pool, &profiles).unwrap();
+        let bisect = opt.bisect_routed(&pool, &profiles).unwrap().outcome;
         let stepped = opt
             .optimize_stepping(&pool, &profiles, 0.05, 0.01, 200)
             .unwrap();
@@ -720,8 +818,9 @@ mod tests {
             })
             .collect();
         let routed = ThresholdOptimizer::new(spec)
-            .optimize_routed(&pool, &member_profiles)
-            .unwrap();
+            .bisect_routed(&pool, &member_profiles)
+            .unwrap()
+            .outcome;
         assert_eq!(routed.member_invocation_rates.len(), pool.len());
         assert_eq!(routed.member_violations.len(), pool.len());
         assert_eq!(
@@ -737,8 +836,9 @@ mod tests {
         let (pool, profiles) = pool_of_one("inversek2j", 25);
         let spec = QualitySpec::new(0.25, 0.9, 0.5).unwrap();
         let outcome = ThresholdOptimizer::new(spec)
-            .optimize_routed(&pool, &profiles)
-            .unwrap();
+            .bisect_routed(&pool, &profiles)
+            .unwrap()
+            .outcome;
         // The certified (lower-bound) rate never exceeds the empirical one.
         let empirical = outcome.successes as f64 / outcome.trials as f64;
         assert!(outcome.certified_rate <= empirical + 1e-12);

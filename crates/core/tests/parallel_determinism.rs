@@ -89,8 +89,9 @@ fn parallel_sweeps_are_bit_identical_across_thread_counts() {
     let profiles = std::slice::from_ref(&compiled.profiles);
     let baseline_outcome = ThresholdOptimizer::new(config.spec)
         .with_threads(Some(1))
-        .optimize_routed(&pool, profiles)
-        .unwrap();
+        .bisect_routed(&pool, profiles)
+        .unwrap()
+        .outcome;
     assert_eq!(baseline_outcome, compiled.threshold);
     let baseline_probe = ThresholdOptimizer::new(config.spec)
         .with_threads(Some(1))
@@ -99,8 +100,9 @@ fn parallel_sweeps_are_bit_identical_across_thread_counts() {
     for threads in THREADS {
         let outcome = ThresholdOptimizer::new(config.spec)
             .with_threads(threads)
-            .optimize_routed(&pool, profiles)
-            .unwrap();
+            .bisect_routed(&pool, profiles)
+            .unwrap()
+            .outcome;
         assert_eq!(
             outcome, baseline_outcome,
             "certified threshold diverged at threads={threads:?}"

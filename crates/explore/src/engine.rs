@@ -162,6 +162,13 @@ pub struct BenchmarkExploration {
     pub cache_misses: u32,
     /// Function invocations across every full-evaluation session.
     pub compile_invocations: u64,
+    /// Probes the predictor's bisections ran over every candidate (not
+    /// serialized: an implementation detail of the search).
+    #[serde(skip)]
+    pub predictor_probes: usize,
+    /// Of those, probes that reused an earlier probe's replay.
+    #[serde(skip)]
+    pub predictor_reused: usize,
 }
 
 fn point_skeleton(
@@ -237,10 +244,13 @@ pub fn explore(
 
     // Rank candidates by predicted cost and quality.
     let spec_q = &config.compile.spec;
-    let predictions = enumerated
+    let searches = enumerated
         .iter()
         .map(|(_, s)| probes.predict(s, spec_q.max_quality_loss, spec_q.success_rate))
         .collect::<std::result::Result<Vec<_>, MithraError>>()?;
+    let predictor_probes = searches.iter().map(|s| s.probes.len()).sum();
+    let predictor_reused = searches.iter().map(|s| s.reused).sum();
+    let predictions: Vec<_> = searches.into_iter().map(|s| s.outcome).collect();
     let costs: Vec<f64> = predictions.iter().map(|p| p.relative_cost).collect();
     let qualities: Vec<f64> = predictions.iter().map(|p| -p.probe_success).collect();
     let mut cost_ranks = rank_ascending(&costs);
@@ -394,5 +404,7 @@ pub fn explore(
         cache_hits,
         cache_misses,
         compile_invocations,
+        predictor_probes,
+        predictor_reused,
     })
 }

@@ -6,9 +6,10 @@
 //! as a **probe**: a reduced-epoch network profiled on a small prefix of
 //! the compilation datasets. A candidate's quality and cost are then
 //! estimated purely from margined-oracle replays of its members' probe
-//! profiles — a 16-step bisection finds the largest threshold whose
-//! probe success fraction meets the target, and the serving shares at
-//! that threshold price the mixture in MACs.
+//! profiles — a 16-step bisection, the core's one memoized
+//! [`MemoBisection`], finds the largest threshold whose probe success
+//! fraction meets the target, and the serving shares at that threshold
+//! price the mixture in MACs.
 //!
 //! Predictions are **rank-only**: they order candidates for pruning and
 //! are never reported as results. The full-evaluation stage measures the
@@ -25,6 +26,7 @@ use mithra_core::parallel::par_map_indexed;
 use mithra_core::pipeline::CompileConfig;
 use mithra_core::profile::{collect_profiles_parallel, replay_mixture, DatasetProfile};
 use mithra_core::route::{oracle_route_margined, PoolSpec, RouteChoice, RouterKind};
+use mithra_core::threshold::{accepted_in, max_finite_error, Bisection, MemoBisection, Probe};
 use mithra_core::{MithraError, Result};
 use mithra_npu::cost::NpuCostModel;
 use mithra_npu::kernel::KernelBackend;
@@ -42,8 +44,8 @@ pub const PROBE_STAGE: &str = "explore-probe";
 /// read in parallel after the last input element; a small fixed latency).
 const CASCADE_STAGE_DECISION_CYCLES: f64 = 4.0;
 
-/// Bisection steps of the mini-certification probe.
-const BISECTION_ITERATIONS: usize = 16;
+/// Midpoint probes of the mini-certification bisection.
+const BISECTION_ITERATIONS: u32 = 16;
 
 /// A deliberately planted predictor defect for the honesty self-check.
 ///
@@ -76,6 +78,15 @@ pub struct Prediction {
     /// priced with the simulator's own cost model — the cost-rank key,
     /// lower is better.
     pub relative_cost: f64,
+}
+
+impl Probe for Prediction {
+    fn at(&self, threshold: f32) -> Self {
+        Self {
+            mini_threshold: threshold,
+            ..*self
+        }
+    }
 }
 
 /// Probe profiles for every unique member topology of a design space.
@@ -197,8 +208,11 @@ impl ProbeSet {
     }
 
     /// Predicts one candidate's standing from its members' probe
-    /// profiles: bisect the mini-certified threshold, then price the
-    /// mixture at that threshold.
+    /// profiles, returned with its probes: the last midpoint whose success
+    /// fraction meets `target_rate`, else a probe at threshold 0. A probe
+    /// is keyed on each member's accepted count at its margined threshold,
+    /// so one that routes every invocation as an earlier one reuses its
+    /// replay.
     ///
     /// # Errors
     ///
@@ -209,65 +223,68 @@ impl ProbeSet {
         spec: &PoolSpec,
         quality_target: f64,
         target_rate: f64,
-    ) -> Result<Prediction> {
-        let member_indices: Vec<usize> =
-            spec.topologies
-                .iter()
-                .map(|t| {
-                    self.topologies.iter().position(|p| p == t).ok_or(
-                        MithraError::InsufficientData {
-                            stage: "design-space prediction",
-                            available: self.topologies.len(),
-                            needed: spec.len(),
-                        },
-                    )
-                })
-                .collect::<Result<Vec<_>>>()?;
-        let datasets = self.dataset_count();
-        if datasets == 0 {
-            return Err(MithraError::InsufficientData {
-                stage: "design-space prediction",
-                available: 0,
-                needed: 1,
-            });
-        }
-        let mut hi = 0f32;
-        for &t in &member_indices {
-            for profile in &self.profiles[t] {
-                for &e in profile.errors() {
-                    hi = hi.max(e);
-                }
-            }
-        }
-        let mut lo = 0f32;
-        for _ in 0..BISECTION_ITERATIONS {
-            let mid = (lo + hi) / 2.0;
-            let (success, _) = self.replay_at(&member_indices, spec, mid, quality_target)?;
-            if success >= target_rate {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let (probe_success, relative_cost) =
-            self.replay_at(&member_indices, spec, lo, quality_target)?;
-        Ok(Prediction {
-            mini_threshold: lo,
-            probe_success,
-            relative_cost,
-        })
+    ) -> Result<Bisection<Prediction>> {
+        let members = self.member_profiles(spec)?;
+        let mut search = MemoBisection::new(
+            |threshold| {
+                let accepted = members.iter().enumerate().map(|(m, profiles)| {
+                    accepted_in(*profiles, threshold * spec.margin_for(m) as f32)
+                });
+                Ok(accepted.collect::<Vec<usize>>())
+            },
+            |_, threshold| self.replay_at(spec, threshold, quality_target),
+        );
+        let hi = max_finite_error(members.iter().copied().flatten());
+        let passes = |p: &Prediction| p.probe_success >= target_rate;
+        let prediction = match search.bisect(0.0..hi, BISECTION_ITERATIONS, passes)? {
+            Some(best) => best,
+            None => search.probe(0.0)?,
+        };
+        Ok(search.finish(prediction))
     }
 
-    /// Replays every probe dataset under the margined oracle at
-    /// `threshold`: returns the success fraction against the quality
+    /// The probe profiles of each of `spec`'s members, cheapest first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MithraError::InsufficientData`] when a spec topology is
+    /// missing from the probe set or the set profiled no dataset.
+    pub fn member_profiles(&self, spec: &PoolSpec) -> Result<Vec<&[DatasetProfile]>> {
+        let insufficient = |available, needed| MithraError::InsufficientData {
+            stage: "design-space prediction",
+            available,
+            needed,
+        };
+        let members = spec
+            .topologies
+            .iter()
+            .map(|t| {
+                let i = self.topologies.iter().position(|p| p == t);
+                let i = i.ok_or(insufficient(self.topologies.len(), spec.len()))?;
+                Ok(self.profiles[i].as_slice())
+            })
+            .collect::<Result<Vec<_>>>()?;
+        if self.dataset_count() == 0 {
+            return Err(insufficient(0, 1));
+        }
+        Ok(members)
+    }
+
+    /// One unmemoized probe of [`predict`](Self::predict)'s search:
+    /// replays every probe dataset under the margined oracle at
+    /// `threshold`, scoring the success fraction against the quality
     /// target and the mean per-invocation relative cost.
-    fn replay_at(
+    ///
+    /// # Errors
+    ///
+    /// Same as [`predict`](Self::predict).
+    pub fn replay_at(
         &self,
-        member_indices: &[usize],
         spec: &PoolSpec,
         threshold: f32,
         quality_target: f64,
-    ) -> Result<(f64, f64)> {
+    ) -> Result<Prediction> {
+        let member_profiles = self.member_profiles(spec)?;
         let bench = &self.benchmark;
         let cost_model = NpuCostModel::new();
         let kernel_cycles = bench.profile().kernel_cycles as f64;
@@ -283,7 +300,7 @@ impl ProbeSet {
             RouterKind::TableCascade => None,
             RouterKind::KaryNeural(config) => {
                 let hidden = config.hidden_candidates.iter().copied().max().unwrap_or(8);
-                let input_dim = self.profiles[member_indices[0]][0].dataset().input_dim();
+                let input_dim = member_profiles[0][0].dataset().input_dim();
                 let layers = [input_dim, hidden, k + 1];
                 Some(match Topology::new(&layers) {
                     Ok(t) => cost_model.invocation(&t).cycles as f64,
@@ -300,10 +317,7 @@ impl ProbeSet {
         let mut cost = 0.0f64;
         let mut invocations = 0usize;
         for d in 0..datasets {
-            let members: Vec<&DatasetProfile> = member_indices
-                .iter()
-                .map(|&t| &self.profiles[t][d])
-                .collect();
+            let members: Vec<&DatasetProfile> = member_profiles.iter().map(|p| &p[d]).collect();
             let replay =
                 replay_mixture(bench.as_ref(), &members, |i| {
                     match oracle_route_margined(&members, i, threshold, spec) {
@@ -322,10 +336,11 @@ impl ProbeSet {
                 successes += 1;
             }
         }
-        Ok((
-            successes as f64 / datasets as f64,
-            cost / (invocations.max(1) as f64 * kernel_cycles),
-        ))
+        Ok(Prediction {
+            mini_threshold: threshold,
+            probe_success: successes as f64 / datasets as f64,
+            relative_cost: cost / (invocations.max(1) as f64 * kernel_cycles),
+        })
     }
 }
 

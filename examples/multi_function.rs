@@ -73,5 +73,10 @@ fn main() -> Result<(), MithraError> {
         outcome.trials,
         outcome.certified_rate * 100.0
     );
+    println!(
+        "tuple search: {} probes, {} reused an earlier probe's replays",
+        outcome.probes.len(),
+        outcome.reused
+    );
     Ok(())
 }
