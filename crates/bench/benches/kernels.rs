@@ -8,7 +8,6 @@ use mithra_axbench::jpeg::{decode_block, encode_block};
 use mithra_axbench::sobel::gradient_magnitude;
 use mithra_bdi::{compress, decompress, CompressedTable};
 use mithra_core::misr::{InputQuantizer, MisrConfig, MisrKernel};
-use mithra_npu::kernel::KernelBackend;
 use mithra_npu::mlp::{Activation, BatchScratch, Mlp};
 use mithra_npu::topology::Topology;
 use mithra_npu::train::{TrainScratch, Trainer};
@@ -82,7 +81,7 @@ fn bench_mlp_forward(c: &mut Criterion) {
 }
 
 /// The batched forward that profiling and serve's sub-batches run: 64
-/// samples through the scalar backend's tiles.
+/// samples through the tile kernel.
 fn bench_mlp_forward_batch(c: &mut Criterion) {
     const SAMPLES: usize = 64;
     let mut group = c.benchmark_group("npu_forward_batch");
@@ -97,21 +96,15 @@ fn bench_mlp_forward_batch(c: &mut Criterion) {
         let mut scratch = BatchScratch::for_topology(&topology);
         group.bench_function(shape, |b| {
             b.iter(|| {
-                mlp.forward_batch_into_with(
-                    KernelBackend::Scalar,
-                    black_box(&inputs),
-                    SAMPLES,
-                    &mut outputs,
-                    &mut scratch,
-                )
-                .unwrap()
+                mlp.forward_batch_into(black_box(&inputs), SAMPLES, &mut outputs, &mut scratch)
+                    .unwrap()
             })
         });
     }
     group.finish();
 }
 
-/// One scalar SGD epoch over 4096 samples, at the widest neural
+/// One SGD epoch over 4096 samples, at the widest neural
 /// classifier candidate (jmeint's `[18, 32, 2]`, sigmoid output,
 /// learning rate 0.5) and at fft's NPU (`[1, 4, 4, 2]`, linear output,
 /// learning rate 0.3), both in batches of 32 as the compile pipeline
@@ -143,8 +136,7 @@ fn bench_train_epoch(c: &mut Criterion) {
             .epochs(1)
             .batch_size(32)
             .learning_rate(learning_rate)
-            .output_activation(output_activation)
-            .kernel(KernelBackend::Scalar);
+            .output_activation(output_activation);
         let mut scratch = TrainScratch::for_topology(&topology);
         group.bench_function(shape, |b| {
             b.iter(|| {

@@ -19,7 +19,6 @@ use mithra_core::random::RandomFilter;
 use mithra_core::session::{profile_validation, CompileSession};
 use mithra_core::threshold::QualitySpec;
 use mithra_core::Result;
-use mithra_npu::kernel::KernelBackend;
 use mithra_sim::report::{BenchmarkSummary, CompileCost};
 use mithra_sim::system::{simulate, RunResult, SimOptions};
 use std::fmt;
@@ -41,8 +40,7 @@ const USAGE: &str = "usage: --scale smoke|full --datasets N --validation N \
                      --quality 2.5,5,7.5,10 --confidence 0.95 --success-rate 0.90 \
                      --bench name,name --npu-epochs N --npu-train-datasets N \
                      --cache-dir PATH --no-cache --fault-rates 0.0005,0.002,0.008 \
-                     --fault-seed N --watchdog-period N --threads N \
-                     --kernel scalar|simd";
+                     --fault-seed N --watchdog-period N --threads N";
 
 /// A command-line parsing or configuration error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,10 +169,6 @@ pub struct ExperimentConfig {
     /// worker pool (`None` = available parallelism). Wall time only —
     /// results are thread-count independent.
     pub threads: Option<usize>,
-    /// Arithmetic kernel backend (scalar reference by default; `simd`
-    /// opts into the vectorized path, subject to host support and the
-    /// `MITHRA_KERNEL` environment override).
-    pub kernel: KernelBackend,
 }
 
 impl Default for ExperimentConfig {
@@ -197,7 +191,6 @@ impl Default for ExperimentConfig {
             fault_seed: 0xFA17,
             watchdog_period: 16,
             threads: None,
-            kernel: KernelBackend::Scalar,
         }
     }
 }
@@ -316,10 +309,6 @@ impl ExperimentConfig {
                     cfg.threads = (t > 0).then_some(t);
                     i += 2;
                 }
-                "--kernel" => {
-                    cfg.kernel = take()?.parse().map_err(ArgError::new)?;
-                    i += 2;
-                }
                 other => {
                     return Err(ArgError::new(format!("unknown argument `{other}`")));
                 }
@@ -385,7 +374,6 @@ impl ExperimentConfig {
             npu_train_datasets: self.npu_train_datasets.min(self.compile_datasets.max(1)),
             cache: self.cache_dir.clone().map(CacheConfig::at),
             threads: self.threads,
-            kernel: self.kernel,
             ..CompileConfig::default()
         })
     }
@@ -751,6 +739,11 @@ mod tests {
         let args: Vec<String> = vec!["--frobnicate".into()];
         let err = ExperimentConfig::from_arg_list(&args).unwrap_err();
         assert!(err.message().contains("unknown argument"));
+
+        // The NPU has one arithmetic, so there is no backend to select.
+        let args: Vec<String> = vec!["--kernel".into(), "simd".into()];
+        let err = ExperimentConfig::from_arg_list(&args).unwrap_err();
+        assert!(err.message().contains("unknown argument `--kernel`"));
     }
 
     #[test]

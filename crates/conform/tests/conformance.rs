@@ -17,7 +17,6 @@ use mithra_conform::{
 use mithra_core::pipeline::{compile, compile_routed, CompileConfig, Compiled};
 use mithra_core::route::{PoolSpec, RoutedCompiled};
 use mithra_core::threshold::QualitySpec;
-use mithra_npu::kernel::KernelBackend;
 use std::sync::Arc;
 
 const TRIALS: usize = 24;
@@ -250,56 +249,6 @@ fn routed_report_attributes_violations_and_audits_clean() {
         "route misattribution joins the roster"
     );
     assert!(check.all_detected(), "{check:?}");
-}
-
-/// Whole-pipeline check of the vectorized kernels: a SIMD-trained
-/// accelerator compiles end to end (training, profiling, certification,
-/// classifier training), carries its backend through the artifact, and
-/// its certificate survives independent conformance validation on
-/// unseen datasets. This is the guarantee that the SIMD opt-in changes
-/// wall time, not the statistical contract.
-///
-/// Unlike the other tests here, this one certifies against the paper
-/// spec (95% confidence, 90% success floor) rather than the smoke spec,
-/// whose 50% floor is deliberately too weak to hold at validation time.
-/// The Clopper–Pearson bound needs at least 29 all-success compile
-/// datasets to clear 0.9 at 95% confidence, hence the widened count.
-#[test]
-fn simd_compiled_function_certifies_and_holds() {
-    if !KernelBackend::simd_available() {
-        eprintln!("skipping: host cannot run the simd backend");
-        return;
-    }
-    let spec = QualitySpec::paper_default(0.10).unwrap();
-    let bench: Arc<dyn Benchmark> = suite::by_name("inversek2j").unwrap().into();
-    let config = CompileConfig {
-        kernel: KernelBackend::Simd,
-        spec,
-        compile_datasets: 32,
-        ..CompileConfig::smoke()
-    };
-    let compiled = compile(bench, &config).unwrap();
-    assert_eq!(
-        compiled.function.kernel(),
-        KernelBackend::Simd,
-        "the compiled artifact must carry the backend it trained with"
-    );
-    assert!(
-        compiled.threshold.certified_rate >= 0.90,
-        "certification must clear the paper floor (got {})",
-        compiled.threshold.certified_rate
-    );
-    assert!(
-        compiled.threshold.mean_invocation_rate > 0.0,
-        "a certificate that never invokes the accelerator is vacuous"
-    );
-    let report = validate(&compiled, &spec, &smoke_validator(2)).unwrap();
-    assert_eq!(
-        report.verdict,
-        Verdict::Holds,
-        "SIMD-trained certificate must hold on unseen data: {}",
-        report.summary_line()
-    );
 }
 
 #[test]

@@ -13,7 +13,6 @@
 use crate::Result;
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, DatasetScale};
-use mithra_npu::kernel::KernelBackend;
 use mithra_npu::mlp::{Activation, BatchScratch, ForwardScratch, Mlp};
 use mithra_npu::topology::Topology;
 use mithra_npu::train::{Normalizer, Trainer};
@@ -94,10 +93,6 @@ pub struct AcceleratedFunction {
     npu: Mlp,
     input_norm: Normalizer,
     output_norm: Normalizer,
-    /// Arithmetic backend for this function's forward passes (and the
-    /// backend it was trained with). Scalar unless opted in — the cache
-    /// key is salted when it is not.
-    kernel: KernelBackend,
 }
 
 impl AcceleratedFunction {
@@ -119,24 +114,6 @@ impl AcceleratedFunction {
         Self::train_with_topology(benchmark, datasets, config, &topology)
     }
 
-    /// [`AcceleratedFunction::train`] on an explicit kernel backend.
-    /// `kernel` deliberately lives outside [`NpuTrainConfig`]: the
-    /// config's `Debug` form is embedded in cache keys, and the scalar
-    /// default must keep producing byte-identical keys.
-    ///
-    /// # Errors
-    ///
-    /// Propagates NPU training failures (e.g. no samples).
-    pub fn train_with_kernel(
-        benchmark: Arc<dyn Benchmark>,
-        datasets: &[Dataset],
-        config: &NpuTrainConfig,
-        kernel: KernelBackend,
-    ) -> Result<Self> {
-        let topology = benchmark.npu_topology();
-        Self::train_with_topology_kernel(benchmark, datasets, config, &topology, kernel)
-    }
-
     /// [`AcceleratedFunction::train`] on an explicit network topology —
     /// how an approximator pool trains its cheap/medium members. With
     /// `topology == benchmark.npu_topology()` this is the same code path
@@ -151,31 +128,6 @@ impl AcceleratedFunction {
         datasets: &[Dataset],
         config: &NpuTrainConfig,
         topology: &Topology,
-    ) -> Result<Self> {
-        Self::train_with_topology_kernel(
-            benchmark,
-            datasets,
-            config,
-            topology,
-            KernelBackend::Scalar,
-        )
-    }
-
-    /// [`AcceleratedFunction::train_with_topology`] on an explicit kernel
-    /// backend — the fully general training entry point. Both backends
-    /// consume the RNG identically, so a SIMD-trained network is a
-    /// deterministic function of the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates NPU training failures (e.g. no samples, or a topology
-    /// whose input/output widths do not match the benchmark).
-    pub fn train_with_topology_kernel(
-        benchmark: Arc<dyn Benchmark>,
-        datasets: &[Dataset],
-        config: &NpuTrainConfig,
-        topology: &Topology,
-        kernel: KernelBackend,
     ) -> Result<Self> {
         // Collect raw (input, precise output) pairs, subsampled.
         let mut pairs: Vec<(Vec<f32>, Vec<f32>)> = Vec::new();
@@ -211,7 +163,6 @@ impl AcceleratedFunction {
             .batch_size(32)
             .seed(config.seed)
             .output_activation(Activation::Linear)
-            .kernel(kernel)
             .train(&normalized)?;
 
         Ok(Self {
@@ -219,14 +170,11 @@ impl AcceleratedFunction {
             npu,
             input_norm,
             output_norm,
-            kernel,
         })
     }
 
     /// Builds an accelerated function from pre-trained parts (loading a
-    /// stored accelerator configuration). The kernel backend defaults to
-    /// scalar; reattach a non-default one with
-    /// [`AcceleratedFunction::with_kernel`].
+    /// stored accelerator configuration).
     pub fn from_parts(
         benchmark: Arc<dyn Benchmark>,
         npu: Mlp,
@@ -238,22 +186,7 @@ impl AcceleratedFunction {
             npu,
             input_norm,
             output_norm,
-            kernel: KernelBackend::Scalar,
         }
-    }
-
-    /// Rebinds the arithmetic backend — how a cache hit reattaches the
-    /// kernel the artifact was trained under (the stored parameters are
-    /// backend-agnostic; only the forward-pass dispatch changes).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelBackend) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The arithmetic backend this function's forward passes run on.
-    pub fn kernel(&self) -> KernelBackend {
-        self.kernel
     }
 
     /// The underlying benchmark.
@@ -325,9 +258,9 @@ impl AcceleratedFunction {
     ) -> Result<()> {
         self.input_norm
             .forward_into(input, &mut scratch.normalized_in);
-        let raw =
-            self.npu
-                .forward_into_with(self.kernel, &scratch.normalized_in, &mut scratch.fwd)?;
+        let raw = self
+            .npu
+            .forward_into(&scratch.normalized_in, &mut scratch.fwd)?;
         self.output_norm.inverse_into(raw, out);
         Ok(())
     }
@@ -335,8 +268,8 @@ impl AcceleratedFunction {
     /// Batched form of [`AcceleratedFunction::approx_with`]: `inputs`
     /// holds `count` raw-space input vectors concatenated sample-major;
     /// `outputs` receives the `count` raw-space output vectors in the
-    /// same layout. The block runs eight samples to a lane-parallel tile
-    /// on either backend, and every sample's result is bit-identical to
+    /// same layout. The block runs eight samples to a lane-parallel tile,
+    /// and every sample's result is bit-identical to
     /// the per-invocation
     /// [`approx_with`](AcceleratedFunction::approx_with) call (pinned by
     /// `mithra-npu/tests/kernel_parity.rs`).
@@ -363,8 +296,7 @@ impl AcceleratedFunction {
                 .extend_from_slice(&scratch.normalized_in);
         }
         self.npu
-            .forward_batch_into_with(
-                self.kernel,
+            .forward_batch_into(
                 &scratch.normalized_block,
                 count,
                 &mut scratch.raw_block,

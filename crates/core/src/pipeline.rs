@@ -62,11 +62,9 @@ pub struct CompileConfig {
     /// parallelism). Affects wall time only, never results, so the
     /// artifact cache ignores it.
     pub threads: Option<usize>,
-    /// Arithmetic kernel backend for NPU training and inference.
-    /// [`KernelBackend::Scalar`] (the default) is the bit-exact reference
-    /// every committed result pins; [`KernelBackend::Simd`] opts into the
-    /// vectorized path, which is deterministic but rounds differently, so
-    /// the artifact cache keys on it (scalar keys stay unchanged).
+    /// The NPU arithmetic, named for benchmark records. There is one
+    /// ([`KernelBackend::Scalar`]), so no stage reads this and the
+    /// artifact cache ignores it.
     pub kernel: KernelBackend,
 }
 

@@ -18,7 +18,7 @@ use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, OutputBuffer};
 
 /// Invocations per accelerator batch inside [`DatasetProfile::collect`].
-/// Large enough to amortize one weight-matrix traversal per SIMD tile,
+/// Large enough to amortize one weight-matrix traversal per lane tile,
 /// small enough that the staging buffers stay cache-resident.
 const PROFILE_BLOCK: usize = 64;
 
@@ -65,10 +65,9 @@ impl DatasetProfile {
     ///
     /// The accelerator side runs through
     /// [`AcceleratedFunction::approx_batch_with`] in blocks of
-    /// 64 invocations, eight to a lane-parallel tile on either backend;
-    /// per-invocation results are bit-identical to the one-at-a-time
-    /// loop on whichever backend the function carries, so the scalar
-    /// default reproduces every pinned number.
+    /// 64 invocations, eight to a lane-parallel tile; per-invocation
+    /// results are bit-identical to the one-at-a-time loop, so batching
+    /// moves no pinned number.
     pub fn collect(function: &AcceleratedFunction, dataset: Dataset) -> Self {
         let bench = function.benchmark();
         let n = dataset.invocation_count();

@@ -32,7 +32,6 @@ use crate::watchdog::Calibration;
 use crate::{MithraError, Result};
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::Dataset;
-use mithra_npu::kernel::KernelBackend;
 use mithra_npu::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
@@ -310,35 +309,6 @@ impl ApproximatorPool {
         threads: Option<usize>,
         primary: Option<&AcceleratedFunction>,
     ) -> Result<Self> {
-        Self::train_with_kernel(
-            benchmark,
-            datasets,
-            config,
-            spec,
-            threads,
-            primary,
-            KernelBackend::Scalar,
-        )
-    }
-
-    /// [`ApproximatorPool::train`] on an explicit kernel backend: every
-    /// freshly trained member uses `kernel` for its arithmetic. A reused
-    /// `primary` keeps whatever backend it carries — the session resolved
-    /// both from the same configuration, so they agree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MithraError::InvalidConfig`] for an empty spec and
-    /// propagates NPU training failures.
-    pub fn train_with_kernel(
-        benchmark: &Arc<dyn Benchmark>,
-        datasets: &[Dataset],
-        config: &NpuTrainConfig,
-        spec: &PoolSpec,
-        threads: Option<usize>,
-        primary: Option<&AcceleratedFunction>,
-        kernel: KernelBackend,
-    ) -> Result<Self> {
         if spec.is_empty() {
             return Err(MithraError::InvalidConfig {
                 parameter: "pool",
@@ -353,12 +323,11 @@ impl ApproximatorPool {
                     return Ok(primary.clone());
                 }
             }
-            AcceleratedFunction::train_with_topology_kernel(
+            AcceleratedFunction::train_with_topology(
                 Arc::clone(benchmark),
                 datasets,
                 config,
                 topology,
-                kernel,
             )
         });
         let members = results.into_iter().collect::<Result<Vec<_>>>()?;
@@ -388,19 +357,6 @@ impl ApproximatorPool {
     pub fn single(function: AcceleratedFunction) -> Self {
         let topology = function.npu().topology().clone();
         Self::from_members(vec![function], vec![topology])
-    }
-
-    /// This pool with every member's kernel backend replaced — the
-    /// artifact-cache reattach, mirroring
-    /// [`AcceleratedFunction::with_kernel`].
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelBackend) -> Self {
-        self.members = self
-            .members
-            .into_iter()
-            .map(|m| m.with_kernel(kernel))
-            .collect();
-        self
     }
 
     /// The trained members, cheapest first.

@@ -42,7 +42,6 @@ use crate::watchdog::{calibrate_mixture, Calibration};
 use crate::Result;
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::Dataset;
-use mithra_npu::kernel::KernelBackend;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -501,17 +500,10 @@ impl<S> CompileSession<S> {
 // choice that influenced it (transitively) matches.
 
 fn npu_key(benchmark: &str, config: &CompileConfig) -> String {
-    let mut key = format!(
+    format!(
         "v{CACHE_FORMAT_VERSION}/{benchmark}/scale={:?}/seed_base={}/train_datasets={}/npu={:?}",
         config.scale, config.seed_base, config.npu_train_datasets, config.npu
-    );
-    // The SIMD backend rounds differently, so its artifacts get distinct
-    // keys; the scalar default stays suffix-free so every artifact
-    // written before the kernel axis existed keeps its key.
-    if config.kernel != KernelBackend::Scalar {
-        key.push_str(&format!("/kernel={}", config.kernel));
-    }
-    key
+    )
 }
 
 fn profiles_key(benchmark: &str, config: &CompileConfig) -> String {
@@ -621,13 +613,7 @@ fn validation_key(
 impl CompileSession<Pending> {
     /// Opens a session for one benchmark. No work happens until the first
     /// stage transition.
-    ///
-    /// The kernel backend is resolved here — `MITHRA_KERNEL` env override,
-    /// then the configured request, then scalar fallback when SIMD is
-    /// unavailable — so cache keys and training always agree on which
-    /// arithmetic produced an artifact.
-    pub fn new(benchmark: Arc<dyn Benchmark>, mut config: CompileConfig) -> Self {
-        config.kernel = KernelBackend::resolve(config.kernel);
+    pub fn new(benchmark: Arc<dyn Benchmark>, config: CompileConfig) -> Self {
         let cache = config
             .cache
             .as_ref()
@@ -654,11 +640,7 @@ impl CompileSession<Pending> {
             .load_cached::<TrainedNpuArtifact>(Stage::NpuTraining, &key)
         {
             Some(artifact) => (
-                // Reattach the session's kernel so inference (profiling,
-                // serving) runs the same arithmetic the key promises.
-                artifact
-                    .into_function(Arc::clone(&self.benchmark))
-                    .with_kernel(self.config.kernel),
+                artifact.into_function(Arc::clone(&self.benchmark)),
                 0,
                 CacheOutcome::Hit,
             ),
@@ -670,11 +652,10 @@ impl CompileSession<Pending> {
                     })
                     .collect();
                 let invocations: u64 = train_sets.iter().map(|d| d.invocation_count() as u64).sum();
-                let function = AcceleratedFunction::train_with_kernel(
+                let function = AcceleratedFunction::train(
                     Arc::clone(&self.benchmark),
                     &train_sets,
                     &self.config.npu,
-                    self.config.kernel,
                 )?;
                 self.store_cached(Stage::NpuTraining, &key, &TrainedNpuArtifact::of(&function));
                 (function, invocations, self.miss_outcome())
@@ -818,8 +799,7 @@ impl CompileSession<Profiles> {
         let key = pool_key(&name, &self.config, spec);
         let cached_pool = self
             .load_cached::<PoolArtifact>(Stage::PoolTraining, &key)
-            .and_then(|a| a.into_pool(&self.benchmark, spec.topologies.clone()))
-            .map(|p| p.with_kernel(self.config.kernel));
+            .and_then(|a| a.into_pool(&self.benchmark, spec.topologies.clone()));
         let mut invocations = 0u64;
         let mut lookups = Vec::with_capacity(spec.len() + 1);
         let pool = match cached_pool {
@@ -843,14 +823,13 @@ impl CompileSession<Profiles> {
                             .sum::<u64>();
                     }
                 }
-                let pool = ApproximatorPool::train_with_kernel(
+                let pool = ApproximatorPool::train(
                     &self.benchmark,
                     &train_sets,
                     &self.config.npu,
                     spec,
                     self.config.threads,
                     Some(&self.state.function),
-                    self.config.kernel,
                 )?;
                 self.store_cached(Stage::PoolTraining, &key, &PoolArtifact::of(&pool));
                 pool

@@ -4,8 +4,8 @@
 //! millions of times per run; their contract is that a warmed
 //! [`InvokeScratch`] absorbs every buffer, leaving the per-invocation
 //! and per-batch paths allocation-free. A counting `#[global_allocator]`
-//! with per-thread counters pins that here, for both kernel backends,
-//! and for the table classifier's and router's per-invocation decide.
+//! with per-thread counters pins that here, and for the table
+//! classifier's and router's per-invocation decide.
 
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, DatasetScale};
@@ -16,7 +16,6 @@ use mithra_core::misr::InputQuantizer;
 use mithra_core::route::RouteClassifier;
 use mithra_core::table::{TableClassifier, TableDesign};
 use mithra_core::training::TrainingExample;
-use mithra_npu::kernel::KernelBackend;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -55,7 +54,7 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.with(Cell::get) - before, result)
 }
 
-fn trained_function(kernel: KernelBackend) -> (AcceleratedFunction, Dataset) {
+fn trained_function() -> (AcceleratedFunction, Dataset) {
     let bench: Arc<dyn Benchmark> = suite::by_name("inversek2j").unwrap().into();
     let datasets: Vec<Dataset> = (0..2)
         .map(|s| bench.dataset(s, DatasetScale::Smoke))
@@ -65,61 +64,45 @@ fn trained_function(kernel: KernelBackend) -> (AcceleratedFunction, Dataset) {
         max_samples: 500,
         seed: 11,
     };
-    let f = AcceleratedFunction::train_with_kernel(Arc::clone(&bench), &datasets, &config, kernel)
-        .unwrap();
+    let f = AcceleratedFunction::train(Arc::clone(&bench), &datasets, &config).unwrap();
     let serve = bench.dataset(100, DatasetScale::Smoke);
     (f, serve)
 }
 
-fn backends() -> Vec<KernelBackend> {
-    let mut backends = vec![KernelBackend::Scalar];
-    if KernelBackend::simd_available() {
-        backends.push(KernelBackend::Simd);
-    }
-    backends
-}
-
 #[test]
 fn approx_invocation_is_allocation_free_after_warmup() {
-    for backend in backends() {
-        let (f, dataset) = trained_function(backend);
-        let mut scratch = InvokeScratch::new();
-        let mut out = Vec::new();
-        // One warm call sizes every buffer in the scratch and the output.
-        f.approx_with(dataset.input(0), &mut out, &mut scratch);
-        let (allocs, _) = allocs_during(|| {
-            for i in 0..64 {
-                f.approx_with(
-                    dataset.input(i % dataset.invocation_count()),
-                    &mut out,
-                    &mut scratch,
-                );
-            }
-        });
-        assert_eq!(allocs, 0, "approx_with allocated on backend {backend:?}");
-    }
+    let (f, dataset) = trained_function();
+    let mut scratch = InvokeScratch::new();
+    let mut out = Vec::new();
+    // One warm call sizes every buffer in the scratch and the output.
+    f.approx_with(dataset.input(0), &mut out, &mut scratch);
+    let (allocs, _) = allocs_during(|| {
+        for i in 0..64 {
+            f.approx_with(
+                dataset.input(i % dataset.invocation_count()),
+                &mut out,
+                &mut scratch,
+            );
+        }
+    });
+    assert_eq!(allocs, 0, "approx_with allocated");
 }
 
 #[test]
 fn batched_approx_is_allocation_free_after_warmup() {
-    for backend in backends() {
-        let (f, dataset) = trained_function(backend);
-        let in_dim = dataset.input_dim();
-        let count = 20; // off the tile boundary
-        let flat = &dataset.as_flat()[..count * in_dim];
-        let mut scratch = InvokeScratch::new();
-        let mut out = Vec::new();
-        f.approx_batch_with(flat, count, &mut out, &mut scratch);
-        let (allocs, _) = allocs_during(|| {
-            for _ in 0..16 {
-                f.approx_batch_with(flat, count, &mut out, &mut scratch);
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "approx_batch_with allocated on backend {backend:?}"
-        );
-    }
+    let (f, dataset) = trained_function();
+    let in_dim = dataset.input_dim();
+    let count = 20; // off the tile boundary
+    let flat = &dataset.as_flat()[..count * in_dim];
+    let mut scratch = InvokeScratch::new();
+    let mut out = Vec::new();
+    f.approx_batch_with(flat, count, &mut out, &mut scratch);
+    let (allocs, _) = allocs_during(|| {
+        for _ in 0..16 {
+            f.approx_batch_with(flat, count, &mut out, &mut scratch);
+        }
+    });
+    assert_eq!(allocs, 0, "approx_batch_with allocated");
 }
 
 /// Unseen `inversek2j` inputs to classify.

@@ -29,7 +29,6 @@ use mithra_core::route::{oracle_route_margined, PoolSpec, RouteChoice, RouterKin
 use mithra_core::threshold::{accepted_in, max_finite_error, Bisection, MemoBisection, Probe};
 use mithra_core::{MithraError, Result};
 use mithra_npu::cost::NpuCostModel;
-use mithra_npu::kernel::KernelBackend;
 use mithra_npu::topology::Topology;
 use serde::Serialize;
 use std::sync::Arc;
@@ -105,16 +104,10 @@ fn probe_member_key(
     probe_epochs: usize,
     topology: &Topology,
 ) -> String {
-    let mut key = format!(
+    format!(
         "v{CACHE_FORMAT_VERSION}/{benchmark}/explore-probe/scale={:?}/seed_base={}/train_datasets={}/npu={:?}/probe_epochs={probe_epochs}/topology={topology:?}",
         compile.scale, compile.seed_base, compile.npu_train_datasets, compile.npu
-    );
-    // Mirror the compile session's key rule: the scalar default stays
-    // suffix-free so pre-existing probe artifacts keep their keys.
-    if compile.kernel != KernelBackend::Scalar {
-        key.push_str(&format!("/kernel={}", compile.kernel));
-    }
-    key
+    )
 }
 
 impl ProbeSet {
@@ -158,16 +151,13 @@ impl ProbeSet {
                 .as_ref()
                 .and_then(|c| c.load::<TrainedNpuArtifact>(PROBE_STAGE, &member_key))
             {
-                Some(artifact) => artifact
-                    .into_function(Arc::clone(benchmark))
-                    .with_kernel(compile.kernel),
+                Some(artifact) => artifact.into_function(Arc::clone(benchmark)),
                 None => {
-                    let function = AcceleratedFunction::train_with_topology_kernel(
+                    let function = AcceleratedFunction::train_with_topology(
                         Arc::clone(benchmark),
                         &train_sets,
                         &npu,
                         topology,
-                        compile.kernel,
                     )?;
                     if let Some(c) = &cache {
                         c.store(PROBE_STAGE, &member_key, &TrainedNpuArtifact::of(&function));

@@ -9,9 +9,8 @@
 //! * **Clean pass** — `budget` seeded cases with no mutation. Every
 //!   reported divergence is a real disagreement between independently
 //!   implemented paths and fails the run. Tolerated, *documented*
-//!   deviations (a SIMD result inside the kernel tolerance band, SIMD
-//!   not compiled into this binary) are counted as
-//!   [`CaseOutcome::allowances`], never silently dropped.
+//!   deviations (a degenerate median split, a table false reject) are
+//!   counted as [`CaseOutcome::allowances`], never silently dropped.
 //! * **Mutation pass** — for each planted mutation the family declares,
 //!   `mutation_budget` cases run with that defect injected into exactly
 //!   one side of the comparison. The checkers must flag *every* such

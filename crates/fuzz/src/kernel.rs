@@ -1,79 +1,44 @@
-//! Oracle family `kernel`: scalar-vs-SIMD forward-pass agreement on
-//! fuzzed topologies.
+//! Oracle family `kernel`: the tile kernel against the single-sample
+//! kernel on fuzzed topologies.
 //!
 //! Each case builds a random MLP (fuzzed layer count, widths, weights,
 //! biases and output activation) and a small input batch, then checks:
 //!
-//! * **scalar determinism** — two scalar forward passes over the same
-//!   input are bit-identical;
-//! * **batch/single identity** — the batched kernel entry point equals
-//!   the per-invocation one bit for bit, on each available backend;
-//! * **backend tolerance** — the SIMD result stays within the
-//!   unit-scaled `FORWARD_TOL` band of the scalar result. A nonzero
-//!   difference inside the band is a *counted allowance*
-//!   (`simd-tolerance-band`), never a silent pass; SIMD being compiled
-//!   out of the binary is likewise an explicit `simd-unavailable`
-//!   allowance.
+//! * **determinism** — two forward passes over the same input are
+//!   bit-identical;
+//! * **batch/single identity** — the batched entry point equals the
+//!   per-invocation one bit for bit. Every rung of the batch-size ladder
+//!   exceeds `LANE_REMAINDER_CUTOFF`, so each case runs the tile kernel,
+//!   and the top rung adds a thin remainder group that runs the
+//!   single-sample kernel inside the same batch.
 //!
-//! Because this family's comparators are tolerance checks rather than
-//! recounts, the planted mutations weaken the *comparators* and the
-//! harness proves they still have teeth with per-case **probes**: every
-//! case also feeds each comparator a known-bad pair (a perturbation
-//! beyond the band, a flipped mantissa bit) that it must flag. A
-//! mutated comparator that misses its probe reports a `probe-missed`
-//! divergence — which is exactly how the mutation pass detects the
-//! planted defect.
+//! The planted mutations weaken the bit-identity *comparator*, and the
+//! harness proves it still has teeth with a per-case **probe**: every
+//! case also feeds it a known-bad pair (a flipped mantissa bit in the
+//! last element) that it must flag. A mutated comparator that misses
+//! its probe reports a `probe-missed` divergence — which is exactly how
+//! the mutation pass detects the planted defect.
 
 use crate::gen::{rng_for, scale_size, uniform_vec};
 use crate::harness::{CaseOutcome, OracleFamily};
-use mithra_npu::kernel::KernelBackend;
 use mithra_npu::mlp::{Activation, BatchScratch, ForwardScratch, Mlp};
 use mithra_npu::topology::Topology;
 use rand::Rng;
 
-/// Unit-scaled tolerance for scalar-vs-SIMD disagreement — the same
-/// band `mithra-npu`'s kernel-parity suite pins.
-pub const FORWARD_TOL: f32 = 1e-4;
-
 /// Labels of the planted comparator mutations, in `run_case` index
 /// order.
-pub const MUTATIONS: [&str; 3] = [
-    "infinite-tolerance",
-    "first-element-only",
-    "bit-identity-disabled",
-];
+pub const MUTATIONS: [&str; 2] = ["first-element-only", "bit-identity-disabled"];
+
+/// Batch sizes per scale: a partial tile, a full tile plus one thin
+/// sample, a full tile plus a partial one, and two full tiles plus a
+/// thin group of four.
+const BATCH_LADDER: [usize; 4] = [5, 9, 13, 20];
 
 /// Comparator-weakening knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CheckerMutation {
-    InfiniteTolerance,
     FirstElementOnly,
     BitIdentityDisabled,
-}
-
-/// Tolerance comparator: is every element of `b` within the unit-scaled
-/// band of `a`? Returns the worst unit-scaled difference it *examined*.
-fn within_band(a: &[f32], b: &[f32], mutation: Option<CheckerMutation>) -> (bool, f32) {
-    let tol = if mutation == Some(CheckerMutation::InfiniteTolerance) {
-        f32::INFINITY
-    } else {
-        FORWARD_TOL
-    };
-    let take = if mutation == Some(CheckerMutation::FirstElementOnly) {
-        1
-    } else {
-        a.len()
-    };
-    let mut worst = 0.0f32;
-    let mut ok = true;
-    for (&x, &y) in a.iter().zip(b).take(take) {
-        let unit = (x - y).abs() / x.abs().max(1.0);
-        worst = worst.max(unit);
-        if unit > tol {
-            ok = false;
-        }
-    }
-    (ok, worst)
 }
 
 /// Bit-identity comparator for batch-vs-single agreement.
@@ -114,9 +79,8 @@ impl OracleFamily for KernelFamily {
         let mut outcome = CaseOutcome::default();
         let mut rng = rng_for(seed);
         let checker = match mutation {
-            Some(0) => Some(CheckerMutation::InfiniteTolerance),
-            Some(1) => Some(CheckerMutation::FirstElementOnly),
-            Some(2) => Some(CheckerMutation::BitIdentityDisabled),
+            Some(0) => Some(CheckerMutation::FirstElementOnly),
+            Some(1) => Some(CheckerMutation::BitIdentityDisabled),
             _ => None,
         };
 
@@ -149,87 +113,47 @@ impl OracleFamily for KernelFamily {
             }
         };
 
-        let count = scale_size(scale, [2, 3, 5, 8]);
+        let count = scale_size(scale, BATCH_LADDER);
         let inputs = uniform_vec(&mut rng, count * topology.inputs(), -1.0, 1.0);
         let mut scratch = ForwardScratch::for_topology(&topology);
-        let mut batch_scratch = BatchScratch::for_topology(&topology);
 
-        // Scalar reference, one input at a time — and determinism.
-        let mut scalar = Vec::new();
+        // One input at a time — and determinism.
+        let mut single = Vec::new();
         for chunk in inputs.chunks_exact(topology.inputs()) {
-            let first = match mlp.forward_into_with(KernelBackend::Scalar, chunk, &mut scratch) {
+            let first = match mlp.forward_into(chunk, &mut scratch) {
                 Ok(out) => out.to_vec(),
                 Err(e) => {
-                    outcome.diverge(format!("scalar forward failed: {e}"));
+                    outcome.diverge(format!("forward failed: {e}"));
                     return outcome;
                 }
             };
             let second = mlp
-                .forward_into_with(KernelBackend::Scalar, chunk, &mut scratch)
+                .forward_into(chunk, &mut scratch)
                 .expect("same input cannot fail on retry")
                 .to_vec();
             if !bit_identical(&first, &second, None) {
-                outcome.diverge("scalar forward is nondeterministic".to_string());
+                outcome.diverge("forward is nondeterministic".to_string());
             }
-            scalar.extend_from_slice(&second);
+            single.extend_from_slice(&second);
         }
 
-        // Batch/single identity per backend, plus SIMD-vs-scalar band.
-        let mut backends = vec![KernelBackend::Scalar];
-        if KernelBackend::simd_available() {
-            backends.push(KernelBackend::Simd);
-        } else {
-            outcome.allow("simd-unavailable");
+        let mut batched = Vec::new();
+        let mut batch_scratch = BatchScratch::for_topology(&topology);
+        if let Err(e) = mlp.forward_batch_into(&inputs, count, &mut batched, &mut batch_scratch) {
+            outcome.diverge(format!("batch forward failed: {e}"));
+            return outcome;
         }
-        for backend in backends {
-            let mut single = Vec::new();
-            for chunk in inputs.chunks_exact(topology.inputs()) {
-                match mlp.forward_into_with(backend, chunk, &mut scratch) {
-                    Ok(out) => single.extend_from_slice(out),
-                    Err(e) => {
-                        outcome.diverge(format!("{backend:?} forward failed: {e}"));
-                        return outcome;
-                    }
-                }
-            }
-            let mut batched = Vec::new();
-            if let Err(e) = mlp.forward_batch_into_with(
-                backend,
-                &inputs,
-                count,
-                &mut batched,
-                &mut batch_scratch,
-            ) {
-                outcome.diverge(format!("{backend:?} batch forward failed: {e}"));
-                return outcome;
-            }
-            if !bit_identical(&single, &batched, checker) {
-                outcome.diverge(format!("{backend:?}: batched != single bit-for-bit"));
-            }
-            let (ok, worst) = within_band(&scalar, &single, checker);
-            if !ok {
-                outcome.diverge(format!(
-                    "{backend:?}: unit diff {worst} beyond tolerance {FORWARD_TOL}"
-                ));
-            } else if backend == KernelBackend::Simd && worst > 0.0 {
-                outcome.allow("simd-tolerance-band");
-            }
+        if !bit_identical(&single, &batched, checker) {
+            outcome.diverge("batched != single bit-for-bit".to_string());
         }
 
-        // Probes: each comparator must flag a known-bad pair. A miss is
-        // a divergence — on a clean case it means the checker has no
+        // Probe: the comparator must flag a known-bad pair. A miss is a
+        // divergence — on a clean case it means the checker has no
         // teeth; on a mutated case it is the detection itself.
-        let mut beyond = scalar.clone();
-        let last = beyond.len() - 1;
-        beyond[last] += 10.0 * FORWARD_TOL * beyond[last].abs().max(1.0);
-        if within_band(&scalar, &beyond, checker).0 {
-            outcome.diverge(
-                "probe-missed: tolerance comparator accepted out-of-band pair".to_string(),
-            );
-        }
-        let mut flipped = scalar.clone();
+        let mut flipped = single.clone();
+        let last = flipped.len() - 1;
         flipped[last] = f32::from_bits(flipped[last].to_bits() ^ 1);
-        if bit_identical(&scalar, &flipped, checker) {
+        if bit_identical(&single, &flipped, checker) {
             outcome
                 .diverge("probe-missed: bit-identity comparator accepted flipped bit".to_string());
         }
@@ -241,6 +165,7 @@ impl OracleFamily for KernelFamily {
 mod tests {
     use super::*;
     use crate::harness::{family_seed_base, DEFAULT_SCALE};
+    use mithra_npu::kernel::{LANES, LANE_REMAINDER_CUTOFF};
 
     #[test]
     fn clean_cases_have_no_divergence() {
@@ -266,13 +191,19 @@ mod tests {
     }
 
     #[test]
+    fn every_rung_reaches_the_tile_kernel_and_the_top_one_a_thin_group() {
+        assert!(BATCH_LADDER.iter().all(|&n| n > LANE_REMAINDER_CUTOFF));
+        let top = BATCH_LADDER[3];
+        assert!(top > LANES);
+        assert!((1..=LANE_REMAINDER_CUTOFF).contains(&(top % LANES)));
+    }
+
+    #[test]
     fn comparators_have_teeth_unmutated() {
         let a = [1.0f32, 2.0, 3.0];
         let mut b = a;
         b[2] += 1.0;
-        assert!(!within_band(&a, &b, None).0);
         assert!(!bit_identical(&a, &b, None));
-        assert!(within_band(&a, &a, None).0);
         assert!(bit_identical(&a, &a, None));
     }
 }

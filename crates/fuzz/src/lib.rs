@@ -16,15 +16,14 @@
 //! | `decision`  | table vs k-ary neural vs oracle vs precise decisions     |
 //! | `guarantee` | conformance judge vs bit-exact audit, CP invariants      |
 //! | `stream`    | BDI codec vs reference decoder; FIFO vs deque model      |
-//! | `kernel`    | scalar vs SIMD forward passes, batch vs single           |
+//! | `kernel`    | tile vs single-sample forward passes, determinism        |
 //!
 //! Each family draws its cases from a disjoint window of the workspace
 //! seed partition (`mithra_core::seeds::FUZZ_SEED_BASE` plus the
 //! family's stride), so fuzzing can never consume data any compile,
 //! validation, serving or conformance layer already used. Failures
 //! minimize to a `(seed, scale)` replay token; tolerated deviations
-//! (SIMD tolerance band, SIMD compiled out) are counted allowances,
-//! never silent passes. The `mithra-fuzz` binary drives all families
+//! are counted allowances, never silent passes. The `mithra-fuzz` binary drives all families
 //! and exits nonzero on any unexplained divergence or missed mutation
 //! — see `EXPERIMENTS.md` for the smoke and extended budgets CI runs.
 

@@ -213,8 +213,7 @@ impl FixedMlp {
     ///
     /// The accumulation interleaves four partial sums per neuron, but
     /// integer addition is associative, so — unlike the float datapath —
-    /// this is bit-exact against the plain sequential sum on every
-    /// backend and needs no opt-in.
+    /// this is bit-exact against the plain sequential sum.
     ///
     /// # Errors
     ///

@@ -71,7 +71,6 @@ pub type Result<T> = std::result::Result<T, NpuError>;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use crate::cost::{InvocationCost, NpuCostModel};
-    pub use crate::kernel::KernelBackend;
     pub use crate::mlp::{Activation, Mlp};
     pub use crate::topology::Topology;
     pub use crate::train::{Normalizer, Trainer};

@@ -4,7 +4,7 @@
 //! same order the PE array streams them — so the forward pass is a plain
 //! sequence of dot products.
 
-use crate::kernel::{self, KernelBackend, LANES};
+use crate::kernel::{self, LANES};
 use crate::topology::Topology;
 use crate::{NpuError, Result};
 use serde::{Deserialize, Serialize};
@@ -90,38 +90,6 @@ impl Layer {
             *o = self.activation.apply(acc);
         }
     }
-
-    /// One sample through this layer on `backend`'s single-sample kernel.
-    fn forward_sample(&self, backend: KernelBackend, input: &[f32], out: &mut [f32]) {
-        match backend {
-            KernelBackend::Scalar => self.forward_exact(input, out),
-            KernelBackend::Simd => kernel::layer_forward_lane(
-                &self.weights,
-                &self.biases,
-                self.fan_in,
-                self.activation,
-                input,
-                out,
-            ),
-        }
-    }
-
-    /// A tile through this layer on `backend`'s tile kernel; only its
-    /// first `lanes` lanes are live. Each live lane is bit-identical to
-    /// [`Layer::forward_sample`] on the same backend.
-    fn forward_tile(&self, backend: KernelBackend, lanes: usize, input: &[f32], out: &mut [f32]) {
-        match backend {
-            KernelBackend::Scalar => kernel::layer_forward_tile_exact(self, lanes, input, out),
-            KernelBackend::Simd => kernel::layer_forward_tile(
-                &self.weights,
-                &self.biases,
-                self.fan_in,
-                self.activation,
-                input,
-                out,
-            ),
-        }
-    }
 }
 
 /// Reusable per-layer activation buffers for allocation-free forward
@@ -147,7 +115,7 @@ impl ForwardScratch {
     }
 
     /// Creates a scratch presized for `topology`, so no buffer ever
-    /// reallocates — on either backend — once construction returns.
+    /// reallocates once construction returns.
     pub fn for_topology(topology: &Topology) -> Self {
         let shape = topology.layers();
         Self {
@@ -157,8 +125,8 @@ impl ForwardScratch {
 }
 
 /// Reusable buffers for the batched forward pass
-/// ([`Mlp::forward_batch_into_with`]): two tile ping-pong buffers, which
-/// both backends' tile and single-sample kernels run through.
+/// ([`Mlp::forward_batch_into`]): two tile ping-pong buffers, which the
+/// tile and single-sample kernels both run through.
 /// [`BatchScratch::for_topology`] presizes them.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
@@ -321,10 +289,13 @@ impl Mlp {
         Ok(())
     }
 
-    /// Runs one forward pass on the scalar reference path through
-    /// caller-owned scratch buffers — the hot-path entry point,
-    /// performing no allocation once the scratch has warmed up. Returns
-    /// the output activations borrowed from the scratch.
+    /// Runs one forward pass through caller-owned scratch buffers — the
+    /// hot-path entry point, performing no allocation once the scratch
+    /// has warmed up. Returns the output activations borrowed from the
+    /// scratch, which also holds the full activation trace. The result
+    /// is bit-identical to the same sample inside a
+    /// [`forward_batch_into`](Self::forward_batch_into) tile (per-lane
+    /// independence — see [`crate::kernel`]).
     ///
     /// # Errors
     ///
@@ -332,31 +303,6 @@ impl Mlp {
     /// the input layer width.
     pub fn forward_into<'s>(
         &self,
-        input: &[f32],
-        scratch: &'s mut ForwardScratch,
-    ) -> Result<&'s [f32]> {
-        self.forward_into_with(KernelBackend::Scalar, input, scratch)
-    }
-
-    /// Backend-dispatched [`forward_into`]: `Scalar` runs the bit-exact
-    /// reference path; `Simd` runs the single-lane kernel
-    /// (`kernel::layer_forward_lane`), which replicates a SIMD tile
-    /// lane's exact operation sequence. On either backend the result is
-    /// bit-identical to the same sample inside a
-    /// [`forward_batch_into_with`] tile (per-lane independence — see
-    /// [`crate::kernel`]). Both paths leave the full activation trace in
-    /// `scratch`.
-    ///
-    /// [`forward_into`]: Self::forward_into
-    /// [`forward_batch_into_with`]: Self::forward_batch_into_with
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NpuError::DimensionMismatch`] if `input` does not match
-    /// the input layer width.
-    pub fn forward_into_with<'s>(
-        &self,
-        backend: KernelBackend,
         input: &[f32],
         scratch: &'s mut ForwardScratch,
     ) -> Result<&'s [f32]> {
@@ -375,7 +321,7 @@ impl Mlp {
             let (prev, next) = scratch.activations.split_at_mut(l + 1);
             // Every slot is overwritten, so only the length matters.
             next[0].resize(layer.biases.len(), 0.0);
-            layer.forward_sample(backend, &prev[l], &mut next[0]);
+            layer.forward_exact(&prev[l], &mut next[0]);
         }
         Ok(scratch
             .activations
@@ -386,21 +332,18 @@ impl Mlp {
     /// Batched matrix–matrix forward: `inputs` holds `count` samples
     /// concatenated sample-major, and `outputs` receives the `count`
     /// output vectors in the same layout. Samples run [`LANES`] per tile
-    /// through the backend's tile kernel, which amortizes one weight
-    /// traversal across them; a group of at most
+    /// through the tile kernel, which amortizes one weight traversal
+    /// across them; a group of at most
     /// [`LANE_REMAINDER_CUTOFF`](kernel::LANE_REMAINDER_CUTOFF) samples
     /// runs the single-sample kernel instead. Each sample's result is
-    /// bit-identical to [`forward_into_with`] on the same backend.
-    ///
-    /// [`forward_into_with`]: Self::forward_into_with
+    /// bit-identical to [`forward_into`](Self::forward_into).
     ///
     /// # Errors
     ///
     /// Returns [`NpuError::DimensionMismatch`] if `inputs` is not
     /// `count` input-layer widths long.
-    pub fn forward_batch_into_with(
+    pub fn forward_batch_into(
         &self,
-        backend: KernelBackend,
         inputs: &[f32],
         count: usize,
         outputs: &mut Vec<f32>,
@@ -427,8 +370,7 @@ impl Mlp {
                 for s in base..base + lanes {
                     scratch.tile_a[..in_dim].copy_from_slice(&inputs[s * in_dim..(s + 1) * in_dim]);
                     for layer in &self.layers {
-                        layer.forward_sample(
-                            backend,
+                        layer.forward_exact(
                             &scratch.tile_a[..layer.fan_in],
                             &mut scratch.tile_b[..layer.biases.len()],
                         );
@@ -450,8 +392,8 @@ impl Mlp {
                 }
             }
             for layer in &self.layers {
-                layer.forward_tile(
-                    backend,
+                kernel::layer_forward_tile_exact(
+                    layer,
                     lanes,
                     &scratch.tile_a[..layer.fan_in * LANES],
                     &mut scratch.tile_b[..layer.biases.len() * LANES],

@@ -7,7 +7,7 @@
 //! momentum on mean-squared error, plus the input/output normalization the
 //! NPU compiler applies so sigmoid layers see well-scaled values.
 
-use crate::kernel::{self, KernelBackend, LANES};
+use crate::kernel::{self, LANES};
 use crate::mlp::{Activation, Mlp};
 use crate::topology::Topology;
 use crate::{NpuError, Result};
@@ -121,9 +121,8 @@ impl Normalizer {
 
 /// Preallocated training buffers: the training set as row-major sample
 /// matrices, lane-per-sample activation and error-term tiles, gradient
-/// accumulators, the transposed weight copies the backward pass streams,
-/// the sample-major staging copy the scalar gradient fold reads, and the
-/// SIMD backend's lane-resolved gradients.
+/// accumulators, the transposed weight copies the backward pass streams
+/// and the sample-major staging copy the gradient fold reads.
 ///
 /// [`Trainer::train`] creates one per call via
 /// [`TrainScratch::for_topology`] and reuses it across every example,
@@ -148,13 +147,9 @@ pub struct TrainScratch {
     /// tiles of layer `l`.
     act8: Vec<Vec<f32>>,
     delta8: Vec<Vec<f32>>,
-    /// Scalar backend: one activation tile copied sample-major
+    /// One activation tile copied sample-major
     /// (`stage[lane * width + i]`), sized for the widest layer input.
     stage: Vec<f32>,
-    /// SIMD backend: lane-resolved gradient accumulators, reduced in
-    /// ascending-lane order at each batch end.
-    w_grad8: Vec<Vec<f32>>,
-    b_grad8: Vec<Vec<f32>>,
 }
 
 impl TrainScratch {
@@ -163,8 +158,8 @@ impl TrainScratch {
         Self::default()
     }
 
-    /// Creates a scratch presized for `topology` — on either backend no
-    /// buffer reallocates once construction returns.
+    /// Creates a scratch presized for `topology` — no buffer reallocates
+    /// once construction returns.
     pub fn for_topology(topology: &Topology) -> Self {
         let shape = topology.layers();
         let layer = |l: usize| (shape[l], shape[l + 1]);
@@ -187,16 +182,8 @@ impl TrainScratch {
                 })
                 .collect(),
             act8: shape.iter().map(|&w| vec![0.0; w * LANES]).collect(),
-            delta8: per_layer
-                .clone()
-                .map(|l| vec![0.0; layer(l).1 * LANES])
-                .collect(),
+            delta8: per_layer.map(|l| vec![0.0; layer(l).1 * LANES]).collect(),
             stage: vec![0.0; Self::stage_len(shape)],
-            w_grad8: per_layer
-                .clone()
-                .map(|l| vec![0.0; layer(l).0 * layer(l).1 * LANES])
-                .collect(),
-            b_grad8: per_layer.map(|l| vec![0.0; layer(l).1 * LANES]).collect(),
         }
     }
 
@@ -240,7 +227,7 @@ impl TrainScratch {
 /// The training set as two row-major matrices, copied once per
 /// [`Trainer::train`] call: sample `s`'s input is row `s` of `inputs`
 /// (`in_dim` wide) and its target row `s` of `targets` (`out_dim` wide).
-/// The tile loaders of both backends read these rows, so a sample costs
+/// The tile loader reads these rows, so a sample costs
 /// one contiguous read instead of a pointer chase through its own `Vec`.
 #[derive(Debug, Clone, Default)]
 struct SampleMatrix {
@@ -337,7 +324,6 @@ pub struct Trainer {
     seed: u64,
     output_activation: Activation,
     target_mse: Option<f32>,
-    kernel: KernelBackend,
 }
 
 impl Trainer {
@@ -354,7 +340,6 @@ impl Trainer {
             seed: 0x4D49_5448,
             output_activation: Activation::Linear,
             target_mse: None,
-            kernel: KernelBackend::Scalar,
         }
     }
 
@@ -399,19 +384,6 @@ impl Trainer {
     /// Stops early once the epoch's mean-squared error drops below `mse`.
     pub fn target_mse(&mut self, mse: f32) -> &mut Self {
         self.target_mse = Some(mse);
-        self
-    }
-
-    /// Selects the arithmetic backend for the inner SGD loops. The
-    /// default [`KernelBackend::Scalar`] is the bit-reproducible
-    /// reference; [`KernelBackend::Simd`] runs fused multiply-add tile
-    /// kernels with a polynomial sigmoid (see [`crate::kernel`]) and
-    /// reduces gradients per lane — deterministic for a fixed seed
-    /// and identical across machines, but not bit-equal to the
-    /// reference. RNG consumption (initialization, shuffles) is
-    /// identical on both backends.
-    pub fn kernel(&mut self, backend: KernelBackend) -> &mut Self {
-        self.kernel = backend;
         self
     }
 
@@ -494,14 +466,7 @@ impl Trainer {
                 if let Some(next) = batches.peek() {
                     scratch.samples.prefetch(next);
                 }
-                epoch_sse += match self.kernel {
-                    KernelBackend::Scalar => {
-                        self.sgd_step(&mut mlp, batch, &mut w_vel, &mut b_vel, scratch)
-                    }
-                    KernelBackend::Simd => {
-                        self.sgd_step_simd(&mut mlp, batch, &mut w_vel, &mut b_vel, scratch)
-                    }
-                };
+                epoch_sse += self.sgd_step(&mut mlp, batch, &mut w_vel, &mut b_vel, scratch);
             }
             let mse = epoch_sse / (samples.len() * self.topology.outputs()) as f64;
             if let Some(target) = self.target_mse {
@@ -533,8 +498,7 @@ impl Trainer {
         .expect("constructed lengths match the topology")
     }
 
-    /// One minibatch step on the scalar reference backend; returns the
-    /// batch's summed squared error.
+    /// One minibatch step; returns the batch's summed squared error.
     ///
     /// Samples run [`LANES`] at a time through lane-per-sample tiles, so
     /// the forward pass and the delta backpropagation vectorize across
@@ -615,113 +579,7 @@ impl Trainer {
         sse
     }
 
-    /// One minibatch step on the SIMD backend; returns the batch's
-    /// summed squared error.
-    ///
-    /// Samples run [`LANES`] at a time through lane-per-sample tiles
-    /// (see [`crate::kernel`]); a partial final group zero-pads its
-    /// spare lanes, whose output deltas are forced to zero so every
-    /// gradient contribution from a padding lane is an exact zero.
-    /// Gradients accumulate lane-resolved across the whole batch and are
-    /// reduced once, in ascending lane order, before the same momentum
-    /// update as the scalar step — so for a fixed seed the result is
-    /// deterministic, merely not bit-equal to the reference order.
-    fn sgd_step_simd(
-        &self,
-        mlp: &mut Mlp,
-        batch: &[usize],
-        w_vel: &mut [Vec<f32>],
-        b_vel: &mut [Vec<f32>],
-        scratch: &mut TrainScratch,
-    ) -> f64 {
-        let n_layers = mlp.layers().len();
-        let out_dim = self.topology.outputs();
-        for g in scratch.w_grad8.iter_mut() {
-            g.fill(0.0);
-        }
-        for g in scratch.b_grad8.iter_mut() {
-            g.fill(0.0);
-        }
-        let mut sse = 0.0f64;
-
-        for group in batch.chunks(LANES) {
-            scratch.samples.load_tile(group, &mut scratch.act8[0]);
-            for (l, layer) in mlp.layers().iter().enumerate() {
-                let (prev, next) = scratch.act8.split_at_mut(l + 1);
-                kernel::layer_forward_tile(
-                    &layer.weights,
-                    &layer.biases,
-                    layer.fan_in,
-                    layer.activation,
-                    &prev[l],
-                    &mut next[0],
-                );
-            }
-
-            let out_activation = mlp.layers()[n_layers - 1].activation;
-            let out_tile = &scratch.act8[n_layers];
-            let out_delta = &mut scratch.delta8[n_layers - 1];
-            for n in 0..out_dim {
-                for l in 0..LANES {
-                    let idx = n * LANES + l;
-                    out_delta[idx] = match group.get(l) {
-                        Some(&s) => {
-                            let o = out_tile[idx];
-                            let err = o - scratch.samples.target(s)[n];
-                            sse += f64::from(err) * f64::from(err);
-                            err * out_activation.derivative_from_output(o)
-                        }
-                        None => 0.0,
-                    };
-                }
-            }
-
-            for l in (0..n_layers).rev() {
-                let fan_in = mlp.layers()[l].fan_in;
-                kernel::grad_accum_tile(
-                    &scratch.delta8[l],
-                    fan_in,
-                    &scratch.act8[l],
-                    &mut scratch.w_grad8[l],
-                    &mut scratch.b_grad8[l],
-                );
-                if l > 0 {
-                    let fan_out = mlp.layers()[l].biases.len();
-                    let prev_activation = mlp.layers()[l - 1].activation;
-                    let (lower, upper) = scratch.delta8.split_at_mut(l);
-                    kernel::backprop_delta_tile(
-                        &scratch.wt[l],
-                        fan_out,
-                        &upper[0],
-                        &scratch.act8[l],
-                        prev_activation,
-                        &mut lower[l - 1],
-                    );
-                }
-            }
-        }
-
-        for l in 0..n_layers {
-            for (g, lane_accs) in scratch.w_grad[l]
-                .iter_mut()
-                .zip(scratch.w_grad8[l].chunks_exact(LANES))
-            {
-                *g = lane_accs.iter().sum();
-            }
-            for (g, lane_accs) in scratch.b_grad[l]
-                .iter_mut()
-                .zip(scratch.b_grad8[l].chunks_exact(LANES))
-            {
-                *g = lane_accs.iter().sum();
-            }
-        }
-        self.apply_update(mlp, batch.len(), w_vel, b_vel, scratch);
-        sse
-    }
-
-    /// Applies the accumulated batch gradients with momentum — shared
-    /// verbatim by both backends, so the scalar path's bit-exact update
-    /// order is untouched.
+    /// Applies the accumulated batch gradients with momentum.
     fn apply_update(
         &self,
         mlp: &mut Mlp,

@@ -5,10 +5,9 @@
 //! This binary installs a counting `#[global_allocator]` (per-thread
 //! counters, so parallel test execution cannot cross-contaminate) and
 //! pins that contract: a properly pre-sized forward pass performs zero
-//! allocations on either backend, and training's allocation count is
+//! allocations, and training's allocation count is
 //! independent of the epoch count — every per-epoch buffer is reused.
 
-use mithra_npu::kernel::KernelBackend;
 use mithra_npu::mlp::{Activation, BatchScratch, ForwardScratch, Mlp};
 use mithra_npu::topology::Topology;
 use mithra_npu::train::{TrainScratch, Trainer};
@@ -67,20 +66,13 @@ fn test_mlp(shape: &[usize]) -> Mlp {
 fn forward_is_allocation_free_with_presized_scratch() {
     let mlp = test_mlp(&[9, 8, 1]);
     let input = [0.25f32; 9];
-    let mut backends = vec![KernelBackend::Scalar];
-    if KernelBackend::simd_available() {
-        backends.push(KernelBackend::Simd);
-    }
-    for backend in backends {
-        let mut scratch = ForwardScratch::for_topology(mlp.topology());
-        let (allocs, _) = allocs_during(|| {
-            for _ in 0..32 {
-                mlp.forward_into_with(backend, &input, &mut scratch)
-                    .unwrap();
-            }
-        });
-        assert_eq!(allocs, 0, "forward allocated on backend {backend:?}");
-    }
+    let mut scratch = ForwardScratch::for_topology(mlp.topology());
+    let (allocs, _) = allocs_during(|| {
+        for _ in 0..32 {
+            mlp.forward_into(&input, &mut scratch).unwrap();
+        }
+    });
+    assert_eq!(allocs, 0, "forward allocated");
 }
 
 #[test]
@@ -91,27 +83,18 @@ fn batched_forward_is_allocation_free_after_warmup() {
     let inputs: Vec<f32> = (0..count * 6)
         .map(|_| rng.gen_range(-1.0f32..1.0))
         .collect();
-    let mut backends = vec![KernelBackend::Scalar];
-    if KernelBackend::simd_available() {
-        backends.push(KernelBackend::Simd);
-    }
-    for backend in backends {
-        let mut scratch = BatchScratch::for_topology(mlp.topology());
-        let mut outputs = Vec::new();
-        // One warm pass sizes the output vector; steady state reuses it.
-        mlp.forward_batch_into_with(backend, &inputs, count, &mut outputs, &mut scratch)
-            .unwrap();
-        let (allocs, _) = allocs_during(|| {
-            for _ in 0..16 {
-                mlp.forward_batch_into_with(backend, &inputs, count, &mut outputs, &mut scratch)
-                    .unwrap();
-            }
-        });
-        assert_eq!(
-            allocs, 0,
-            "batched forward allocated on backend {backend:?}"
-        );
-    }
+    let mut scratch = BatchScratch::for_topology(mlp.topology());
+    let mut outputs = Vec::new();
+    // One warm pass sizes the output vector; steady state reuses it.
+    mlp.forward_batch_into(&inputs, count, &mut outputs, &mut scratch)
+        .unwrap();
+    let (allocs, _) = allocs_during(|| {
+        for _ in 0..16 {
+            mlp.forward_batch_into(&inputs, count, &mut outputs, &mut scratch)
+                .unwrap();
+        }
+    });
+    assert_eq!(allocs, 0, "batched forward allocated");
 }
 
 /// Training's allocation count must not scale with epochs: everything
@@ -130,35 +113,28 @@ fn training_allocations_are_epoch_independent() {
             )
         })
         .collect();
-    let mut backends = vec![KernelBackend::Scalar];
-    if KernelBackend::simd_available() {
-        backends.push(KernelBackend::Simd);
-    }
-    for backend in backends {
-        let count_for = |epochs: usize| {
-            let mut scratch = TrainScratch::for_topology(&topology);
-            let (allocs, mlp) = allocs_during(|| {
-                Trainer::new(topology.clone())
-                    .epochs(epochs)
-                    .seed(5)
-                    .batch_size(10)
-                    .kernel(backend)
-                    .train_with_scratch(&samples, &mut scratch)
-                    .unwrap()
-            });
-            drop(mlp);
-            allocs
-        };
-        let one = count_for(1);
-        let four = count_for(4);
-        assert_eq!(
-            one, four,
-            "backend {backend:?}: allocation count scales with epochs ({one} vs {four})"
-        );
-    }
+    let count_for = |epochs: usize| {
+        let mut scratch = TrainScratch::for_topology(&topology);
+        let (allocs, mlp) = allocs_during(|| {
+            Trainer::new(topology.clone())
+                .epochs(epochs)
+                .seed(5)
+                .batch_size(10)
+                .train_with_scratch(&samples, &mut scratch)
+                .unwrap()
+        });
+        drop(mlp);
+        allocs
+    };
+    let one = count_for(1);
+    let four = count_for(4);
+    assert_eq!(
+        one, four,
+        "allocation count scales with epochs ({one} vs {four})"
+    );
 }
 
-/// The scalar tile step at the neural classifier's batch size allocates
+/// The tile step at the neural classifier's batch size allocates
 /// nothing once [`TrainScratch::for_topology`] has sized every buffer,
 /// the sample-major staging copy included. Zero, one and six epochs cost
 /// exactly the same set-up allocations (network, velocities, shuffle
@@ -185,7 +161,6 @@ fn scalar_tile_step_is_allocation_free_after_presizing() {
                 .learning_rate(0.5)
                 .batch_size(32)
                 .output_activation(Activation::Sigmoid)
-                .kernel(KernelBackend::Scalar)
                 .train_with_scratch(&samples, &mut scratch)
                 .unwrap()
         })

@@ -17,7 +17,7 @@
 //! change reorders an accumulation, these tests fail on the first
 //! differing weight.
 
-use mithra_npu::kernel::{KernelBackend, LANES, LANE_REMAINDER_CUTOFF};
+use mithra_npu::kernel::{LANES, LANE_REMAINDER_CUTOFF};
 use mithra_npu::mlp::{Activation, BatchScratch, ForwardScratch, Mlp};
 use mithra_npu::topology::Topology;
 use mithra_npu::train::Trainer;
@@ -443,40 +443,19 @@ fn training_matches_naive_reference_at_production_settings() {
 }
 
 // ---------------------------------------------------------------------
-// Scalar ↔ SIMD parity. The SIMD backend is *not* bit-exact against the
-// scalar reference (fused multiply-adds round once, the vectorized
-// sigmoid uses a polynomial exp), so these tests pin a tolerance instead
-// — and `forward_tolerance_has_teeth` proves the tolerance is tight
-// enough to catch a real defect, not a rubber stamp.
+// Batched forward. The tile kernel and the single-sample kernel run the
+// same per-sample operation sequence, so batching may not change a bit.
 // ---------------------------------------------------------------------
-
-/// Unit-scaled tolerance for one forward pass: the polynomial exp is
-/// accurate to ~1e-6 relative and fused accumulation differs from the
-/// scalar chain by a few ulps per dot product.
-const FORWARD_TOL: f32 = 1e-4;
-
-/// Largest |a-b| / max(|b|, 1) over a pair of output vectors.
-fn max_unit_diff(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x - y).abs() / y.abs().max(1.0))
-        .fold(0.0, f32::max)
-}
 
 /// A random network over widths that straddle the tile width: the range
 /// covers width-1 layers (one active lane) and widths below, at, and
 /// above `LANES`, so pad-lane handling is exercised on every boundary.
-fn simd_topologies() -> impl Strategy<Value = Vec<usize>> {
+fn tile_topologies() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..=2 * LANES + 1, 2..=4)
 }
 
-fn random_mlp(shape: &[usize], seed: u64, out_act: Activation) -> Mlp {
-    scaled_random_mlp(shape, seed, out_act, 1.0)
-}
-
-/// [`random_mlp`] with every weight multiplied by `scale` (exact at
-/// 1.0). At 1e38 the dot products overflow to ±∞; at `f32::MAX` some
+/// A random network on `shape` with every weight multiplied by `scale`
+/// (exact at 1.0). At 1e38 the dot products overflow to ±∞; at `f32::MAX` some
 /// weights are themselves infinite, and ∞ − ∞ yields NaN.
 fn scaled_random_mlp(shape: &[usize], seed: u64, out_act: Activation, scale: f32) -> Mlp {
     let topology = Topology::new(shape).unwrap();
@@ -491,44 +470,8 @@ fn scaled_random_mlp(shape: &[usize], seed: u64, out_act: Activation, scale: f32
 }
 
 proptest! {
-    /// One SIMD forward pass tracks the scalar reference within
-    /// [`FORWARD_TOL`] on every topology shape — including width-1 and
-    /// non-multiple-of-`LANES` layers, where pad lanes must not leak.
-    #[test]
-    fn simd_forward_matches_scalar_within_tolerance(
-        shape in simd_topologies(),
-        seed in any::<u64>(),
-    ) {
-        if !KernelBackend::simd_available() {
-            return Ok(());
-        }
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x51D);
-        for out_act in [Activation::Linear, Activation::Sigmoid] {
-            let mlp = random_mlp(&shape, seed, out_act);
-            let mut scalar_scratch = ForwardScratch::new();
-            let mut simd_scratch = ForwardScratch::new();
-            for _ in 0..4 {
-                let input: Vec<f32> = (0..shape[0]).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-                let want = mlp
-                    .forward_into_with(KernelBackend::Scalar, &input, &mut scalar_scratch)
-                    .unwrap()
-                    .to_vec();
-                let got = mlp
-                    .forward_into_with(KernelBackend::Simd, &input, &mut simd_scratch)
-                    .unwrap()
-                    .to_vec();
-                prop_assert!(
-                    max_unit_diff(&got, &want) <= FORWARD_TOL,
-                    "divergence {} beyond tolerance (shape {:?})",
-                    max_unit_diff(&got, &want),
-                    shape,
-                );
-            }
-        }
-    }
-
     /// The batched entry point is bit-identical to the per-invocation
-    /// entry point of the *same* backend — compared by bits, so ±0
+    /// entry point — compared by bits, so ±0
     /// counts and a NaN must meet a NaN — for linear and sigmoid output
     /// layers, every count the single-sample path serves
     /// (1..=`LANE_REMAINDER_CUTOFF`) plus one on or off the tile
@@ -536,8 +479,8 @@ proptest! {
     /// the contract that lets the profiler and the serve engine batch
     /// without changing any result.
     #[test]
-    fn batched_forward_is_bit_identical_per_backend(
-        shape in simd_topologies(),
+    fn batched_forward_is_bit_identical_to_per_sample(
+        shape in tile_topologies(),
         count in 1usize..=2 * LANES + 3,
         seed in any::<u64>(),
         scale in any::<usize>().prop_map(|k| [1.0, 1e38, f32::MAX][k % 3]),
@@ -565,9 +508,8 @@ fn value_bits(v: f32) -> u32 {
     }
 }
 
-/// Every available backend: one batched forward over `count` random
-/// inputs equals, bit for bit, each sample's `forward_into_with` on the
-/// same backend. Returns the batched outputs of the last backend.
+/// One batched forward over `count` random inputs equals, bit for bit,
+/// each sample's `forward_into`. Returns the batched outputs.
 fn assert_batched_matches_per_sample(
     mlp: &Mlp,
     count: usize,
@@ -579,31 +521,24 @@ fn assert_batched_matches_per_sample(
     let inputs: Vec<f32> = (0..count * in_dim)
         .map(|_| rng.gen_range(-1.0f32..1.0))
         .collect();
-    let mut backends = vec![KernelBackend::Scalar];
-    if KernelBackend::simd_available() {
-        backends.push(KernelBackend::Simd);
-    }
     let mut outputs = Vec::new();
-    for backend in backends {
-        let mut batch_scratch = BatchScratch::new();
-        mlp.forward_batch_into_with(backend, &inputs, count, &mut outputs, &mut batch_scratch)
+    let mut batch_scratch = BatchScratch::new();
+    mlp.forward_batch_into(&inputs, count, &mut outputs, &mut batch_scratch)
+        .unwrap();
+    prop_assert_eq!(outputs.len(), count * out_dim);
+    let mut fwd = ForwardScratch::new();
+    for s in 0..count {
+        let want = mlp
+            .forward_into(&inputs[s * in_dim..(s + 1) * in_dim], &mut fwd)
             .unwrap();
-        prop_assert_eq!(outputs.len(), count * out_dim);
-        let mut fwd = ForwardScratch::new();
-        for s in 0..count {
-            let want = mlp
-                .forward_into_with(backend, &inputs[s * in_dim..(s + 1) * in_dim], &mut fwd)
-                .unwrap();
-            let got = &outputs[s * out_dim..(s + 1) * out_dim];
-            prop_assert_eq!(
-                got.iter().copied().map(value_bits).collect::<Vec<_>>(),
-                want.iter().copied().map(value_bits).collect::<Vec<_>>(),
-                "backend {:?}, sample {}/{}",
-                backend,
-                s,
-                count
-            );
-        }
+        let got = &outputs[s * out_dim..(s + 1) * out_dim];
+        prop_assert_eq!(
+            got.iter().copied().map(value_bits).collect::<Vec<_>>(),
+            want.iter().copied().map(value_bits).collect::<Vec<_>>(),
+            "sample {}/{}",
+            s,
+            count
+        );
     }
     Ok(outputs)
 }
@@ -612,7 +547,7 @@ fn assert_batched_matches_per_sample(
 /// non-finite cases it claims to cover. At 1e38 the weights stay finite
 /// but the dot products overflow: a linear output layer yields both
 /// infinities, and a sigmoid one saturates to exactly 1 and to within
-/// 1e-30 of 0 (the SIMD sigmoid's exponent clamp stops short of 0). At
+/// 1e-30 of 0. At
 /// `f32::MAX` some weights are themselves infinite, and ∞ − ∞ yields NaN.
 #[test]
 fn overflowing_weights_drive_batched_outputs_non_finite() {
@@ -638,87 +573,5 @@ fn overflowing_weights_drive_batched_outputs_non_finite() {
     for act in [Activation::Linear, Activation::Sigmoid] {
         let out = batched(act, f32::MAX);
         assert!(out.iter().any(|v| v.is_nan()), "{out:?}");
-    }
-}
-
-/// The tolerance check must reject a genuinely broken kernel: perturbing
-/// one output by 100× the tolerance trips `max_unit_diff`. Guards
-/// against the parity suite degenerating into a rubber stamp if the
-/// tolerance is ever loosened carelessly.
-#[test]
-fn forward_tolerance_has_teeth() {
-    let mlp = random_mlp(&[5, 9, 3], 7, Activation::Sigmoid);
-    let mut scratch = ForwardScratch::new();
-    let input = [0.3f32, -0.7, 0.1, 0.9, -0.2];
-    let out = mlp
-        .forward_into_with(KernelBackend::Scalar, &input, &mut scratch)
-        .unwrap()
-        .to_vec();
-    let mut mutated = out.clone();
-    mutated[1] += 100.0 * FORWARD_TOL;
-    assert!(max_unit_diff(&mutated, &out) > FORWARD_TOL);
-    // And an in-tolerance wiggle still passes, so the threshold is a
-    // band, not an equality check in disguise.
-    let mut close = out.clone();
-    close[1] += 0.1 * FORWARD_TOL;
-    assert!(max_unit_diff(&close, &out) <= FORWARD_TOL);
-}
-
-/// SIMD training converges on every benchmark topology: same data, same
-/// seed, both backends reach a comparable loss, and their trained
-/// networks agree within a (looser) tolerance — epochs compound the
-/// per-step rounding difference, so this band is wider than the
-/// single-pass one.
-#[test]
-fn simd_training_tracks_scalar_on_benchmark_topologies() {
-    if !KernelBackend::simd_available() {
-        eprintln!("skipping: host cannot run the simd backend");
-        return;
-    }
-    // The six benchmark topologies of the axbench suite.
-    let suite: &[&[usize]] = &[
-        &[6, 8, 3, 1],   // blackscholes
-        &[2, 8, 2],      // inversek2j
-        &[18, 32, 8, 2], // jmeint
-        &[64, 16, 64],   // jpeg
-        &[9, 8, 1],      // sobel
-        &[1, 4, 4, 2],   // fft
-    ];
-    for shape in suite {
-        let topology = Topology::new(shape).unwrap();
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        let samples: Vec<(Vec<f32>, Vec<f32>)> = (0..64)
-            .map(|_| {
-                (
-                    (0..topology.inputs())
-                        .map(|_| rng.gen_range(-1.0f32..1.0))
-                        .collect(),
-                    (0..topology.outputs())
-                        .map(|_| rng.gen_range(0.0f32..1.0))
-                        .collect(),
-                )
-            })
-            .collect();
-        let train = |backend: KernelBackend| {
-            Trainer::new(topology.clone())
-                .epochs(20)
-                .seed(42)
-                .batch_size(10)
-                .kernel(backend)
-                .train(&samples)
-                .unwrap()
-        };
-        let scalar = train(KernelBackend::Scalar);
-        let simd = train(KernelBackend::Simd);
-        let mut worst = 0.0f32;
-        for (x, _) in &samples {
-            let a = scalar.run(x).unwrap();
-            let b = simd.run(x).unwrap();
-            worst = worst.max(max_unit_diff(&b, &a));
-        }
-        assert!(
-            worst <= 5e-2,
-            "topology {shape:?}: trained networks diverge by {worst}"
-        );
     }
 }

@@ -670,9 +670,8 @@ fn serve_sub_batch(
     }
 
     // Pass 2 — one batched accelerator run per served member, through
-    // lane-parallel tiles on either backend. Per-sample results are
-    // bit-identical to the per-invocation path on whichever backend the
-    // member carries.
+    // lane-parallel tiles. Per-sample results are bit-identical to the
+    // per-invocation path.
     delta.config_bursts += config_bursts(
         &mut ctx.queues,
         &state.member_config_words,

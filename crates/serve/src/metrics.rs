@@ -181,8 +181,8 @@ pub struct EndpointCounters {
     pub config_bursts: u64,
     /// Host wall time spent inside the batched accelerator forward
     /// (`approx_batch_with`), in nanoseconds, summed across sub-batches
-    /// and shards. This isolates the kernel-backend-sensitive segment of
-    /// serving from queue/scheduling overhead, which dwarfs it at the
+    /// and shards. This isolates the NPU arithmetic segment of serving
+    /// from queue/scheduling overhead, which dwarfs it at the
     /// suite's topology sizes.
     pub approx_wall_nanos: u64,
     /// Served requests per pool member, cheapest first (one entry on a
