@@ -64,6 +64,17 @@ fn bench_table_train(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The compile's sample size (`CompileConfig::classifier_train_samples`)
+    // at the paper design: the (levels, vote) grid one compile trains.
+    let examples = synthetic_examples(9, 30_000);
+    let mut group = c.benchmark_group("table_train");
+    group.sample_size(10);
+    let design = TableDesign::paper_default();
+    group.bench_function(format!("30000_examples/{design}"), |b| {
+        b.iter(|| TableClassifier::train(design, quantizer(9), black_box(&examples)).unwrap())
+    });
+    group.finish();
 }
 
 fn bench_neural_decide(c: &mut Criterion) {

@@ -18,6 +18,7 @@ use crate::{MithraError, Result};
 use mithra_bdi::CompressedTable;
 use mithra_npu::fault::FaultSite;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Geometry of a table design point: `aT × bKB` in the paper's notation.
@@ -221,13 +222,14 @@ impl TableClassifier {
 
     /// [`TableClassifier::train`] with the `(levels, vote)` candidate grid
     /// scored across up to `threads` workers (`None`/`Some(0)` = available
-    /// parallelism): the inputs are prepared once (quantized and hashed at
-    /// every candidate granularity), then the labels train the grid.
+    /// parallelism): the inputs are prepared once (quantized, hashed and
+    /// their bucket occupancy counted at every candidate granularity),
+    /// then the labels train the grid, one granularity per worker.
     ///
-    /// Every candidate is built from pre-computed hashes shared read-only
-    /// across workers, and the winner is selected by folding scores in the
-    /// original candidate order — so the trained classifier is
-    /// bit-identical at any thread count.
+    /// Every granularity is graded from pre-computed hashes and occupancy
+    /// shared read-only across workers, and the winner is selected by
+    /// folding scores in the original candidate order — so the trained
+    /// classifier is bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -271,7 +273,9 @@ impl TableClassifier {
     /// The compiler's greedy assignment (paper §IV-A2): the first table
     /// takes the pool configuration with the fewest false decisions on its
     /// own; each subsequent table takes the unused configuration that
-    /// minimizes the *ensemble's* false decisions so far.
+    /// minimizes the *ensemble's* false decisions so far. This is the
+    /// single-vote case of the builder the compile-time search grades its
+    /// candidates with.
     ///
     /// # Errors
     ///
@@ -299,14 +303,10 @@ impl TableClassifier {
             });
         }
 
-        let hashes = pool_hash_rows(
-            &quantizer,
-            examples.iter().map(|e| &e.input[..]),
-            design.index_width(),
-        );
+        let inputs: Vec<&[f32]> = examples.iter().map(|e| &e.input[..]).collect();
         let rejects: Vec<bool> = examples.iter().map(|e| e.reject).collect();
-        let ensemble = Ensemble::build(design, vote_threshold, &rejects, &hashes);
-        Ok(ensemble.into_classifier(design, quantizer, vote_threshold))
+        let set = PreparedTableSet::fixed(design, quantizer, &inputs);
+        Ok(set.train_at(0, vote_threshold, &rejects))
     }
 
     /// Binds trained state to the MISR kernel it hashes with.
@@ -417,8 +417,21 @@ fn misr_kernel(configs: &[MisrConfig], width: u32, quantizer: &InputQuantizer) -
 
 /// Candidate quantizer granularities of the compile-time search.
 const CANDIDATE_LEVELS: [u16; 5] = [2, 4, 8, 16, 32];
-/// Candidate bucket-vote thresholds of the compile-time search.
+/// Candidate bucket-vote thresholds of the compile-time search, ascending:
+/// a bucket that fails one vote fails every larger one, so the votes it
+/// passes are a prefix of the list and their count (its grade) encodes
+/// them all.
 const CANDIDATE_VOTES: [f64; 3] = [0.0, 0.15, 0.35];
+const _: () = {
+    let mut i = 1;
+    while i < CANDIDATE_VOTES.len() {
+        assert!(
+            CANDIDATE_VOTES[i - 1] < CANDIDATE_VOTES[i],
+            "CANDIDATE_VOTES must ascend"
+        );
+        i += 1;
+    }
+};
 /// Below this many examples nothing is held out: the ensemble trains
 /// directly at the caller's quantizer with the conservative rule.
 const MIN_HOLDOUT_ROWS: usize = 8;
@@ -435,29 +448,81 @@ fn pool_hash_rows<'a>(
     grid.hash_all(&misr_kernel(&MisrConfig::pool(), width, quantizer))
 }
 
+/// Adds one to `counts[h]` for every bucket index `h` of `buckets` — the
+/// one bucket-counting loop, behind both occupancy and reject counts.
+fn count_buckets(counts: &mut [u32], buckets: impl IntoIterator<Item = u32>) {
+    for h in buckets {
+        counts[h as usize] += 1;
+    }
+}
+
+/// Adds to each pool configuration `c`'s counts — chunk `c` of
+/// `occupancy`, one count per bucket — how many of `rows` hash to each
+/// bucket under `c`.
+fn add_occupancy(occupancy: &mut [u32], hashes: &[Vec<u32>], rows: Range<usize>) {
+    let entries = occupancy.len() / hashes.len();
+    for (counts, per_cfg) in occupancy.chunks_exact_mut(entries).zip(hashes) {
+        count_buckets(counts, per_cfg[rows.clone()].iter().copied());
+    }
+}
+
 /// The label-independent half of [`TableClassifier::train_with_threads`]:
-/// one input set quantized at every candidate granularity and hashed
-/// under all 16 pool configurations.
+/// one input set quantized at every candidate granularity, hashed under
+/// all 16 pool configurations, and its fit prefix's bucket occupancy
+/// counted.
 ///
-/// Hashes depend only on the inputs and the granularity — never on the
-/// labels or the vote threshold — so a caller that relabels the same
-/// inputs many times (the deployed routed certifier retrains at every
-/// bisection probe) prepares once and calls [`PreparedTableSet::train`]
-/// per labeling. Each call is bit-identical to a cold
-/// `train_with_threads` on the same inputs and labels.
+/// Hashes and occupancy depend only on the inputs and the granularity —
+/// never on the labels or the vote threshold — so a caller that relabels
+/// the same inputs many times (the deployed routed certifier retrains at
+/// every bisection probe) prepares once and calls
+/// [`PreparedTableSet::train`] per labeling. Each call is bit-identical to
+/// a cold `train_with_threads` on the same inputs and labels.
 #[derive(Debug, Clone)]
 pub(crate) struct PreparedTableSet {
     design: TableDesign,
-    /// Per candidate granularity, in `CANDIDATE_LEVELS` order: its
-    /// quantizer and the full-set pool hash rows. A set below
-    /// `MIN_HOLDOUT_ROWS` keeps one entry, at the caller's quantizer.
-    grids: Vec<(InputQuantizer, Vec<Vec<u32>>)>,
+    /// One grid per candidate granularity, in `CANDIDATE_LEVELS` order. A
+    /// set below `MIN_HOLDOUT_ROWS` keeps one, at the caller's quantizer.
+    grids: Vec<PreparedGrid>,
     rows: usize,
+    /// The rows candidates train on: all but the last quarter, or every
+    /// row of a set below `MIN_HOLDOUT_ROWS`.
+    fit_len: usize,
+}
+
+/// One granularity's label-independent training state.
+#[derive(Debug, Clone)]
+struct PreparedGrid {
+    quantizer: InputQuantizer,
+    /// `hashes[c][i]`: row `i`'s bucket under pool configuration `c`,
+    /// over the full set.
+    hashes: Vec<Vec<u32>>,
+    /// How many fit-prefix rows hash to each bucket, configuration-major:
+    /// entry `c * entries_per_table + b` counts bucket `b` under pool
+    /// configuration `c`.
+    fit_occupancy: Vec<u32>,
+}
+
+impl PreparedGrid {
+    fn new(
+        design: TableDesign,
+        quantizer: InputQuantizer,
+        hashes: Vec<Vec<u32>>,
+        fit_len: usize,
+    ) -> Self {
+        let mut fit_occupancy = vec![0; hashes.len() * design.entries_per_table];
+        add_occupancy(&mut fit_occupancy, &hashes, 0..fit_len);
+        Self {
+            quantizer,
+            hashes,
+            fit_occupancy,
+        }
+    }
 }
 
 impl PreparedTableSet {
-    /// Quantizes and hashes `inputs` for every candidate granularity, the
-    /// granularities spread across up to `threads` workers.
+    /// Quantizes and hashes `inputs` for every candidate granularity and
+    /// counts their fit occupancy, the granularities spread across up to
+    /// `threads` workers.
     ///
     /// # Errors
     ///
@@ -477,22 +542,35 @@ impl PreparedTableSet {
                 needed: 1,
             });
         }
-        let width = design.index_width();
-        let grids = if inputs.len() < MIN_HOLDOUT_ROWS {
-            let hashes = pool_hash_rows(&quantizer, inputs.iter().copied(), width);
-            vec![(quantizer, hashes)]
-        } else {
-            par_map_indexed(CANDIDATE_LEVELS.len(), threads, |li| {
-                let q = quantizer.clone().with_levels(CANDIDATE_LEVELS[li]);
-                let hashes = pool_hash_rows(&q, inputs.iter().copied(), width);
-                (q, hashes)
-            })
-        };
+        if inputs.len() < MIN_HOLDOUT_ROWS {
+            return Ok(Self::fixed(design, quantizer, inputs));
+        }
+        let (rows, width) = (inputs.len(), design.index_width());
+        let fit_len = rows - rows / 4;
+        let grids = par_map_indexed(CANDIDATE_LEVELS.len(), threads, |li| {
+            let q = quantizer.clone().with_levels(CANDIDATE_LEVELS[li]);
+            let hashes = pool_hash_rows(&q, inputs.iter().copied(), width);
+            PreparedGrid::new(design, q, hashes, fit_len)
+        });
         Ok(Self {
             design,
             grids,
-            rows: inputs.len(),
+            rows,
+            fit_len,
         })
+    }
+
+    /// One grid at `quantizer` that holds nothing out, for a validated
+    /// design and a non-empty input set.
+    fn fixed(design: TableDesign, quantizer: InputQuantizer, inputs: &[&[f32]]) -> Self {
+        let rows = inputs.len();
+        let hashes = pool_hash_rows(&quantizer, inputs.iter().copied(), design.index_width());
+        Self {
+            design,
+            grids: vec![PreparedGrid::new(design, quantizer, hashes, rows)],
+            rows,
+            fit_len: rows,
+        }
     }
 
     /// Number of prepared inputs — the length `train` expects.
@@ -517,18 +595,13 @@ impl PreparedTableSet {
     /// inputs.
     pub(crate) fn train(&self, rejects: &[bool], threads: Option<usize>) -> TableClassifier {
         assert_eq!(rejects.len(), self.rows, "one label per prepared input");
-        let design = self.design;
         if self.rows < MIN_HOLDOUT_ROWS {
             // Too little data to hold anything out; train directly.
-            let (quantizer, hashes) = &self.grids[0];
-            return Ensemble::build(design, 0.0, rejects, hashes).into_classifier(
-                design,
-                quantizer.clone(),
-                0.0,
-            );
+            return self.train_at(0, 0.0, rejects);
         }
-        let fit_len = self.rows - self.rows / 4;
+        let fit_len = self.fit_len;
         let eval = &rejects[fit_len..];
+        let fit_rejects = reject_rows(&rejects[..fit_len]);
 
         // Quality is a constraint, not a linear tradeoff: a candidate is
         // feasible when its held-out false-negative rate stays within a
@@ -540,173 +613,251 @@ impl PreparedTableSet {
         // conservatively falls back to the original precise code").
         let eval_rejects = eval.iter().filter(|&&r| r).count();
 
-        // Score every candidate once, each on its own worker; the scored
-        // vector keeps levels-major candidate order regardless of which
-        // worker finished first. Candidates train on the fit prefix and
-        // score on the eval suffix of the same full-set hash rows.
-        let scored: Vec<(usize, usize, u16, f64)> = par_map_indexed(
-            CANDIDATE_LEVELS.len() * CANDIDATE_VOTES.len(),
-            threads,
-            |k| {
-                let (li, vi) = (k / CANDIDATE_VOTES.len(), k % CANDIDATE_VOTES.len());
-                let vote = CANDIDATE_VOTES[vi];
-                let hashes = &self.grids[li].1;
-                let ensemble = Ensemble::build(design, vote, &rejects[..fit_len], hashes);
-                let (mut fp, mut fn_) = (0usize, 0usize);
-                for (j, &reject) in eval.iter().enumerate() {
-                    match (ensemble.rejects_row(hashes, fit_len + j), reject) {
-                        (true, false) => fp += 1,
-                        (false, true) => fn_ += 1,
-                        _ => {}
-                    }
-                }
-                (fn_, fp, CANDIDATE_LEVELS[li], vote)
-            },
-        );
+        // Each granularity grades its fit-prefix buckets once for every
+        // vote, on its own worker, and scores its vote candidates on the
+        // eval suffix of the same full-set hash rows; the scored vector
+        // keeps levels-major candidate order regardless of which worker
+        // finished first.
+        let scored: Vec<(usize, usize, usize, usize)> =
+            par_map_indexed(self.grids.len(), threads, |li| {
+                let grid = &self.grids[li];
+                let graded = GradedEnsembles::train(
+                    self.design,
+                    &CANDIDATE_VOTES,
+                    &grid.fit_occupancy,
+                    (fit_len, &fit_rejects),
+                    &grid.hashes,
+                );
+                let scores = graded.score(&grid.hashes, fit_len..self.rows, eval);
+                (0..)
+                    .zip(scores)
+                    .map(|(vi, (fn_, fp))| (fn_, fp, li, vi))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         // Tiered selection: prefer candidates whose missed-reject rate
         // stays within an increasingly lax fraction of the reject
         // population; within a tier, fewest false positives wins. If no
         // tier admits anyone, degrade to fewest misses — the design then
         // "conservatively falls back to the original precise code".
-        let pick = |cap: f64| -> Option<(u16, f64)> {
+        let pick = |cap: f64| -> Option<(usize, usize)> {
             scored
                 .iter()
                 .filter(|(fn_, _, _, _)| {
                     (*fn_ as f64) <= (eval_rejects as f64 * cap).max(eval.len() as f64 * 0.02)
                 })
                 .min_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)))
-                .map(|&(_, _, l, v)| (l, v))
+                .map(|&(_, _, li, vi)| (li, vi))
         };
-        let (levels, vote) = pick(0.25).or_else(|| pick(0.5)).unwrap_or_else(|| {
-            let &(_, _, l, v) = scored
+        let (li, vi) = pick(0.25).or_else(|| pick(0.5)).unwrap_or_else(|| {
+            let &(_, _, li, vi) = scored
                 .iter()
                 .min_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
                 .expect("the candidate grid is non-empty");
-            (l, v)
+            (li, vi)
         });
-        // Retrain the winning policy on every row, reusing the winner's
-        // quantizer and full-set hash rows.
-        let li = CANDIDATE_LEVELS
-            .iter()
-            .position(|&l| l == levels)
-            .expect("the winner came from the candidate grid");
-        let (winner_quantizer, hashes) = &self.grids[li];
-        Ensemble::build(design, vote, rejects, hashes).into_classifier(
-            design,
-            winner_quantizer.clone(),
+        self.train_at(li, CANDIDATE_VOTES[vi], rejects)
+    }
+
+    /// Trains grid `li`'s ensemble at `vote` on every row, reusing its
+    /// quantizer and full-set hash rows: the occupancy of all rows is the
+    /// fit prefix's plus a count over the eval suffix.
+    fn train_at(&self, li: usize, vote: f64, rejects: &[bool]) -> TableClassifier {
+        let grid = &self.grids[li];
+        let mut occupancy = grid.fit_occupancy.clone();
+        add_occupancy(&mut occupancy, &grid.hashes, self.fit_len..self.rows);
+        let labels = (self.rows, &reject_rows(rejects)[..]);
+        GradedEnsembles::train(self.design, &[vote], &occupancy, labels, &grid.hashes).classifier(
+            0,
+            self.design,
+            grid.quantizer.clone(),
             vote,
         )
     }
 }
 
-/// One greedy ensemble build — the chosen pool indices (in table order)
-/// and their trained tables, before binding to a quantizer. Built purely
-/// from pre-computed hash rows so candidate sweeps never re-quantize or
-/// re-hash.
+/// The greedy ensembles of one granularity at every vote of an ascending
+/// vote list, trained on a labeled prefix of full-set hash rows.
+/// Built purely from pre-computed hash rows and occupancy, so candidate
+/// sweeps never re-quantize, re-hash or recount occupancy.
 #[derive(Debug)]
-struct Ensemble {
-    chosen: Vec<usize>,
-    tables: Vec<BitTable>,
+struct GradedEnsembles {
+    /// `grades[c][b]`: how many of the votes bucket `b` of pool
+    /// configuration `c` passes. Configuration `c`'s trained table at vote
+    /// index `v` sets exactly the buckets graded above `v`.
+    grades: Vec<Vec<u8>>,
+    /// Per vote, the chosen pool indices in table order.
+    chosen: Vec<Vec<usize>>,
 }
 
-impl Ensemble {
-    /// Builds each pool configuration's trained table and greedily selects
-    /// the ensemble, exactly as the paper's compiler does (§IV-A2).
+impl GradedEnsembles {
+    /// Counts the labeled rejects once per pool configuration, grades
+    /// every bucket against every vote, gathers each row's hit bits for
+    /// all votes in one pass, and then selects each vote's ensemble
+    /// greedily, exactly as the paper's compiler does (§IV-A2).
     ///
-    /// `rejects` may cover only a *prefix* of the hash rows: candidates
-    /// train on the fit prefix of full-set rows and are later scored
-    /// against the eval suffix via [`Ensemble::rejects_row`].
-    fn build(
+    /// The prefix is rows `0..n`, of which `rejects` lists the rejected
+    /// ones in order. `occupancy` counts the prefix's rows per bucket,
+    /// laid out as `PreparedGrid::fit_occupancy` is; `hashes` may run past
+    /// them (the eval suffix, scored later through
+    /// [`GradedEnsembles::score`]).
+    fn train(
         design: TableDesign,
-        vote_threshold: f64,
-        rejects: &[bool],
+        votes: &[f64],
+        occupancy: &[u32],
+        (n, rejects): (usize, &[usize]),
         hashes: &[Vec<u32>],
     ) -> Self {
-        let candidate_tables = trained_tables(design, vote_threshold, rejects, hashes);
-        let chosen = select_greedy(design.tables, rejects, hashes, &candidate_tables);
-        let tables = chosen
-            .iter()
-            .map(|&c| candidate_tables[c].clone())
+        let mut reject_counts = vec![0u32; design.entries_per_table];
+        let grades: Vec<Vec<u8>> = occupancy
+            .chunks_exact(design.entries_per_table)
+            .zip(hashes)
+            .map(|(totals, per_cfg)| {
+                reject_counts.fill(0);
+                count_buckets(&mut reject_counts, rejects.iter().map(|&i| per_cfg[i]));
+                totals
+                    .iter()
+                    .zip(&reject_counts)
+                    .map(|(&total, &r)| grade(votes, r, total))
+                    .collect()
+            })
             .collect();
-        Self { chosen, tables }
-    }
-
-    /// Whether the ensemble rejects hash row `i` — the OR of the chosen
-    /// tables' bits, identical to [`TableClassifier::decide`] on the input
-    /// that produced the row.
-    fn rejects_row(&self, hashes: &[Vec<u32>], i: usize) -> bool {
-        self.chosen
+        let truth = pack_rows(n, rejects.iter().copied());
+        let chosen = pack_graded_hits(votes.len(), 0..n, &grades, hashes)
             .iter()
-            .zip(&self.tables)
-            .any(|(&c, t)| t.get(hashes[c][i] as usize))
+            .map(|hits| select_greedy(design.tables, &truth, hits))
+            .collect();
+        Self { grades, chosen }
     }
 
-    fn into_classifier(
-        self,
+    /// Per vote, the `(false negatives, false positives)` of its ensemble
+    /// on hash rows `rows`, which `rejects` labels in order. A row's
+    /// decision is the OR of the chosen tables' bits, identical to
+    /// [`TableClassifier::decide`] on the input that produced the row;
+    /// the rows are scored 64 at a time on packed hit words.
+    fn score(
+        &self,
+        hashes: &[Vec<u32>],
+        rows: Range<usize>,
+        rejects: &[bool],
+    ) -> Vec<(usize, usize)> {
+        let truth = pack_rows(rejects.len(), (0..rejects.len()).filter(|&i| rejects[i]));
+        let hits = pack_graded_hits(self.chosen.len(), rows, &self.grades, hashes);
+        hits.iter()
+            .zip(&self.chosen)
+            .map(|(hits, chosen)| {
+                let (mut fn_, mut fp) = (0, 0);
+                for (w, &t) in truth.iter().enumerate() {
+                    let ensemble = chosen.iter().fold(0, |e, &c| e | hits[c][w]);
+                    fn_ += (t & !ensemble).count_ones() as usize;
+                    fp += (ensemble & !t).count_ones() as usize;
+                }
+                (fn_, fp)
+            })
+            .collect()
+    }
+
+    /// The ensemble at vote index `v` bound to `quantizer`; `vote` is the
+    /// threshold it was trained at.
+    fn classifier(
+        &self,
+        v: usize,
         design: TableDesign,
         quantizer: InputQuantizer,
-        vote_threshold: f64,
+        vote: f64,
     ) -> TableClassifier {
         let pool = MisrConfig::pool();
-        let configs = self.chosen.iter().map(|&c| pool[c]).collect();
-        TableClassifier::assemble(design, configs, self.tables, quantizer, vote_threshold)
+        let chosen = &self.chosen[v];
+        let configs = chosen.iter().map(|&c| pool[c]).collect();
+        let tables = chosen
+            .iter()
+            .map(|&c| {
+                let mut table = BitTable::new(design.entries_per_table);
+                for (b, &g) in self.grades[c].iter().enumerate() {
+                    if usize::from(g) > v {
+                        table.set(b);
+                    }
+                }
+                table
+            })
+            .collect();
+        TableClassifier::assemble(design, configs, tables, quantizer, vote)
     }
 }
 
-/// Each pool configuration's trained table over the `rejects` rows: a
-/// bucket's bit is set when its reject share passes the vote threshold
-/// (threshold 0 = the paper's "any reject" rule).
-fn trained_tables(
-    design: TableDesign,
-    vote_threshold: f64,
-    rejects: &[bool],
-    hashes: &[Vec<u32>],
-) -> Vec<BitTable> {
-    hashes
+/// The rows `rejects` labels as rejects, in order.
+fn reject_rows(rejects: &[bool]) -> Vec<usize> {
+    (0..rejects.len()).filter(|&i| rejects[i]).collect()
+}
+
+/// How many of the ascending `votes` a bucket holding `total` labeled
+/// rows, `rejects` of them rejects, passes: it passes a vote when its
+/// reject share reaches it (vote 0 = the paper's "any reject" rule).
+fn grade(votes: &[f64], rejects: u32, total: u32) -> u8 {
+    votes
         .iter()
-        .map(|per_cfg| {
-            let mut reject_counts = vec![0u32; design.entries_per_table];
-            let mut totals = vec![0u32; design.entries_per_table];
-            for (&h, &reject) in per_cfg.iter().zip(rejects) {
-                totals[h as usize] += 1;
-                if reject {
-                    reject_counts[h as usize] += 1;
-                }
+        .map(|&vote| u8::from(rejects > 0 && f64::from(rejects) >= vote * f64::from(total)))
+        .sum()
+}
+
+/// Packs the hit bits of hash rows `rows` 64 to a `u64`, from bit 0,
+/// for every vote index `v < votes` and pool configuration `c`:
+/// `hits[v][c]` holds row `i`'s bit `grades[c][hashes[c][i]] > v`. One
+/// gather per row and configuration fetches its grade, and the words of
+/// every vote are cut from eight grades at a time without a branch. Bits
+/// past the last row are zero.
+fn pack_graded_hits(
+    votes: usize,
+    rows: Range<usize>,
+    grades: &[Vec<u8>],
+    hashes: &[Vec<u32>],
+) -> Vec<Vec<Vec<u64>>> {
+    let words = rows.len().div_ceil(64);
+    let mut hits = vec![vec![Vec::with_capacity(words); grades.len()]; votes];
+    for (c, (graded, per_cfg)) in grades.iter().zip(hashes).enumerate() {
+        for chunk in per_cfg[rows.clone()].chunks(64) {
+            // Lanes past the last row keep grade 0, which hits no vote.
+            let mut lanes = [0u8; 64];
+            for (lane, &h) in lanes.iter_mut().zip(chunk) {
+                *lane = graded[h as usize];
             }
-            let mut t = BitTable::new(design.entries_per_table);
-            for (idx, (&r, &tot)) in reject_counts.iter().zip(&totals).enumerate() {
-                if r > 0 && f64::from(r) >= vote_threshold * f64::from(tot) {
-                    t.set(idx);
+            for (v, per_vote) in (0u64..).zip(&mut hits) {
+                let mut word = 0;
+                for (k, eight) in lanes.chunks_exact(8).enumerate() {
+                    let eight = u64::from_le_bytes(eight.try_into().expect("eight lanes"));
+                    word |= lanes_above(eight, v) << (8 * k);
                 }
+                per_vote[c].push(word);
             }
-            t
-        })
-        .collect()
+        }
+    }
+    hits
+}
+
+/// Bit `i` set for each byte lane `i` of `lanes` above `v`, for lanes and
+/// `v` below 128. Setting each lane's high bit and subtracting `v + 1`
+/// from every lane borrows across no lane, so a high bit survives exactly
+/// where the lane exceeds `v`; the multiplication then moves lane `i`'s
+/// bit to bit `56 + i` with no carries.
+fn lanes_above(lanes: u64, v: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let high = ((lanes | ONES << 7) - (v + 1) * ONES) & ONES << 7;
+    (high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
 }
 
 /// The compiler's greedy configuration assignment: `slots` times, take the
 /// unused pool configuration whose table, ORed into the ensemble so far,
-/// gives the fewest false decisions on the `rejects` rows (ties go to the
-/// lower index).
+/// gives the fewest false decisions against `truth` (ties go to the lower
+/// index).
 ///
-/// Rows are packed 64 to a `u64` once — `truth` from the labels, `hit[c]`
+/// Rows come packed 64 to a `u64` — `truth` from the labels, `hits[c]`
 /// from configuration `c`'s trained table — so a candidate's false
-/// decisions are `popcount((ensemble | hit[c]) ^ truth)` summed over
-/// words. Bits past the last row stay zero in every bitset, so the count
-/// is exactly the per-row count.
-fn select_greedy(
-    slots: usize,
-    rejects: &[bool],
-    hashes: &[Vec<u32>],
-    candidate_tables: &[BitTable],
-) -> Vec<usize> {
-    let n = rejects.len();
-    let truth = pack_rows(n, |i| rejects[i]);
-    let hits: Vec<Vec<u64>> = candidate_tables
-        .iter()
-        .zip(hashes)
-        .map(|(table, per_cfg)| pack_rows(n, |i| table.get(per_cfg[i] as usize)))
-        .collect();
+/// decisions are `popcount((ensemble | hits[c]) ^ truth)` summed over
+/// words. Bits past the last row are zero in every bitset, so the count is
+/// exactly the per-row count.
+fn select_greedy(slots: usize, truth: &[u64], hits: &[Vec<u64>]) -> Vec<usize> {
     let mut ensemble = vec![0u64; truth.len()];
     let mut chosen: Vec<usize> = Vec::with_capacity(slots);
     for _slot in 0..slots {
@@ -718,7 +869,7 @@ fn select_greedy(
             let false_decisions: u32 = ensemble
                 .iter()
                 .zip(hit)
-                .zip(&truth)
+                .zip(truth)
                 .map(|((&e, &h), &t)| ((e | h) ^ t).count_ones())
                 .sum();
             if best.is_none_or(|(_, f)| false_decisions < f) {
@@ -734,11 +885,12 @@ fn select_greedy(
     chosen
 }
 
-/// Packs `bit(i)` for rows `0..n` into little-endian `u64` words; the
-/// bits past row `n - 1` in the last word are zero.
-fn pack_rows(n: usize, bit: impl Fn(usize) -> bool) -> Vec<u64> {
+/// Packs rows `0..n` into little-endian `u64` words, setting the bits of
+/// the rows `ones` lists; the bits past row `n - 1` in the last word are
+/// zero.
+fn pack_rows(n: usize, ones: impl IntoIterator<Item = usize>) -> Vec<u64> {
     let mut words = vec![0u64; n.div_ceil(64)];
-    for i in (0..n).filter(|&i| bit(i)) {
+    for i in ones {
         words[i / 64] |= 1 << (i % 64);
     }
     words
@@ -1006,6 +1158,394 @@ mod tests {
         assert_eq!(clone.kernel.lanes(), 8);
     }
 
+    /// The per-candidate greedy ensemble build the graded builder
+    /// replaced — each pool configuration's table trained at one vote,
+    /// then the greedy selection — kept as its reference.
+    struct Ensemble {
+        chosen: Vec<usize>,
+        tables: Vec<BitTable>,
+    }
+
+    impl Ensemble {
+        fn build(
+            design: TableDesign,
+            vote_threshold: f64,
+            rejects: &[bool],
+            hashes: &[Vec<u32>],
+        ) -> Self {
+            let candidate_tables = trained_tables(design, vote_threshold, rejects, hashes);
+            let truth = pack_rows(rejects.len(), (0..rejects.len()).filter(|&i| rejects[i]));
+            let hits = table_hits(rejects.len(), hashes, &candidate_tables);
+            let chosen = select_greedy(design.tables, &truth, &hits);
+            let tables = chosen
+                .iter()
+                .map(|&c| candidate_tables[c].clone())
+                .collect();
+            Self { chosen, tables }
+        }
+
+        fn rejects_row(&self, hashes: &[Vec<u32>], i: usize) -> bool {
+            self.chosen
+                .iter()
+                .zip(&self.tables)
+                .any(|(&c, t)| t.get(hashes[c][i] as usize))
+        }
+
+        fn into_classifier(
+            self,
+            design: TableDesign,
+            quantizer: InputQuantizer,
+            vote_threshold: f64,
+        ) -> TableClassifier {
+            let pool = MisrConfig::pool();
+            let configs = self.chosen.iter().map(|&c| pool[c]).collect();
+            TableClassifier::assemble(design, configs, self.tables, quantizer, vote_threshold)
+        }
+    }
+
+    /// Each pool configuration's trained table over the `rejects` rows,
+    /// counted bucket by bucket at one vote threshold.
+    fn trained_tables(
+        design: TableDesign,
+        vote_threshold: f64,
+        rejects: &[bool],
+        hashes: &[Vec<u32>],
+    ) -> Vec<BitTable> {
+        hashes
+            .iter()
+            .map(|per_cfg| {
+                let mut reject_counts = vec![0u32; design.entries_per_table];
+                let mut totals = vec![0u32; design.entries_per_table];
+                for (&h, &reject) in per_cfg.iter().zip(rejects) {
+                    totals[h as usize] += 1;
+                    if reject {
+                        reject_counts[h as usize] += 1;
+                    }
+                }
+                let mut t = BitTable::new(design.entries_per_table);
+                for (idx, (&r, &tot)) in reject_counts.iter().zip(&totals).enumerate() {
+                    if r > 0 && f64::from(r) >= vote_threshold * f64::from(tot) {
+                        t.set(idx);
+                    }
+                }
+                t
+            })
+            .collect()
+    }
+
+    /// Each table's hit bits over rows `0..n`, packed for `select_greedy`.
+    fn table_hits(n: usize, hashes: &[Vec<u32>], tables: &[BitTable]) -> Vec<Vec<u64>> {
+        tables
+            .iter()
+            .zip(hashes)
+            .map(|(table, per_cfg)| {
+                pack_rows(n, (0..n).filter(|&i| table.get(per_cfg[i] as usize)))
+            })
+            .collect()
+    }
+
+    /// [`PreparedTableSet::train`] as it ran before the graded builder:
+    /// every `(levels, vote)` candidate built from scratch, the winner
+    /// rebuilt on every row.
+    fn reference_train(set: &PreparedTableSet, rejects: &[bool]) -> TableClassifier {
+        let design = set.design;
+        if set.rows < MIN_HOLDOUT_ROWS {
+            let grid = &set.grids[0];
+            return Ensemble::build(design, 0.0, rejects, &grid.hashes).into_classifier(
+                design,
+                grid.quantizer.clone(),
+                0.0,
+            );
+        }
+        let fit_len = set.rows - set.rows / 4;
+        let eval = &rejects[fit_len..];
+        let eval_rejects = eval.iter().filter(|&&r| r).count();
+        let mut scored = Vec::new();
+        for (li, grid) in set.grids.iter().enumerate() {
+            for &vote in &CANDIDATE_VOTES {
+                let ensemble = Ensemble::build(design, vote, &rejects[..fit_len], &grid.hashes);
+                let (fn_, fp) = reference_score(&ensemble, &grid.hashes, fit_len, eval);
+                scored.push((fn_, fp, li, vote));
+            }
+        }
+        let pick = |cap: f64| {
+            scored
+                .iter()
+                .filter(|(fn_, _, _, _)| {
+                    (*fn_ as f64) <= (eval_rejects as f64 * cap).max(eval.len() as f64 * 0.02)
+                })
+                .min_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)))
+                .map(|&(_, _, li, vote)| (li, vote))
+        };
+        let (li, vote) = pick(0.25).or_else(|| pick(0.5)).unwrap_or_else(|| {
+            let &(_, _, li, vote) = scored
+                .iter()
+                .min_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)))
+                .unwrap();
+            (li, vote)
+        });
+        let grid = &set.grids[li];
+        Ensemble::build(design, vote, rejects, &grid.hashes).into_classifier(
+            design,
+            grid.quantizer.clone(),
+            vote,
+        )
+    }
+
+    /// The `(false negatives, false positives)` of `ensemble` on the hash
+    /// rows from `first` on, which `eval` labels, decided row by row.
+    fn reference_score(
+        ensemble: &Ensemble,
+        hashes: &[Vec<u32>],
+        first: usize,
+        eval: &[bool],
+    ) -> (usize, usize) {
+        let (mut fn_, mut fp) = (0, 0);
+        for (i, &reject) in (first..).zip(eval) {
+            match (ensemble.rejects_row(hashes, i), reject) {
+                (true, false) => fp += 1,
+                (false, true) => fn_ += 1,
+                _ => {}
+            }
+        }
+        (fn_, fp)
+    }
+
+    /// [`TableClassifier::train_with_policy`] as it ran before the graded
+    /// builder.
+    fn reference_policy(
+        design: TableDesign,
+        quantizer: InputQuantizer,
+        vote: f64,
+        examples: &[TrainingExample],
+    ) -> TableClassifier {
+        let hashes = pool_hash_rows(
+            &quantizer,
+            examples.iter().map(|e| &e.input[..]),
+            design.index_width(),
+        );
+        let rejects: Vec<bool> = examples.iter().map(|e| e.reject).collect();
+        Ensemble::build(design, vote, &rejects, &hashes).into_classifier(design, quantizer, vote)
+    }
+
+    fn serialized(c: &TableClassifier) -> String {
+        serde_json::to_string(c).unwrap()
+    }
+
+    /// The rows of a `rows`-row set that candidates train on.
+    fn fit_len(rows: usize) -> usize {
+        if rows < MIN_HOLDOUT_ROWS {
+            rows
+        } else {
+            rows - rows / 4
+        }
+    }
+
+    /// Row counts the graded builder is pinned at: every count without a
+    /// hold-out, both sides of a packed word's edge, and the compile's
+    /// sample size.
+    const PINNED_ROWS: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 63, 64, 65, 30_000];
+
+    /// A prepared set over random hash rows: `rows` rows whose buckets
+    /// fall in `0..buckets` under every pool configuration, one grid per
+    /// candidate granularity (one below `MIN_HOLDOUT_ROWS`).
+    fn random_prepared_set(
+        rng: &mut impl rand::Rng,
+        design: TableDesign,
+        rows: usize,
+        buckets: u32,
+    ) -> PreparedTableSet {
+        let levels: &[u16] = if rows < MIN_HOLDOUT_ROWS {
+            &[16]
+        } else {
+            &CANDIDATE_LEVELS
+        };
+        let grids = levels
+            .iter()
+            .map(|&l| {
+                let hashes = (0..16)
+                    .map(|_| (0..rows).map(|_| rng.gen_range(0..buckets)).collect())
+                    .collect();
+                PreparedGrid::new(design, quantizer_1d().with_levels(l), hashes, fit_len(rows))
+            })
+            .collect();
+        PreparedTableSet {
+            design,
+            grids,
+            rows,
+            fit_len: fit_len(rows),
+        }
+    }
+
+    /// Labels for `rows` rows: none rejected, all rejected, or each with
+    /// probability `pct` percent.
+    fn labeling(rng: &mut impl rand::Rng, rows: usize, kind: u32, pct: u32) -> Vec<bool> {
+        match kind {
+            0 => vec![false; rows],
+            1 => vec![true; rows],
+            _ => (0..rows).map(|_| rng.gen_range(0..100) < pct).collect(),
+        }
+    }
+
+    /// Pins the graded builder against the per-candidate reference on one
+    /// prepared set and labeling: every candidate's fit-prefix classifier
+    /// and held-out decisions, then the trained winner.
+    fn check_graded_against_reference(set: &PreparedTableSet, rejects: &[bool]) {
+        let design = set.design;
+        let fit = &rejects[..set.fit_len];
+        for grid in &set.grids {
+            let graded = GradedEnsembles::train(
+                design,
+                &CANDIDATE_VOTES,
+                &grid.fit_occupancy,
+                (set.fit_len, &reject_rows(fit)),
+                &grid.hashes,
+            );
+            let eval = &rejects[set.fit_len..];
+            let scores = graded.score(&grid.hashes, set.fit_len..set.rows, eval);
+            for (vi, &vote) in CANDIDATE_VOTES.iter().enumerate() {
+                let reference = Ensemble::build(design, vote, fit, &grid.hashes);
+                assert_eq!(
+                    scores[vi],
+                    reference_score(&reference, &grid.hashes, set.fit_len, eval),
+                    "held-out score at vote {vote}, {} rows",
+                    set.rows
+                );
+                let q = grid.quantizer.clone();
+                assert_eq!(
+                    serialized(&graded.classifier(vi, design, q.clone(), vote)),
+                    serialized(&reference.into_classifier(design, q, vote)),
+                    "candidate at vote {vote}, {} rows",
+                    set.rows
+                );
+            }
+        }
+        assert_eq!(
+            serialized(&set.train(rejects, Some(1))),
+            serialized(&reference_train(set, rejects)),
+            "trained winner, {} rows",
+            set.rows
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn graded_builder_matches_per_candidate_reference(
+            seed in proptest::prelude::any::<u64>(),
+            pinned in 0usize..PINNED_ROWS.len(),
+            tables in 1usize..=16,
+            width in 8u32..=10,
+            spread in 0u32..=10,
+            kind in 0u32..3,
+            reject_pct in 0u32..=100,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let design = TableDesign { tables, entries_per_table: 1 << width };
+            let rows = PINNED_ROWS[pinned];
+            // Few buckets pile many rows into each, so vote shares vary.
+            let set = random_prepared_set(&mut rng, design, rows, 1 << spread.min(width));
+            let rejects = labeling(&mut rng, rows, kind, reject_pct);
+            check_graded_against_reference(&set, &rejects);
+        }
+
+        #[test]
+        fn fixed_policy_matches_per_candidate_reference(
+            seed in proptest::prelude::any::<u64>(),
+            rows in 1usize..200,
+            dims in 1usize..=3,
+            tables in 1usize..=16,
+            width in 8u32..=10,
+            levels in 2u16..=32,
+            reject_pct in 0u32..=100,
+            vote in 0.0f64..=1.0,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let design = TableDesign { tables, entries_per_table: 1 << width };
+            let quantizer = InputQuantizer::new(vec![0.0; dims], vec![1.0; dims]).with_levels(levels);
+            let examples: Vec<TrainingExample> = (0..rows)
+                .map(|_| TrainingExample {
+                    input: (0..dims).map(|_| rng.gen_range(0.0f32..1.0)).collect(),
+                    reject: rng.gen_range(0..100) < reject_pct,
+                })
+                .collect();
+            for vote in [0.0, 0.15, 0.35, vote] {
+                let graded =
+                    TableClassifier::train_with_policy(design, quantizer.clone(), vote, &examples)
+                        .unwrap();
+                let reference = reference_policy(design, quantizer.clone(), vote, &examples);
+                proptest::prop_assert_eq!(serialized(&graded), serialized(&reference));
+            }
+        }
+    }
+
+    #[test]
+    fn graded_builder_matches_reference_at_every_pinned_row_count() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(26);
+        let design = TableDesign::paper_default();
+        for rows in PINNED_ROWS {
+            let set = random_prepared_set(&mut rng, design, rows, 64);
+            for kind in 0..3 {
+                let rejects = labeling(&mut rng, rows, kind, 20);
+                check_graded_against_reference(&set, &rejects);
+            }
+        }
+    }
+
+    #[test]
+    fn exact_vote_ties_set_the_bucket() {
+        // 20 rows share one bucket and 3 are rejects: a reject share of
+        // exactly 0.15, which passes the 0.15 vote (and not 0.35).
+        let design = TableDesign {
+            tables: 2,
+            entries_per_table: 256,
+        };
+        let ex = examples_1d(&[0.5; 3], &[0.5; 17]);
+        for (vote, precise) in [(0.15, true), (0.35, false)] {
+            let mut c =
+                TableClassifier::train_with_policy(design, quantizer_1d(), vote, &ex).unwrap();
+            assert_eq!(
+                c.decide(&[0.5]) == Decision::Precise,
+                precise,
+                "vote {vote}"
+            );
+            let reference = reference_policy(design, quantizer_1d(), vote, &ex);
+            assert_eq!(serialized(&c), serialized(&reference), "vote {vote}");
+        }
+        // The same tie on the candidate grid: every fit-prefix bucket holds
+        // 20 rows, 3 rejects, under every pool configuration.
+        let rows = 80;
+        let hashes: Vec<Vec<u32>> = (0..16)
+            .map(|c| (0..rows).map(|i| (i / 20 + c) as u32).collect())
+            .collect();
+        let grids = CANDIDATE_LEVELS
+            .iter()
+            .map(|&l| {
+                let q = quantizer_1d().with_levels(l);
+                PreparedGrid::new(design, q, hashes.clone(), fit_len(rows))
+            })
+            .collect();
+        let set = PreparedTableSet {
+            design,
+            grids,
+            rows,
+            fit_len: fit_len(rows),
+        };
+        let rejects: Vec<bool> = (0..rows).map(|i| i % 20 < 3).collect();
+        check_graded_against_reference(&set, &rejects);
+        let graded = GradedEnsembles::train(
+            design,
+            &CANDIDATE_VOTES,
+            &set.grids[0].fit_occupancy,
+            (set.fit_len, &reject_rows(&rejects[..set.fit_len])),
+            &hashes,
+        );
+        assert!(graded.grades.iter().all(|g| g.iter().all(|&g| g != 1)));
+        assert_eq!(graded.grades[0][0], 2, "0.0 and 0.15 pass, 0.35 does not");
+    }
+
     /// The row-by-row greedy selection the packed `select_greedy`
     /// replaced, kept as its reference.
     fn select_greedy_naive(
@@ -1064,7 +1604,9 @@ mod tests {
             let rejects: Vec<bool> = (0..rows).map(|_| rng.gen_range(0..100) < reject_pct).collect();
             for vote in [0.0, 0.15, 0.35, rng.gen_range(0.0..=1.0)] {
                 let candidates = trained_tables(design, vote, &rejects, &hashes);
-                let packed = select_greedy(tables, &rejects, &hashes, &candidates);
+                let truth = pack_rows(rows, (0..rows).filter(|&i| rejects[i]));
+                let hits = table_hits(rows, &hashes, &candidates);
+                let packed = select_greedy(tables, &truth, &hits);
                 let reference = select_greedy_naive(tables, &rejects, &hashes, &candidates);
                 proptest::prop_assert_eq!(
                     &packed,
@@ -1078,14 +1620,33 @@ mod tests {
     }
 
     #[test]
+    fn lanes_above_matches_a_lane_by_lane_compare() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        for _ in 0..10_000 {
+            let top = if rng.gen_range(0..2) == 0 { 4 } else { 128 };
+            let lanes: [u8; 8] = std::array::from_fn(|_| rng.gen_range(0..top));
+            let v = rng.gen_range(0..top.into());
+            let expected = (0..8)
+                .filter(|&i| u64::from(lanes[i]) > v)
+                .fold(0, |word, i| word | 1 << i);
+            assert_eq!(
+                lanes_above(u64::from_le_bytes(lanes), v),
+                expected,
+                "{lanes:?} > {v}"
+            );
+        }
+    }
+
+    #[test]
     fn packed_rows_leave_the_tail_clear() {
         for n in [1, 63, 64, 65, 130] {
-            let words = pack_rows(n, |_| true);
+            let words = pack_rows(n, 0..n);
             assert_eq!(words.len(), n.div_ceil(64));
             let ones: u32 = words.iter().map(|w| w.count_ones()).sum();
             assert_eq!(ones as usize, n);
         }
-        assert!(pack_rows(0, |_| true).is_empty());
+        assert!(pack_rows(0, 0..0).is_empty());
     }
 
     #[test]

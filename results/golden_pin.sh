@@ -74,4 +74,18 @@ pin figw_self_healing inversek2j \
 pin figv_design_space inversek2j \
   --scale full --quality 5 --cache-dir target/mithra-cache \
   --out "$OUT/BENCH_explore_pin.json"
+
+# fig11: the only committed result that trains through the fixed-policy
+# table path (TableClassifier::train_with_policy) at all 16 Figure-11
+# geometries. Its rows aggregate the whole suite, so it runs with
+# run_all.sh's invocation (no flags) and the whole file compares byte
+# for byte.
+cargo run --locked --release -q -p mithra-bench --bin fig11_pareto \
+  > "$OUT/fig11_pareto.txt" 2> "$OUT/fig11_pareto.log"
+if ! cmp -s "$R/fig11_pareto.txt" "$OUT/fig11_pareto.txt"; then
+  echo "GOLDEN PIN FAILED: fig11_pareto diverged from committed $R/fig11_pareto.txt" >&2
+  diff -u "$R/fig11_pareto.txt" "$OUT/fig11_pareto.txt" >&2 || true
+  exit 1
+fi
+echo "pinned: fig11_pareto (whole file, $(wc -l < "$OUT/fig11_pareto.txt") lines byte-identical)"
 echo "golden pin OK"

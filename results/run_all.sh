@@ -1,7 +1,7 @@
 #!/bin/bash
 # Regenerates every table and figure at the paper's scale.
 set -x
-cd /root/repo
+cd "$(dirname "$0")/.."
 R=results
 # Fresh run, fresh log: progress.txt and failures.txt accumulate via
 # appends below, so clear them up front.
