@@ -4,8 +4,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::DatasetScale;
 use mithra_axbench::suite;
+use mithra_conform::{validate, ValidatorConfig};
 use mithra_core::function::{AcceleratedFunction, NpuTrainConfig};
-use mithra_core::pipeline::{compile_routed, CompileConfig};
+use mithra_core::pipeline::{compile, compile_routed, CompileConfig};
 use mithra_core::profile::DatasetProfile;
 use mithra_core::route::{ApproximatorPool, PoolSpec, RouterTrainer};
 use mithra_core::threshold::{QualitySpec, ThresholdOptimizer};
@@ -99,10 +100,34 @@ fn bench_replay(c: &mut Criterion) {
     });
 }
 
+/// Unseen trials per timed `validate` call.
+const CONFORMANCE_TRIALS: usize = 24;
+
+fn bench_conformance(c: &mut Criterion) {
+    // One deployed trial per unseen dataset on one thread: generate,
+    // route, run the precise function and the routed accelerator, score.
+    let bench: Arc<dyn Benchmark> = suite::by_name("sobel").unwrap().into();
+    let config = CompileConfig::smoke();
+    let compiled = compile(bench, &config).unwrap();
+    let validator = ValidatorConfig {
+        trials: CONFORMANCE_TRIALS,
+        scale: DatasetScale::Smoke,
+        threads: Some(1),
+        ..ValidatorConfig::default()
+    };
+    let mut group = c.benchmark_group("conformance");
+    group.sample_size(20);
+    group.bench_function(format!("validate_{CONFORMANCE_TRIALS}_smoke_trials"), |b| {
+        b.iter(|| validate(&compiled, &config.spec, black_box(&validator)).unwrap())
+    });
+    group.finish();
+}
+
 criterion_group!(
     pipeline,
     bench_profile_collection,
     bench_threshold_machinery,
-    bench_replay
+    bench_replay,
+    bench_conformance
 );
 criterion_main!(pipeline);

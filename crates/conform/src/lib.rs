@@ -13,9 +13,11 @@
 //! 2. draw `M` fresh datasets from a seed space disjoint from every seed
 //!    the compiler, profiler, or serving load generator has ever seen
 //!    ([`CONFORM_SEED_BASE`]);
-//! 3. run each through the system simulator's one routed loop
-//!    ([`mithra_sim::system::run_routed`]) under the mixture's deployed
-//!    router and score final application quality;
+//! 3. run each as the deployed system runs it — a fresh copy of the
+//!    mixture's router decides every invocation first, and each pool
+//!    member's accelerator runs only on the invocations routed to it —
+//!    and score final application quality of the mixed output stream
+//!    against the all-precise run;
 //! 4. compare the observed success fraction against the certified
 //!    `(success-rate, confidence)` pair with an exact one-sided binomial
 //!    test ([`mithra_stats::binomial::one_sided_p_value`]), yielding a
@@ -29,12 +31,15 @@
 //! each be *detected* by the harness's independent audits, or the harness
 //! refuses to vouch for itself.
 //!
-//! There is one path for every mixture: [`validate`] (seeded) and
-//! [`validate_profiles`] (pre-collected profiles) share one trial body,
-//! one fold and one verdict computation, and every violation is charged
-//! against the pool member that served with the worst error — the
-//! certificate is over the *mixture*, and the audit re-attributes blame
-//! per member (a binary artifact charges member 0).
+//! There is one path for every mixture: [`validate`] runs the deployed
+//! trial on seeded datasets, and [`validate_profiles`] runs the system
+//! simulator's routed loop ([`mithra_sim::system::run_routed`]) over
+//! pre-collected full profiles. Both feed one fold and one verdict
+//! computation, the two reports are pinned equal byte for byte over the
+//! same seeds, and every violation is charged against the pool member
+//! that served with the worst error — the certificate is over the
+//! *mixture*, and the audit re-attributes blame per member (a binary
+//! artifact charges member 0).
 //!
 //! Trials fan out through [`mithra_core::parallel::par_map_indexed`] and
 //! fold in candidate (seed) order, so every report is bit-identical at any

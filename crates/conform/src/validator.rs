@@ -1,19 +1,22 @@
 //! The Monte-Carlo guarantee validator.
 //!
 //! Draws `M` unseen datasets from the conformance seed space, runs each
-//! through the full system simulator under the mixture's deployed router,
-//! and tests the observed success fraction against the certified
-//! `(success-rate, confidence)` pair.
+//! through the deployed system — the mixture's router decides every
+//! invocation first, and each pool member runs only on the invocations
+//! routed to it — and tests the observed success fraction against the
+//! certified `(success-rate, confidence)` pair.
 
 use crate::report::{GuaranteeReport, TrialRecord};
 use crate::selfcheck::{judge, verdict_for};
 use crate::{ConformError, Result, CONFORM_SEED_BASE};
-use mithra_axbench::dataset::DatasetScale;
+use mithra_axbench::dataset::{DatasetScale, OutputBuffer};
+use mithra_core::function::InvokeScratch;
 use mithra_core::parallel::par_map_indexed;
-use mithra_core::profile::DatasetProfile;
-use mithra_core::route::Mixture;
+use mithra_core::profile::{approx_blocks, score_mixture, DatasetProfile};
+use mithra_core::route::{Mixture, RouteChoice};
 use mithra_core::threshold::QualitySpec;
-use mithra_sim::system::{run_routed, RunResult, SimOptions};
+use mithra_sim::system::{run_routed, SimOptions};
+use mithra_sim::SimError;
 
 /// Configuration for one conformance run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,19 +81,23 @@ impl ValidatorConfig {
 /// generated on the fly from the conformance seed space.
 ///
 /// `mixture` is a `&Compiled` (validated as its pool of one) or a
-/// `&RoutedCompiled`. Each trial profiles a fresh dataset under every
-/// pool member, simulates it under the deployed router, and scores final
-/// application quality of the mixed output stream. Violations are charged
-/// against the serving member with the worst error, so the report's
+/// `&RoutedCompiled`. Each trial runs the deployed system on a fresh
+/// dataset: a fresh copy of the mixture's router decides every
+/// invocation, the precise function runs once per invocation, each pool
+/// member's accelerator runs only on the invocations routed to it, and
+/// final application quality of the mixed output stream is scored
+/// against the all-precise run. Violations are charged against the
+/// serving member with the worst error, so the report's
 /// `route_violations` says *which* approximator broke a trial, not just
-/// that one broke. The fan-out runs under [`par_map_indexed`] and the
-/// fold walks trial indices in order, so the report is bit-identical at
-/// any thread count.
+/// that one broke. The report is bit-identical to [`validate_profiles`]
+/// over the same seeds' profiles. The fan-out runs under
+/// [`par_map_indexed`] and the fold walks trial indices in order, so the
+/// report is bit-identical at any thread count.
 ///
 /// # Errors
 ///
 /// Returns [`ConformError::InvalidConfig`] for a bad configuration and
-/// propagates simulator and statistics errors.
+/// propagates scoring and statistics errors.
 pub fn validate<'a>(
     mixture: impl Into<Mixture<'a>>,
     spec: &QualitySpec,
@@ -98,21 +105,14 @@ pub fn validate<'a>(
 ) -> Result<GuaranteeReport> {
     config.check()?;
     let mixture = mixture.into();
-    let (accurate, cheaper) = mixture.members().split_last().expect("pools are non-empty");
     let trial_results = par_map_indexed(config.trials, config.threads, |i| {
-        let dataset = accurate.dataset(config.seed_base + i as u64, config.scale);
-        let mut profiles: Vec<DatasetProfile> = cheaper
-            .iter()
-            .map(|m| DatasetProfile::collect(m, dataset.clone()))
-            .collect();
-        profiles.push(DatasetProfile::collect(accurate, dataset));
-        trial(mixture, &profiles.iter().collect::<Vec<_>>())
+        deployed_trial(mixture, config.seed_base + i as u64, config.scale)
     });
     score(mixture, spec, config, trial_results)
 }
 
 /// Validates a certified guarantee on pre-collected unseen profiles —
-/// the artifact-cache-backed path
+/// the simulator path over the artifact-cache-backed profiles
 /// ([`mithra_core::session::profile_validation`] and
 /// [`mithra_core::session::profile_pool_validation`] with the
 /// conformance seed base produce and cache exactly these).
@@ -120,8 +120,10 @@ pub fn validate<'a>(
 /// `profiles[m][i]` is pool member `m`'s profile of unseen dataset `i`;
 /// a binary artifact passes its one-member table,
 /// `std::slice::from_ref(&profiles)`. `config.trials` and
-/// `config.seed_base` are ignored; the profiles define both. Scoring and
-/// determinism are identical to [`validate`].
+/// `config.seed_base` are ignored; the profiles define both. Each trial
+/// runs [`run_routed`] over its full profiles, and the fold and verdict
+/// are [`validate`]'s; the conformance tests pin the two reports equal,
+/// byte for byte, over the same seeds.
 ///
 /// # Errors
 ///
@@ -144,21 +146,115 @@ pub fn validate_profiles<'a>(
     }
     ValidatorConfig { trials, ..*config }.check()?;
     let trial_results = par_map_indexed(trials, config.threads, |i| {
-        trial(mixture, &profiles.iter().map(|p| &p[i]).collect::<Vec<_>>())
+        let members: Vec<&DatasetProfile> = profiles.iter().map(|p| &p[i]).collect();
+        let result = run_routed(mixture, &members, &SimOptions::default())?;
+        Ok(TrialOutcome {
+            dataset_seed: members[0].dataset().seed(),
+            quality_loss: result.run.quality_loss,
+            invocation_rate: result.run.invocation_rate(),
+            worst_route: result.worst_member,
+        })
     });
     score(mixture, spec, config, trial_results)
 }
 
-/// One trial's dataset seed, simulated run, and the member its violation
-/// is charged against.
-type TrialResult = std::result::Result<(u64, RunResult, usize), mithra_sim::SimError>;
+/// What the fold reads of one trial.
+struct TrialOutcome {
+    dataset_seed: u64,
+    quality_loss: f64,
+    invocation_rate: f64,
+    /// The member a violation of this trial is charged against.
+    worst_route: usize,
+}
 
-/// One trial: simulate a dataset, given every member's profile of it,
-/// under the mixture's deployed router. The binary pool of one charges
-/// every violation to member 0.
-fn trial(mixture: Mixture<'_>, members: &[&DatasetProfile]) -> TrialResult {
-    let result = run_routed(mixture, members, &SimOptions::default())?;
-    Ok((members[0].dataset().seed(), result.run, result.worst_member))
+type TrialResult = Result<TrialOutcome>;
+
+/// One deployed trial on the dataset of `seed`.
+///
+/// The router decides every invocation before any accelerator runs, as
+/// the deployed classifier does; with no online updates each decision
+/// depends on its index and input alone. The precise function runs once
+/// per invocation, for the all-precise run the stream is scored against.
+/// Each member's accelerator then runs, in invocation order, only on the
+/// invocations routed to it, and its normalized error is computed only
+/// there. The batched forwards are bit-identical to per-invocation ones,
+/// so every output and error equals the member's profile of the dataset,
+/// and the worst-member rule is `RunFold`'s: the first served invocation
+/// with the largest error names the member (member 0 when nothing is
+/// served).
+fn deployed_trial(mixture: Mixture<'_>, seed: u64, scale: DatasetScale) -> TrialResult {
+    let members = mixture.members();
+    let function = &members[0];
+    let bench = function.benchmark().as_ref();
+    let dataset = function.dataset(seed, scale);
+    let n = dataset.invocation_count();
+    let out_dim = bench.output_dim();
+
+    let mut router = mixture.router();
+    let routes: Vec<RouteChoice> = dataset
+        .iter()
+        .enumerate()
+        .map(|(i, input)| router.classify_route(i, input))
+        .collect();
+
+    let mut precise = OutputBuffer::with_capacity(out_dim, n);
+    let mut p = Vec::new();
+    for input in &dataset {
+        function.precise_into(input, &mut p);
+        precise.push(&p);
+    }
+
+    // Served slots of the all-precise stream are overwritten with the
+    // serving member's output; `errors` is read only at served slots.
+    let mut mixed = precise.as_flat().to_vec();
+    let mut errors = vec![0.0f32; n];
+    let mut scratch = InvokeScratch::new();
+    let mut served = Vec::new();
+    let mut inputs = Vec::new();
+    for (m, member) in members.iter().enumerate() {
+        served.clear();
+        inputs.clear();
+        for (i, route) in routes.iter().enumerate() {
+            if *route == RouteChoice::Member(m) {
+                served.push(i);
+                inputs.extend_from_slice(dataset.input(i));
+            }
+        }
+        approx_blocks(
+            member,
+            &inputs,
+            served.len(),
+            &mut scratch,
+            |k, a, scratch| {
+                let i = served[k];
+                errors[i] = member.max_normalized_error_with(precise.get(i), a, scratch);
+                mixed[i * out_dim..(i + 1) * out_dim].copy_from_slice(a);
+            },
+        );
+    }
+
+    let (mut worst_route, mut worst_err) = (0, f32::NEG_INFINITY);
+    let mut invoked = 0;
+    for (i, route) in routes.iter().enumerate() {
+        if let RouteChoice::Member(m) = *route {
+            invoked += 1;
+            if errors[i] > worst_err {
+                worst_err = errors[i];
+                worst_route = m;
+            }
+        }
+    }
+
+    let final_precise = bench.run_application(&dataset, &precise);
+    let mixed = OutputBuffer::from_flat(out_dim, mixed);
+    let outcome =
+        score_mixture(bench, &dataset, &mixed, &final_precise, invoked).map_err(SimError::from)?;
+    Ok(TrialOutcome {
+        dataset_seed: dataset.seed(),
+        quality_loss: outcome.quality_loss,
+        invocation_rate: outcome.invocation_rate(),
+        worst_route,
+    })
 }
 
 /// Folds per-trial results (in trial-index order) into the report.
@@ -173,16 +269,16 @@ fn score(
     let mut worst_routes = Vec::with_capacity(trial_results.len());
     let mut invocation_rate_sum = 0.0;
     for trial in trial_results {
-        let (dataset_seed, result, worst_route) = trial?;
-        losses.push(result.quality_loss);
-        worst_routes.push(worst_route);
-        invocation_rate_sum += result.invocation_rate();
+        let trial = trial?;
+        losses.push(trial.quality_loss);
+        worst_routes.push(trial.worst_route);
+        invocation_rate_sum += trial.invocation_rate;
         trial_records.push(TrialRecord {
-            dataset_seed,
-            quality_loss: result.quality_loss,
-            invocation_rate: result.invocation_rate(),
-            met_target: result.quality_loss <= spec.max_quality_loss,
-            worst_route,
+            dataset_seed: trial.dataset_seed,
+            quality_loss: trial.quality_loss,
+            invocation_rate: trial.invocation_rate,
+            met_target: trial.quality_loss <= spec.max_quality_loss,
+            worst_route: trial.worst_route,
         });
     }
     // The published numbers come from the same judge() the mutation

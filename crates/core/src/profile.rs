@@ -17,7 +17,7 @@ use crate::Result;
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, OutputBuffer};
 
-/// Invocations per accelerator batch inside [`DatasetProfile::collect`].
+/// Invocations per accelerator batch inside [`approx_blocks`].
 /// Large enough to amortize one weight-matrix traversal per lane tile,
 /// small enough that the staging buffers stay cache-resident.
 const PROFILE_BLOCK: usize = 64;
@@ -63,45 +63,34 @@ impl DatasetProfile {
     /// Profiles one dataset: runs the precise function and the accelerator
     /// for every invocation and caches everything the optimizer needs.
     ///
-    /// The accelerator side runs through
-    /// [`AcceleratedFunction::approx_batch_with`] in blocks of
-    /// 64 invocations, eight to a lane-parallel tile; per-invocation
-    /// results are bit-identical to the one-at-a-time loop, so batching
-    /// moves no pinned number.
+    /// The accelerator side runs through [`approx_blocks`], 64
+    /// invocations to a batch and eight to a lane-parallel tile;
+    /// per-invocation results are bit-identical to the one-at-a-time
+    /// loop, so batching moves no pinned number.
     pub fn collect(function: &AcceleratedFunction, dataset: Dataset) -> Self {
         let bench = function.benchmark();
         let n = dataset.invocation_count();
-        let in_dim = dataset.input_dim();
         let out_dim = bench.output_dim();
         let mut precise = OutputBuffer::with_capacity(out_dim, n);
         let mut approx = OutputBuffer::with_capacity(out_dim, n);
         let mut max_err = Vec::with_capacity(n);
         let mut p = Vec::new();
-        let mut block_out = Vec::new();
         // One scratch across the whole dataset: the profiling loop is the
         // compile path's hottest, and per-invocation allocation would
         // dominate the network arithmetic.
         let mut scratch = InvokeScratch::new();
-        let flat = dataset.as_flat();
-        let mut base = 0;
-        while base < n {
-            let count = PROFILE_BLOCK.min(n - base);
-            function.approx_batch_with(
-                &flat[base * in_dim..(base + count) * in_dim],
-                count,
-                &mut block_out,
-                &mut scratch,
-            );
-            for j in 0..count {
-                let input = dataset.input(base + j);
-                function.precise_into(input, &mut p);
-                let a = &block_out[j * out_dim..(j + 1) * out_dim];
-                max_err.push(function.max_normalized_error_with(&p, a, &mut scratch));
+        approx_blocks(
+            function,
+            dataset.as_flat(),
+            n,
+            &mut scratch,
+            |i, a, scratch| {
+                function.precise_into(dataset.input(i), &mut p);
+                max_err.push(function.max_normalized_error_with(&p, a, scratch));
                 precise.push(&p);
                 approx.push(a);
-            }
-            base += count;
-        }
+            },
+        );
         let final_precise = bench.run_application(&dataset, &precise);
         Self {
             dataset,
@@ -248,6 +237,40 @@ impl DatasetProfile {
     }
 }
 
+/// Runs `function`'s accelerator over `count` raw-space inputs,
+/// concatenated sample-major, through
+/// [`AcceleratedFunction::approx_batch_with`] in blocks of 64
+/// invocations. `each(j, output, scratch)` receives input `j`'s output,
+/// in input order, with the scratch free again for follow-up work such
+/// as the error. Every output is bit-identical to the one-at-a-time
+/// [`AcceleratedFunction::approx_with`], whichever inputs share its
+/// block.
+pub fn approx_blocks(
+    function: &AcceleratedFunction,
+    inputs: &[f32],
+    count: usize,
+    scratch: &mut InvokeScratch,
+    mut each: impl FnMut(usize, &[f32], &mut InvokeScratch),
+) {
+    let in_dim = function.input_normalizer().dims();
+    let out_dim = function.benchmark().output_dim();
+    let mut block_out = Vec::new();
+    let mut base = 0;
+    while base < count {
+        let block = PROFILE_BLOCK.min(count - base);
+        function.approx_batch_with(
+            &inputs[base * in_dim..(base + block) * in_dim],
+            block,
+            &mut block_out,
+            scratch,
+        );
+        for (j, output) in block_out.chunks_exact(out_dim).enumerate() {
+            each(base + j, output, scratch);
+        }
+        base += block;
+    }
+}
+
 /// The invocation count shared by every profile in `members` — per-member
 /// profiles of one dataset, cheapest pool member first.
 ///
@@ -307,14 +330,34 @@ pub fn replay_mixture(
             None => mixed.push(base.precise.get(i)),
         }
     }
-    let final_mixed = bench.run_application(&base.dataset, &mixed);
+    score_mixture(bench, &base.dataset, &mixed, &base.final_precise, invoked)
+}
+
+/// Scores the mixed output stream of `dataset` against the all-precise
+/// run: runs the application layer over `mixed` and measures final
+/// quality loss against `final_precise`, the application output of the
+/// all-precise stream. `invoked` counts the accelerator outputs in
+/// `mixed`. This is the one scoring step of every replay and of the
+/// conformance harness's deployed trial.
+///
+/// # Errors
+///
+/// Returns an error when the final outputs cannot be scored.
+pub fn score_mixture(
+    bench: &dyn Benchmark,
+    dataset: &Dataset,
+    mixed: &OutputBuffer,
+    final_precise: &[f64],
+    invoked: usize,
+) -> Result<ReplayOutcome> {
+    let final_mixed = bench.run_application(dataset, mixed);
     let quality_loss = bench
         .quality_metric()
-        .try_quality_loss(&base.final_precise, &final_mixed)?;
+        .try_quality_loss(final_precise, &final_mixed)?;
     Ok(ReplayOutcome {
         quality_loss,
         invoked,
-        total: n,
+        total: mixed.len(),
     })
 }
 
