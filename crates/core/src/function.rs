@@ -49,8 +49,8 @@ impl Default for NpuTrainConfig {
 /// and the two normalized-output buffers on every call dominates the
 /// arithmetic. One `InvokeScratch` per thread removes every per-call
 /// allocation. The scratch carries no results between calls — reusing one
-/// is bit-identical to the allocating [`AcceleratedFunction::approx_into`]
-/// path.
+/// is bit-identical to a fresh scratch per call (see
+/// [`AcceleratedFunction::approx_with`]).
 #[derive(Debug, Clone, Default)]
 pub struct InvokeScratch {
     normalized_in: Vec<f32>,
@@ -217,28 +217,10 @@ impl AcceleratedFunction {
     }
 
     /// Runs the accelerator for one invocation, producing raw-space
-    /// outputs in `out`.
-    pub fn approx_into(&self, input: &[f32], out: &mut Vec<f32>) {
-        self.try_approx_into(input, out)
-            .expect("topology input width matches benchmark input_dim");
-    }
-
-    /// Fallible form of [`AcceleratedFunction::approx_into`] for runtime
-    /// paths that must not panic (e.g. the simulator's decision loop).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`mithra_npu::NpuError::DimensionMismatch`] if `input` does
-    /// not match the network's input layer.
-    pub fn try_approx_into(&self, input: &[f32], out: &mut Vec<f32>) -> Result<()> {
-        let mut scratch = InvokeScratch::new();
-        self.try_approx_with(input, out, &mut scratch)
-    }
-
-    /// Zero-allocation form of [`AcceleratedFunction::approx_into`]:
-    /// normalize, run and denormalize entirely through caller-owned
-    /// scratch buffers. Hot loops (profiling, benchmarking) should hold
-    /// one scratch per thread and call this.
+    /// outputs in `out`: normalize, run and denormalize entirely through
+    /// caller-owned scratch buffers, with no allocation once the scratch is
+    /// warm. Hot loops (profiling, benchmarking) should hold one scratch
+    /// per thread and call this.
     pub fn approx_with(&self, input: &[f32], out: &mut Vec<f32>, scratch: &mut InvokeScratch) {
         self.try_approx_with(input, out, scratch)
             .expect("topology input width matches benchmark input_dim");
@@ -385,10 +367,11 @@ mod tests {
         let f = trained_sobel();
         let ds = f.dataset(50, DatasetScale::Smoke);
         let (mut p, mut a) = (Vec::new(), Vec::new());
+        let mut scratch = InvokeScratch::new();
         let mut total_err = 0.0f32;
         for input in ds.iter() {
             f.precise_into(input, &mut p);
-            f.approx_into(input, &mut a);
+            f.approx_with(input, &mut a, &mut scratch);
             total_err += f.max_normalized_error(&p, &a);
         }
         let mean = total_err / ds.invocation_count() as f32;
@@ -421,7 +404,9 @@ mod tests {
     fn try_approx_rejects_bad_width() {
         let f = trained_sobel();
         let mut out = Vec::new();
-        assert!(f.try_approx_into(&[1.0], &mut out).is_err());
+        assert!(f
+            .try_approx_with(&[1.0], &mut out, &mut InvokeScratch::new())
+            .is_err());
     }
 
     #[test]

@@ -49,12 +49,10 @@
 
 pub mod cache;
 pub mod classifier;
-pub mod context;
 pub mod function;
 pub mod misr;
 pub mod multi;
 pub mod neural;
-pub mod online;
 pub mod oracle;
 pub mod parallel;
 pub mod pipeline;

@@ -10,8 +10,8 @@
 //! more invocations to the accelerator, degrading (weakly) each dataset's
 //! quality. Bisection over the threshold therefore finds the boundary the
 //! paper's delta-stepping loop converges to, with the same certification
-//! test at every probe. [`ThresholdOptimizer::optimize_stepping`] also
-//! provides the paper's literal Algorithm 1 for comparison.
+//! test at every probe. The paper's literal delta-stepping Algorithm 1 is
+//! kept as a test-only reference the bisection is checked against.
 
 use crate::parallel::par_map_indexed;
 use crate::profile::DatasetProfile;
@@ -490,18 +490,26 @@ impl ThresholdOptimizer {
         Ok(search.finish(best.unwrap_or(origin)))
     }
 
+    /// The error for a spec whose all-precise origin does not certify.
+    fn uncertifiable(&self, origin: &ThresholdOutcome) -> MithraError {
+        MithraError::Uncertifiable {
+            quality_target: self.spec.max_quality_loss,
+            required_rate: self.spec.success_rate,
+            best_rate: origin.certified_rate,
+        }
+    }
+}
+
+#[cfg(test)]
+impl ThresholdOptimizer {
     /// The paper's literal Algorithm 1: delta-stepping from an initial
     /// threshold, loosening while certification holds and tightening while
     /// it fails, terminating at the boundary crossing. Every step runs the
     /// same probe as [`bisect_routed`](Self::bisect_routed).
     ///
-    /// Kept as the test reference for the bisection, which reaches the
-    /// same boundary in fewer probes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`bisect_routed`](Self::bisect_routed).
-    pub fn optimize_stepping(
+    /// The test reference for the bisection, which reaches the same
+    /// boundary in fewer probes.
+    fn optimize_stepping(
         &self,
         pool: &ApproximatorPool,
         member_profiles: &[Vec<DatasetProfile>],
@@ -538,15 +546,6 @@ impl ThresholdOptimizer {
             Ok(origin)
         } else {
             Err(self.uncertifiable(&origin))
-        }
-    }
-
-    /// The error for a spec whose all-precise origin does not certify.
-    fn uncertifiable(&self, origin: &ThresholdOutcome) -> MithraError {
-        MithraError::Uncertifiable {
-            quality_target: self.spec.max_quality_loss,
-            required_rate: self.spec.success_rate,
-            best_rate: origin.certified_rate,
         }
     }
 }

@@ -92,12 +92,6 @@ pub fn decode(words: &[u32]) -> Result<Mlp> {
     Mlp::from_parameters(topology, &weights, &biases, activation)
 }
 
-/// Size of the encoded configuration in bytes.
-pub fn encoded_bytes(topology: &Topology) -> usize {
-    // magic + layer count + layer widths + activation selector + params.
-    (3 + topology.layers().len() + topology.parameter_count()) * 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,7 +123,9 @@ mod tests {
     fn encoded_size_accounting() {
         let mlp = sample_mlp();
         let words = encode(&mlp);
-        assert_eq!(words.len() * 4, encoded_bytes(mlp.topology()));
+        // magic + layer count + layer widths + activation selector + params.
+        let t = mlp.topology();
+        assert_eq!(words.len(), 3 + t.layers().len() + t.parameter_count());
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub mod fixed;
 pub mod kernel;
 pub mod mlp;
 pub mod pe;
-pub mod simulator;
+#[cfg(test)]
+mod simulator;
 pub mod topology;
 pub mod train;
 

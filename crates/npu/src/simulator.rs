@@ -5,9 +5,10 @@
 //! the datapath — input streaming into the element latch, wave-scheduled
 //! multiply-accumulates on the PEs, sigmoid lookups, output drain — one
 //! cycle at a time, producing both the numerical result and a cycle-exact
-//! trace. The analytical model in [`crate::pe`] is validated against it
-//! (they must agree exactly; a test enforces this for every paper
-//! topology).
+//! trace. The analytical model in [`crate::pe`] is validated against it:
+//! they must agree exactly, on every paper topology and on arbitrary ones
+//! (a property test). The engine is a test-only reference; every deployed
+//! cost comes from the analytical model.
 
 use crate::fifo::Fifo;
 use crate::mlp::Mlp;
@@ -177,6 +178,7 @@ mod tests {
     use super::*;
     use crate::mlp::Activation;
     use crate::topology::Topology;
+    use proptest::prelude::*;
 
     fn mlp_for(shape: &str) -> Mlp {
         let t: Topology = shape.parse().unwrap();
@@ -271,5 +273,27 @@ mod tests {
         let sim = CycleSimulator::new();
         let mlp = mlp_for("2->8->2");
         assert!(sim.execute(&mlp, &[1.0]).is_err());
+    }
+
+    fn arb_topology() -> impl Strategy<Value = Topology> {
+        prop::collection::vec(1usize..12, 2..5).prop_map(|v| Topology::new(&v).unwrap())
+    }
+
+    proptest! {
+        #[test]
+        fn stepped_execution_matches_analytical_cycles(t in arb_topology(), seed in any::<u32>()) {
+            let weights: Vec<f32> = (0..t.weight_count())
+                .map(|i| (((i as u32).wrapping_mul(seed | 1) % 200) as f32 / 200.0) - 0.5)
+                .collect();
+            let biases = vec![0.1f32; t.bias_count()];
+            let mlp = Mlp::from_parameters(t.clone(), &weights, &biases, Activation::Sigmoid).unwrap();
+            let input = vec![0.4f32; t.inputs()];
+            let (out, trace) = CycleSimulator::new().execute(&mlp, &input).unwrap();
+            prop_assert_eq!(out, mlp.run(&input).unwrap());
+            prop_assert_eq!(
+                trace.total_cycles(),
+                PeArray::npu_default().invocation_cycles(&t)
+            );
+        }
     }
 }

@@ -66,23 +66,6 @@ proptest! {
     }
 
     #[test]
-    fn stepped_execution_matches_analytical_cycles(t in arb_topology(), seed in any::<u32>()) {
-        use mithra_npu::simulator::CycleSimulator;
-        let weights: Vec<f32> = (0..t.weight_count())
-            .map(|i| (((i as u32).wrapping_mul(seed | 1) % 200) as f32 / 200.0) - 0.5)
-            .collect();
-        let biases = vec![0.1f32; t.bias_count()];
-        let mlp = Mlp::from_parameters(t.clone(), &weights, &biases, Activation::Sigmoid).unwrap();
-        let input = vec![0.4f32; t.inputs()];
-        let (out, trace) = CycleSimulator::new().execute(&mlp, &input).unwrap();
-        prop_assert_eq!(out, mlp.run(&input).unwrap());
-        prop_assert_eq!(
-            trace.total_cycles(),
-            PeArray::npu_default().invocation_cycles(&t)
-        );
-    }
-
-    #[test]
     fn pe_cycles_monotone_in_network_size(t in arb_topology(), extra in 1usize..8) {
         let pe = PeArray::npu_default();
         let mut bigger: Vec<usize> = t.layers().to_vec();

@@ -328,22 +328,4 @@ mod tests {
         assert!(Confidence::new(1.0).is_err());
         assert!(Confidence::new(f64::NAN).is_err());
     }
-
-    #[test]
-    fn matches_f_distribution_form() {
-        // Equation (3) of the paper expresses the bound through F-critical
-        // values: lower = k / (k + (n-k+1) * F_{1-alpha}(2(n-k+1), 2k)).
-        use crate::fdist::FDistribution;
-        let (k, n) = (90u64, 100u64);
-        let beta = conf(0.95);
-        let kf = k as f64;
-        let nf = n as f64;
-        let f = FDistribution::new(2.0 * (nf - kf + 1.0), 2.0 * kf)
-            .unwrap()
-            .quantile(beta.level())
-            .unwrap();
-        let via_f = kf / (kf + (nf - kf + 1.0) * f);
-        let via_beta = lower_bound(k, n, beta).unwrap();
-        assert!((via_f - via_beta).abs() < 1e-8, "{via_f} vs {via_beta}");
-    }
 }

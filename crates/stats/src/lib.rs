@@ -11,8 +11,6 @@
 //!   the numerical primitives every exact binomial interval rests on;
 //! * [`beta`] — the Beta distribution (CDF and quantile via bracketed
 //!   Newton iteration);
-//! * [`fdist`] — the F distribution, used to express the interval in the
-//!   paper's Equation (3) form;
 //! * [`clopper_pearson`] — one-sided and two-sided exact binomial intervals;
 //! * [`sequential`] — always-valid e-process variants of the same bounds,
 //!   safe under continuous monitoring (the online re-certifier's test);
@@ -47,8 +45,6 @@ pub mod beta;
 pub mod binomial;
 pub mod clopper_pearson;
 pub mod descriptive;
-pub mod fdist;
-pub mod intervals;
 pub mod pareto;
 pub mod sequential;
 pub mod special;

@@ -1,12 +1,10 @@
 //! Integration tests for the paper's extension features: multi-function
-//! threshold tuples, context-switch state, online neural training, and
-//! the Rumba-style comparison designs.
+//! threshold tuples and the Rumba-style comparison designs, all behind the
+//! shared classifier interface.
 
 use mithra::prelude::*;
-use mithra_core::context::{ArchitecturalState, ContextSwitchModel};
 use mithra_core::function::NpuTrainConfig;
 use mithra_core::multi::{Region, TupleOptimizer};
-use mithra_core::online::OnlineNeuralClassifier;
 use mithra_core::regression::{RegressionFilter, RegressionTrainConfig};
 use mithra_core::tree::{TreeClassifier, TreeTrainConfig};
 use mithra_sim::system::simulate;
@@ -51,40 +49,6 @@ fn tuple_optimizer_certifies_a_two_region_application() {
     let outcome = TupleOptimizer::new(spec).optimize(&regions).unwrap();
     assert_eq!(outcome.thresholds.len(), 2);
     assert!(outcome.certified_rate >= 0.5);
-}
-
-#[test]
-fn architectural_state_sizes_and_lazy_switching() {
-    let compiled = compiled_smoke("sobel");
-    let state = ArchitecturalState::of(&compiled);
-    assert!(state.total_bytes() > 0);
-    let model = ContextSwitchModel::default_model();
-    // With the default 30% touch probability, lazy switching wins.
-    assert!(model.lazy_saving(&state) > 1.0);
-    assert!(model.eager_cycles(&state) > model.lazy_expected_cycles(&state));
-}
-
-#[test]
-fn online_neural_classifier_runs_in_the_simulator() {
-    let compiled = compiled_smoke("inversek2j");
-    let ds = compiled
-        .function
-        .dataset(9_100_000, mithra::axbench::dataset::DatasetScale::Smoke);
-    let profile = DatasetProfile::collect(&compiled.function, ds);
-    let mut online = OnlineNeuralClassifier::new(
-        compiled.neural.clone(),
-        compiled.training_data.clone(),
-        compiled.function.benchmark().input_dim(),
-        Default::default(),
-        64,
-    );
-    let opts = SimOptions {
-        online_update_period: 2,
-        ..SimOptions::default()
-    };
-    let run = simulate(&compiled, &profile, &mut online, &opts);
-    assert!(run.quality_loss.is_finite());
-    assert!(online.pending_observations() > 0 || online.refresh_count() > 0);
 }
 
 #[test]
