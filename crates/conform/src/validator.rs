@@ -181,7 +181,8 @@ type TrialResult = Result<TrialOutcome>;
 /// so every output and error equals the member's profile of the dataset,
 /// and the worst-member rule is `RunFold`'s: the first served invocation
 /// with the largest error names the member (member 0 when nothing is
-/// served).
+/// served). A pool of one names member 0 whatever the errors are, so it
+/// computes none.
 fn deployed_trial(mixture: Mixture<'_>, seed: u64, scale: DatasetScale) -> TrialResult {
     let members = mixture.members();
     let function = &members[0];
@@ -207,7 +208,12 @@ fn deployed_trial(mixture: Mixture<'_>, seed: u64, scale: DatasetScale) -> Trial
     // Served slots of the all-precise stream are overwritten with the
     // serving member's output; `errors` is read only at served slots.
     let mut mixed = precise.as_flat().to_vec();
-    let mut errors = vec![0.0f32; n];
+    let track_worst = members.len() > 1;
+    let mut errors = if track_worst {
+        vec![0.0f32; n]
+    } else {
+        Vec::new()
+    };
     let mut scratch = InvokeScratch::new();
     let mut served = Vec::new();
     let mut inputs = Vec::new();
@@ -227,7 +233,9 @@ fn deployed_trial(mixture: Mixture<'_>, seed: u64, scale: DatasetScale) -> Trial
             &mut scratch,
             |k, a, scratch| {
                 let i = served[k];
-                errors[i] = member.max_normalized_error_with(precise.get(i), a, scratch);
+                if track_worst {
+                    errors[i] = member.max_normalized_error_with(precise.get(i), a, scratch);
+                }
                 mixed[i * out_dim..(i + 1) * out_dim].copy_from_slice(a);
             },
         );
@@ -238,7 +246,7 @@ fn deployed_trial(mixture: Mixture<'_>, seed: u64, scale: DatasetScale) -> Trial
     for (i, route) in routes.iter().enumerate() {
         if let RouteChoice::Member(m) = *route {
             invoked += 1;
-            if errors[i] > worst_err {
+            if track_worst && errors[i] > worst_err {
                 worst_err = errors[i];
                 worst_route = m;
             }

@@ -389,11 +389,6 @@ impl<S> CompileSession<S> {
         &self.config
     }
 
-    /// Stage reports recorded so far, in execution order.
-    pub fn stage_reports(&self) -> &[StageReport] {
-        &self.stages
-    }
-
     fn advance<T>(self, report: StageReport, next: impl FnOnce(S) -> T) -> CompileSession<T> {
         let mut stages = self.stages;
         stages.push(report);
@@ -1152,6 +1147,13 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use mithra_axbench::suite;
+
+    impl<S> CompileSession<S> {
+        /// Stage reports recorded so far, in execution order.
+        fn stage_reports(&self) -> &[StageReport] {
+            &self.stages
+        }
+    }
 
     fn session_config(cache: Option<CacheConfig>) -> CompileConfig {
         CompileConfig {

@@ -143,16 +143,6 @@ impl StateResidence {
         self.monitoring + self.throttled + self.fallback + self.probing
     }
 
-    /// Fraction of samples spent in degraded (non-Monitoring) states;
-    /// `0.0` on an empty record.
-    pub fn degraded_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        (total - self.monitoring) as f64 / total as f64
-    }
-
     /// Element-wise accumulation (folding shard residences into an
     /// endpoint total).
     pub fn merge(&mut self, other: &StateResidence) {
@@ -589,6 +579,18 @@ pub fn limit_config(admitted: u64, violations: u64, confidence: Confidence) -> W
 mod tests {
     use super::*;
     use crate::classifier::Decision;
+
+    impl StateResidence {
+        /// Fraction of samples spent in degraded (non-Monitoring) states;
+        /// `0.0` on an empty record.
+        fn degraded_fraction(&self) -> f64 {
+            let total = self.total();
+            if total == 0 {
+                return 0.0;
+            }
+            (total - self.monitoring) as f64 / total as f64
+        }
+    }
 
     fn dog() -> QualityWatchdog {
         QualityWatchdog::new(WatchdogConfig::default())

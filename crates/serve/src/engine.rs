@@ -35,7 +35,7 @@
 //! [`Mixture`]: mithra_core::route::Mixture
 //! [`Mixture::calibration`]: mithra_core::route::Mixture::calibration
 
-use crate::endpoint::{EndpointSpec, EndpointState, OperatingPoint, ServedInvocation};
+use crate::endpoint::{EndpointSpec, EndpointState, OperatingPoint, SlotTable};
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::{
     guard_state_name, EndpointCounters, EndpointMetrics, GuardLogEntry, MetricsSnapshot,
@@ -123,8 +123,8 @@ struct WorkerCtx {
     batch_in: Vec<f32>,
     /// Flat accelerator outputs for that share.
     batch_out: Vec<f32>,
-    /// The sub-batch's served invocations, keyed by invocation index.
-    pending: Vec<(usize, ServedInvocation)>,
+    /// The sub-batch's slot codes, keyed by invocation index.
+    pending: Vec<(usize, u8)>,
     /// The sub-batch's counter delta, reset and refilled per sub-batch.
     delta: EndpointCounters,
 }
@@ -133,7 +133,7 @@ impl WorkerCtx {
     fn new(state: &EndpointState) -> Self {
         let op = state.operating_point();
         Self {
-            router: op.router.clone(),
+            router: state.router(&op),
             queues: QueueInterface::new(),
             watchdog: op.watchdog_proto.as_ref().map(QualityWatchdog::fork),
             fresh: Vec::new(),
@@ -160,7 +160,7 @@ impl WorkerCtx {
         if let Some(dog) = self.watchdog.take() {
             fold_watchdog(&dog, &state.counters);
         }
-        self.router = current.router.clone();
+        self.router = state.router(&current);
         self.watchdog = current.watchdog_proto.as_ref().map(QualityWatchdog::fork);
         self.op = current;
     }
@@ -220,8 +220,10 @@ impl ServeEngine {
     /// [`ServeError::UnsupportedOptions`] when
     /// `options.online_update_period != 0` (online table updates mutate
     /// classifier state, which would make decisions depend on request
-    /// interleaving); [`ServeError::Core`] when a routed attachment's
-    /// member profiles mismatch the served dataset.
+    /// interleaving); [`ServeError::PoolTooWide`] when an endpoint's pool
+    /// has more members than a one-byte slot code names;
+    /// [`ServeError::Core`] when a routed attachment's member profiles
+    /// mismatch the served dataset.
     pub fn start(specs: Vec<EndpointSpec>, config: &ServeConfig) -> Result<Self, ServeError> {
         if config.options.online_update_period != 0 {
             return Err(ServeError::UnsupportedOptions(
@@ -622,8 +624,10 @@ fn worker_loop(shared: &Shared) {
 /// 2. **accelerate** — one batched accelerator run per served member over
 ///    that member's requests, with the modeled FIFO traffic and the
 ///    config bursts of [`config_bursts`];
-/// 3. **charge** — each route is charged through the endpoint's per-route
-///    models, in request (FIFO) order, and parked in the slot table.
+/// 3. **charge** — each route and its shadow bit are parked in the slot
+///    table as one byte, and each fresh one is charged through the
+///    endpoint's per-route models, in request (FIFO) order, for the
+///    latency histogram.
 fn serve_sub_batch(
     state: &EndpointState,
     ctx: &mut WorkerCtx,
@@ -708,37 +712,34 @@ fn serve_sub_batch(
         }
     }
 
-    // Pass 3 — charge, in request (FIFO) order.
+    // Pass 3 — slot fill and charge, in request (FIFO) order.
     ctx.pending.clear();
     ctx.pending.extend(
         requests
             .iter()
             .zip(&ctx.routes)
             .map(|(request, &(route, shadow))| {
-                let served = ServedInvocation {
-                    route,
-                    charge: state.model.charge_route(route, FifoEvent::None, shadow),
-                };
-                (request.invocation, served)
+                (request.invocation, SlotTable::encode(route, shadow))
             }),
     );
     // One slot-table lock for the whole sub-batch; duplicates surface as
     // `false` entries and are counted, never double-charged.
     state.fill_slots(&ctx.pending, &mut ctx.fresh);
-    for (&(_, served), &fresh) in ctx.pending.iter().zip(ctx.fresh.iter()) {
+    for (&(route, shadow), &fresh) in ctx.routes.iter().zip(ctx.fresh.iter()) {
         if !fresh {
             delta.duplicates += 1;
             continue;
         }
         delta.served += 1;
-        match served.route {
+        match route {
             RouteChoice::Member(m) => {
                 delta.approx += 1;
                 delta.route_served[m] += 1;
             }
             RouteChoice::Precise => delta.fallback += 1,
         }
-        delta.latency.record(served.charge.cycles);
+        let charge = state.model.charge_route(route, FifoEvent::None, shadow);
+        delta.latency.record(charge.cycles);
     }
     // The whole sub-batch ran under one operating point, so its served
     // count is attributed to that epoch wholesale.
@@ -780,7 +781,7 @@ mod tests {
     use mithra_axbench::dataset::DatasetScale;
     use mithra_core::pipeline::Compiled;
     use mithra_core::profile::DatasetProfile;
-    use mithra_core::route::{PoolSpec, RoutedCompiled};
+    use mithra_core::route::{ApproximatorPool, PoolSpec, RoutedCompiled};
     use mithra_core::watchdog;
 
     #[test]
@@ -905,6 +906,49 @@ mod tests {
             }
             engine.join().unwrap();
         }
+    }
+
+    #[test]
+    fn pools_too_wide_for_a_slot_code_are_refused_at_start() {
+        let compiled = smoke_compiled("inversek2j");
+        // A pool of `members` copies of one accelerator, with no member
+        // profiles: the width check comes before the profile checks.
+        let start = |members: usize| {
+            let function = compiled.function.clone();
+            let topology = function.npu().topology().clone();
+            let routed = RoutedCompiled {
+                pool: ApproximatorPool::from_members(
+                    vec![function; members],
+                    vec![topology; members],
+                ),
+                member_profiles: Vec::new(),
+                threshold: compiled.threshold.clone(),
+                router: RouteClassifier::from_stages(vec![compiled.table.clone(); members]),
+                calibration: compiled.calibration,
+            };
+            let spec = EndpointSpec {
+                name: format!("pool-of-{members}"),
+                compiled: Arc::clone(&compiled),
+                profile: compiled.profiles[0].clone(),
+                routed: Some(crate::endpoint::RoutedServeSpec {
+                    routed: Arc::new(routed),
+                    member_profiles: Vec::new(),
+                }),
+            };
+            ServeEngine::start(vec![spec], &ServeConfig::default()).map(ServeEngine::join)
+        };
+        let max = SlotTable::MAX_POOL;
+        for members in [max + 1, 255, 300] {
+            let err = start(members).unwrap_err();
+            assert!(
+                matches!(err, ServeError::PoolTooWide { pool, max: m } if pool == members && m == max),
+                "{members} members: {err}"
+            );
+        }
+        // The widest servable pool passes the width check and fails only
+        // on its missing member profiles.
+        let err = start(max).unwrap_err();
+        assert!(matches!(err, ServeError::Core(_)), "{max} members: {err}");
     }
 
     /// The routed counting pass run sequentially: one router copy over

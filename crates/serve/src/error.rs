@@ -25,6 +25,14 @@ pub enum ServeError {
         /// Pool members the endpoint serves.
         pool: usize,
     },
+    /// An endpoint's pool has more members than a one-byte slot code
+    /// can name.
+    PoolTooWide {
+        /// Pool members the endpoint serves.
+        pool: usize,
+        /// The widest pool an endpoint can serve.
+        max: usize,
+    },
     /// A core-layer failure (calibration, quality scoring).
     Core(MithraError),
 }
@@ -43,6 +51,10 @@ impl fmt::Display for ServeError {
             ServeError::RouterMismatch { routes, pool } => write!(
                 f,
                 "a router over {routes} members cannot serve a pool of {pool}"
+            ),
+            ServeError::PoolTooWide { pool, max } => write!(
+                f,
+                "a pool of {pool} members is wider than the {max} an endpoint serves"
             ),
             ServeError::Core(e) => write!(f, "core error: {e}"),
         }

@@ -103,22 +103,6 @@ impl FaultPlan {
         }
     }
 
-    /// Adds input-distribution drift to the plan.
-    pub fn with_drift(mut self, drift: DriftSpec) -> Self {
-        self.drift = if drift.is_identity() {
-            None
-        } else {
-            Some(drift)
-        };
-        self
-    }
-
-    /// Adds `count` MISR configuration corruptions to the plan.
-    pub fn with_misr_corruptions(mut self, count: usize) -> Self {
-        self.misr_corruptions = count;
-        self
-    }
-
     /// Whether any fault source is active.
     pub fn is_armed(&self) -> bool {
         self.npu_weight_bit_rate > 0.0
@@ -358,6 +342,24 @@ mod tests {
     use mithra_axbench::suite;
     use mithra_core::pipeline::{compile, CompileConfig};
     use std::sync::{Arc, OnceLock};
+
+    impl FaultPlan {
+        /// Adds input-distribution drift to the plan.
+        fn with_drift(mut self, drift: DriftSpec) -> Self {
+            self.drift = if drift.is_identity() {
+                None
+            } else {
+                Some(drift)
+            };
+            self
+        }
+
+        /// Adds `count` MISR configuration corruptions to the plan.
+        fn with_misr_corruptions(mut self, count: usize) -> Self {
+            self.misr_corruptions = count;
+            self
+        }
+    }
 
     fn compiled_sobel() -> &'static Compiled {
         static COMPILED: OnceLock<Compiled> = OnceLock::new();
