@@ -6,11 +6,14 @@ use mithra_axbench::dataset::DatasetScale;
 use mithra_axbench::suite;
 use mithra_conform::{validate, ValidatorConfig};
 use mithra_core::function::{AcceleratedFunction, NpuTrainConfig};
-use mithra_core::pipeline::{compile, compile_routed, CompileConfig};
-use mithra_core::profile::DatasetProfile;
+use mithra_core::pipeline::{compile, compile_routed, CompileConfig, Compiled};
+use mithra_core::profile::{default_threads, DatasetProfile};
 use mithra_core::route::{ApproximatorPool, PoolSpec, RouterTrainer};
+use mithra_core::seeds::SERVE_SEED_BASE;
 use mithra_core::threshold::{QualitySpec, ThresholdOptimizer};
+use mithra_serve::{EndpointSpec, ServeConfig, ServeEngine};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn trained_sobel() -> AcceleratedFunction {
     let bench: Arc<dyn Benchmark> = suite::by_name("sobel").unwrap().into();
@@ -123,8 +126,77 @@ fn bench_conformance(c: &mut Criterion) {
     group.finish();
 }
 
+/// Served datasets per artifact in the engine-start benchmark.
+const START_DATASETS_PER_ARTIFACT: u64 = 4;
+
+fn bench_serve_start(c: &mut Criterion) {
+    // 24 guarded endpoints, four per smoke-compiled artifact. The first
+    // start in the process runs its workers on new threads; later starts
+    // find those threads parked.
+    let config = CompileConfig::smoke();
+    let mut endpoints: Vec<(Arc<Compiled>, DatasetProfile)> = Vec::new();
+    for name in [
+        "blackscholes",
+        "fft",
+        "inversek2j",
+        "jmeint",
+        "jpeg",
+        "sobel",
+    ] {
+        let bench: Arc<dyn Benchmark> = suite::by_name(name).unwrap().into();
+        let compiled = Arc::new(compile(bench, &config).unwrap());
+        for k in 0..START_DATASETS_PER_ARTIFACT {
+            let dataset = compiled
+                .function
+                .dataset(SERVE_SEED_BASE + k, DatasetScale::Smoke);
+            let profile = DatasetProfile::collect(&compiled.function, dataset);
+            endpoints.push((Arc::clone(&compiled), profile));
+        }
+    }
+    // Workers resolved once, as a `--threads` default is: `workers: 0`
+    // would query the host's parallelism inside every timed start.
+    let serve = ServeConfig {
+        workers: default_threads(),
+        watchdog_period: 16,
+        ..ServeConfig::default()
+    };
+    // Only `start` is timed; building the specs and joining the engine
+    // stay off the clock.
+    let mut starts = |iters: u64| {
+        let mut timed = Duration::ZERO;
+        for _ in 0..iters {
+            let specs = endpoints
+                .iter()
+                .enumerate()
+                .map(|(i, (compiled, profile))| EndpointSpec {
+                    name: format!("endpoint-{i}"),
+                    compiled: Arc::clone(compiled),
+                    profile: profile.clone(),
+                    routed: None,
+                })
+                .collect();
+            let t0 = Instant::now();
+            let engine = ServeEngine::start(specs, &serve).unwrap();
+            timed += t0.elapsed();
+            engine.join().unwrap();
+        }
+        timed
+    };
+    let mut group = c.benchmark_group("serve_start");
+    group.sample_size(1);
+    group.bench_function("guarded_24_endpoints_first_in_process", |b| {
+        b.iter_custom(&mut starts)
+    });
+    group.sample_size(500);
+    group.bench_function("guarded_24_endpoints_warmed_threads", |b| {
+        b.iter_custom(&mut starts)
+    });
+    group.finish();
+}
+
 criterion_group!(
     pipeline,
+    bench_serve_start,
     bench_profile_collection,
     bench_threshold_machinery,
     bench_replay,

@@ -3,28 +3,29 @@
 //! An [`EndpointSpec`] binds a compiled artifact to the dataset profile it
 //! serves; the engine lowers it into its internal endpoint state carrying
 //! the [`Mixture`] it serves (a binary endpoint is the pool of one), the
-//! precomputed per-route [`RoutedInvocationModel`], each member's NPU
-//! configuration image, the calibrated watchdog prototype each worker
+//! artifact's lowered state, the watchdog prototype each worker
 //! forks, and the slot table collecting per-invocation results. Slots
 //! are keyed by invocation index, so however requests interleave across
 //! workers, the finished endpoint folds its charges in index order — the
 //! ordering that makes the aggregate bit-identical to sequential
 //! simulation.
 //!
+//! What an endpoint needs of its artifact alone — the precomputed
+//! per-route [`RoutedInvocationModel`], each member's NPU configuration
+//! image and the watchdog limit — is lowered once per artifact at start
+//! and shared through an `Arc` by every endpoint that serves the same
+//! `Arc<Compiled>` (for a routed endpoint, the same `Arc<RoutedCompiled>`).
+//!
 //! A slot is one byte: 0 while its invocation is unserved, otherwise a
 //! code for the route that served it (the precise fallback or pool
 //! member `m`) and the watchdog's shadow-sample bit. A charge is a pure
-//! function of those two under the endpoint's per-route model, which
+//! function of those two under the artifact's per-route model, which
 //! never changes after bring-up, so the slot keeps no charge and
 //! `EndpointState::finish` recomputes each one in index order. Nor
 //! does bring-up copy a router: the epoch-0 operating point names the
 //! mixture's own, and each worker clones it into its shard when it
-//! first serves the endpoint. On a 2-vCPU x86-64 VM, a guarded start
-//! of 24 full-scale endpoints took 325 µs on average with 32-byte
-//! `Option<(route, charge)>` slots and a router copy per endpoint: slot
-//! initialization 119 µs, router copies 72 µs, spawning the two workers
-//! 62 µs and the rest (models, configuration images, guard limits)
-//! 72 µs. With byte slots it takes 138 µs: 8 µs, none, 62 µs and 68 µs.
+//! first serves the endpoint. DESIGN.md ("Bring-up") splits a guarded
+//! start into its parts.
 
 use crate::error::ServeError;
 use crate::metrics::EndpointCounters;
@@ -36,6 +37,7 @@ use mithra_core::watchdog::{QualityWatchdog, WatchdogConfig};
 use mithra_core::MithraError;
 use mithra_sim::fault::FifoEvent;
 use mithra_sim::system::{RoutedInvocationModel, RunFold, RunResult, SimOptions};
+use mithra_stats::clopper_pearson::Confidence;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -146,6 +148,22 @@ impl SlotTable {
     }
 }
 
+/// What an endpoint's artifact lowers to: built once per artifact at
+/// start and shared, through an `Arc`, by every endpoint that serves it
+/// (the same `Arc<Compiled>`, or for a routed endpoint the same
+/// `Arc<RoutedCompiled>`).
+#[derive(Debug)]
+pub(crate) struct Lowered {
+    /// Per-route cost constants.
+    pub model: RoutedInvocationModel,
+    /// Each member's NPU configuration image (weights and biases as raw
+    /// bit words), streamed through the config FIFO under the burst rule.
+    pub member_config_words: Vec<Vec<u32>>,
+    /// The guard tuning each endpoint's epoch-0 watchdog prototype gets;
+    /// `None` when unguarded.
+    watchdog: Option<WatchdogConfig>,
+}
+
 /// The engine-internal state of one endpoint, shared across workers. A
 /// binary endpoint is the pool of one: member 0 is `compiled.function`
 /// and the profile it serves is its only member profile.
@@ -158,11 +176,8 @@ pub(crate) struct EndpointState {
     routed: Option<Arc<RoutedCompiled>>,
     /// Pool member `m`'s profile of the served dataset, cheapest first.
     pub member_profiles: Vec<DatasetProfile>,
-    /// Per-route cost constants.
-    pub model: RoutedInvocationModel,
-    /// Each member's NPU configuration image (weights and biases as raw
-    /// bit words), streamed through the config FIFO under the burst rule.
-    pub member_config_words: Vec<Vec<u32>>,
+    /// The artifact's lowering, shared with every endpoint serving it.
+    pub lowered: Arc<Lowered>,
     /// The epoch-versioned operating point workers serve under; swapped
     /// atomically by [`install`](Self::install).
     op: Mutex<Arc<OperatingPoint>>,
@@ -185,28 +200,33 @@ impl EndpointSpec {
                 Mixture::Routed(&r.routed)
             })
     }
+
+    /// The address of the artifact the mixture comes from: endpoints
+    /// with the same one share a [`Lowered`].
+    pub(crate) fn artifact(&self) -> *const () {
+        self.routed
+            .as_ref()
+            .map_or(Arc::as_ptr(&self.compiled).cast(), |r| {
+                Arc::as_ptr(&r.routed).cast()
+            })
+    }
 }
 
-impl EndpointState {
-    /// Lowers a spec: precomputes the per-route models and encodes each
-    /// member's config image. `watchdog` is the endpoint's guard tuning
-    /// (`None` when unguarded), the limit rule applied to the calibration
-    /// counts its artifact stored at compile time
-    /// ([`Mixture::calibration`]); workers fork the prototype built from
-    /// it.
+impl Lowered {
+    /// Lowers a mixture: precomputes its per-route models, encodes each
+    /// member's config image and, when `guard` is `Some`, applies the
+    /// watchdog limit rule at that confidence to the calibration counts
+    /// the artifact stored at compile time ([`Mixture::calibration`]).
     ///
     /// # Errors
     ///
     /// [`ServeError::PoolTooWide`] for a pool wider than a slot code
-    /// holds ([`SlotTable::MAX_POOL`]); [`ServeError::Core`] when a routed
-    /// attachment's member profiles do not cover the pool or the served
-    /// dataset.
-    pub fn build(
-        spec: EndpointSpec,
+    /// holds ([`SlotTable::MAX_POOL`]).
+    pub fn new(
+        mixture: Mixture<'_>,
         options: &SimOptions,
-        watchdog: Option<WatchdogConfig>,
+        guard: Option<Confidence>,
     ) -> Result<Self, ServeError> {
-        let mixture = spec.mixture();
         let pool = mixture.members().len();
         if pool > SlotTable::MAX_POOL {
             return Err(ServeError::PoolTooWide {
@@ -214,7 +234,6 @@ impl EndpointState {
                 max: SlotTable::MAX_POOL,
             });
         }
-        let model = RoutedInvocationModel::new(mixture, options);
         let member_config_words = mixture
             .members()
             .iter()
@@ -227,6 +246,24 @@ impl EndpointState {
                     .collect()
             })
             .collect();
+        Ok(Self {
+            model: RoutedInvocationModel::new(mixture, options),
+            member_config_words,
+            watchdog: guard.map(|confidence| mixture.calibration().config(confidence)),
+        })
+    }
+}
+
+impl EndpointState {
+    /// Binds a spec to its artifact's lowering, which must be
+    /// [`Lowered::new`] of the spec's mixture.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Core`] when a routed attachment's member profiles do
+    /// not cover the pool or the served dataset.
+    pub fn build(spec: EndpointSpec, lowered: Arc<Lowered>) -> Result<Self, ServeError> {
+        let pool = spec.mixture().members().len();
         let EndpointSpec {
             name,
             compiled,
@@ -253,17 +290,16 @@ impl EndpointState {
         }
         let op = Arc::new(OperatingPoint {
             epoch: 0,
-            threshold: model.threshold(),
+            threshold: lowered.model.threshold(),
             router: None,
-            watchdog_proto: watchdog.map(QualityWatchdog::new),
+            watchdog_proto: lowered.watchdog.map(QualityWatchdog::new),
         });
         Ok(Self {
             name,
             compiled,
             routed,
             member_profiles,
-            model,
-            member_config_words,
+            lowered,
             op: Mutex::new(op),
             trigger: AtomicU64::new(TRIGGER_CLEAR),
             slots: Mutex::new(SlotTable::new(n)),
@@ -368,10 +404,11 @@ impl EndpointState {
             return Ok(None);
         }
         let refs: Vec<&DatasetProfile> = self.member_profiles.iter().collect();
-        let mut fold = RunFold::new(&self.model, &refs).map_err(ServeError::Core)?;
+        let model = &self.lowered.model;
+        let mut fold = RunFold::new(model, &refs).map_err(ServeError::Core)?;
         for &code in &table.codes {
             let (route, shadow) = SlotTable::decode(code).expect("filled table has no holes");
-            let charge = self.model.charge_route(route, FifoEvent::None, shadow);
+            let charge = model.charge_route(route, FifoEvent::None, shadow);
             fold.push(route, FifoEvent::None, charge);
         }
         drop(table);
@@ -461,7 +498,8 @@ mod tests {
                 member_profiles,
             }),
         };
-        let state = EndpointState::build(spec, &SimOptions::default(), None).unwrap();
+        let lowered = Lowered::new(spec.mixture(), &SimOptions::default(), None).unwrap();
+        let state = EndpointState::build(spec, Arc::new(lowered)).unwrap();
         let n = state.profile().invocation_count();
 
         // Every route of the pool, shadow-sampled and not, precise
@@ -477,9 +515,10 @@ mod tests {
             })
             .collect();
         let refs: Vec<&DatasetProfile> = state.member_profiles.iter().collect();
-        let mut fold = RunFold::new(&state.model, &refs).unwrap();
+        let model = &state.lowered.model;
+        let mut fold = RunFold::new(model, &refs).unwrap();
         for &(route, shadow) in &entries {
-            let charge = state.model.charge_route(route, FifoEvent::None, shadow);
+            let charge = model.charge_route(route, FifoEvent::None, shadow);
             fold.push(route, FifoEvent::None, charge);
         }
         let bench = state.compiled.function.benchmark().as_ref();

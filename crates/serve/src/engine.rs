@@ -31,15 +31,22 @@
 //! [`ServeEngine::swap_operating_point`] installs a new threshold and
 //! router through the epoch path, binary and routed alike.
 //!
+//! Workers run on a process-wide set of parked threads: `start` hands
+//! each worker loop to a thread an earlier engine left parked, and spawns
+//! a thread only when none is parked. [`ServeEngine::join`] waits for
+//! every worker; a worker's panic is caught on its own thread, which then
+//! parks for the next engine like any other.
+//!
 //! [`InvocationModel`]: mithra_sim::system::InvocationModel
 //! [`Mixture`]: mithra_core::route::Mixture
 //! [`Mixture::calibration`]: mithra_core::route::Mixture::calibration
 
-use crate::endpoint::{EndpointSpec, EndpointState, OperatingPoint, SlotTable};
+use crate::endpoint::{EndpointSpec, EndpointState, Lowered, OperatingPoint, SlotTable};
 use crate::error::{RejectReason, ServeError};
 use crate::metrics::{
     guard_state_name, EndpointCounters, EndpointMetrics, GuardLogEntry, MetricsSnapshot,
 };
+use crate::parked::{Jobs, ParkedThreads};
 use crate::queue::{BoundedQueue, PushError};
 use mithra_core::function::InvokeScratch;
 use mithra_core::profile::default_threads;
@@ -49,8 +56,8 @@ use mithra_npu::fifo::QueueInterface;
 use mithra_sim::fault::FifoEvent;
 use mithra_sim::system::{RunResult, SimOptions};
 use mithra_stats::clopper_pearson::Confidence;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// Worker-pool and batching configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,9 +202,12 @@ fn fold_watchdog(dog: &QualityWatchdog, counters: &Mutex<EndpointCounters>) {
 const WATCHDOG_CONFIDENCE: f64 = 0.95;
 
 /// The batched, sharded serving engine over a set of endpoints.
+///
+/// Dropping an engine without [`join`](Self::join) closes its queue, so
+/// its workers drain the backlog and free their threads.
 pub struct ServeEngine {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Jobs,
 }
 
 impl std::fmt::Debug for ServeEngine {
@@ -225,6 +235,15 @@ impl ServeEngine {
     /// [`ServeError::Core`] when a routed attachment's member profiles
     /// mismatch the served dataset.
     pub fn start(specs: Vec<EndpointSpec>, config: &ServeConfig) -> Result<Self, ServeError> {
+        Self::start_on(specs, config, ParkedThreads::global())
+    }
+
+    /// [`start`](Self::start) with the workers run on `threads`.
+    pub(crate) fn start_on(
+        specs: Vec<EndpointSpec>,
+        config: &ServeConfig,
+        threads: &'static ParkedThreads,
+    ) -> Result<Self, ServeError> {
         if config.options.online_update_period != 0 {
             return Err(ServeError::UnsupportedOptions(
                 "online_update_period must be 0: online table updates make \
@@ -239,30 +258,35 @@ impl ServeEngine {
         } else {
             config.workers
         };
-        let confidence = Confidence::new(WATCHDOG_CONFIDENCE).expect("0.95 is a valid confidence");
-        let endpoints = specs
-            .into_iter()
-            .map(|spec| {
-                let watchdog = (config.watchdog_period > 0)
-                    .then(|| spec.mixture().calibration().config(confidence));
-                EndpointState::build(spec, &config.options, watchdog)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let guard = (config.watchdog_period > 0)
+            .then(|| Confidence::new(WATCHDOG_CONFIDENCE).expect("0.95 is a valid confidence"));
+        // Endpoints of one artifact share its lowering.
+        let mut lowered: HashMap<*const (), Arc<Lowered>> = HashMap::new();
+        let mut endpoints = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let shared = match lowered.get(&spec.artifact()) {
+                Some(shared) => Arc::clone(shared),
+                None => {
+                    let built = Arc::new(Lowered::new(spec.mixture(), &config.options, guard)?);
+                    lowered.insert(spec.artifact(), Arc::clone(&built));
+                    built
+                }
+            };
+            endpoints.push(EndpointState::build(spec, shared)?);
+        }
         let shared = Arc::new(Shared {
             endpoints,
             queue: BoundedQueue::new(config.queue_depth),
             batch: config.batch.max(1),
             watchdog_period: config.watchdog_period,
         });
-        let workers = (0..worker_count)
-            .map(|i| {
+        let jobs = (0..worker_count)
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawning a serving worker cannot fail")
+                Box::new(move || worker_loop(&shared)) as Box<dyn FnOnce() + Send>
             })
             .collect();
+        let workers = threads.run(jobs);
         Ok(Self { shared, workers })
     }
 
@@ -470,21 +494,22 @@ impl ServeEngine {
         self.shared.queue.close();
     }
 
-    /// Closes the queue, drains the backlog, and joins every worker —
-    /// the end of the serving phase. Slot folding and quality scoring
-    /// happen later, in [`DrainedEngine::report`], so throughput
+    /// Closes the queue, drains the backlog, and waits for every worker
+    /// to finish — the end of the serving phase. Slot folding and quality
+    /// scoring happen later, in [`DrainedEngine::report`], so throughput
     /// measurements can stop the clock here.
     ///
     /// # Errors
     ///
-    /// [`ServeError::WorkerPanicked`] when a worker died.
+    /// [`ServeError::WorkerPanicked`] when a worker panicked, returned
+    /// only once every other worker has finished too.
     pub fn join(self) -> Result<DrainedEngine, ServeError> {
         self.shared.queue.close();
-        for worker in self.workers {
-            worker.join().map_err(|_| ServeError::WorkerPanicked)?;
+        if self.workers.wait() > 0 {
+            return Err(ServeError::WorkerPanicked);
         }
         Ok(DrainedEngine {
-            shared: self.shared,
+            shared: Arc::clone(&self.shared),
         })
     }
 
@@ -496,6 +521,12 @@ impl ServeEngine {
     /// [`ServeError::Core`] when quality scoring fails.
     pub fn finish(self) -> Result<ServeReport, ServeError> {
         self.join()?.report()
+    }
+}
+
+impl Drop for ServeEngine {
+    fn drop(&mut self) {
+        self.shared.queue.close();
     }
 }
 
@@ -676,9 +707,10 @@ fn serve_sub_batch(
     // Pass 2 — one batched accelerator run per served member, through
     // lane-parallel tiles. Per-sample results are bit-identical to the
     // per-invocation path.
+    let lowered = &*state.lowered;
     delta.config_bursts += config_bursts(
         &mut ctx.queues,
-        &state.member_config_words,
+        &lowered.member_config_words,
         ctx.routes.iter().map(|&(route, _)| route),
     );
     let in_dim = dataset.input_dim();
@@ -738,7 +770,7 @@ fn serve_sub_batch(
             }
             RouteChoice::Precise => delta.fallback += 1,
         }
-        let charge = state.model.charge_route(route, FifoEvent::None, shadow);
+        let charge = lowered.model.charge_route(route, FifoEvent::None, shadow);
         delta.latency.record(charge.cycles);
     }
     // The whole sub-batch ran under one operating point, so its served
@@ -823,6 +855,12 @@ mod tests {
         assert_eq!(config_bursts(&mut queues, &images, back.into_iter()), 3);
         let long = vec![vec![0u32; 33], vec![0u32; 70]];
         assert_eq!(config_bursts(&mut queues, &long, mixed.into_iter()), 2 + 3);
+    }
+
+    #[test]
+    fn an_engine_can_be_shared_by_submitting_threads() {
+        fn shared_across_threads<T: Send + Sync>() {}
+        shared_across_threads::<ServeEngine>();
     }
 
     #[test]
@@ -949,6 +987,163 @@ mod tests {
         // on its missing member profiles.
         let err = start(max).unwrap_err();
         assert!(matches!(err, ServeError::Core(_)), "{max} members: {err}");
+    }
+
+    /// A parked-thread set of the test's own, so its spawn count is not
+    /// moved by tests starting engines in parallel.
+    fn private_threads() -> &'static ParkedThreads {
+        Box::leak(Box::new(ParkedThreads::new()))
+    }
+
+    fn binary_spec(compiled: &Arc<Compiled>, profile: &DatasetProfile) -> EndpointSpec {
+        EndpointSpec {
+            name: "endpoint".into(),
+            compiled: Arc::clone(compiled),
+            profile: profile.clone(),
+            routed: None,
+        }
+    }
+
+    /// Starts an engine on `threads`, serves every invocation once and
+    /// checks each was served exactly once.
+    fn serve_all(spec: EndpointSpec, config: &ServeConfig, threads: &'static ParkedThreads) {
+        let n = spec.profile.invocation_count();
+        let engine = ServeEngine::start_on(vec![spec], config, threads).unwrap();
+        for invocation in 0..n {
+            engine.submit_or_wait(0, invocation).unwrap();
+        }
+        let report = engine.finish().unwrap();
+        let endpoint = &report.endpoints[0];
+        assert_eq!(endpoint.counters.served, n as u64);
+        assert_eq!(endpoint.counters.duplicates, 0);
+        assert!(endpoint.result.is_some());
+    }
+
+    #[test]
+    fn a_second_start_on_warmed_threads_spawns_no_thread() {
+        let compiled = smoke_compiled("inversek2j");
+        let profile = &compiled.profiles[0];
+        let threads = private_threads();
+        let config = |workers| ServeConfig {
+            workers,
+            watchdog_period: 16,
+            ..ServeConfig::default()
+        };
+        serve_all(binary_spec(&compiled, profile), &config(2), threads);
+        assert_eq!(threads.spawned(), 2);
+        for workers in [2, 1, 2] {
+            serve_all(binary_spec(&compiled, profile), &config(workers), threads);
+            assert_eq!(threads.spawned(), 2, "{workers} workers");
+        }
+        serve_all(binary_spec(&compiled, profile), &config(3), threads);
+        assert_eq!(threads.spawned(), 3, "a third worker needs a third thread");
+    }
+
+    #[test]
+    fn a_worker_panic_surfaces_after_every_worker_finished_and_its_thread_serves_on() {
+        let compiled = smoke_compiled("inversek2j");
+        let profile = &compiled.profiles[0];
+        let threads = private_threads();
+        let config = ServeConfig {
+            workers: 2,
+            batch: 4,
+            ..ServeConfig::default()
+        };
+        let engine =
+            ServeEngine::start_on(vec![binary_spec(&compiled, profile)], &config, threads).unwrap();
+        // Poison the endpoint's metrics lock: the worker that folds the
+        // next sub-batch into it panics.
+        let counters = &engine.shared.endpoints[0].counters;
+        let poisoning = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = counters.lock().unwrap();
+            panic!("poisoning the metrics lock");
+        }));
+        assert!(poisoning.is_err() && counters.is_poisoned());
+        engine.submit_or_wait(0, 0).unwrap();
+        let shared = Arc::clone(&engine.shared);
+        let err = engine.join().unwrap_err();
+        assert!(matches!(err, ServeError::WorkerPanicked), "{err}");
+        // Each worker's job holds the engine until it finishes.
+        assert_eq!(Arc::strong_count(&shared), 1, "a worker was still running");
+        drop(shared);
+        assert_eq!(threads.spawned(), 2);
+        // The panicked worker's thread parked again and serves the next
+        // engine, which serves every request exactly once.
+        for _ in 0..2 {
+            serve_all(binary_spec(&compiled, profile), &config, threads);
+        }
+        assert_eq!(threads.spawned(), 2);
+    }
+
+    #[test]
+    fn an_engine_dropped_without_join_drains_and_frees_its_workers() {
+        let compiled = smoke_compiled("inversek2j");
+        let config = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let spec = binary_spec(&compiled, &compiled.profiles[0]);
+        let engine = ServeEngine::start_on(vec![spec], &config, private_threads()).unwrap();
+        engine.submit_or_wait(0, 0).unwrap();
+        let shared = Arc::clone(&engine.shared);
+        drop(engine);
+        // Each worker's job holds the engine until it finishes.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while Arc::strong_count(&shared) > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a worker still waits on the dropped engine's queue"
+            );
+            std::thread::yield_now();
+        }
+        let counters = shared.endpoints[0].counters.lock().unwrap();
+        assert_eq!(counters.served, 1, "the backlog is drained, not dropped");
+    }
+
+    #[test]
+    fn endpoints_of_one_artifact_share_one_lowering() {
+        let compiled = smoke_compiled("inversek2j");
+        // The same artifact in an allocation of its own is another one.
+        let copy = Arc::new(
+            compiled.with_operating_point(compiled.threshold.threshold, compiled.table.clone()),
+        );
+        let profile = &compiled.profiles[0];
+        let pool_of_two = Arc::new(RoutedCompiled {
+            pool: ApproximatorPool::from_members(
+                vec![compiled.function.clone(); 2],
+                vec![compiled.function.npu().topology().clone(); 2],
+            ),
+            member_profiles: Vec::new(),
+            threshold: compiled.threshold.clone(),
+            router: RouteClassifier::from_stages(vec![compiled.table.clone(); 2]),
+            calibration: compiled.calibration,
+        });
+        let routed = |compiled: &Arc<Compiled>| EndpointSpec {
+            routed: Some(crate::endpoint::RoutedServeSpec {
+                routed: Arc::clone(&pool_of_two),
+                member_profiles: vec![profile.clone(); 2],
+            }),
+            ..binary_spec(compiled, profile)
+        };
+        let specs = vec![
+            binary_spec(&compiled, profile),
+            binary_spec(&copy, profile),
+            binary_spec(&compiled, profile),
+            routed(&compiled),
+            routed(&copy),
+            binary_spec(&copy, profile),
+        ];
+        let config = ServeConfig {
+            watchdog_period: 16,
+            ..ServeConfig::default()
+        };
+        let engine = ServeEngine::start(specs, &config).unwrap();
+        let lowered = |i: usize| &engine.shared.endpoints[i].lowered;
+        let shared = |a, b| Arc::ptr_eq(lowered(a), lowered(b));
+        assert!(shared(0, 2) && shared(1, 5) && shared(3, 4));
+        assert!(!shared(0, 1) && !shared(0, 3) && !shared(1, 3));
+        assert_eq!(lowered(3).member_config_words.len(), 2);
+        engine.join().unwrap();
     }
 
     /// The routed counting pass run sequentially: one router copy over

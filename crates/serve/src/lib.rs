@@ -52,6 +52,7 @@ pub mod endpoint;
 pub mod engine;
 pub mod error;
 pub mod metrics;
+mod parked;
 pub mod queue;
 
 pub use backoff::Backoff;

@@ -128,6 +128,25 @@ fn serving_jpeg_is_bit_identical_to_simulate() {
 }
 
 #[test]
+fn engines_started_back_to_back_on_parked_threads_stay_bit_identical() {
+    // Engines run their workers on threads earlier engines left parked.
+    // Each engine here starts as soon as the one before has joined, on
+    // the threads that served it: a thread must carry nothing from one
+    // engine into the next.
+    let warm = compiled_for("sobel");
+    serve_once(&warm, &profile_for(&warm, 5), 4, 8);
+    for name in SUITE {
+        let compiled = compiled_for(name);
+        let profile = profile_for(&compiled, 55);
+        let expected = sequential(&compiled, &profile);
+        for workers in [1, 2, 4, 2, 1] {
+            let got = serve_once(&compiled, &profile, workers, 8);
+            assert_eq!(got, expected, "{name}: {workers} workers on parked threads");
+        }
+    }
+}
+
+#[test]
 fn multi_endpoint_interleaving_preserves_every_endpoint_identity() {
     // Two endpoints served through one engine with deliberately
     // interleaved submission order: sub-batch grouping and per-endpoint

@@ -111,8 +111,12 @@ fn worker_allocations_do_not_grow_with_served_requests() {
     let profile = DatasetProfile::collect(&compiled.function, dataset);
     let n = profile.invocation_count() / 4;
     assert!(n >= 64 * BATCH, "{n} requests make too few sub-batches");
-    // One worker's fixed cost: its thread, its endpoint context and the
-    // first growth of its buffers, all spent serving a single sub-batch.
+    // Engines run their workers on parked threads, spawning one only
+    // when none is parked. Park as many as the widest engine below uses,
+    // so no measured engine pays a thread's start-up.
+    worker_allocs(&compiled, &profile, 2, BATCH);
+    // One worker's fixed cost: its endpoint context and the first growth
+    // of its buffers, all spent serving a single sub-batch.
     let worker_fixed = worker_allocs(&compiled, &profile, 1, BATCH);
     for workers in [1, 2] {
         let small = worker_allocs(&compiled, &profile, workers, n);
