@@ -33,7 +33,7 @@ fn bench_ensemble_size(c: &mut Criterion) {
             entries_per_table: 4096,
         };
         let mut classifier =
-            TableClassifier::train_with_quantizer(design, quantizer(), &ex).unwrap();
+            TableClassifier::train_with_policy(design, quantizer(), 0.0, &ex).unwrap();
         let input = [0.3f32, 0.7, 0.9];
         group.bench_function(format!("{tables}_tables"), |b| {
             b.iter(|| classifier.classify(0, black_box(&input)))
@@ -53,7 +53,8 @@ fn bench_table_size_training(c: &mut Criterion) {
         };
         group.bench_function(format!("{entries}_entries"), |b| {
             b.iter(|| {
-                TableClassifier::train_with_quantizer(design, quantizer(), black_box(&ex)).unwrap()
+                TableClassifier::train_with_policy(design, quantizer(), 0.0, black_box(&ex))
+                    .unwrap()
             })
         });
     }
@@ -86,9 +87,10 @@ fn bench_policy_search_vs_fixed(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("conservative_fixed", |b| {
         b.iter(|| {
-            TableClassifier::train_with_quantizer(
+            TableClassifier::train_with_policy(
                 TableDesign::paper_default(),
                 quantizer(),
+                0.0,
                 black_box(&ex),
             )
             .unwrap()

@@ -42,7 +42,6 @@ fn main() {
                 continue;
             }
         };
-        let threshold = prepared.compiled.threshold.threshold;
         let training = &prepared.compiled.training_data;
         let quantizer = quantizer_from_profiles(&base.profiles);
 
@@ -63,7 +62,7 @@ fn main() {
             let (mut rate_sum, mut loss_sum, mut ok) = (0.0, 0.0, 0usize);
             for profile in &prepared.validation {
                 let replay =
-                    profile.replay_with_classifier(&base.function, &mut classifier, threshold, 0);
+                    profile.replay_with(&base.function, |_, input| classifier.decide(input));
                 rate_sum += replay.invocation_rate();
                 loss_sum += replay.quality_loss;
                 if replay.quality_loss <= quality {

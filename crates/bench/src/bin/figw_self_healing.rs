@@ -37,8 +37,10 @@ use mithra_bench::{ExperimentConfig, TextTable};
 use mithra_conform::{validate_profiles, GuaranteeReport, ValidatorConfig};
 use mithra_core::profile::DatasetProfile;
 use mithra_core::recert::RecertConfig;
+use mithra_core::route::{ApproximatorPool, RoutedCompiled};
 use mithra_core::session::CompileSession;
-use mithra_core::watchdog::GuardState;
+use mithra_core::threshold::ThresholdOutcome;
+use mithra_core::watchdog::{Calibration, GuardState};
 use mithra_sim::fault::DriftSchedule;
 use mithra_sim::system::{run_session, SessionConfig, SessionResult, SimOptions};
 use serde::Serialize;
@@ -261,10 +263,17 @@ fn run_scenario(
     // nobody has seen, drawn from the *drifted* distribution it claims
     // to have re-certified.
     let conform = if session.final_point.epoch > 0 {
-        let swapped = compiled.with_operating_point(
-            session.final_point.threshold,
-            session.final_point.classifier.clone(),
-        );
+        // The swapped pair, as the pool of one it serves as.
+        let swapped = RoutedCompiled {
+            pool: ApproximatorPool::single(compiled.function.clone()),
+            member_profiles: Vec::new(),
+            threshold: ThresholdOutcome {
+                threshold: session.final_point.threshold,
+                ..compiled.threshold.clone()
+            },
+            router: session.final_point.router.clone(),
+            calibration: Calibration::default(),
+        };
         let steady = schedule
             .drift_at(bench_args.session_datasets.saturating_sub(1))
             .unwrap_or(DriftSpec {
@@ -276,8 +285,8 @@ fn run_scenario(
         let profiles: Vec<DatasetProfile> = (0..bench_args.conform_trials)
             .map(|i| {
                 let seed = DRIFT_CONFORM_SEED_BASE + i as u64;
-                let ds = swapped.function.dataset(seed, cfg.scale).drifted(&steady);
-                DatasetProfile::collect(&swapped.function, ds)
+                let ds = compiled.function.dataset(seed, cfg.scale).drifted(&steady);
+                DatasetProfile::collect(&compiled.function, ds)
             })
             .collect();
         let vconfig = ValidatorConfig {

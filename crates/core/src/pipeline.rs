@@ -137,34 +137,6 @@ impl Compiled {
     pub fn oracle_for(&self, profile: &DatasetProfile) -> OracleClassifier {
         OracleClassifier::for_profile(profile, self.threshold.threshold)
     }
-
-    /// A copy of this artifact with the runtime operating point replaced —
-    /// the re-certifier's hot-swap. Only the `threshold` value and the
-    /// table classifier change; the accelerator and neural classifier are
-    /// shared unchanged, and the compile-time profiles and training data
-    /// (which describe the *original* compile, not the new pair) are not
-    /// carried over, so neither are their calibration counts: the copy
-    /// counts nothing. The remaining [`crate::threshold::ThresholdOutcome`]
-    /// statistics still describe the original certificate — the swapped
-    /// pair's certificate lives with whoever performed the swap.
-    pub fn with_operating_point(
-        &self,
-        threshold: f32,
-        table: crate::table::TableClassifier,
-    ) -> Compiled {
-        Compiled {
-            function: self.function.clone(),
-            threshold: crate::threshold::ThresholdOutcome {
-                threshold,
-                ..self.threshold.clone()
-            },
-            table,
-            neural: self.neural.clone(),
-            profiles: Vec::new(),
-            training_data: Vec::new(),
-            calibration: Calibration::default(),
-        }
-    }
 }
 
 /// Runs the full compile flow for one benchmark.

@@ -11,11 +11,12 @@
 //! This is an implementation optimization of the paper's loop, not a
 //! semantic change.
 
-use crate::classifier::{Classifier, Decision};
+use crate::classifier::Decision;
 use crate::function::{AcceleratedFunction, InvokeScratch};
 use crate::Result;
 use mithra_axbench::benchmark::Benchmark;
 use mithra_axbench::dataset::{Dataset, OutputBuffer};
+use std::sync::OnceLock;
 
 /// Invocations per accelerator batch inside [`approx_blocks`].
 /// Large enough to amortize one weight-matrix traversal per lane tile,
@@ -200,26 +201,6 @@ impl DatasetProfile {
         .expect("a profile's own outputs always score")
     }
 
-    /// Replays the dataset driving a [`Classifier`], optionally applying
-    /// online updates every `online_update_period` invocations (0 = no
-    /// updates) using the measured error at `threshold` — the paper's
-    /// sporadic error sampling.
-    pub fn replay_with_classifier(
-        &self,
-        function: &AcceleratedFunction,
-        classifier: &mut dyn Classifier,
-        threshold: f32,
-        online_update_period: usize,
-    ) -> ReplayOutcome {
-        self.replay_with(function, |i, input| {
-            let decision = classifier.classify(i, input);
-            if online_update_period > 0 && i % online_update_period == 0 {
-                classifier.observe(i, input, self.max_err[i] > threshold);
-            }
-            decision
-        })
-    }
-
     /// Per-element final error of the full-approximation run — the sample
     /// Figure 1 plots.
     pub fn full_approx_element_errors(&self, function: &AcceleratedFunction) -> Vec<f64> {
@@ -365,10 +346,16 @@ pub fn score_mixture(
 /// (4 when it cannot be queried). One `--threads` flag governs both
 /// parallel profiling here and the serving worker pool in `mithra-serve`,
 /// and this is the value both default to.
+///
+/// The count is queried once per process: the query reads cgroup files,
+/// and every `par_map_indexed` call and every serving-engine start asks.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(4)
+    })
 }
 
 /// Profiles `count` seeded datasets in parallel across worker threads.

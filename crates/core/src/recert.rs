@@ -12,11 +12,12 @@
 //!    datasets from the drifted stream (the precise outputs are free — the
 //!    fallback path computes them anyway — and the accelerator runs in
 //!    shadow, charged by the simulator's invocation model);
-//! 2. **selects** a new operating point on that window: re-runs the
-//!    threshold bisection with the *re-trained deployed classifier in the
-//!    loop* (the PR-6 lesson: an oracle-only certificate collapses on
-//!    unseen data) against a margin-tightened quality target, then
-//!    **freezes** the `(threshold, classifier)` pair;
+//! 2. **selects** a new operating point on that window: probes thresholds
+//!    with the *re-trained deployed router in the loop* (an oracle-only
+//!    certificate collapses on unseen data), every probe trained through
+//!    one pool-of-one [`RouterTrainer`] per selection, against a
+//!    margin-tightened quality target, then **freezes** the
+//!    `(threshold, router)` pair;
 //! 3. **certifies** the frozen pair on *subsequent* fresh datasets only —
 //!    never on the selection window, which would double-dip — under the
 //!    always-valid sequential test ([`mithra_stats::sequential`]). The
@@ -24,13 +25,13 @@
 //!    Clopper–Pearson test would silently spend its α; the e-process is
 //!    safe under continuous monitoring by construction.
 //!
-//! Once the pair certifies, the engine emits a [`RecertOutcome`]: the new
-//! epoch's artifacts plus a watchdog limit recalibrated against the new
-//! pair on the drifted window. The caller hot-swaps them into serving and
-//! forces the watchdog back to [`GuardState::Monitoring`] — the
-//! statistical justification for re-enabling is the fresh sequential
-//! certificate, not the watchdog's recovery test (which judges the *old*
-//! operating point).
+//! Once the pair certifies, the engine emits a [`RecertOutcome`]: the
+//! threshold and one-stage router a serving endpoint swaps, plus a
+//! watchdog limit recalibrated against them on the drifted window. The
+//! caller hot-swaps them into serving and forces the watchdog back to
+//! [`GuardState::Monitoring`] — the statistical justification for
+//! re-enabling is the fresh sequential certificate, not the watchdog's
+//! recovery test (which judges the *old* operating point).
 //!
 //! **α accounting across attempts.** A frozen candidate that exhausts its
 //! trial budget without certifying is abandoned and a new one is selected
@@ -44,12 +45,12 @@
 //! [`GuardState::Fallback`]: crate::watchdog::GuardState::Fallback
 //! [`GuardState::Monitoring`]: crate::watchdog::GuardState::Monitoring
 
+use crate::classifier::Decision;
 use crate::function::AcceleratedFunction;
-use crate::pipeline::quantizer_from_profiles;
-use crate::profile::DatasetProfile;
-use crate::table::{TableClassifier, TableDesign};
+use crate::profile::{DatasetProfile, ReplayOutcome};
+use crate::route::{PoolSpec, RouteClassifier, RouterTrainer};
+use crate::table::TableDesign;
 use crate::threshold::QualitySpec;
-use crate::training::generate_training_data;
 use crate::watchdog::{self, WatchdogConfig};
 use crate::{MithraError, Result};
 use mithra_stats::clopper_pearson::Confidence;
@@ -87,9 +88,9 @@ pub struct RecertConfig {
     /// the watchdog's own recovery path can still fire if the drift
     /// reverts — is strictly better.
     pub min_invocation_rate: f64,
-    /// Training tuples sampled from the window per classifier retrain.
+    /// Training tuples sampled from the window's fit head per selection.
     pub train_samples: usize,
-    /// Table-classifier design for retrained candidates.
+    /// Table-classifier design of the retrained router's one stage.
     pub table_design: TableDesign,
     /// Consecutive healthy serving checkpoints (reported through
     /// [`RecertEngine::note_health`]) after which an in-flight collection
@@ -98,11 +99,12 @@ pub struct RecertConfig {
     /// Kept well above one because a degradation ladder near its limit
     /// flaps — a single healthy checkpoint is not proof of recovery.
     pub abort_after_healthy: u64,
-    /// Quantile probes per selection (each retrains the classifier).
+    /// Quantile probes per selection (each trains the router).
     pub select_iterations: u32,
     /// Seed for training-tuple sampling (attempt-salted).
     pub seed: u64,
-    /// Worker threads for selection replays (`Some(1)` = sequential).
+    /// Worker threads for router training (trainer preparation and every
+    /// probe) and the swap's calibration pass (`Some(1)` = sequential).
     pub threads: Option<usize>,
 }
 
@@ -174,11 +176,11 @@ impl RecertConfig {
     }
 }
 
-/// A frozen `(threshold, classifier)` pair under sequential certification.
+/// A frozen `(threshold, router)` pair under sequential certification.
 #[derive(Debug, Clone)]
 struct Candidate {
     threshold: f32,
-    classifier: TableClassifier,
+    router: RouteClassifier,
 }
 
 /// Where the engine is in its collect → select → certify loop.
@@ -201,8 +203,8 @@ pub struct RecertOutcome {
     pub epoch: u64,
     /// The re-certified accelerator-error threshold.
     pub threshold: f32,
-    /// The re-trained deployed classifier, certified as deployed.
-    pub classifier: TableClassifier,
+    /// The re-trained one-stage router, certified as deployed.
+    pub router: RouteClassifier,
     /// Watchdog tuning recalibrated against the new pair on the drifted
     /// calibration window.
     pub watchdog: WatchdogConfig,
@@ -293,11 +295,6 @@ impl RecertEngine {
         self.phase
     }
 
-    /// The tuning this engine runs with.
-    pub fn config(&self) -> &RecertConfig {
-        &self.config
-    }
-
     /// Epochs swapped in so far (0 before the first re-certification).
     pub fn epoch(&self) -> u64 {
         self.swaps
@@ -377,9 +374,8 @@ impl RecertEngine {
             // the window: certification data and selection data must stay
             // disjoint or the test is answering a question about data it
             // was chosen on.
-            let cand = self.candidate.as_ref().expect("certifying has a candidate");
-            let mut deployed = cand.classifier.clone();
-            let replay = profile.replay_with_classifier(function, &mut deployed, cand.threshold, 0);
+            let cand = self.candidate.as_mut().expect("certifying has a candidate");
+            let replay = replay_routed(function, &profile, &mut cand.router);
             let success = replay.quality_loss <= self.spec.max_quality_loss;
             self.test.observe(success);
             self.window.push(profile);
@@ -388,7 +384,7 @@ impl RecertEngine {
                 .test
                 .certifies(self.spec.success_rate, self.attempt_confidence)?
             {
-                return Ok(Some(self.swap()?));
+                return Ok(Some(self.swap()));
             }
             if self.test.trials() >= self.config.max_certify_trials {
                 // Budget spent: abandon the candidate and collect more
@@ -434,37 +430,63 @@ impl RecertEngine {
 
     /// Emits the outcome for the just-certified candidate and resets the
     /// per-trigger state for a future drift episode.
-    fn swap(&mut self) -> Result<RecertOutcome> {
+    fn swap(&mut self) -> RecertOutcome {
         let cand = self.candidate.take().expect("swap requires a candidate");
         self.swaps += 1;
         // Recalibrate the watchdog limit against the NEW pair on the
         // drifted window (selection + certification datasets): the old
         // limit described the old pair on the old distribution.
-        let mut calibrated = cand.classifier.clone();
-        let wconfig = watchdog::calibrate(
-            &mut calibrated,
-            &self.window,
+        let watchdog = watchdog::calibrate_mixture(
+            &cand.router,
+            std::slice::from_ref(&self.window),
             cand.threshold,
-            self.spec.confidence,
-        )?;
+            self.config.threads,
+        )
+        .config(self.spec.confidence);
         let outcome = RecertOutcome {
             epoch: self.swaps,
             threshold: cand.threshold,
-            classifier: cand.classifier,
-            watchdog: wconfig,
+            router: cand.router,
+            watchdog,
             certify_trials: self.test.trials(),
             attempts: self.attempt,
             calibration_datasets: self.calibration_datasets,
         };
         self.abort();
-        Ok(outcome)
+        outcome
     }
 
     /// Selects the candidate whose **deployed** replay meets the
     /// margin-tightened quality target on every window dataset while
     /// admitting the most invocations. Returns `None` when the best such
     /// candidate is vacuous (invocation rate below the floor).
-    fn select(&self, function: &AcceleratedFunction) -> Result<Option<Candidate>> {
+    fn select(&mut self, function: &AcceleratedFunction) -> Result<Option<Candidate>> {
+        // Hold out the tail of the window: routers train on the head and
+        // every probe is scored on datasets the trainer never saw.
+        // Scoring a probe on its own training datasets is systematically
+        // optimistic (the tables memorize the training buckets), which
+        // froze candidates that looked clean on the window and then
+        // failed certification on fresh traffic. The head is the profile
+        // table of a pool of one, so the holdout is split off the window
+        // for the selection and put back after it.
+        let holdout = (self.window.len() / 3).max(1);
+        let eval = self.window.split_off(self.window.len() - holdout);
+        let fit = [std::mem::take(&mut self.window)];
+        let selected = self.select_on(function, &fit, &eval);
+        let [mut window] = fit;
+        window.extend(eval);
+        self.window = window;
+        selected
+    }
+
+    /// [`select`](Self::select) over the fit head `fit` (one pool member's
+    /// profiles) and the held-out tail `eval`.
+    fn select_on(
+        &self,
+        function: &AcceleratedFunction,
+        fit: &[Vec<DatasetProfile>; 1],
+        eval: &[DatasetProfile],
+    ) -> Result<Option<Candidate>> {
         // Margin tightens geometrically with each retry: a candidate that
         // failed certification was too close to the boundary.
         let margin = self
@@ -473,19 +495,7 @@ impl RecertEngine {
             .powi(self.attempt.min(8) as i32);
         let target = self.spec.max_quality_loss * margin;
 
-        // Hold out the tail of the window: classifiers train on the head
-        // and every probe is scored on datasets the trainer never saw.
-        // Scoring a probe on its own training datasets is systematically
-        // optimistic (the tables memorize the training buckets), which
-        // froze candidates that looked clean on the window and then
-        // failed certification on fresh traffic.
-        let holdout = (self.window.len() / 3).max(1);
-        let (fit, eval) = self.window.split_at(self.window.len() - holdout);
-        if fit.is_empty() {
-            return Ok(None);
-        }
-
-        let mut errors: Vec<f32> = fit
+        let mut errors: Vec<f32> = fit[0]
             .iter()
             .flat_map(|p| p.errors().iter().copied())
             .collect();
@@ -494,30 +504,26 @@ impl RecertEngine {
             return Ok(None);
         }
 
-        let probe = |threshold: f32| -> Result<Option<(TableClassifier, f64)>> {
-            let classifier = self.train_at(fit, threshold)?;
-            let mut rate_sum = 0.0f64;
-            for profile in eval {
-                let mut deployed = classifier.clone();
-                let replay = profile.replay_with_classifier(function, &mut deployed, threshold, 0);
-                if replay.quality_loss > target {
-                    return Ok(None);
-                }
-                rate_sum += replay.invocation_rate();
-            }
-            Ok(Some((classifier, rate_sum / eval.len() as f64)))
-        };
+        let spec = PoolSpec::single(function.npu().topology().clone());
+        let mut trainer = RouterTrainer::new(
+            &spec,
+            fit,
+            &self.config.table_design,
+            self.config.train_samples,
+            self.config.seed ^ self.attempt.wrapping_mul(SEED_MIX),
+            self.config.threads,
+        )?;
 
         // Probe thresholds at evenly spaced quantiles of the window's
         // error distribution and keep the quality-passing candidate that
         // admits the most work. A bisection for the loosest passing
         // threshold would be wrong here: each probe retrains the deployed
-        // classifier, and past the point where rejects stop being
-        // separable the trainer degrades to an all-reject ensemble whose
-        // replay passes the quality target *vacuously* — monotone search
-        // then converges on exactly those vacuous candidates.
+        // router, and past the point where rejects stop being separable
+        // the trainer degrades to an all-reject ensemble whose replay
+        // passes the quality target *vacuously* — monotone search then
+        // converges on exactly those vacuous candidates.
         let probes = self.config.select_iterations.max(1) as usize;
-        let mut best: Option<(f32, TableClassifier, f64)> = None;
+        let mut best: Option<(f32, RouteClassifier, f64)> = None;
         let mut last = f32::NAN;
         for i in 1..=probes {
             let q = i as f64 / (probes + 1) as f64;
@@ -527,38 +533,42 @@ impl RecertEngine {
                 continue;
             }
             last = threshold;
-            if let Some((classifier, rate)) = probe(threshold)? {
-                if best.as_ref().is_none_or(|(_, _, r)| rate > *r) {
-                    best = Some((threshold, classifier, rate));
-                }
+            let mut router = trainer.train(threshold)?;
+            let mut rate_sum = 0.0f64;
+            let passes = eval.iter().all(|profile| {
+                let replay = replay_routed(function, profile, &mut router);
+                rate_sum += replay.invocation_rate();
+                replay.quality_loss <= target
+            });
+            let rate = rate_sum / eval.len() as f64;
+            if passes && best.as_ref().is_none_or(|(_, _, r)| rate > *r) {
+                best = Some((threshold, router, rate));
             }
         }
         Ok(best
             .filter(|(_, _, rate)| *rate >= self.config.min_invocation_rate)
-            .map(|(threshold, classifier, _)| Candidate {
-                threshold,
-                classifier,
-            }))
+            .map(|(threshold, router, _)| Candidate { threshold, router }))
     }
+}
 
-    /// Retrains the table classifier on `profiles` labeled at `threshold`.
-    fn train_at(&self, profiles: &[DatasetProfile], threshold: f32) -> Result<TableClassifier> {
-        let seed = self.config.seed ^ self.attempt.wrapping_mul(SEED_MIX);
-        let data = generate_training_data(profiles, threshold, self.config.train_samples, seed);
-        let quantizer = quantizer_from_profiles(profiles);
-        TableClassifier::train_with_threads(
-            self.config.table_design,
-            quantizer,
-            &data,
-            self.config.threads,
-        )
-    }
+/// Replays `profile` with `router` deciding every invocation.
+fn replay_routed(
+    function: &AcceleratedFunction,
+    profile: &DatasetProfile,
+    router: &mut RouteClassifier,
+) -> ReplayOutcome {
+    profile.replay_with(function, |i, input| {
+        Decision::from_reject(router.classify_route(i, input).is_precise())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{compile, CompileConfig};
+    use crate::classifier::Classifier;
+    use crate::pipeline::{compile, quantizer_from_profiles, CompileConfig};
+    use crate::table::TableClassifier;
+    use crate::training::generate_training_data;
     use mithra_axbench::dataset::{DatasetScale, DriftSpec};
     use mithra_axbench::suite;
     use std::sync::Arc;
@@ -619,7 +629,7 @@ mod tests {
     #[test]
     fn engine_recertifies_under_mild_drift_and_pair_holds() {
         // The end-to-end core loop: drifted calibration traffic in, a
-        // certified (threshold, classifier) pair out, and that pair holds
+        // certified (threshold, router) pair out, and that pair holds
         // its quality target on unseen drifted datasets.
         let compiled = compiled_sobel();
         let spec = QualitySpec::new(0.1, 0.9, 0.8).unwrap();
@@ -657,9 +667,7 @@ mod tests {
         let n = 20u32;
         for s in 0..n {
             let p = drifted_profile(&compiled, 9_200_000 + u64::from(s), &drift);
-            let mut cls = outcome.classifier.clone();
-            let replay =
-                p.replay_with_classifier(&compiled.function, &mut cls, outcome.threshold, 0);
+            let replay = replay_routed(&compiled.function, &p, &mut outcome.router.clone());
             if replay.quality_loss <= spec.max_quality_loss {
                 ok += 1;
             }
@@ -668,6 +676,151 @@ mod tests {
             ok >= 14,
             "re-certified pair held on only {ok}/{n} unseen datasets"
         );
+    }
+
+    /// The table a selection probe trained before selection went through
+    /// [`RouterTrainer`]: a fresh labeled sample and a cold table-grid
+    /// training at every probe, nothing prepared once or memoized.
+    fn reference_table(
+        engine: &RecertEngine,
+        fit: &[DatasetProfile],
+        threshold: f32,
+    ) -> TableClassifier {
+        let seed = engine.config.seed ^ engine.attempt.wrapping_mul(SEED_MIX);
+        let data = generate_training_data(fit, threshold, engine.config.train_samples, seed);
+        TableClassifier::train_with_threads(
+            engine.config.table_design,
+            quantizer_from_profiles(fit),
+            &data,
+            engine.config.threads,
+        )
+        .unwrap()
+    }
+
+    /// `select` over the engine's current window and attempt, written
+    /// against [`reference_table`], each replay deciding through a fresh
+    /// copy of the table.
+    fn reference_select(
+        engine: &RecertEngine,
+        function: &AcceleratedFunction,
+    ) -> Option<(f32, TableClassifier)> {
+        let margin = engine
+            .config
+            .selection_margin
+            .powi(engine.attempt.min(8) as i32);
+        let target = engine.spec.max_quality_loss * margin;
+        let holdout = (engine.window.len() / 3).max(1);
+        let (fit, eval) = engine.window.split_at(engine.window.len() - holdout);
+        let mut errors: Vec<f32> = fit.iter().flat_map(|p| p.errors().to_vec()).collect();
+        errors.sort_by(f32::total_cmp);
+        if errors.is_empty() {
+            return None;
+        }
+        let probes = engine.config.select_iterations.max(1) as usize;
+        let mut best: Option<(f32, TableClassifier, f64)> = None;
+        let mut last = f32::NAN;
+        for i in 1..=probes {
+            let q = i as f64 / (probes + 1) as f64;
+            let threshold = errors[((errors.len() - 1) as f64 * q).round() as usize].max(1e-6);
+            if threshold == last {
+                continue;
+            }
+            last = threshold;
+            let table = reference_table(engine, fit, threshold);
+            let mut rate_sum = 0.0f64;
+            let mut passes = true;
+            for profile in eval {
+                let mut deployed = table.clone();
+                let replay = profile.replay_with(function, |i, input| deployed.classify(i, input));
+                if replay.quality_loss > target {
+                    passes = false;
+                    break;
+                }
+                rate_sum += replay.invocation_rate();
+            }
+            let rate = rate_sum / eval.len() as f64;
+            if passes && best.as_ref().is_none_or(|(_, _, r)| rate > *r) {
+                best = Some((threshold, table, rate));
+            }
+        }
+        best.filter(|(_, _, rate)| *rate >= engine.config.min_invocation_rate)
+            .map(|(threshold, table, _)| (threshold, table))
+    }
+
+    #[test]
+    fn selection_through_the_prepared_trainer_matches_per_probe_training() {
+        // Every selection freezes the pair the memo-free reference
+        // freezes on the same window, and the outcome carries that pair,
+        // the watchdog limit the table's own calibration gives, and the
+        // trial count of a reference test fed the table's replays.
+        let compiled = compiled_sobel();
+        let function = &compiled.function;
+        let spec = QualitySpec::new(0.1, 0.9, 0.8).unwrap();
+        let drift = mild_drift();
+        let mut stream: Vec<DatasetProfile> = Vec::new();
+        for threads in [Some(1), Some(2)] {
+            let mut cfg = RecertConfig::paper_default();
+            cfg.select_after = 8;
+            cfg.train_samples = 1_500;
+            cfg.select_iterations = 6;
+            cfg.threads = threads;
+            let mut engine = RecertEngine::new(spec, cfg).unwrap();
+            let mut window: Vec<DatasetProfile> = Vec::new();
+            let mut frozen: Option<(f32, TableClassifier)> = None;
+            let mut test = SequentialBinomial::new();
+            let mut selections = 0u64;
+            let mut outcome = None;
+            for s in 0..80usize {
+                if stream.len() == s {
+                    stream.push(drifted_profile(&compiled, 9_100_000 + s as u64, &drift));
+                }
+                let profile = stream[s].clone();
+                if let Some((_, table)) = &frozen {
+                    let mut deployed = table.clone();
+                    let replay =
+                        profile.replay_with(function, |i, input| deployed.classify(i, input));
+                    test.observe(replay.quality_loss <= spec.max_quality_loss);
+                }
+                window.push(profile.clone());
+                let attempt = engine.attempt;
+                let out = engine.observe(function, profile).unwrap();
+                if engine.attempt > attempt {
+                    selections += 1;
+                    assert!(engine.window == window, "selection puts the holdout back");
+                    frozen = reference_select(&engine, function);
+                    test.reset();
+                    let at = format!("{threads:?} threads, attempt {}", engine.attempt);
+                    let candidate = engine.candidate.as_ref();
+                    let got = candidate.map(|c| c.threshold);
+                    assert_eq!(got, frozen.as_ref().map(|(t, _)| *t), "{at}: threshold");
+                    let want = frozen.as_ref().map(|(_, table)| table.clone());
+                    let same = candidate.map(|c| c.router.clone())
+                        == want.map(|table| RouteClassifier::from_stages(vec![table]));
+                    assert!(same, "{at}: the frozen router is not the reference table");
+                } else if out.is_some() {
+                    outcome = out;
+                    break;
+                } else if engine.phase() != RecertPhase::Certifying {
+                    frozen = None;
+                }
+            }
+            let outcome = outcome.expect("mild drift must re-certify within 80 datasets");
+            let (threshold, table) = frozen.expect("a swap follows a frozen candidate");
+            assert!(test
+                .certifies(spec.success_rate, engine.attempt_confidence)
+                .unwrap());
+            let watchdog =
+                watchdog::calibrate(&mut table.clone(), &window, threshold, spec.confidence)
+                    .unwrap();
+            assert_eq!(outcome.epoch, 1);
+            assert_eq!(outcome.threshold, threshold);
+            assert!(outcome.router == RouteClassifier::from_stages(vec![table]));
+            assert_eq!(outcome.watchdog, watchdog);
+            assert_eq!(outcome.certify_trials, test.trials());
+            assert_eq!(outcome.calibration_datasets, window.len() as u64);
+            assert_eq!(outcome.attempts, selections);
+            assert!(outcome.certify_trials > 0);
+        }
     }
 
     #[test]

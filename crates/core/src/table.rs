@@ -245,20 +245,6 @@ impl TableClassifier {
         Ok(PreparedTableSet::new(design, quantizer, &inputs, threads)?.train(&rejects, threads))
     }
 
-    /// Trains the ensemble with the paper's conservative rule at a fixed
-    /// quantizer granularity (any reject in a bucket sets its bit).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`train`](Self::train).
-    pub fn train_with_quantizer(
-        design: TableDesign,
-        quantizer: InputQuantizer,
-        examples: &[TrainingExample],
-    ) -> Result<Self> {
-        Self::train_with_policy(design, quantizer, 0.0, examples)
-    }
-
     /// Trains the ensemble at a fixed quantizer granularity and bucket
     /// vote threshold.
     ///

@@ -449,9 +449,9 @@ impl QualityWatchdog {
 /// [`calibration_counts`] per profile, summed and fed into
 /// [`limit_config`]. A compiled artifact does not need it: its compile
 /// session ran [`calibrate_mixture`] over the compile profiles and stored
-/// the counts (see [`Calibration`]). It is for classifiers and profiles
-/// that no compile session produced, such as the re-certifier's fresh
-/// operating points.
+/// the counts (see [`Calibration`]), and the re-certifier counts its
+/// fresh one-stage routers with [`calibrate_mixture`] too. It is for a
+/// bare classifier over a profile slice.
 ///
 /// # Errors
 ///

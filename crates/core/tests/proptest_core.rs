@@ -70,9 +70,10 @@ proptest! {
         let quantizer = InputQuantizer::new(vec![0.0], vec![1.0]);
         // The paper's conservative rule (vote threshold 0): every trained
         // reject must be rejected afterwards, aliasing notwithstanding.
-        let mut c = TableClassifier::train_with_quantizer(
+        let mut c = TableClassifier::train_with_policy(
             TableDesign::paper_default(),
             quantizer,
+            0.0,
             &examples,
         )
         .unwrap();
@@ -91,9 +92,10 @@ proptest! {
             .map(|&v| TrainingExample { input: vec![v], reject: true })
             .collect();
         let quantizer = InputQuantizer::new(vec![0.0], vec![1.0]);
-        let mut c = TableClassifier::train_with_quantizer(
+        let mut c = TableClassifier::train_with_policy(
             TableDesign::paper_default(),
             quantizer,
+            0.0,
             &examples,
         )
         .unwrap();
@@ -119,9 +121,10 @@ proptest! {
             .map(|&(v, reject)| TrainingExample { input: vec![v], reject })
             .collect();
         let quantizer = InputQuantizer::new(vec![0.0], vec![1.0]);
-        let c = TableClassifier::train_with_quantizer(
+        let c = TableClassifier::train_with_policy(
             TableDesign::paper_default(),
             quantizer,
+            0.0,
             &examples,
         )
         .unwrap();
@@ -147,9 +150,10 @@ proptest! {
             .map(|&(v, reject)| TrainingExample { input: vec![v], reject })
             .collect();
         let quantizer = InputQuantizer::new(vec![0.0], vec![1.0]);
-        let mut big = TableClassifier::train_with_quantizer(
+        let mut big = TableClassifier::train_with_policy(
             TableDesign { tables: 8, entries_per_table: 4096 },
             quantizer.clone(),
+            0.0,
             &examples,
         )
         .unwrap();
@@ -231,7 +235,7 @@ fn dense_classifier(seed: u64, dims: usize, levels: u16) -> TableClassifier {
         tables: 8,
         entries_per_table: 1024,
     };
-    TableClassifier::train_with_quantizer(design, quantizer, &examples).unwrap()
+    TableClassifier::train_with_policy(design, quantizer, 0.0, &examples).unwrap()
 }
 
 /// Probe inputs spanning the fitted range, past it, and non-finite.
@@ -354,9 +358,10 @@ proptest! {
             .collect();
         let quantizer =
             InputQuantizer::new(vec![-1.0; dims], vec![1.0; dims]).with_levels(levels);
-        let mut c = TableClassifier::train_with_quantizer(
+        let mut c = TableClassifier::train_with_policy(
             TableDesign::paper_default(),
             quantizer,
+            0.0,
             &accepts,
         )
         .unwrap();

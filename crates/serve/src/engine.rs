@@ -341,10 +341,10 @@ impl ServeEngine {
     /// on the old epoch and route every subsequent sub-batch through the
     /// new router, threshold, and a fresh `Monitoring` watchdog
     /// (configured by `watchdog`, or inheriting the previous epoch's
-    /// configuration when `None`). A binary endpoint takes its new table
-    /// as a one-stage router (`RouteClassifier::from_stages`). The shared
-    /// re-certification trigger is cleared, so a breach of the *new*
-    /// pair can raise it again.
+    /// configuration when `None`). A binary endpoint takes a one-stage
+    /// router, such as a re-certified `RecertOutcome::router`, as it is.
+    /// The shared re-certification trigger is cleared, so a breach of the
+    /// *new* pair can raise it again.
     ///
     /// Serving never pauses: this is one pointer swap under the
     /// endpoint's operating-point lock, which workers touch only between
@@ -879,6 +879,20 @@ mod tests {
         )
     }
 
+    /// `compiled` in an allocation of its own, without its compile
+    /// profiles and training data, so it counts no calibration.
+    fn profile_less_copy(compiled: &Compiled) -> Compiled {
+        Compiled {
+            function: compiled.function.clone(),
+            threshold: compiled.threshold.clone(),
+            table: compiled.table.clone(),
+            neural: compiled.neural.clone(),
+            profiles: Vec::new(),
+            training_data: Vec::new(),
+            calibration: watchdog::Calibration::default(),
+        }
+    }
+
     fn sequential_calibration(compiled: &Compiled, profiles: &[DatasetProfile]) -> WatchdogConfig {
         let confidence = Confidence::new(WATCHDOG_CONFIDENCE).unwrap();
         watchdog::calibrate(
@@ -896,8 +910,7 @@ mod tests {
         let distinct = smoke_compiled("blackscholes");
         // Same accelerator and table, but no compile profiles: nothing is
         // admitted during calibration.
-        let empty =
-            Arc::new(shared.with_operating_point(shared.threshold.threshold, shared.table.clone()));
+        let empty = Arc::new(profile_less_copy(&shared));
         assert!(empty.profiles.is_empty());
         let artifacts = [&shared, &distinct, &shared, &empty];
 
@@ -1104,9 +1117,7 @@ mod tests {
     fn endpoints_of_one_artifact_share_one_lowering() {
         let compiled = smoke_compiled("inversek2j");
         // The same artifact in an allocation of its own is another one.
-        let copy = Arc::new(
-            compiled.with_operating_point(compiled.threshold.threshold, compiled.table.clone()),
-        );
+        let copy = Arc::new(profile_less_copy(&compiled));
         let profile = &compiled.profiles[0];
         let pool_of_two = Arc::new(RoutedCompiled {
             pool: ApproximatorPool::from_members(

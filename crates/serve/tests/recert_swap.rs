@@ -19,7 +19,9 @@ use mithra_axbench::dataset::{DatasetScale, DriftSpec};
 use mithra_axbench::suite;
 use mithra_core::pipeline::{compile, compile_routed, CompileConfig, Compiled};
 use mithra_core::profile::DatasetProfile;
+use mithra_core::recert::{RecertConfig, RecertEngine};
 use mithra_core::route::{Mixture, PoolSpec, RoutedCompiled};
+use mithra_core::threshold::QualitySpec;
 use mithra_serve::{EndpointSpec, Request, RoutedServeSpec, ServeConfig, ServeEngine, ServeError};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -242,6 +244,74 @@ fn hot_swap_attributes_epochs_and_resumes_serving() {
     assert!(
         report.endpoints[0].result.is_some(),
         "full coverage across a swap still folds a result"
+    );
+}
+
+#[test]
+fn recert_outcome_router_swaps_into_a_binary_endpoint_as_is() {
+    // What the re-certifier emits is what an endpoint swaps: the
+    // outcome's router goes into swap_operating_point with no
+    // conversion, and the endpoint serves every request exactly once
+    // across the swap.
+    let compiled = compiled_sobel();
+    let drift = DriftSpec {
+        scale: 1.25,
+        offset: 0.15,
+        noise_std: 0.0,
+        seed: 41,
+    };
+    let drifted = |seed: u64| {
+        let ds = compiled
+            .function
+            .dataset(seed, DatasetScale::Smoke)
+            .drifted(&drift);
+        DatasetProfile::collect(&compiled.function, ds)
+    };
+    let mut config = RecertConfig::paper_default();
+    config.select_after = 8;
+    config.train_samples = 1_500;
+    config.select_iterations = 6;
+    let mut recert = RecertEngine::new(QualitySpec::new(0.1, 0.9, 0.8).unwrap(), config).unwrap();
+    let outcome = (0..80)
+        .find_map(|s| {
+            recert
+                .observe(&compiled.function, drifted(9_100_000 + s))
+                .unwrap()
+        })
+        .expect("mild drift must re-certify within 80 datasets");
+    assert_eq!(outcome.router.len(), 1, "a binary endpoint's pool of one");
+
+    let profile = drifted(90_006);
+    let n = profile.invocation_count();
+    let half = n / 2;
+    let engine = engine_for(&compiled, &profile, 2);
+    for i in 0..half {
+        engine.submit_or_wait(0, i).unwrap();
+    }
+    wait_drained(&engine, half as u64);
+    let epoch = engine
+        .swap_operating_point(0, outcome.threshold, outcome.router, Some(outcome.watchdog))
+        .unwrap();
+    assert_eq!(epoch, 1);
+    for i in half..n {
+        engine.submit_or_wait(0, i).unwrap();
+    }
+    let report = engine.finish().unwrap();
+    let counters = &report.endpoints[0].counters;
+    assert_eq!(counters.served, n as u64);
+    assert_eq!(counters.duplicates, 0);
+    assert_eq!(counters.swaps, 1);
+    assert_eq!(
+        counters.epoch_served,
+        vec![half as u64, (n - half) as u64],
+        "served counts must be attributed to the epoch that served them"
+    );
+    assert!(report.endpoints[0].result.is_some());
+    let snapshot = report.snapshot();
+    assert!(
+        snapshot.consistency_errors().is_empty(),
+        "{:?}",
+        snapshot.consistency_errors()
     );
 }
 

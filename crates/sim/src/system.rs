@@ -35,7 +35,7 @@ use mithra_core::function::AcceleratedFunction;
 use mithra_core::pipeline::Compiled;
 use mithra_core::profile::{common_invocation_count, replay_mixture, DatasetProfile};
 use mithra_core::recert::{RecertConfig, RecertEngine, RecertPhase, RecertReport};
-use mithra_core::route::{oracle_route, Mixture, RouteChoice};
+use mithra_core::route::{oracle_route, Mixture, RouteChoice, RouteClassifier};
 use mithra_core::threshold::QualitySpec;
 use mithra_core::watchdog::{GuardState, QualityWatchdog, WatchdogConfig, WatchdogReport};
 use mithra_core::MithraError;
@@ -575,12 +575,7 @@ pub fn run_routed<'a>(
     options: &SimOptions,
 ) -> Result<RoutedRunResult, SimError> {
     let mixture = mixture.into();
-    if options.online_update_period != 0 {
-        return Err(SimError::Core(MithraError::InvalidConfig {
-            parameter: "online_update_period",
-            constraint: "0 for routed runs: the router has no online update path",
-        }));
-    }
+    check_no_online_updates(options)?;
     let members = mixture.members();
     if member_profiles.len() != members.len() {
         return Err(SimError::Core(MithraError::InsufficientData {
@@ -598,6 +593,17 @@ pub fn run_routed<'a>(
         RunHooks::none(),
         |i, input| router.classify_route(i, input),
     )
+}
+
+/// Refuses online updates: a router has no online update path.
+fn check_no_online_updates(options: &SimOptions) -> Result<(), SimError> {
+    match options.online_update_period {
+        0 => Ok(()),
+        _ => Err(SimError::Core(MithraError::InvalidConfig {
+            parameter: "online_update_period",
+            constraint: "0 for routed runs: the router has no online update path",
+        })),
+    }
 }
 
 /// Mean metrics of a mixture over a set of unseen datasets — one
@@ -665,7 +671,8 @@ pub fn frontier_means<'a>(
     Ok((means, shares))
 }
 
-/// The one runtime decision loop behind [`run`] and [`run_routed`]:
+/// The one runtime decision loop behind [`run`], [`run_routed`] and
+/// [`run_session`]:
 /// decide, watchdog admit, FIFO event, shadow sample, charge the route
 /// through `models`, then fold it into a [`RunFold`]. The shadow sample
 /// judges the *raw* member's error, since that is the decision the
@@ -902,8 +909,9 @@ pub struct OperatingPointRecord {
     pub epoch: u64,
     /// Live accelerator-error threshold.
     pub threshold: f32,
-    /// Live deployed classifier.
-    pub classifier: mithra_core::table::TableClassifier,
+    /// Live deployed router: the compiled table as a one-stage router at
+    /// epoch 0, the re-certified one after a swap.
+    pub router: RouteClassifier,
 }
 
 /// The result of a closed-loop session over a dataset sequence.
@@ -934,10 +942,10 @@ pub struct SessionResult {
 /// This is the **reference loop** the sharded serving runtime
 /// (`mithra-serve`) must reproduce bit for bit. Per dataset it (1) draws
 /// the seed's dataset at the session scale and applies the schedule's
-/// drift, (2) profiles it against the *current epoch's* artifacts and
-/// simulates it under the shared watchdog via [`run`], and (3) whenever
-/// the watchdog **visited** [`GuardState::Fallback`] during the dataset,
-/// feeds the profile to the [`RecertEngine`] — charging the shadow
+/// drift, (2) profiles it and simulates it under the shared watchdog as
+/// the pool of one behind the live router, and (3) whenever the watchdog
+/// **visited** [`GuardState::Fallback`] during the dataset, feeds the
+/// profile to the [`RecertEngine`] — charging the shadow
 /// accelerator execution every profiled invocation costs (the precise
 /// halves are free: a fallback session computes them to serve). Visited,
 /// not merely ended in: a guard flapping around its calibrated limit —
@@ -945,8 +953,8 @@ pub struct SessionResult {
 /// is a certificate that stopped describing the traffic just as surely as
 /// one parked in fallback, and large datasets can walk the whole cycle
 /// between two end-of-dataset checks. When the engine certifies a new
-/// operating point, the loop installs it — new threshold, new classifier,
-/// re-calibrated watchdog tuning — charges the classifier-table upload,
+/// operating point, the loop installs it — new threshold, new router,
+/// re-calibrated watchdog tuning — charges the router-table upload,
 /// and forces the watchdog back to [`GuardState::Monitoring`]; the next
 /// dataset is served by the new epoch. If the watchdog recovers *on its
 /// own* (the drift reverted and the old pair is healthy again), any
@@ -959,16 +967,24 @@ pub struct SessionResult {
 ///
 /// # Errors
 ///
-/// Propagates core-layer failures from profiling, simulation, selection
-/// and certification as [`SimError`].
+/// A nonzero `online_update_period` is refused as [`run_routed`] refuses
+/// it. Core-layer failures from profiling, simulation, selection and
+/// certification propagate as [`SimError`].
 pub fn run_session(
     compiled: &Compiled,
     seeds: &[u64],
     schedule: &DriftSchedule,
     config: &SessionConfig,
 ) -> Result<SessionResult, SimError> {
-    let mut serving =
-        compiled.with_operating_point(compiled.threshold.threshold, compiled.table.clone());
+    check_no_online_updates(&config.options)?;
+    let function = &compiled.function;
+    let topology = function.benchmark().npu_topology();
+    let price = |threshold, router: &RouteClassifier| {
+        let overhead = router.overhead_for(RouteChoice::Precise);
+        InvocationModel::for_function(function, &topology, threshold, &overhead, &config.options)
+    };
+    let mut threshold = compiled.threshold.threshold;
+    let mut router = Mixture::Binary(compiled).router();
     let mut dog = QualityWatchdog::new(config.watchdog);
     let mut engine = RecertEngine::new(config.spec, config.recert)?;
 
@@ -978,17 +994,19 @@ pub fn run_session(
 
     for (t, &seed) in seeds.iter().enumerate() {
         let drift = schedule.drift_at(t);
-        let ds = serving.function.dataset(seed, config.scale);
+        let ds = function.dataset(seed, config.scale);
         let ds = match &drift {
             Some(spec) => ds.drifted(spec),
             None => ds,
         };
-        let profile = DatasetProfile::collect(&serving.function, ds);
+        let profile = DatasetProfile::collect(function, ds);
 
         let fallback_before = dog.report().time_in.fallback;
-        let mut classifier = serving.table.clone();
+        let model = price(threshold, &router);
+        let models = RoutedInvocationModel::pool_of_one(model);
         let hooks = RunHooks::none().with_watchdog(&mut dog, config.watchdog_period);
-        let result = run(&serving, &profile, &mut classifier, &config.options, hooks)?;
+        let decide = |i: usize, input: &[f32]| router.classify_route(i, input);
+        let result = run_pool(&models, function, &[&profile], hooks, decide)?.run;
         let epoch = engine.epoch();
         // A dataset large enough to hold several watchdog windows can walk
         // Fallback → Probing → Monitoring between two of these checks, so
@@ -1002,7 +1020,6 @@ pub fn run_session(
                 // Building a calibration profile while serving precisely:
                 // the precise outputs are the served outputs, but every
                 // invocation's accelerator half is a shadow execution.
-                let model = InvocationModel::new(&serving, &classifier.overhead(), &config.options);
                 let with_shadow = model.charge(Decision::Precise, FifoEvent::None, true);
                 let without = model.charge(Decision::Precise, FifoEvent::None, false);
                 let shadow = Charge {
@@ -1013,22 +1030,18 @@ pub fn run_session(
                     recert_charge.add(shadow);
                 }
 
-                if let Some(outcome) = engine.observe(&serving.function, profile)? {
+                if let Some(outcome) = engine.observe(function, profile)? {
                     // Hot swap: new pair, re-calibrated guard, and the
-                    // one-time upload of the new classifier's tables.
-                    serving = serving.with_operating_point(outcome.threshold, outcome.classifier);
-                    let model = InvocationModel::new(
-                        &serving,
-                        &serving.table.clone().overhead(),
-                        &config.options,
-                    );
-                    recert_charge.add(model.startup(0));
+                    // one-time upload of the new router's tables.
+                    threshold = outcome.threshold;
+                    router = outcome.router;
+                    recert_charge.add(price(threshold, &router).startup(0));
                     dog.reconfigure(outcome.watchdog);
                     dog.force_state(GuardState::Monitoring);
                     swaps.push(SwapRecord {
                         at_dataset: t,
                         epoch: outcome.epoch,
-                        threshold: outcome.threshold,
+                        threshold,
                         certify_trials: outcome.certify_trials,
                         attempts: outcome.attempts,
                     });
@@ -1056,8 +1069,8 @@ pub fn run_session(
         datasets,
         final_point: OperatingPointRecord {
             epoch: engine.epoch(),
-            threshold: serving.threshold.threshold,
-            classifier: serving.table.clone(),
+            threshold,
+            router,
         },
         watchdog: dog.report(),
         recert: engine.report(),
@@ -1258,6 +1271,37 @@ mod tests {
             session.watchdog
         );
         assert!(session.watchdog.recoveries > 0);
+    }
+
+    #[test]
+    fn session_refuses_online_updates_like_routed_runs() {
+        // The live operating point is a router: a session refuses online
+        // updates with the error run_routed returns, before it serves.
+        let compiled = compiled_for("sobel");
+        let spec = QualitySpec::paper_default(0.1).unwrap();
+        let mut config = session_config(&compiled, spec);
+        config.options.online_update_period = 4;
+        let routed = run_routed(
+            &compiled,
+            &[&fresh_profile(&compiled, 5_300_000)],
+            &config.options,
+        )
+        .unwrap_err();
+        let session =
+            run_session(&compiled, &[5_300_000], &DriftSchedule::None, &config).unwrap_err();
+        for err in [&routed, &session] {
+            assert!(
+                matches!(
+                    err,
+                    SimError::Core(MithraError::InvalidConfig {
+                        parameter: "online_update_period",
+                        ..
+                    })
+                ),
+                "{err:?}"
+            );
+        }
+        assert_eq!(session.to_string(), routed.to_string());
     }
 
     #[test]

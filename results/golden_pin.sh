@@ -67,6 +67,29 @@ pin figz_multi_approximator inversek2j \
 pin figw_self_healing inversek2j \
   --scale full --quality 5 --cache-dir target/mithra-cache \
   --out "$OUT/BENCH_recert_pin.json"
+# The text rows round; the JSON does not. The pin run's inversek2j
+# sessions must equal the committed BENCH_recert.json records field for
+# field at full precision: recert cycles and energy (the shadow and
+# upload pricing), post-swap speedup and the conformance trial records
+# included.
+python3 - "$OUT/BENCH_recert_pin.json" BENCH_recert.json <<'PY'
+import json, sys
+
+def sessions(path):
+    with open(path) as f:
+        return [s for s in json.load(f)["sessions"] if s["benchmark"] == "inversek2j"]
+
+got, want = sessions(sys.argv[1]), sessions(sys.argv[2])
+if not want or [s["scenario"] for s in got] != [s["scenario"] for s in want]:
+    sys.exit(f"GOLDEN PIN FAILED: figw inversek2j scenarios {[s['scenario'] for s in got]}"
+             f" != committed {[s['scenario'] for s in want]}")
+for g, w in zip(got, want):
+    diverged = sorted(k for k in w.keys() | g.keys() if g.get(k) != w.get(k))
+    if diverged:
+        sys.exit(f"GOLDEN PIN FAILED: figw inversek2j/{w['scenario']} diverged from"
+                 f" committed BENCH_recert.json in {diverged}")
+print(f"pinned: BENCH_recert.json inversek2j ({len(want)} sessions, full precision)")
+PY
 
 # figv: the design-space exploration rows (frontier lines + table row) —
 # pins the probe predictors, the prune/budget selection, every
